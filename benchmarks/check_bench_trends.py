@@ -54,7 +54,7 @@ METRICS_BY_FILE = {
     ),
     "BENCH_placement.json": (
         "score", "swap_gain", "color_gain", "multi_gain", "xor_gain",
-        "facility_gain",
+        "facility_gain", "evals_per_s",
     ),
     "BENCH_service.json": (
         "warm_speedup", "dedup_factor", "pool_scaling", "search_speedup",

@@ -2,8 +2,9 @@
 
 Each bench target wraps one experiment driver from
 :mod:`repro.analysis.experiments`, times it with pytest-benchmark, prints the
-rows EXPERIMENTS.md records, and asserts the paper-predicted shape so a
-regression in either performance or behavior fails the suite.
+rows of that experiment (the "Experiments" table in the top-level README.md
+lists every driver), and asserts the paper-predicted shape so a regression
+in either performance or behavior fails the suite.
 """
 
 import pytest

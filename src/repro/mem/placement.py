@@ -12,7 +12,7 @@ non-overlapping by construction, plus deliberate block-granular *gaps*
 before chosen objects) for a layout that minimizes conflict misses at one
 or several target (geometry, policy) pairs.
 
-Three ideas make the search cheap and exact:
+Four ideas make the search cheap and exact:
 
 * **Block-remap cost model** — a placement is an object permutation plus a
   per-object gap vector, and every object's intra-region block offsets
@@ -27,6 +27,11 @@ Three ideas make the search cheap and exact:
   included).  External stream arenas ride along as two pseudo-objects whose
   bases shift with the candidate footprint, reproducing
   :func:`~repro.runtime.executor.build_memory_plan` arithmetic to the word.
+* **Delta scoring** — consecutive candidates differ in a few objects, and
+  a target's misses are a sum over its sets (frames, for direct-mapped
+  targets), so :class:`~repro.runtime.backend.CandidateScorer` replays
+  only the sets a move dirties and reuses the other per-set counts
+  (:func:`_delta_misses`).
 * **Temporal-affinity conflict graph** — objects co-scheduled within a
   short reuse window of the trace are the ones that must not collide in a
   set.  The graph is extracted from the run-length-compressed object
@@ -405,6 +410,141 @@ def placement_costs(
         remap_blocks(instance, order, gaps=gaps),
         normalize_targets(targets, block=instance.block),
     )
+
+
+# ----------------------------------------------------------------------
+# delta scoring
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ScoreBase:
+    """What delta scoring keeps of the last candidate scored: its start
+    vector and, per target, its miss count in every conflict class — plus
+    the distinct ``(object ids, block offsets)`` the trace touches, the
+    only blocks a move can carry from one class to another."""
+
+    starts: np.ndarray
+    counts: Tuple[np.ndarray, ...]
+    touched: Tuple[np.ndarray, np.ndarray]
+
+
+#: policies whose misses are a sum over per-set (per-frame) subsequences
+_CLASS_SPLIT_POLICIES = ("lru", "opt", "direct")
+
+
+def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[Tuple[int, str]]:
+    """``(class count, index scheme)`` a target's misses are a sum over —
+    frames for direct-mapped, sets otherwise, one class when fully
+    associative — or ``None`` when the policy does not split by class
+    (``two_level``: its L2 sees an L1 miss stream that crosses sets)."""
+    if policy not in _CLASS_SPLIT_POLICIES:
+        return None
+    from repro.runtime.replay import _scheme_of
+
+    classes = _conflict_sets(geometry, policy)
+    return classes, _scheme_of(geometry, classes)
+
+
+def _class_miss_counts(
+    blocks: np.ndarray,
+    classes: np.ndarray,
+    n_classes: int,
+    geometries: Sequence[CacheGeometry],
+    policy: str,
+    chunk_words: Optional[int],
+) -> List[np.ndarray]:
+    """Per-geometry miss counts of ``blocks`` split by access class, in one
+    replay (chunked when ``chunk_words`` is given)."""
+    if chunk_words is not None:
+        from repro.runtime.streaming import ArrayChunkSource, stream_class_counts
+
+        source = ArrayChunkSource(blocks, chunk_words=chunk_words)
+        return stream_class_counts(source, classes, n_classes, geometries, policy)
+    from repro.runtime.replay import replay_miss_masks
+
+    return [
+        np.bincount(classes[mask], minlength=n_classes)
+        for mask in replay_miss_masks(blocks, geometries, policy=policy)
+    ]
+
+
+def _delta_misses(
+    obj_of_access: np.ndarray,
+    block_offset: np.ndarray,
+    starts: np.ndarray,
+    targets: Sequence[PlacementTarget],
+    base: Optional[ScoreBase] = None,
+    chunk_words: Optional[int] = None,
+) -> Tuple[List[int], ScoreBase]:
+    """Per-target miss counts of the candidate ``starts``, replaying only
+    the conflict classes that differ from ``base`` (every class when
+    ``base`` is ``None``).  Returns the counts and the candidate's own
+    :class:`ScoreBase`, ready to score the next candidate against.
+
+    An lru/opt/direct target's misses are a sum over its conflict classes,
+    and each class's count depends only on its own access subsequence up
+    to a renaming of blocks.  Objects never overlap, so an access keeps or
+    changes its block together with every other access to that block: a
+    class no access enters or leaves is only relabeled one-to-one, and its
+    count carries over.  The old and new class of every access whose class
+    changed are dirty; the dirty classes' sub-trace replays once through
+    the ordinary kernels and its misses are counted per class.
+    ``two_level`` targets do not split, so any moved access replays them in
+    full.  The dirty fraction of each target is recorded as the
+    ``placement.dirty_frac`` histogram.
+    """
+    from repro.runtime.replay import set_index_array
+
+    blocks = starts[obj_of_access] + block_offset
+    if base is None:
+        width = int(block_offset.max(initial=0)) + 1
+        keys = np.unique(obj_of_access * width + block_offset)
+        touched = (keys // width, keys % width)
+        old_blocks = new_blocks = np.zeros(0, dtype=np.int64)
+    else:
+        touched = base.touched
+        t_obj, t_off = touched
+        moved = starts[t_obj] != base.starts[t_obj]
+        old_blocks = base.starts[t_obj[moved]] + t_off[moved]
+        new_blocks = starts[t_obj[moved]] + t_off[moved]
+    groups: Dict[Tuple[str, Optional[Tuple[int, str]]], List[int]] = {}
+    for i, (geom, policy, _w) in enumerate(targets):
+        groups.setdefault((policy, _class_spec(geom, policy)), []).append(i)
+    counts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(targets)
+    for (policy, spec), idxs in groups.items():
+        n_classes, scheme = spec if spec is not None else (1, "mod")
+        classes = set_index_array(blocks, n_classes, scheme)
+        if base is None:
+            dirty = np.ones(n_classes, dtype=bool)
+        elif spec is None:
+            dirty = np.full(n_classes, new_blocks.shape[0] > 0, dtype=bool)
+        else:
+            old_cls = set_index_array(old_blocks, n_classes, scheme)
+            new_cls = set_index_array(new_blocks, n_classes, scheme)
+            changed = old_cls != new_cls
+            dirty = np.zeros(n_classes, dtype=bool)
+            dirty[old_cls[changed]] = True
+            dirty[new_cls[changed]] = True
+        if base is not None:
+            frac = float(np.count_nonzero(dirty)) / n_classes
+            for _ in idxs:
+                obs.observe(obs_names.PLACEMENT_DIRTY_FRAC, frac)
+            if not dirty.any():
+                for i in idxs:
+                    counts[i] = base.counts[i]
+                continue
+        if not dirty.all():
+            keep = dirty[classes]
+            blocks_d, classes_d = blocks[keep], classes[keep]
+        else:
+            blocks_d, classes_d = blocks, classes
+        fresh = _class_miss_counts(
+            blocks_d, classes_d, n_classes, [targets[i][0] for i in idxs],
+            policy, chunk_words,
+        )
+        for i, f in zip(idxs, fresh):
+            counts[i] = f if base is None else np.where(dirty, f, base.counts[i])
+    per = [int(c.sum()) for c in counts]
+    return per, ScoreBase(starts=starts.copy(), counts=tuple(counts), touched=touched)
 
 
 # ----------------------------------------------------------------------

@@ -93,10 +93,17 @@ STREAM_CHUNKS = "stream.chunks"
 STREAM_SPILLED_BYTES = "stream.spilled_bytes"
 #: segments recompiled after a corrupt/missing entry (segment granularity)
 STREAM_RECOMPILED = "stream.segments_recompiled"
+#: chunked process sweeps that lost a worker and were recomputed serially
+REPLAY_PROCESS_FALLBACK = "replay.process_fallback"
 
 # --------------------------------------------------------------- gauges
 #: pool width chosen by the last backend sizing decision
 BACKEND_WIDTH = "backend.width"
+
+# ----------------------------------------------------------- histograms
+#: fraction of a target's conflict classes one delta-scored placement
+#: candidate dirtied (one observation per target per candidate)
+PLACEMENT_DIRTY_FRAC = "placement.dirty_frac"
 
 # --------------------------------------------------------------- series
 #: best cost after each `swap_refine` round (index 0 = seed cost)

@@ -30,7 +30,8 @@ workers reconstruct zero-copy ``np.ndarray`` views over the mapped buffer
 (:func:`process_sweep`); per-task payloads are just geometry lists.  The
 placement scorer (:class:`CandidateScorer`) does the same with the
 remap-instance arrays (``obj_of_access``/``block_offset``): candidates ship
-as tiny per-object start vectors, never as traces.
+as tiny per-object start vectors, never as traces, each with the per-set
+miss counts of the last candidate scored, which it is delta-scored against.
 
 **Batch front door.**  :func:`run_batch` answers N
 (graph, schedule, geometries, policy) queries the way a many-user service
@@ -65,6 +66,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 import numpy as np
@@ -77,7 +79,7 @@ if TYPE_CHECKING:
     from repro.cache.base import CacheGeometry
     from repro.graphs.sdf import StreamGraph
     from repro.mem.layout import ObjectKey
-    from repro.mem.placement import PlacementInstance, PlacementTarget
+    from repro.mem.placement import PlacementInstance, PlacementTarget, ScoreBase
     from repro.runtime.executor import ExecutionResult
     from repro.runtime.schedule import Schedule
     from repro.runtime.trace_cache import TraceCache
@@ -562,38 +564,47 @@ def _attach_scorer(
 
 
 def _score_candidate_remote(
-    task: Tuple[int, np.ndarray]
-) -> Tuple[int, List[int], Optional[Dict]]:
-    """Worker body: per-target miss counts of one candidate's start vector.
+    task: Tuple[int, np.ndarray, Optional["ScoreBase"]]
+) -> Tuple[int, List[int], "ScoreBase", Optional[Dict]]:
+    """Worker body: per-target miss counts of one candidate's start vector,
+    delta-scored against the base the parent shipped with the task.
 
     Returns the raw per-target counts (the parent folds them into whatever
-    objective the search runs — weighted sum, worst-case ratio) and ships
-    the candidate's obs delta back when the parent had instrumentation
-    enabled at pool construction.
+    objective the search runs — weighted sum, worst-case ratio), the
+    candidate's own base, and the candidate's obs delta when the parent had
+    instrumentation enabled at pool construction.
     """
-    from repro.mem.placement import _target_misses
+    from repro.mem.placement import _delta_misses
 
-    index, starts = task
-    obj = _SCORER_STATE["obj"]
-    off = _SCORER_STATE["off"]
-    targets = _SCORER_STATE["targets"]
+    index, starts, base = task
 
-    def _per() -> List[int]:
-        blocks = starts[obj] + off
-        return _target_misses(
-            blocks, targets, chunk_words=_SCORER_STATE.get("chunk_words")  # type: ignore[arg-type]
+    def _score() -> Tuple[List[int], "ScoreBase"]:
+        return _delta_misses(
+            cast(np.ndarray, _SCORER_STATE["obj"]),
+            cast(np.ndarray, _SCORER_STATE["off"]),
+            starts, cast(List["PlacementTarget"], _SCORER_STATE["targets"]), base,
+            chunk_words=cast(Optional[int], _SCORER_STATE.get("chunk_words")),
         )
 
     if _SCORER_STATE.get("obs"):
         with obs.capture(enabled=True) as cap:
-            per = _per()
-        return index, per, cap.snapshot
-    return index, _per(), None
+            per, new_base = _score()
+        return index, per, new_base, cap.snapshot
+    per, new_base = _score()
+    return index, per, new_base, None
 
 
 class CandidateScorer:
     """Scores placement candidates — (order, gaps) start vectors — on the
     exact remap cost model, optionally across a process pool.
+
+    Scoring is incremental: the scorer keeps the last candidate's per-class
+    miss counts for every target (a :class:`~repro.mem.placement.ScoreBase`)
+    and scores the next candidate against it, replaying only the cache sets
+    (frames, for direct-mapped targets) the difference dirties
+    (:func:`repro.mem.placement._delta_misses`).  The first candidate is the
+    same function with every class dirty.  Counts are exact either way, so
+    the search trajectory does not depend on what was scored before.
 
     The instance's ``obj_of_access``/``block_offset`` arrays (one entry per
     trace access — the big data) are published to shared memory once at
@@ -624,6 +635,8 @@ class CandidateScorer:
         self.chunk_words = chunk_words
         #: candidates scored so far (every backend, every score call)
         self.evals = 0
+        #: the last candidate scored, which the next one is scored against
+        self._base: Optional["ScoreBase"] = None
         name, width = resolve(backend, workers, os.cpu_count() or 1)
         self._pool = None
         if name == "process":
@@ -654,22 +667,29 @@ class CandidateScorer:
         worst-case ratio).  Counts toward :attr:`evals`."""
         self.evals += len(starts_list)
         if self._pool is None:
-            from repro.mem.placement import _target_misses
+            from repro.mem.placement import _delta_misses
 
-            return [
-                _target_misses(
-                    starts[self.instance.obj_of_access] + self.instance.block_offset,
-                    self.targets, chunk_words=self.chunk_words,
+            out: List[List[int]] = []
+            for starts in starts_list:
+                per, self._base = _delta_misses(
+                    self.instance.obj_of_access, self.instance.block_offset,
+                    starts, self.targets, self._base,
+                    chunk_words=self.chunk_words,
                 )
-                for starts in starts_list
-            ]
-        tasks = [(i, starts) for i, starts in enumerate(starts_list)]
+                out.append(per)
+            return out
+        # every task is scored against the same shipped base; the batch's
+        # last candidate becomes the next base
+        tasks = [(i, starts, self._base) for i, starts in enumerate(starts_list)]
         out_arr: List[List[int]] = [[] for _ in tasks]
         with obs.span(obs_names.BACKEND_MAP, backend="process"):
             # pool.map yields in submission order, so worker deltas merge
             # deterministically — same totals as the serial score path
-            for i, per, snap in self._pool.map(_score_candidate_remote, tasks):
+            for i, per, base, snap in self._pool.map(
+                _score_candidate_remote, tasks
+            ):
                 out_arr[i] = per
+                self._base = base
                 if snap is not None:
                     obs.merge(snap)
         return out_arr

@@ -119,6 +119,7 @@ __all__ = [
     "compile_trace_chunked",
     "stream_masks",
     "stream_stats",
+    "stream_class_counts",
     "simulate_stream",
 ]
 
@@ -736,6 +737,34 @@ def stream_stats(
     return list(zip(totals, counts))
 
 
+def stream_class_counts(
+    source: ChunkSource,
+    classes: np.ndarray,
+    n_classes: int,
+    geometries: Sequence[CacheGeometry],
+    policy: str = "lru",
+) -> List[np.ndarray]:
+    """Per-geometry miss counts split by access class, chunk by chunk.
+
+    The per-class twin of :func:`stream_stats`: ``classes[i]`` labels
+    access ``i`` of the source with a class in ``[0, n_classes)``, and each
+    chunk's miss masks reduce straight into one bincount per geometry,
+    summed over chunks the way phase counts are.  Placement delta scoring
+    (:func:`repro.mem.placement._delta_misses`) keeps these per-set counts.
+    """
+    geoms = list(geometries)
+    obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
+    out = [np.zeros(n_classes, dtype=np.int64) for _ in geoms]
+    with obs.span(obs_names.STREAM_REPLAY, policy=policy):
+        chunks = _chunk_mask_iter(source, geoms, policy)
+        for (lo, hi), (_blocks, _phases, masks) in zip(source.chunk_bounds(), chunks):
+            obs.add(obs_names.STREAM_CHUNKS)
+            labels = classes[lo:hi]
+            for acc, mask in zip(out, masks):
+                acc += np.bincount(labels[mask], minlength=n_classes)
+    return out
+
+
 def simulate_stream(
     trace: "CompiledTrace | ChunkedTrace",
     geometries: Sequence[CacheGeometry],
@@ -750,9 +779,10 @@ def simulate_stream(
     ignored — the segments are already cut); an in-memory trace is viewed
     through :class:`ArrayChunkSource` at ``chunk_words``.  On the process
     backend, lru/direct sweeps over a :class:`ChunkedTrace` fan chunks out
-    over a pool (:func:`repro.runtime.backend.process_chunk_sweep`); any
-    worker failure falls back to the sequential stream, which computes the
-    identical answer.
+    over a pool (:func:`repro.runtime.backend.process_chunk_sweep`).  A
+    pool that loses a worker falls back to the sequential stream, which
+    computes the identical answer, and counts ``replay.process_fallback``;
+    any other error raises.
     """
     geoms = list(geometries)
     get_policy(policy)
@@ -778,13 +808,16 @@ def simulate_stream(
         and source.n_chunks
         and geoms
     ):
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.runtime.backend import process_chunk_sweep
 
         try:
             stats = process_chunk_sweep(trace, geoms, policy, width)
-        except Exception:
-            # a dead worker or an unpicklable corner falls back to the
-            # sequential stream — same answer, one process
+        except BrokenProcessPool:
+            # a dead worker falls back to the sequential stream — same
+            # answer, one process — and is counted, never silent
+            obs.add(obs_names.REPLAY_PROCESS_FALLBACK)
             stats = None
     if stats is None:
         stats = stream_stats(source, geoms, policy)

@@ -783,20 +783,20 @@ class TestFacilityStrategies:
 class TestEvalAccounting:
     """``RefineStats.evals`` must equal the number of cost-model
     invocations the search actually made (serial backend: every candidate
-    scored is exactly one ``_target_misses`` call), so the A12 "equal eval
+    scored is exactly one ``_delta_misses`` call), so the A12 "equal eval
     budget" comparisons cannot silently miscount."""
 
     def _counting(self, monkeypatch):
         import repro.mem.placement as pl
 
         calls = {"n": 0}
-        real = pl._target_misses
+        real = pl._delta_misses
 
-        def counted(trace, targets, chunk_words=None):
+        def counted(*args, **kwargs):
             calls["n"] += 1
-            return real(trace, targets, chunk_words=chunk_words)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(pl, "_target_misses", counted)
+        monkeypatch.setattr(pl, "_delta_misses", counted)
         return calls
 
     def test_swap_refine_counts_every_invocation(self, monkeypatch):

@@ -51,6 +51,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 METRICS_BY_FILE = {
     "BENCH_trace_engine.json": (
         "sweep", "single", "direct", "opt", "set_assoc", "two_level",
+        "looped_compile_accesses_per_s", "looped_replay_accesses_per_s",
     ),
     "BENCH_placement.json": (
         "score", "swap_gain", "color_gain", "multi_gain", "xor_gain",

@@ -58,6 +58,9 @@ STREAM_REPLAY = "stream.replay"
 COMPILE_CALLS = "compile.calls"
 #: total accesses across all compiled traces
 COMPILE_ACCESSES = "compile.accesses"
+#: whole loop periods a compilation wrote with numpy instead of firing by
+#: firing (a looped schedule's period repeated; 0 for flat schedules)
+COMPILE_PERIOD_REPEATS = "compile.period_repeats"
 #: persistent-cache hits (mirrors ``TraceCache.counters.hits``)
 CACHE_HITS = "trace_cache.hits"
 #: persistent-cache misses (mirrors ``TraceCache.counters.misses``)
@@ -70,6 +73,8 @@ CACHE_CORRUPT = "trace_cache.corrupt"
 REPLAY_GEOMETRIES = "replay.geometries"
 #: total misses reported by `simulate_trace` (summed over geometries)
 REPLAY_MISSES = "replay.misses"
+#: geometries `simulate_trace` answered from two slices of a periodic trace
+REPLAY_PERIOD_GEOMETRIES = "replay.period_geometries"
 #: queries entering `run_batch`
 BATCH_QUERIES = "run_batch.queries"
 #: queries whose trace an earlier query in the batch already compiled

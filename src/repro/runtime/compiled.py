@@ -58,10 +58,12 @@ to sweep — is drawn end to end in ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -81,6 +83,7 @@ from repro.obs import core as obs
 from repro.obs import names as obs_names
 from repro.mem.layout import ObjectKey
 from repro.runtime.buffers import ChannelBuffer
+from repro.runtime.looped import Loop, LoopedSchedule
 from repro.runtime.executor import (
     ExecutionResult,
     build_memory_plan,
@@ -107,6 +110,12 @@ __all__ = [
 PHASE_NAMES = ("", "state", "data", "stream")
 _STATE, _DATA, _STREAM = 1, 2, 3
 
+#: accesses a chunked compilation may hold uncut while it looks for a
+#: loop's period (the period must sit in memory to be repeated)
+_PERIOD_PROBE_WORDS = 1 << 16
+
+_Chunk = Tuple[np.ndarray, np.ndarray]
+
 
 @dataclass
 class CompiledTrace:
@@ -116,6 +125,13 @@ class CompiledTrace:
     :class:`~repro.mem.trace.TracingCache` would record from the executor);
     ``phases[i]`` attributes the touch to state/data/stream.  ``phases`` may
     be ``None`` for traces recorded without attribution.
+
+    ``period`` is ``(start, length, repeats)`` when the compiler found a
+    looped schedule's period: for ``0 <= j < repeats`` the ``length``
+    accesses from ``start + j * length`` are the first period's blocks plus
+    ``j`` times a per-access stream shift (zero off the external streams),
+    with the same phases.  :func:`simulate_trace` uses it to answer lru and
+    direct geometries from two short slices.
     """
 
     label: str
@@ -126,6 +142,7 @@ class CompiledTrace:
     fire_counts: Dict[str, int] = field(default_factory=dict)
     source_fires: int = 0
     sink_fires: int = 0
+    period: Optional[Tuple[int, int, int]] = None
 
     @property
     def accesses(self) -> int:
@@ -194,6 +211,102 @@ class _ModulePlan:
         self.out_words = 0  # external output words per firing (sinks)
 
 
+class _TraceWriter:
+    """Collects compiled touches and cuts them into ``chunk_words`` chunks.
+
+    Firings append block arrays to ``parts`` with one phase code each
+    (``codes``/``lens``, expanded by one ``np.repeat`` when settled); whole
+    arrays, such as repeated periods, come in through :meth:`add`.
+    ``held`` keeps settled ``(blocks, phases)`` pairs not yet yielded, and
+    ``pending`` counts every access held either way.  The per-firing loop
+    cuts once ``pending`` reaches ``threshold``: ``chunk_words``, raised
+    while a loop's period is sought, and ``None`` (never) when monolithic.
+    """
+
+    __slots__ = (
+        "chunk_words", "threshold", "parts", "codes", "lens", "held",
+        "pending", "emitted", "cuts",
+    )
+
+    def __init__(self, chunk_words: Optional[int]) -> None:
+        self.chunk_words = chunk_words
+        self.threshold = chunk_words
+        self.parts: List[np.ndarray] = []
+        self.codes: List[int] = []
+        self.lens: List[int] = []
+        self.held: List[_Chunk] = []
+        self.pending = 0
+        self.emitted = 0
+        self.cuts = 0
+
+    def settle(self) -> None:
+        """Turn the per-firing parts into one held array pair."""
+        if self.parts:
+            self.held.append((
+                np.concatenate(self.parts),
+                np.repeat(
+                    np.asarray(self.codes, dtype=np.uint8),
+                    np.asarray(self.lens, dtype=np.int64),
+                ),
+            ))
+            self.parts, self.codes, self.lens = [], [], []
+
+    def add(self, blocks: np.ndarray, phases: np.ndarray) -> None:
+        self.settle()
+        self.held.append((blocks, phases))
+        self.pending += int(blocks.shape[0])
+
+    def _joined(self) -> _Chunk:
+        self.settle()
+        if len(self.held) == 1:
+            return self.held[0]
+        if not self.held:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
+        return (
+            np.concatenate([b for b, _p in self.held]),
+            np.concatenate([p for _b, p in self.held]),
+        )
+
+    def _full_chunks(
+        self, blocks: np.ndarray, phases: np.ndarray, cw: int
+    ) -> Generator[_Chunk, None, int]:
+        """Yield every full chunk of the arrays; return where the
+        remainder starts."""
+        lo = 0
+        while blocks.shape[0] - lo >= cw:
+            yield blocks[lo:lo + cw], phases[lo:lo + cw]
+            self.emitted += cw
+            lo += cw
+        return lo
+
+    def cut(self) -> Iterator[_Chunk]:
+        """Yield every full chunk held and keep the remainder (nothing to
+        cut when monolithic)."""
+        if self.chunk_words is None:
+            return
+        blocks, phases = self._joined()
+        lo = yield from self._full_chunks(blocks, phases, self.chunk_words)
+        # copies release the concatenated buffer once consumers drop
+        # their chunk views, keeping the high-water mark at
+        # O(chunk_words), not O(flushes)
+        self.held = [(blocks[lo:].copy(), phases[lo:].copy())]
+        self.pending = int(blocks.shape[0]) - lo
+        self.cuts += 1
+
+    def finish(self) -> Iterator[_Chunk]:
+        """Yield everything held: one chunk when monolithic, else full
+        chunks and then the remainder."""
+        blocks, phases = self._joined()
+        self.held, self.pending = [], 0
+        lo = 0
+        if self.chunk_words is not None:
+            lo = yield from self._full_chunks(blocks, phases, self.chunk_words)
+            if blocks.shape[0] == lo:
+                return
+        self.emitted += int(blocks.shape[0]) - lo
+        yield blocks[lo:], phases[lo:]
+
+
 class TraceCompiler:
     """Compiles schedules for one (graph, block size, capacities, layout).
 
@@ -259,6 +372,9 @@ class TraceCompiler:
         self.last_source_fires: int = 0
         self.last_sink_fires: int = 0
         self.last_accesses: int = 0
+        self.last_period: Optional[Tuple[int, int, int]] = None
+        self._ext_in_pos = 0
+        self._ext_out_pos = 0
 
     def compile_chunks(
         self, schedule: Schedule, chunk_words: Optional[int] = None
@@ -272,47 +388,75 @@ class TraceCompiler:
         chunks in order reproduces :meth:`compile`'s arrays bit for bit —
         the contract the streaming engine (:mod:`repro.runtime.streaming`)
         is differentially pinned on.  Peak memory while chunking is bounded
-        by ``chunk_words`` plus one firing's touches, never the trace
-        length.
+        by ``chunk_words`` (or, while a loop's period is being sought, by
+        ``max(chunk_words, 2**16)``) plus one firing's touches, never the
+        trace length.
+
+        A :class:`~repro.runtime.looped.LoopedSchedule` costs the firings of
+        one period per top-level :class:`~repro.runtime.looped.Loop`, not
+        every firing: iterations compile one at a time until the compiler
+        state (every buffer's head and count, the external stream positions
+        mod ``B``) is back at its loop-entry value after ``p`` iterations.
+        Every later whole period is then the first one's blocks plus a
+        multiple of the per-access stream shift, written with numpy; the
+        leftover iterations and the rest of the schedule compile as usual.
+        The output and all metadata are identical to compiling the flat
+        expansion, and ``last_period`` records the longest such run as
+        ``(start, length, repeats)`` (see :class:`CompiledTrace`).
 
         Validates feasibility exactly like ``Executor.fire`` and raises
-        :class:`~repro.errors.ScheduleError` on the first violation.  The
+        :class:`~repro.errors.ScheduleError` on the first violation (a
+        repeated period is feasible because its first copy was).  The
         compiler mutates its buffer states, so each call continues where
         the previous one stopped — build a fresh compiler per run.  Trace
         metadata (label, firings, per-module fire counts, source/sink
-        fires, total accesses) is complete once the generator is exhausted
-        and is then readable from ``last_label``/``last_firings``/
-        ``last_fire_counts``/``last_source_fires``/``last_sink_fires``/
-        ``last_accesses``.
+        fires, total accesses, period) is complete once the generator is
+        exhausted and is then readable from ``last_label``/
+        ``last_firings``/``last_fire_counts``/``last_source_fires``/
+        ``last_sink_fires``/``last_accesses``/``last_period``.
         """
         if chunk_words is not None and chunk_words < 1:
             raise CacheConfigError(
                 f"chunk_words must be >= 1, got {chunk_words}"
             )
+        self.last_label = getattr(schedule, "label", "schedule")
+        self.last_firings = 0
+        self.last_fire_counts = {}
+        self.last_source_fires = 0
+        self.last_sink_fires = 0
+        self.last_period = None
+        self._ext_in_pos = 0
+        self._ext_out_pos = 0
+        out = _TraceWriter(chunk_words)
+        if isinstance(schedule, LoopedSchedule):
+            for element in schedule.loops:
+                if isinstance(element, Loop):
+                    yield from self._compile_loop(element, out)
+                else:
+                    yield from self._fire((element,), out)
+        else:
+            yield from self._fire(schedule.firings, out)
+        self.last_accesses = out.emitted + out.pending
+        yield from out.finish()
+
+    def _fire(
+        self, names: Iterable[str], out: "_TraceWriter"
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Compile ``names`` firing by firing into ``out``, yielding every
+        chunk that fills up on the way."""
         plans = self._plans
         block = self.block
         count_external = self.count_external
-        carry_blocks = np.zeros(0, dtype=np.int64)
-        carry_phases = np.zeros(0, dtype=np.uint8)
-        chunks: List[np.ndarray] = []
-        codes: List[int] = []
-        lens: List[int] = []
-        pending = 0
-        fire_counts: Dict[str, int] = {}
-        firings = 0
-        source_fires = 0
-        sink_fires = 0
-        accesses = 0
-        ext_in_pos = 0
-        ext_out_pos = 0
-        self.last_label = getattr(schedule, "label", "schedule")
+        threshold = out.threshold
+        chunks, codes, lens, pending = out.parts, out.codes, out.lens, out.pending
+        fire_counts = self.last_fire_counts
+        firings = self.last_firings
+        source_fires = self.last_source_fires
+        sink_fires = self.last_sink_fires
+        ext_in_pos = self._ext_in_pos
+        ext_out_pos = self._ext_out_pos
 
-        it = (
-            schedule.firings_iter()
-            if hasattr(schedule, "firings_iter")
-            else schedule.firings
-        )
-        for name in it:
+        for name in names:
             try:
                 plan = plans[name]
             except KeyError:
@@ -365,60 +509,97 @@ class TraceCompiler:
             if plan.out_words:
                 sink_fires += 1
 
-            if chunk_words is not None and pending >= chunk_words:
-                blocks = np.concatenate([carry_blocks] + chunks)
-                phases = np.concatenate([
-                    carry_phases,
-                    np.repeat(
-                        np.asarray(codes, dtype=np.uint8),
-                        np.asarray(lens, dtype=np.int64),
-                    ),
-                ])
-                emitted = 0
-                while blocks.shape[0] - emitted >= chunk_words:
-                    yield (
-                        blocks[emitted:emitted + chunk_words],
-                        phases[emitted:emitted + chunk_words],
-                    )
-                    accesses += chunk_words
-                    emitted += chunk_words
-                # copies release the concatenated buffer once consumers drop
-                # their chunk views, keeping the high-water mark at
-                # O(chunk_words), not O(flushes)
-                carry_blocks = blocks[emitted:].copy()
-                carry_phases = phases[emitted:].copy()
-                chunks, codes, lens = [], [], []
-                pending = carry_blocks.shape[0]
+            if threshold is not None and pending >= threshold:
+                out.pending = pending
+                yield from out.cut()
+                chunks, codes, lens, pending = out.parts, out.codes, out.lens, out.pending
 
-        blocks = (
-            np.concatenate([carry_blocks] + chunks)
-            if (carry_blocks.shape[0] or chunks)
-            else np.zeros(0, dtype=np.int64)
-        )
-        phases = np.concatenate([
-            carry_phases,
-            np.repeat(
-                np.asarray(codes, dtype=np.uint8),
-                np.asarray(lens, dtype=np.int64),
-            ),
-        ])
+        out.pending = pending
         self.last_firings = firings
-        self.last_fire_counts = fire_counts
         self.last_source_fires = source_fires
         self.last_sink_fires = sink_fires
-        self.last_accesses = accesses + blocks.shape[0]
-        if chunk_words is None:
-            yield blocks, phases
-            return
-        emitted = 0
-        while blocks.shape[0] - emitted >= chunk_words:
-            yield (
-                blocks[emitted:emitted + chunk_words],
-                phases[emitted:emitted + chunk_words],
+        self._ext_in_pos = ext_in_pos
+        self._ext_out_pos = ext_out_pos
+
+    def _state(self) -> Tuple[int, ...]:
+        """Everything the next firing's touches depend on, up to a whole
+        number of blocks of external stream: buffer heads and counts, and
+        the stream positions mod ``B``."""
+        state: List[int] = []
+        for buf in self._buffers.values():
+            state.extend(buf.peek_occupancy())
+        state.append(self._ext_in_pos % self.block)
+        state.append(self._ext_out_pos % self.block)
+        return tuple(state)
+
+    def _compile_loop(
+        self, loop: Loop, out: "_TraceWriter"
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Compile a top-level loop, repeating its period with numpy (see
+        :meth:`compile_chunks`)."""
+        entry = self._state()
+        one = Loop(1, loop.body)
+        out.settle()  # the period's touches then settle into one array
+        start = out.emitted + out.pending
+        cuts = out.cuts
+        firings, sources, sinks = (
+            self.last_firings, self.last_source_fires, self.last_sink_fires
+        )
+        counts = dict(self.last_fire_counts)
+        ext_in, ext_out = self._ext_in_pos, self._ext_out_pos
+        if out.chunk_words is not None:
+            out.threshold = max(out.chunk_words, _PERIOD_PROBE_WORDS)
+        done = period = 0
+        # a period only pays off if a second whole copy of it follows, and
+        # a probe that outgrew its memory budget was cut into chunks
+        while not period and done < loop.count // 2 and out.cuts == cuts:
+            yield from self._fire(one.firings_iter(), out)
+            done += 1
+            if out.cuts == cuts and self._state() == entry:
+                period = done
+        out.threshold = out.chunk_words
+        length = out.emitted + out.pending - start
+        if period and length:
+            out.settle()
+            blocks, phases = out.held[-1]
+            repeats = loop.count // period
+            in_step = self._ext_in_pos - ext_in
+            out_step = self._ext_out_pos - ext_out
+            shift = np.zeros(length, dtype=np.int64)
+            stream = phases == _STREAM
+            shift[stream] = in_step // self.block
+            shift[stream & (blocks >= self._ext_out_base // self.block)] = (
+                out_step // self.block
             )
-            emitted += chunk_words
-        if blocks.shape[0] > emitted:
-            yield blocks[emitted:], phases[emitted:]
+            per_batch = (
+                repeats - 1 if out.chunk_words is None
+                else max(1, out.chunk_words // length)
+            )
+            j = 1
+            while j < repeats:
+                k = min(per_batch, repeats - j)
+                batch = np.arange(j, j + k, dtype=np.int64)[:, None] * shift
+                batch += blocks
+                out.add(batch.ravel(), np.tile(phases, k))
+                yield from out.cut()
+                j += k
+            more = repeats - 1
+            self.last_firings += more * (self.last_firings - firings)
+            self.last_source_fires += more * (self.last_source_fires - sources)
+            self.last_sink_fires += more * (self.last_sink_fires - sinks)
+            for name, n in self.last_fire_counts.items():
+                self.last_fire_counts[name] = n + more * (n - counts.get(name, 0))
+            self._ext_in_pos += more * in_step
+            self._ext_out_pos += more * out_step
+            obs.add(obs_names.COMPILE_PERIOD_REPEATS, more)
+            best = self.last_period
+            if best is None or length * repeats > best[1] * best[2]:
+                self.last_period = (start, length, repeats)
+            done = period * repeats
+        if loop.count > done:
+            yield from self._fire(
+                Loop(loop.count - done, loop.body).firings_iter(), out
+            )
 
     def compile(self, schedule: Schedule) -> CompiledTrace:
         """Compile every firing of ``schedule`` (flat or looped) to a trace.
@@ -437,6 +618,7 @@ class TraceCompiler:
             fire_counts=dict(self.last_fire_counts),
             source_fires=self.last_source_fires,
             sink_fires=self.last_sink_fires,
+            period=self.last_period,
         )
 
 
@@ -559,7 +741,9 @@ def compile_trace(
 
 
 def _result_from_stats(
-    trace: CompiledTrace, misses: int, phase_counts: Optional[List[int]]
+    trace: Union[CompiledTrace, "ChunkedTrace"],
+    misses: int,
+    phase_counts: Optional[List[int]],
 ) -> ExecutionResult:
     """Assemble one :class:`ExecutionResult` from reduced replay statistics
     (what the process backend ships back instead of per-access masks)."""
@@ -580,6 +764,167 @@ def _result_from_stats(
         source_fires=trace.source_fires,
         sink_fires=trace.sink_fires,
     )
+
+
+def _trace_range(
+    trace: Union[CompiledTrace, "ChunkedTrace"], lo: int, hi: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Blocks and phases of accesses ``[lo, hi)`` (``lo < hi``), reading
+    only the segments that hold them when the trace is chunked."""
+    if isinstance(trace, CompiledTrace):
+        return (
+            trace.blocks[lo:hi],
+            None if trace.phases is None else trace.phases[lo:hi],
+        )
+    cw = trace.chunk_words
+    first = lo // cw
+    pieces = [trace.chunk(i) for i in range(first, -(-hi // cw))]
+    window = slice(lo - first * cw, hi - first * cw)
+    blocks = np.concatenate([b for b, _p in pieces])[window]
+    if any(p is None for _b, p in pieces):
+        return blocks, None
+    return blocks, np.concatenate([p for _b, p in pieces])[window]
+
+
+def _conflict_classes(geom: object, policy: str) -> Optional[int]:
+    """Set count (``lru``) or frame count (``direct``) of a geometry the
+    period shortcut can answer; ``None`` for every other case."""
+    if not isinstance(geom, CacheGeometry):
+        return None
+    if policy == "lru":
+        classes = 1 if geom.is_fully_associative else geom.sets
+    elif policy == "direct" and geom.ways in (None, 1):
+        classes = geom.n_blocks
+    else:
+        return None
+    if classes > 1 and geom.index_scheme != "mod":
+        return None
+    return classes
+
+
+def _suffix_reaches_back(
+    prefix: np.ndarray,
+    first: np.ndarray,
+    shift: np.ndarray,
+    repeats: int,
+    tail: np.ndarray,
+    length: int,
+) -> bool:
+    """Whether an access after the final period touches a block absent
+    from the final period and from the suffix before it, yet touched
+    earlier in the trace — the one case where a replay of the tail slice
+    alone would miss where the full trace hits.
+
+    Blocks off the external streams recur in every period, so they cannot
+    be absent from the final one: only the prefix and the stream blocks of
+    periods ``1 .. repeats - 1`` (``first + j * shift``, ``j <
+    repeats - 1``) are searched.
+    """
+    if tail.shape[0] == length:
+        return False
+    uniq, at = np.unique(tail, return_index=True)
+    fresh = uniq[at >= length]
+    if not fresh.shape[0]:
+        return False
+    if np.isin(fresh, prefix).any():
+        return True
+    moving = shift != 0
+    for base, step in set(zip(first[moving].tolist(), shift[moving].tolist())):
+        gap = fresh - base
+        if np.any((gap >= 0) & (gap % step == 0) & (gap // step <= repeats - 2)):
+            return True
+    return False
+
+
+def _period_stats(
+    trace: Union[CompiledTrace, "ChunkedTrace"],
+    geometries: Sequence[CacheGeometry],
+    policy: str,
+) -> Dict[int, Tuple[int, Optional[List[int]]]]:
+    """``(misses, phase counts)`` by geometry index, for every geometry a
+    periodic trace answers from two short slices.
+
+    Covers ``lru`` (fully or set associative) and ``direct`` geometries
+    with ``mod`` indexing over ``S`` conflict classes.  Off the external
+    streams a period's blocks repeat exactly; a stream block moves by
+    ``s`` blocks a period, so its class repeats every ``S / gcd(s, S)``
+    periods, and every class mapping repeats after ``H``, the lcm of those
+    (1 when fully associative).  An access in period ``j >= 2`` last saw
+    its block in period ``j - 1`` or ``j``, so its outcome depends only on
+    those two periods and equals that of period ``j - H`` once ``j - H >=
+    2``.  The head slice (prefix plus periods ``1 .. H + 1``) is a true
+    prefix of the trace, so its outcomes are exact; periods ``2 .. H + 1``
+    give one miss count per residue mod ``H``, weighted by how many periods
+    share it.  The tail slice is the final period plus the suffix; only the
+    suffix is counted, which is exact unless a suffix access reaches a
+    block last touched before the final period (checked, then the whole
+    trace falls back).  Traces with fewer than ``H + 2`` periods, ``xor``
+    indexing and every other policy fall back too.
+    """
+    period = getattr(trace, "period", None)
+    if period is None or policy not in ("lru", "direct"):
+        return {}
+    classes: Dict[int, int] = {}
+    for i, geom in enumerate(geometries):
+        c = _conflict_classes(geom, policy)
+        if c is not None:
+            classes[i] = c
+    start, length, repeats = period
+    if not classes or repeats < 3:
+        return {}
+    pair, _ = _trace_range(trace, start, start + 2 * length)
+    first = pair[:length]
+    shift = pair[length:] - first
+    steps = np.unique(shift[shift != 0]).tolist()
+    hyper: Dict[int, int] = {}
+    for i, sets in classes.items():
+        h = 1
+        for step in steps:
+            h = math.lcm(h, sets // math.gcd(step, sets))
+        if repeats >= h + 2:
+            hyper[i] = h
+    if not hyper:
+        return {}
+    head, head_ph = _trace_range(
+        trace, 0, start + (max(hyper.values()) + 1) * length
+    )
+    tail, tail_ph = _trace_range(
+        trace, start + (repeats - 1) * length, trace.accesses
+    )
+    if _suffix_reaches_back(head[:start], first, shift, repeats, tail, length):
+        return {}
+    from repro.runtime.replay import replay_miss_masks
+
+    geoms = [geometries[i] for i in hyper]
+    head_masks = replay_miss_masks(head, geoms, policy=policy)
+    tail_masks = replay_miss_masks(tail, geoms, policy=policy)
+    n_codes = len(PHASE_NAMES)
+    body = start + length  # where period 2 begins
+    out: Dict[int, Tuple[int, Optional[List[int]]]] = {}
+    for (i, h), hm, tm in zip(hyper.items(), head_masks, tail_masks):
+        per = hm[body:body + h * length].reshape(h, length)
+        full, extra = divmod(repeats - 1, h)
+        weight = np.full(h, full, dtype=np.int64)
+        weight[:extra] += 1
+        misses = (
+            int(np.count_nonzero(hm[:body]))
+            + int(weight @ np.count_nonzero(per, axis=1))
+            + int(np.count_nonzero(tm[length:]))
+        )
+        counts: Optional[List[int]] = None
+        if head_ph is not None and tail_ph is not None:
+            residue = np.arange(h, dtype=np.int64)[:, None] * n_codes
+            by_residue = np.bincount(
+                (residue + head_ph[start:body])[per], minlength=h * n_codes
+            ).reshape(h, n_codes)
+            counts = (
+                np.bincount(head_ph[:body][hm[:body]], minlength=n_codes)
+                + weight @ by_residue
+                + np.bincount(tail_ph[length:][tm[length:]], minlength=n_codes)
+            ).tolist()
+        out[i] = (misses, counts)
+    obs.add(obs_names.REPLAY_PERIOD_GEOMETRIES, len(out))
+    return out
 
 
 def simulate_trace(
@@ -624,6 +969,12 @@ def simulate_trace(
     ``tests/test_streaming.py``); ``chunk_words=None`` follows the
     configured process-wide default
     (:func:`repro.runtime.backend.configure`, the CLI's ``--chunk-words``).
+
+    A trace that records a ``period`` (a compiled looped schedule) answers
+    its ``mod``-indexed lru and direct geometries from two short slices
+    before any of the above runs, in time proportional to one period (see
+    :func:`_period_stats` for why that is exact and when it falls back);
+    the other geometries take the path above.
     """
     geometries = list(geometries)
     for geom in geometries:
@@ -632,6 +983,33 @@ def simulate_trace(
                 f"geometry block {geom.block} does not match trace block "
                 f"{trace.block}; recompile the trace for this block size"
             )
+    answered = _period_stats(trace, geometries, policy)
+    if not answered:
+        return _replay_trace(
+            trace, geometries, policy, workers, backend, chunk_words
+        )
+    obs.add(obs_names.REPLAY_MISSES, sum(m for m, _c in answered.values()))
+    rest = [g for i, g in enumerate(geometries) if i not in answered]
+    replayed = iter(
+        _replay_trace(trace, rest, policy, workers, backend, chunk_words)
+        if rest else []
+    )
+    return [
+        _result_from_stats(trace, *answered[i]) if i in answered else next(replayed)
+        for i in range(len(geometries))
+    ]
+
+
+def _replay_trace(
+    trace: Union[CompiledTrace, "ChunkedTrace"],
+    geometries: List[CacheGeometry],
+    policy: str,
+    workers: Optional[int],
+    backend: Optional[str],
+    chunk_words: Optional[int],
+) -> List[ExecutionResult]:
+    """Every access replayed: the monolithic, streaming or process path of
+    :func:`simulate_trace`."""
     from repro.runtime.streaming import ChunkedTrace, simulate_stream
 
     if isinstance(trace, ChunkedTrace):

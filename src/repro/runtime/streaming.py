@@ -231,8 +231,8 @@ class ChunkedTrace:
 
     Duck-types the :class:`~repro.runtime.compiled.CompiledTrace` metadata
     surface (``label``/``block``/``accesses``/``firings``/``fire_counts``/
-    ``source_fires``/``sink_fires``) so result assembly is shared, but never
-    holds more than one chunk of block ids in memory.  :meth:`chunk` reads
+    ``source_fires``/``sink_fires``/``period``) so result assembly is shared,
+    but never holds more than one chunk of block ids in memory.  :meth:`chunk` reads
     through the backing :class:`~repro.runtime.trace_cache.TraceCache`; a
     missing or corrupt segment (the cache's ``get`` discards and counts it)
     triggers a *segment-granular* recompile — the chunk generator re-runs
@@ -253,6 +253,7 @@ class ChunkedTrace:
         cache: TraceCache,
         recompile: "Recompiler",
         owned: Optional[tempfile.TemporaryDirectory] = None,
+        period: Optional[Tuple[int, int, int]] = None,
     ) -> None:
         self.label = label
         self.block = int(block)
@@ -266,6 +267,7 @@ class ChunkedTrace:
         self.cache = cache
         self._recompile = recompile
         self._owned = owned  # keeps an owned spill directory alive
+        self.period = period
 
     @property
     def n_chunks(self) -> int:
@@ -414,6 +416,7 @@ def compile_trace_chunked(
         cache=seg_cache,
         recompile=recompile,
         owned=owned,
+        period=compiler.last_period,
     )
 
 
@@ -822,5 +825,4 @@ def simulate_stream(
     if stats is None:
         stats = stream_stats(source, geoms, policy)
     obs.add(obs_names.REPLAY_MISSES, sum(m for m, _c in stats))
-    ct = cast(CompiledTrace, trace)
-    return [_result_from_stats(ct, m, c) for m, c in stats]
+    return [_result_from_stats(trace, m, c) for m, c in stats]

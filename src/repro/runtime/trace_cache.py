@@ -115,12 +115,18 @@ def trace_digest(
     Mirrors the signature of :func:`repro.runtime.compiled.compile_trace`
     exactly — including its convention that ``capacities=None`` means "the
     schedule's own" — so the digest covers precisely what the compiled
-    trace depends on.  The firing sequence is folded incrementally (looped
-    schedules stream through :meth:`firings_iter` without materializing),
-    and everything else goes through one canonical JSON header, so the key
-    is reproducible across processes and interpreter sessions.
+    trace depends on.  The firing sequence is folded incrementally, and
+    everything else goes through one canonical JSON header, so the key is
+    reproducible across processes and interpreter sessions.
+
+    A :class:`~repro.runtime.looped.LoopedSchedule` is hashed by its loop
+    nest (counts and bodies) under a ``"loops"`` header key that no flat
+    schedule's header carries, in time proportional to the nest, not to
+    the firings it expands to.  A looped schedule and its flat expansion
+    therefore file under different keys.
     """
     from repro.graphs.io import graph_to_dict
+    from repro.runtime.looped import LoopedSchedule
 
     if capacities is None:
         capacities = getattr(schedule, "capacities", None)
@@ -139,15 +145,13 @@ def trace_digest(
         else sorted([str(kind), key, int(g)] for (kind, key), g in gaps.items()),
         "label": getattr(schedule, "label", "schedule"),
     }
+    if isinstance(schedule, LoopedSchedule):
+        header["loops"] = [_nest(e) for e in schedule.loops]
+        return hashlib.sha256(_canon(header)).hexdigest()
     h = hashlib.sha256()
     h.update(_canon(header))
-    it = (
-        schedule.firings_iter()
-        if hasattr(schedule, "firings_iter")
-        else schedule.firings
-    )
     chunk: List[str] = []
-    for name in it:
+    for name in schedule.firings:
         chunk.append(name)
         if len(chunk) >= 4096:
             h.update("\x00".join(chunk).encode("utf-8") + b"\x00")
@@ -155,6 +159,16 @@ def trace_digest(
     if chunk:
         h.update("\x00".join(chunk).encode("utf-8") + b"\x00")
     return h.hexdigest()
+
+
+def _nest(element: object) -> object:
+    """JSON form of one loop-nest element: a module name, or ``[count,
+    [body...]]`` for a :class:`~repro.runtime.looped.Loop`."""
+    from repro.runtime.looped import Loop
+
+    if isinstance(element, Loop):
+        return [element.count, [_nest(e) for e in element.body]]
+    return str(element)
 
 
 def segment_digest(trace_key: str, index: int, chunk_words: int) -> str:
@@ -208,6 +222,17 @@ def query_digest(
         "geometries": [_geometry_facts(g) for g in geometries],
     }
     return hashlib.sha256(_canon(payload)).hexdigest()
+
+
+def _period(value: object, accesses: int) -> Tuple[int, int, int]:
+    """A stored ``(start, length, repeats)`` period, validated like every
+    other metadata field (a malformed one makes the entry corrupt)."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"malformed period {value!r}")
+    start, length, repeats = (int(v) for v in value)
+    if start < 0 or length < 1 or repeats < 2 or start + length * repeats > accesses:
+        raise ValueError(f"malformed period {value!r}")
+    return start, length, repeats
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +381,8 @@ class TraceCache:
                     fire_counts={str(k): int(v) for k, v in meta["fire_counts"].items()},
                     source_fires=int(meta["source_fires"]),
                     sink_fires=int(meta["sink_fires"]),
+                    period=None if meta.get("period") is None
+                    else _period(meta["period"], blocks.shape[0]),
                 )
             except Exception:  # noqa: BLE001 - any decode failure means corrupt
                 self._discard(entry)
@@ -385,6 +412,8 @@ class TraceCache:
                 "source_fires": trace.source_fires,
                 "sink_fires": trace.sink_fires,
             }
+            if trace.period is not None:  # entries without one keep their bytes
+                meta["period"] = list(trace.period)
             arrays: Dict[str, np.ndarray] = {
                 "meta": np.asarray(json.dumps(meta)),
                 "blocks": np.ascontiguousarray(trace.blocks, dtype=np.int64),

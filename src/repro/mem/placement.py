@@ -84,6 +84,7 @@ from repro.runtime.executor import EXT_OUT_SPAN
 if TYPE_CHECKING:  # import cycle: the runtime layer sits above repro.mem
     from repro.runtime.compiled import CompiledTrace
     from repro.runtime.schedule import Schedule
+    from repro.runtime.streaming import ArrayChunkSource
 
 __all__ = [
     "PlacementInstance",
@@ -325,9 +326,8 @@ def placement_cost(
     Exact, not an estimate: the remapped trace is bit-identical to what the
     compiler would produce for this placement (gaps included), and the
     replay kernels agree miss-for-miss with the stepwise simulators.
-    ``chunk_words`` scores through the streaming replay
-    (:mod:`repro.runtime.streaming`) in bounded-memory chunks — the same
-    count, by the streaming differential contract.
+    ``chunk_words`` replays the remapped trace in bounded-memory chunks —
+    the same count, by the chunked-replay differential contract.
     """
     return _target_misses(
         remap_blocks(instance, order, gaps=gaps),
@@ -376,23 +376,17 @@ def _target_misses(
 ) -> List[int]:
     """Per-target miss counts of one remapped trace, sharing replay passes
     across targets of the same policy (the kernels memoize per organization).
-    ``chunk_words`` swaps the monolithic kernels for the streaming ones —
-    same counts, O(``chunk_words``) peak memory per pass."""
+    ``chunk_words`` replays the trace in chunks of that many accesses — same
+    counts, O(``chunk_words``) peak memory per pass."""
     from repro.runtime.replay import replay_misses
 
+    source = _chunked(blocks, chunk_words)
     by_policy: Dict[str, List[int]] = {}
     for i, (_geom, policy, _w) in enumerate(targets):
         by_policy.setdefault(policy, []).append(i)
     out: List[int] = [0] * len(targets)
     for policy, idxs in by_policy.items():
-        geoms = [targets[i][0] for i in idxs]
-        if chunk_words is not None:
-            from repro.runtime.streaming import ArrayChunkSource, stream_stats
-
-            source = ArrayChunkSource(blocks, chunk_words=chunk_words)
-            misses = [m for m, _counts in stream_stats(source, geoms, policy)]
-        else:
-            misses = replay_misses(blocks, geoms, policy=policy)
+        misses = replay_misses(source, [targets[i][0] for i in idxs], policy=policy)
         for i, m in zip(idxs, misses):
             out[i] = m
     return out
@@ -444,6 +438,16 @@ def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[Tuple[int, str
     return classes, _scheme_of(geometry, classes)
 
 
+def _chunked(blocks: np.ndarray, chunk_words: Optional[int]) -> "ArrayChunkSource":
+    """``blocks`` as a replay source: chunks of ``chunk_words`` accesses, or
+    one chunk when it is ``None``."""
+    from repro.runtime.streaming import ArrayChunkSource
+
+    return ArrayChunkSource(
+        blocks, chunk_words=max(1, len(blocks)) if chunk_words is None else chunk_words
+    )
+
+
 def _class_miss_counts(
     blocks: np.ndarray,
     classes: np.ndarray,
@@ -453,18 +457,11 @@ def _class_miss_counts(
     chunk_words: Optional[int],
 ) -> List[np.ndarray]:
     """Per-geometry miss counts of ``blocks`` split by access class, in one
-    replay (chunked when ``chunk_words`` is given)."""
-    if chunk_words is not None:
-        from repro.runtime.streaming import ArrayChunkSource, stream_class_counts
+    replay (in chunks of ``chunk_words`` accesses when it is given)."""
+    from repro.runtime.replay import chunk_counts, replay_miss_masks
 
-        source = ArrayChunkSource(blocks, chunk_words=chunk_words)
-        return stream_class_counts(source, classes, n_classes, geometries, policy)
-    from repro.runtime.replay import replay_miss_masks
-
-    return [
-        np.bincount(classes[mask], minlength=n_classes)
-        for mask in replay_miss_masks(blocks, geometries, policy=policy)
-    ]
+    masks = replay_miss_masks(_chunked(blocks, chunk_words), geometries, policy=policy)
+    return [c for _m, c in chunk_counts([(classes, masks)], len(masks), n_classes)]
 
 
 def _delta_misses(
@@ -819,8 +816,8 @@ def swap_refine(
     and process runs of the same ``batch`` return identical placements at
     an identical evaluation count, and the process pool buys pure
     wall-time.  ``batch=1`` (default) is the historical first-improvement
-    loop, unchanged.  ``chunk_words`` scores candidates through the
-    streaming replay — the counts are bit-identical, so the trajectory
+    loop, unchanged.  ``chunk_words`` scores candidates with a
+    chunked replay — the counts are bit-identical, so the trajectory
     (and :class:`RefineStats`) is byte-for-byte the monolithic one at equal
     ``batch``; ``tests/test_streaming.py`` pins exactly that.
     """

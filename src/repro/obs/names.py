@@ -50,8 +50,6 @@ PLACEMENT_SEARCH = "placement.search"
 FACILITY_SEARCH = "placement.facility"
 #: one chunked out-of-core compilation (`compile_trace_chunked`)
 STREAM_COMPILE = "stream.compile"
-#: one streaming replay over a chunk source (attr ``policy=``)
-STREAM_REPLAY = "stream.replay"
 
 # ------------------------------------------------------------- counters
 #: traces compiled from scratch (cache misses + uncached calls)
@@ -69,7 +67,7 @@ CACHE_MISSES = "trace_cache.misses"
 CACHE_EVICTIONS = "trace_cache.evictions"
 #: corrupt entries dropped and recompiled (mirrors ``.counters.corrupt``)
 CACHE_CORRUPT = "trace_cache.corrupt"
-#: geometries answered by replay kernels (chunk-sum invariant)
+#: geometries answered by replay kernels (once per call, on every backend)
 REPLAY_GEOMETRIES = "replay.geometries"
 #: total misses reported by `simulate_trace` (summed over geometries)
 REPLAY_MISSES = "replay.misses"
@@ -98,7 +96,7 @@ STREAM_CHUNKS = "stream.chunks"
 STREAM_SPILLED_BYTES = "stream.spilled_bytes"
 #: segments recompiled after a corrupt/missing entry (segment granularity)
 STREAM_RECOMPILED = "stream.segments_recompiled"
-#: chunked process sweeps that lost a worker and were recomputed serially
+#: process sweeps that lost a worker and were recomputed in process
 REPLAY_PROCESS_FALLBACK = "replay.process_fallback"
 
 # --------------------------------------------------------------- gauges

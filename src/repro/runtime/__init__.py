@@ -3,9 +3,9 @@ firing engine that moves tokens through the cache simulator, the trace
 compiler and the policy-aware replay kernels that answer whole geometry
 families in one pass, the execution backends (serial/thread/process fan-out
 with shared-memory trace shipping and the ``run_batch`` service front door),
-the persistent content-addressed trace cache, the out-of-core streaming
-engine (chunked trace compilation spilled to cache segments plus
-carry-over replay kernels, bit-identical to the monolithic path),
+the persistent content-addressed trace cache, out-of-core streaming (chunk
+sources and chunked trace compilation spilled to cache segments, replayed
+by the same chunk kernels bit-identically to one in-memory chunk),
 schedule representation/validation, and deadlock analysis."""
 
 from repro.runtime.backend import (
@@ -29,10 +29,6 @@ from repro.runtime.streaming import (
     ArrayChunkSource,
     ChunkedTrace,
     compile_trace_chunked,
-    recency_carry,
-    simulate_stream,
-    stream_masks,
-    stream_stats,
 )
 from repro.runtime.trace_cache import (
     TraceCache,
@@ -43,6 +39,7 @@ from repro.runtime.trace_cache import (
 from repro.runtime.replay import (
     opt_stack_distances,
     per_set_stack_distances,
+    recency_carry,
     replay_miss_masks,
     replay_misses,
 )
@@ -78,9 +75,6 @@ __all__ = [
     "ChunkedTrace",
     "compile_trace_chunked",
     "recency_carry",
-    "simulate_stream",
-    "stream_masks",
-    "stream_stats",
     "replay_miss_masks",
     "replay_misses",
     "per_set_stack_distances",

@@ -22,16 +22,26 @@ evaluation in :func:`run_batch` — so this module centralizes one contract:
   at one worker — a distinct process either way, so differential tests
   exercise the real cross-process path on any machine.
 
+**One replay path.**  :func:`replay_stats` is where
+:func:`~repro.runtime.compiled.simulate_trace` replays: in process over
+the chunk source, or on a process pool through :func:`process_sweep`,
+whose one worker body (:func:`_replay_task`) replays a task of (chunk,
+carry, geometry slice).  A pool that loses a worker falls back to the
+in-process replay and counts ``replay.process_fallback``; any other worker
+error raises.
+
 **Shipping traces to workers.**  A compiled trace is one or two large flat
 arrays (``int64`` block ids, ``uint8`` phase codes — often 100k+ accesses).
 Pickling them per task would dwarf the work, so :class:`SharedTrace`
 publishes them once into a :mod:`multiprocessing.shared_memory` segment and
-workers reconstruct zero-copy ``np.ndarray`` views over the mapped buffer
-(:func:`process_sweep`); per-task payloads are just geometry lists.  The
-placement scorer (:class:`CandidateScorer`) does the same with the
-remap-instance arrays (``obj_of_access``/``block_offset``): candidates ship
-as tiny per-object start vectors, never as traces, each with the per-set
-miss counts of the last candidate scored, which it is delta-scored against.
+workers reconstruct zero-copy ``np.ndarray`` views over the mapped buffer;
+per-task payloads are chunk bounds, carries and geometry lists.  A
+:class:`~repro.runtime.streaming.ChunkedTrace` ships segment paths
+instead, which workers read straight off disk.  The placement scorer
+(:class:`CandidateScorer`) does the same with the remap-instance arrays
+(``obj_of_access``/``block_offset``): candidates ship as tiny per-object
+start vectors, never as traces, each with the per-set miss counts of the
+last candidate scored, which it is delta-scored against.
 
 **Batch front door.**  :func:`run_batch` answers N
 (graph, schedule, geometries, policy) queries the way a many-user service
@@ -48,13 +58,14 @@ path never pays the xor fold for zero gain (pass ``index_scheme="xor"``
 explicitly to get skewed indexing — see docs/REPLAY.md).
 
 Results are bit-identical across backends: the kernels are pure functions
-of ``(blocks, geometries)``, so where the map runs cannot change what it
-computes — ``tests/test_backend.py`` pins this differentially for every
-registered policy under both index schemes.
+of the chunk, its carry and the geometries, so where the map runs cannot
+change what it computes — ``tests/test_backend.py`` pins this
+differentially for every registered policy under both index schemes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -82,6 +93,7 @@ if TYPE_CHECKING:
     from repro.mem.placement import PlacementInstance, PlacementTarget, ScoreBase
     from repro.runtime.executor import ExecutionResult
     from repro.runtime.schedule import Schedule
+    from repro.runtime.streaming import ArrayChunkSource, ChunkSource
     from repro.runtime.trace_cache import TraceCache
 
 __all__ = [
@@ -95,7 +107,7 @@ __all__ = [
     "fan_out",
     "SharedTrace",
     "process_sweep",
-    "process_chunk_sweep",
+    "replay_stats",
     "CandidateScorer",
     "geometry_sweep",
     "ServiceQuery",
@@ -324,51 +336,39 @@ def _attach_trace(shm_name: str, n: int, has_phases: bool) -> None:
     )
 
 
-def _chunk_stats(
-    blocks: np.ndarray,
-    phases: Optional[np.ndarray],
-    geometries: List,
-    policy: str,
-) -> List[Tuple[int, Optional[List[int]]]]:
-    """Per-geometry ``(misses, phase_bincount-or-None)`` of one chunk."""
-    from repro.runtime.compiled import PHASE_NAMES
-    from repro.runtime.replay import replay_miss_masks
+def _replay_task(
+    task: Tuple[object, Optional[np.ndarray], List, str]
+) -> List[Tuple[int, np.ndarray]]:
+    """Worker body: replay one chunk under its carry for one geometry slice.
 
-    out: List[Tuple[int, Optional[List[int]]]] = []
-    for mask in replay_miss_masks(blocks, geometries, policy=policy):
-        misses = int(np.count_nonzero(mask))
-        counts: Optional[List[int]] = None
-        if phases is not None:
-            counts = (
-                np.bincount(phases[mask], minlength=len(PHASE_NAMES)).tolist()
-                if misses
-                else [0] * len(PHASE_NAMES)
-            )
-        out.append((misses, counts))
-    return out
-
-
-def _sweep_chunk(
-    task: Tuple[int, List, str, bool]
-) -> Tuple[int, List, Optional[Dict]]:
-    """Worker body: replay one geometry chunk over the attached trace.
-
-    Returns per-geometry ``(misses, phase_bincount-or-None)`` — the reduced
-    statistics, never the per-access masks, so nothing big crosses back.
-    When the parent had instrumentation enabled (``want_obs``), the chunk
-    runs inside an isolated :class:`repro.obs.core.capture` scope and its
-    metric/span delta rides back as the third element for the parent to
-    merge — that is how spans aggregate across the process backend.
+    The chunk is a segment path (a :class:`~repro.runtime.streaming.
+    ChunkedTrace` chunk, loaded straight off disk — the cache's documented
+    one-``.npz``-per-key layout) or ``(lo, hi)`` bounds into the trace the
+    pool initializer attached (:func:`_attach_trace`).  Returns the reduced
+    per-geometry ``(misses, phase counts)``, never the masks, so nothing
+    big crosses back.
     """
-    chunk_index, geometries, policy, want_obs = task
-    blocks = _WORKER_TRACE["blocks"]
-    phases = _WORKER_TRACE["phases"]
-    if want_obs:
-        with obs.capture(enabled=True) as cap:
-            out = _chunk_stats(blocks, phases, geometries, policy)  # type: ignore[arg-type]
-        return chunk_index, out, cap.snapshot
-    out = _chunk_stats(blocks, phases, geometries, policy)  # type: ignore[arg-type]
-    return chunk_index, out, None
+    from repro.runtime.compiled import PHASE_NAMES
+    from repro.runtime.replay import chunk_counts, replay_chunks
+    from repro.runtime.streaming import ArrayChunkSource
+
+    chunk, carry, geometries, policy = task
+    if isinstance(chunk, str):
+        with np.load(chunk, allow_pickle=False) as data:
+            blocks = np.asarray(data["blocks"], dtype=np.int64)
+            phases = (
+                np.asarray(data["phases"], dtype=np.uint8)
+                if "phases" in data.files
+                else None
+            )
+    else:
+        lo, hi = cast(Tuple[int, int], chunk)
+        blocks = cast(np.ndarray, _WORKER_TRACE["blocks"])[lo:hi]
+        all_phases = cast(Optional[np.ndarray], _WORKER_TRACE["phases"])
+        phases = None if all_phases is None else all_phases[lo:hi]
+    source = ArrayChunkSource(blocks, phases, chunk_words=int(blocks.shape[0]))
+    chunks = replay_chunks(source, geometries, policy, carry=carry)
+    return chunk_counts(chunks, len(geometries), len(PHASE_NAMES))
 
 
 def _chunk_slices(n_items: int, width: int) -> List[Tuple[int, int]]:
@@ -383,157 +383,116 @@ def _chunk_slices(n_items: int, width: int) -> List[Tuple[int, int]]:
 
 
 def process_sweep(
-    blocks: np.ndarray,
-    phases: Optional[np.ndarray],
+    source: "ChunkSource",
     geometries: Sequence,
     policy: str,
     workers: int,
-) -> List[Tuple[int, Optional[List[int]]]]:
-    """Per-geometry ``(misses, phase_bincount)`` via a process pool.
+) -> List[Tuple[int, np.ndarray]]:
+    """Per-geometry ``(misses, phase counts)`` of ``policy`` over
+    ``source``, on a process pool.
 
-    The trace is published to shared memory once; geometry chunks (tiny,
-    picklable) are the only per-task payload.  Results come back in
-    geometry order.  Bit-identical to the in-process replay: the kernels
-    are deterministic functions of ``(blocks, geometries)``.
+    Every task is ``(chunk, carry, geometry slice)``, replayed by one
+    worker body (:func:`_replay_task`).  A one-chunk source splits the
+    geometry list over the pool (every policy).  A longer source ships each
+    chunk with every geometry and the recency carry
+    (:func:`~repro.runtime.replay.recency_carry`) the parent folds in front
+    of it — cheap and sequential, while the workers do the distance passes;
+    only lru and direct resume from such a carry, so the caller sends no
+    other policy this way.  An in-memory source is published to shared
+    memory once (:class:`SharedTrace`) and ships chunk bounds; a
+    :class:`~repro.runtime.streaming.ChunkedTrace` ships segment paths.
+    Per-task counts sum per geometry: bit-identical to the in-process
+    replay.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    slices = _chunk_slices(len(geometries), workers)
-    want_obs = obs.is_enabled()
-    tasks = [
-        (i, list(geometries[lo:hi]), policy, want_obs)
-        for i, (lo, hi) in enumerate(slices)
-    ]
-    obs.add(obs_names.BACKEND_TASKS, len(tasks))
-    obs.gauge(obs_names.BACKEND_WIDTH, min(workers, len(slices)))
-    out: List[Optional[List]] = [None] * len(slices)
-    snaps: List[Optional[Dict]] = [None] * len(slices)
-    with obs.span(obs_names.BACKEND_MAP, backend="process"):
-        with SharedTrace(blocks, phases) as shared:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(slices)),
-                mp_context=_mp_context(),
-                initializer=_attach_trace,
-                initargs=(shared.name, shared.n, shared.has_phases),
-            ) as pool:
-                for chunk_index, stats, snap in pool.map(_sweep_chunk, tasks):
-                    out[chunk_index] = stats
-                    snaps[chunk_index] = snap
-    # merge worker deltas in chunk order: the merged totals then equal
-    # what one serial call over the full geometry list would have recorded
-    for snap in snaps:
-        if snap is not None:
-            obs.merge(snap)
-    flat: List[Tuple[int, Optional[List[int]]]] = []
-    for stats in out:
-        assert stats is not None
-        flat.extend(stats)
-    return flat
+    from repro.runtime.replay import recency_carry
+    from repro.runtime.streaming import ChunkedTrace
 
-
-def _stream_chunk_worker(
-    task: Tuple[int, str, np.ndarray, List, str, bool]
-) -> Tuple[int, List[Tuple[int, Optional[List[int]]]], Optional[Dict]]:
-    """Worker body: replay ONE trace chunk (all geometries) under its carry.
-
-    The parent computed the chunk's recency carry (cheap, sequential) and
-    ships it with the segment path; the worker loads the segment arrays
-    straight off disk — the cache's documented one-``.npz``-per-key layout —
-    and returns reduced ``(misses, phase_bincount)`` per geometry, exactly
-    the per-chunk terms the sequential stream would have summed.
-    """
-    from repro.runtime.compiled import PHASE_NAMES
-    from repro.runtime.streaming import _flat_chunk_masks
-
-    index, path, carry, geometries, policy, want_obs = task
-
-    def _stats() -> List[Tuple[int, Optional[List[int]]]]:
-        with np.load(path, allow_pickle=False) as data:
-            blocks = np.asarray(data["blocks"], dtype=np.int64)
-            phases = (
-                np.asarray(data["phases"], dtype=np.uint8)
-                if "phases" in data.files
-                else None
-            )
-        out: List[Tuple[int, Optional[List[int]]]] = []
-        for mask in _flat_chunk_masks(blocks, carry, geometries, policy):
-            misses = int(np.count_nonzero(mask))
-            counts: Optional[List[int]] = None
-            if phases is not None:
-                counts = np.bincount(
-                    phases[mask], minlength=len(PHASE_NAMES)
-                ).tolist()
-            out.append((misses, counts))
-        return out
-
-    if want_obs:
-        with obs.capture(enabled=True) as cap:
-            stats = _stats()
-        return index, stats, cap.snapshot
-    return index, _stats(), None
-
-
-def process_chunk_sweep(
-    trace: "object",
-    geometries: Sequence,
-    policy: str,
-    workers: int,
-) -> List[Tuple[int, Optional[List[int]]]]:
-    """Per-geometry ``(misses, phase_bincount)`` by fanning *trace chunks*
-    (not geometries) over a process pool — the streaming twin of
-    :func:`process_sweep` for a :class:`~repro.runtime.streaming.ChunkedTrace`.
-
-    Chunk replays are independent once each chunk's recency carry is known,
-    and the carries are cheap to compute (one vectorized fold per chunk), so
-    the parent walks the chunks once to build carries while workers do the
-    expensive distance passes.  Only lru/direct stream this way — OPT and
-    two-level carry kernel state *through* the chunks, which serializes
-    them.  Per-chunk stats are summed in chunk order, and worker obs deltas
-    merge in chunk order too, so totals are bit-identical to the sequential
-    stream.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.runtime.streaming import ChunkedTrace, recency_carry
-
-    assert isinstance(trace, ChunkedTrace)
     geoms = list(geometries)
-    want_obs = obs.is_enabled()
-    tasks: List[Tuple[int, str, np.ndarray, List, str, bool]] = []
-    carry = np.zeros(0, dtype=np.int64)
-    for i in range(trace.n_chunks):
-        tasks.append(
-            (i, str(trace.segment_path(i)), carry, geoms, policy, want_obs)
-        )
-        blocks, _phases = trace.chunk(i)
-        carry = recency_carry(carry, blocks)
-    width = min(workers, max(1, len(tasks)))
+    n_chunks = source.n_chunks
+    if n_chunks == 1:
+        plan = [(0, None, lo, hi) for lo, hi in _chunk_slices(len(geoms), workers)]
+    else:
+        plan = []
+        carry = np.zeros(0, dtype=np.int64)
+        for i in range(n_chunks):
+            plan.append((i, carry, 0, len(geoms)))
+            blocks, _phases = source.chunk(i)  # heals a bad segment first
+            carry = recency_carry(carry, blocks)
+    on_disk = isinstance(source, ChunkedTrace)
+    refs: List[object] = (
+        [str(source.segment_path(i)) for i in range(n_chunks)]
+        if on_disk else list(source.chunk_bounds())
+    )
+    tasks = [(refs[i], carry, geoms[lo:hi], policy) for i, carry, lo, hi in plan]
+    width = min(workers, len(tasks))
     obs.add(obs_names.BACKEND_TASKS, len(tasks))
     obs.gauge(obs_names.BACKEND_WIDTH, width)
-    results: List[Optional[List[Tuple[int, Optional[List[int]]]]]] = [
-        None
-    ] * len(tasks)
-    snaps: List[Optional[Dict]] = [None] * len(tasks)
-    with obs.span(obs_names.BACKEND_MAP, backend="process"):
-        with ProcessPoolExecutor(
-            max_workers=width, mp_context=_mp_context()
-        ) as pool:
-            for index, stats, snap in pool.map(_stream_chunk_worker, tasks):
-                results[index] = stats
-                snaps[index] = snap
-    for snap in snaps:
-        if snap is not None:
-            obs.merge(snap)
-    totals = [0] * len(geoms)
-    counts: List[Optional[List[int]]] = [None] * len(geoms)
-    for stats in results:
-        assert stats is not None
-        for gi, (m, c) in enumerate(stats):
-            totals[gi] += m
-            if c is not None:
-                prev = counts[gi]
-                counts[gi] = c if prev is None else [a + b for a, b in zip(prev, c)]
-    return list(zip(totals, counts))
+    with contextlib.ExitStack() as stack:
+        init: Dict[str, object] = {}
+        if not on_disk:
+            src = cast("ArrayChunkSource", source)
+            shared = stack.enter_context(SharedTrace(src.blocks, src.phases))
+            init = {
+                "initializer": _attach_trace,
+                "initargs": (shared.name, shared.n, shared.has_phases),
+            }
+        stack.enter_context(obs.span(obs_names.BACKEND_MAP, backend="process"))
+        pool = stack.enter_context(ProcessPoolExecutor(
+            max_workers=width, mp_context=_mp_context(), **init  # type: ignore[arg-type]
+        ))
+        results = list(pool.map(_replay_task, tasks))
+    sums: List[Tuple[int, np.ndarray]] = [(0, 0)] * len(geoms)  # type: ignore[list-item]
+    for (_i, _carry, lo, _hi), stats in zip(plan, results):
+        for gi, (m, c) in enumerate(stats, lo):
+            sums[gi] = (sums[gi][0] + m, sums[gi][1] + c)
+    return sums
+
+
+def replay_stats(
+    source: "ChunkSource",
+    geometries: Sequence,
+    policy: str = "lru",
+    workers: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> List[Tuple[int, np.ndarray]]:
+    """Per-geometry ``(misses, phase counts)`` of ``policy`` over every
+    chunk of ``source``, on the resolved backend (:func:`resolve`).
+
+    In process, the kernel replays the chunks in order and
+    :func:`~repro.runtime.replay.chunk_counts` reduces them; the thread
+    backend threads each chunk's per-geometry evaluation.  The process
+    backend runs :func:`process_sweep` when the source is one chunk, or
+    when it is longer and ``policy`` resumes from a recency carry (lru,
+    direct); other replays stay in process.  A pool that loses a worker
+    falls back to the in-process replay — the same answer — and counts
+    ``replay.process_fallback``; any other worker error raises.  Counts
+    ``stream.chunks`` once per chunk of ``source`` on every path.
+    """
+    from repro.runtime.compiled import PHASE_NAMES
+    from repro.runtime.replay import chunk_counts, replay_chunks
+
+    geoms = list(geometries)
+    n_chunks = source.n_chunks
+    name, width = resolve(backend, workers, max(len(geoms), n_chunks))
+    # built first so an unknown policy fails here, never in a worker
+    chunks = replay_chunks(
+        source, geoms, policy, width if name == "thread" else None
+    )
+    obs.add(obs_names.STREAM_CHUNKS, n_chunks)
+    if name == "process" and geoms and (
+        n_chunks == 1 or (n_chunks > 1 and policy in ("lru", "direct"))
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return process_sweep(source, geoms, policy, width)
+        except BrokenProcessPool:
+            # a dead worker falls back to the in-process replay — same
+            # answer, one process — and is counted, never silent
+            obs.add(obs_names.REPLAY_PROCESS_FALLBACK)
+    return chunk_counts(chunks, len(geoms), len(PHASE_NAMES))
 
 
 # ----------------------------------------------------------------------

@@ -743,10 +743,10 @@ def compile_trace(
 def _result_from_stats(
     trace: Union[CompiledTrace, "ChunkedTrace"],
     misses: int,
-    phase_counts: Optional[List[int]],
+    phase_counts: Optional[Sequence[int]],
 ) -> ExecutionResult:
     """Assemble one :class:`ExecutionResult` from reduced replay statistics
-    (what the process backend ships back instead of per-access masks)."""
+    (misses and per-phase miss counts — never per-access masks)."""
     phase_misses: Dict[str, int] = {}
     if phase_counts is not None and misses:
         phase_misses = {
@@ -840,7 +840,7 @@ def _period_stats(
     trace: Union[CompiledTrace, "ChunkedTrace"],
     geometries: Sequence[CacheGeometry],
     policy: str,
-) -> Dict[int, Tuple[int, Optional[List[int]]]]:
+) -> Dict[int, Tuple[int, Optional[Sequence[int]]]]:
     """``(misses, phase counts)`` by geometry index, for every geometry a
     periodic trace answers from two short slices.
 
@@ -893,14 +893,17 @@ def _period_stats(
     )
     if _suffix_reaches_back(head[:start], first, shift, repeats, tail, length):
         return {}
-    from repro.runtime.replay import replay_miss_masks
+    from repro.runtime.replay import replay_chunks
+    from repro.runtime.streaming import ArrayChunkSource
 
     geoms = [geometries[i] for i in hyper]
-    head_masks = replay_miss_masks(head, geoms, policy=policy)
-    tail_masks = replay_miss_masks(tail, geoms, policy=policy)
+    [(_h, head_masks)], [(_t, tail_masks)] = (
+        replay_chunks(ArrayChunkSource(part, chunk_words=part.shape[0]), geoms, policy)
+        for part in (head, tail)
+    )
     n_codes = len(PHASE_NAMES)
     body = start + length  # where period 2 begins
-    out: Dict[int, Tuple[int, Optional[List[int]]]] = {}
+    out: Dict[int, Tuple[int, Optional[Sequence[int]]]] = {}
     for (i, h), hm, tm in zip(hyper.items(), head_masks, tail_masks):
         per = hm[body:body + h * length].reshape(h, length)
         full, extra = divmod(repeats - 1, h)
@@ -937,7 +940,7 @@ def simulate_trace(
 ) -> List[ExecutionResult]:
     """Miss counts of ``policy`` at every geometry from one compiled trace.
 
-    Dispatches to the vectorized replay kernel registered for ``policy``
+    Replays the trace through the chunk kernel registered for ``policy``
     (:mod:`repro.runtime.replay`): ``"lru"`` (fully associative via one
     Mattson stack-distance pass, or set-associative per ``geometry.ways``),
     ``"direct"`` (per-frame last-block scan), ``"opt"`` (Belady via a
@@ -950,32 +953,36 @@ def simulate_trace(
     the same trace: same misses, same accesses, same per-phase miss
     attribution.
 
-    ``backend`` selects where the evaluation runs
-    (:mod:`repro.runtime.backend`): ``"serial"``/``"thread"`` run the
-    kernels in-process (threads fan the per-geometry mask evaluation out
-    after the shared distance passes, clamped per
-    :func:`~repro.runtime.backend.effective_workers`); ``"process"`` ships
-    the trace to a process pool once via shared memory and chunks the
-    geometry list over it — bit-identical results in input order either
-    way, since the kernels are pure functions of ``(blocks, geometries)``.
+    The replay source is the trace itself when it is a
+    :class:`~repro.runtime.streaming.ChunkedTrace` (out-of-core compilation,
+    replayed at its own chunking), else the in-memory trace viewed in
+    chunks of ``chunk_words`` accesses — one chunk when ``chunk_words`` is
+    ``None`` and no process-wide default is configured
+    (:func:`repro.runtime.backend.configure`, the CLI's ``--chunk-words``).
+    Every chunking gives the same answer (the differential contract of
+    ``tests/test_streaming.py``).
+
+    ``backend`` selects where the replay runs
+    (:func:`repro.runtime.backend.replay_stats`): ``"serial"``/``"thread"``
+    in-process (threads fan the per-geometry mask evaluation out after the
+    shared distance passes, clamped per
+    :func:`~repro.runtime.backend.effective_workers`); ``"process"`` on a
+    process pool — bit-identical results in input order either way, since
+    the kernels are pure functions of the trace and the geometries.
     ``backend=None`` (default) follows the configured process-wide default,
     preserving the historical ``workers=``-threads behaviour.
 
-    ``trace`` may also be a :class:`~repro.runtime.streaming.ChunkedTrace`
-    (out-of-core compilation), replayed chunk by chunk with carried kernel
-    state; or pass ``chunk_words=`` with an in-memory trace to replay it in
-    bounded-size chunks.  Either way the results are bit-identical to the
-    monolithic replay (the differential contract of
-    ``tests/test_streaming.py``); ``chunk_words=None`` follows the
-    configured process-wide default
-    (:func:`repro.runtime.backend.configure`, the CLI's ``--chunk-words``).
-
     A trace that records a ``period`` (a compiled looped schedule) answers
     its ``mod``-indexed lru and direct geometries from two short slices
-    before any of the above runs, in time proportional to one period (see
-    :func:`_period_stats` for why that is exact and when it falls back);
-    the other geometries take the path above.
+    first, in time proportional to one period (see :func:`_period_stats`
+    for why that is exact and when it falls back); the other geometries
+    take the replay above.
     """
+    from repro.cache.policy import get_policy
+    from repro.runtime.backend import default_chunk_words, replay_stats
+    from repro.runtime.streaming import ArrayChunkSource, ChunkedTrace
+
+    get_policy(policy)  # unknown names fail even when nothing is replayed
     geometries = list(geometries)
     for geom in geometries:
         if geom.block != trace.block:
@@ -983,82 +990,22 @@ def simulate_trace(
                 f"geometry block {geom.block} does not match trace block "
                 f"{trace.block}; recompile the trace for this block size"
             )
-    answered = _period_stats(trace, geometries, policy)
-    if not answered:
-        return _replay_trace(
-            trace, geometries, policy, workers, backend, chunk_words
-        )
-    obs.add(obs_names.REPLAY_MISSES, sum(m for m, _c in answered.values()))
-    rest = [g for i, g in enumerate(geometries) if i not in answered]
-    replayed = iter(
-        _replay_trace(trace, rest, policy, workers, backend, chunk_words)
-        if rest else []
-    )
-    return [
-        _result_from_stats(trace, *answered[i]) if i in answered else next(replayed)
-        for i in range(len(geometries))
-    ]
-
-
-def _replay_trace(
-    trace: Union[CompiledTrace, "ChunkedTrace"],
-    geometries: List[CacheGeometry],
-    policy: str,
-    workers: Optional[int],
-    backend: Optional[str],
-    chunk_words: Optional[int],
-) -> List[ExecutionResult]:
-    """Every access replayed: the monolithic, streaming or process path of
-    :func:`simulate_trace`."""
-    from repro.runtime.streaming import ChunkedTrace, simulate_stream
-
-    if isinstance(trace, ChunkedTrace):
-        return simulate_stream(
-            trace, geometries, policy=policy, workers=workers,
-            backend=backend, chunk_words=chunk_words,
-        )
-    if chunk_words is None:
-        from repro.runtime.backend import default_chunk_words
-
-        chunk_words = default_chunk_words()
-    if chunk_words is not None:
-        return simulate_stream(
-            trace, geometries, policy=policy, workers=workers,
-            backend=backend, chunk_words=chunk_words,
-        )
-    from repro.runtime.backend import process_sweep, resolve
-
-    name, width = resolve(backend, workers, len(geometries))
-    if name == "process" and geometries and trace.accesses:
-        from repro.cache.policy import get_policy
-
-        get_policy(policy)  # fail on unknown names here, not in a worker
-        stats = process_sweep(
-            trace.blocks, trace.phases, geometries, policy, width
-        )
-        # parent-side so the tally matches serial runs exactly (workers
-        # ship their own replay counters back; misses are counted here)
-        obs.add(obs_names.REPLAY_MISSES, sum(m for m, _counts in stats))
-        return [_result_from_stats(trace, m, counts) for m, counts in stats]
-    from repro.runtime.replay import replay_miss_masks
-
-    masks = replay_miss_masks(
-        trace.blocks, geometries, policy=policy,
-        workers=width if name == "thread" else None,
-    )
-    results: List[ExecutionResult] = []
-    total_misses = 0
-    for geom, miss_mask in zip(geometries, masks):
-        misses = int(np.count_nonzero(miss_mask))
-        total_misses += misses
-        counts: Optional[List[int]] = None
-        if trace.phases is not None:
-            counts = np.bincount(
-                trace.phases[miss_mask], minlength=len(PHASE_NAMES)
-            ).tolist()
-        results.append(_result_from_stats(trace, misses, counts))
-    obs.add(obs_names.REPLAY_MISSES, total_misses)
-    return results
+    obs.add(obs_names.REPLAY_GEOMETRIES, len(geometries))
+    with obs.span(obs_names.REPLAY, policy=policy):
+        stats = _period_stats(trace, geometries, policy)
+        rest = [i for i in range(len(geometries)) if i not in stats]
+        if rest:
+            if chunk_words is None:
+                chunk_words = default_chunk_words() or max(1, trace.accesses)
+            source = trace if isinstance(trace, ChunkedTrace) else ArrayChunkSource(
+                trace.blocks, trace.phases, chunk_words=chunk_words
+            )
+            replayed = replay_stats(
+                source, [geometries[i] for i in rest], policy, workers, backend
+            )
+            stats.update(zip(rest, replayed))
+    obs.add(obs_names.REPLAY_MISSES, sum(m for m, _c in stats.values()))
+    return [_result_from_stats(trace, *stats[i]) for i in range(len(geometries))]
 
 
 def measure_compiled(
@@ -1082,10 +1029,9 @@ def measure_compiled(
     simulation.  ``cache`` (a :class:`repro.runtime.trace_cache.TraceCache`)
     routes the compilation through the persistent content-addressed cache;
     ``backend`` picks the execution backend exactly as in
-    :func:`simulate_trace`.  ``chunk_words`` switches both the compilation
-    and the replay to the out-of-core streaming path
-    (:mod:`repro.runtime.streaming`): identical result, O(``chunk_words``)
-    peak memory.
+    :func:`simulate_trace`.  ``chunk_words`` compiles out of core
+    (:mod:`repro.runtime.streaming`) and replays the segments as chunks:
+    identical result, O(``chunk_words``) peak memory.
     """
     trace: Union[CompiledTrace, "ChunkedTrace"]
     if chunk_words is not None:

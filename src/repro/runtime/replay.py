@@ -1,5 +1,5 @@
 """Policy-aware vectorized replay: one compiled trace, every geometry, five
-replacement models.
+replacement models, one engine.
 
 :mod:`repro.runtime.compiled` lowers a schedule to its cache-size-independent
 block trace; this module answers *whole geometry sweeps* over that trace for
@@ -35,14 +35,35 @@ simulating block-by-block:
   amortizes over a whole L2 capacity grid; ``workers`` fans out over
   distinct L1 geometries.
 
-Every kernel returns per-access boolean miss masks, so phase attribution
-works identically to the stepwise executor for all policies.  The stepwise
-models (:class:`~repro.cache.lru.LRUCache`,
+Every kernel replays a *chunk source* — a trace viewed as an ordered
+sequence of chunks (:mod:`repro.runtime.streaming`) — carrying exactly the
+state the next chunk needs, and yields per-chunk boolean miss masks, so
+phase attribution works identically to the stepwise executor for all
+policies.  An in-memory block array is one chunk with an empty carry (the
+monolithic case): it pays for no carry copy, no carry fold and no spill.
+
+* **lru / direct** carry one global recency list (:func:`recency_carry`):
+  every distinct block seen so far, LRU first.  Running the passes above
+  over ``concat(carry, chunk)`` and keeping the chunk's rows reproduces the
+  whole-trace distances exactly — set-local recency is the restriction of
+  global recency, distinct-counting cannot double-count a carried block,
+  and the last carried block of a frame is that frame's current content.
+* **opt** walks the chunks backwards once for absolute next-use positions
+  (chunks after the first spill theirs to a temporary ``.npy``), then
+  resumes the priority stack across chunks.  A block never used again gets
+  the sentinel ``accesses + position``, unique and monotone in time, so
+  every eviction is the whole-trace one.
+* **two_level** carries L1 on the global recency list and each L1 group's
+  L2 on the recency list of that group's miss sub-stream (which depends
+  only on L1).
+
+The stepwise models (:class:`~repro.cache.lru.LRUCache`,
 :class:`~repro.cache.direct.DirectMappedCache`,
 :func:`~repro.cache.opt.simulate_opt`,
 :class:`~repro.cache.hierarchy.TwoLevelCache`) remain the differential-test
-oracles; ``tests/test_replay.py`` and ``tests/test_hierarchy_replay.py``
-assert exact miss-for-miss agreement on random traces and geometries.
+oracles; ``tests/test_replay.py``, ``tests/test_hierarchy_replay.py`` and
+``tests/test_streaming.py`` assert exact miss-for-miss agreement on random
+traces, geometries and chunk partitions.
 
 Set indexing is scheme-aware: every kernel hashes block ids to conflict
 classes through the geometry's ``index_scheme`` (``"mod"`` low bits or
@@ -53,13 +74,13 @@ class is a pure function of its id under either scheme, the set-grouped
 reordering argument (and therefore every kernel) carries over unchanged.
 
 Array dtype contract (statically enforced by lint rule R4, see
-``docs/STATIC_ANALYSIS.md``): block ids and stack distances are ``int64``,
-per-access miss masks are ``bool``, and grouping keys may narrow to
-``int16`` for the radix-sort fast path — nothing else, and always with an
+``docs/STATIC_ANALYSIS.md``): block ids, stack distances and positions are
+``int64``, per-access miss masks are ``bool``, and grouping keys may narrow
+to ``int16`` for the radix-sort fast path — nothing else, and always with an
 explicit ``dtype=``.
 
-The kernels see nothing but a flat ``int64`` block array: traces compiled
-by :mod:`repro.runtime.compiled` under any ``placement=`` object order
+The kernels see nothing but ``int64`` block arrays: traces compiled by
+:mod:`repro.runtime.compiled` under any ``placement=`` object order
 (:mod:`repro.mem.placement`) — including block-remapped candidate layouts
 from :func:`repro.mem.placement.remap_blocks` — replay identically, which
 is what lets the placement optimizer score thousands of layouts without
@@ -68,13 +89,28 @@ recompiling.
 ``workers`` fans the per-geometry mask evaluation out over a thread pool
 *after* the shared distance passes (numpy releases the GIL inside the heavy
 ufuncs); the shared passes themselves are computed once per distinct set
-count, never per geometry.  See ``docs/REPLAY.md`` for the per-policy
-algorithms, their complexity, and the oracle contract.
+count and chunk, never per geometry.  See ``docs/REPLAY.md`` for the
+per-policy algorithms, their complexity, and the oracle contract.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import contextlib
+import functools
+import tempfile
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -87,16 +123,28 @@ from repro.errors import CacheConfigError
 from repro.obs import core as obs
 from repro.obs import names as obs_names
 
+if TYPE_CHECKING:
+    from repro.runtime.streaming import ChunkSource
+
 __all__ = [
     "set_index_array",
     "per_set_stack_distances",
     "opt_stack_distances",
     "hierarchy_level_masks",
+    "recency_carry",
+    "replay_chunks",
+    "chunk_counts",
     "replay_miss_masks",
     "replay_misses",
     "register_replay_kernel",
     "available_replay_policies",
 ]
+
+#: One chunk's replay: its labels (phase codes, or ``None``) and one miss
+#: mask per geometry.
+ChunkMasks = Tuple[Optional[np.ndarray], List[np.ndarray]]
+
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -146,13 +194,14 @@ def _stable_group_order(key: np.ndarray, n_groups: int) -> np.ndarray:
 
 def _set_segments(
     blocks: np.ndarray, sets: int, scheme: str = "mod"
-) -> List[np.ndarray]:
-    """Trace positions grouped by set index, each group time-ordered."""
+) -> List[Tuple[int, np.ndarray]]:
+    """``(set index, trace positions)`` of every set the (non-empty)
+    ``blocks`` touch, each group time-ordered."""
     set_idx = set_index_array(blocks, sets, scheme)
     order = _stable_group_order(set_idx, sets)
     ss = set_idx[order]
     bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
-    return np.split(order, bounds)
+    return [(int(set_idx[seg[0]]), seg) for seg in np.split(order, bounds)]
 
 
 def per_set_stack_distances(
@@ -183,6 +232,27 @@ def per_set_stack_distances(
     return d
 
 
+def _direct_hit_mask(
+    blocks: np.ndarray, frames: int, scheme: str = "mod"
+) -> np.ndarray:
+    """Per-access hit mask of a direct-mapped cache with ``frames`` frames.
+
+    Per-frame last-block scan: group accesses by frame (the ``scheme``'s
+    hash of the block id; stable argsort keeps them time-ordered), hit iff
+    the previous access to the same frame touched the same block.
+    """
+    n = blocks.shape[0]
+    hit_mask = np.zeros(n, dtype=bool)
+    if n == 0:
+        return hit_mask
+    key = set_index_array(blocks, frames, scheme)
+    order = _stable_group_order(key, frames)
+    sk, sb = key[order], blocks[order]
+    same = (sk[1:] == sk[:-1]) & (sb[1:] == sb[:-1])
+    hit_mask[order[1:][same]] = True
+    return hit_mask
+
+
 _OptState = Tuple[List[int], List[int], Set[int]]
 
 
@@ -190,9 +260,9 @@ def _opt_stack_pass(
     blocks: List[int],
     next_use: List[int],
     max_depth: int,
-    total: Optional[int] = None,
-    positions: Optional[List[int]] = None,
-    state: Optional[_OptState] = None,
+    total: int,
+    positions: Sequence[int],
+    state: Optional[_OptState],
 ) -> Tuple[List[int], _OptState]:
     """Priority-stack OPT stack distances for one access sequence.
 
@@ -200,23 +270,18 @@ def _opt_stack_pass(
     every stored priority is that block's next use after its *last* access,
     which is always in the future of ``t`` (the access at that position
     would have refreshed it), so one forward pass with Mattson's percolation
-    is exact.  Blocks never referenced again get unique sentinel priorities
-    past the end of the trace (their relative eviction order cannot change
-    any miss count).  The stack is truncated at ``max_depth``: percolation
-    only ever moves entries *down*, so the top ``max_depth`` entries — and
+    is exact.  The stack is truncated at ``max_depth``: percolation only
+    ever moves entries *down*, so the top ``max_depth`` entries — and
     therefore every distance we report — are unaffected by the cut.
 
-    Streaming extension: ``state`` resumes the pass with a prior call's
-    returned ``(stack_b, stack_p, resident)``, ``total`` is the full-trace
-    length that marks never-again priorities, and ``positions`` maps local
-    indices to absolute trace positions so sentinels stay unique and
-    monotone across chunks.  Sentinel values only need to exceed every real
-    next-use and grow with time, so ``total + absolute_position`` induces
-    exactly the eviction order of the monolithic ``n + i`` sentinels.
+    ``next_use`` holds absolute trace positions and ``total`` the trace
+    length; ``positions`` maps local indices to absolute positions.  A block
+    never referenced again gets the priority ``total + position``: past
+    every real next use, unique, and growing with time, so its relative
+    eviction order cannot change any miss count.  ``state`` resumes the
+    pass with a prior call's returned ``(stack_b, stack_p, resident)``.
     """
     n = len(blocks)
-    if total is None:
-        total = n
     out = [0] * n
     if state is None:
         stack_b: List[int] = []  # block ids, top (most valuable) first
@@ -229,7 +294,7 @@ def _opt_stack_pass(
         p = next_use[i]
         if p >= total:
             # unique sentinel: never used again
-            p = total + (positions[i] if positions is not None else i)
+            p = total + positions[i]
         if b in resident:
             idx = stack_b.index(b)
             if idx == 0:
@@ -270,6 +335,36 @@ def _opt_stack_pass(
     return out, (stack_b, stack_p, resident)
 
 
+def _opt_distances(
+    blocks: np.ndarray,
+    next_use: np.ndarray,
+    lo: int,
+    total: int,
+    sets: int,
+    scheme: str,
+    depth: int,
+    states: Dict[int, _OptState],
+) -> np.ndarray:
+    """OPT stack distances of one non-empty chunk starting at absolute
+    position ``lo``, resuming (and updating) one priority-stack state per
+    set in ``states``."""
+    if sets <= 1:
+        n = blocks.shape[0]
+        dists, states[0] = _opt_stack_pass(
+            blocks.tolist(), next_use.tolist(), depth, total,
+            range(lo, lo + n), states.get(0),
+        )
+        return np.asarray(dists, dtype=np.int64)
+    out = np.zeros(blocks.shape[0], dtype=np.int64)
+    for sid, seg in _set_segments(blocks, sets, scheme):
+        dists, states[sid] = _opt_stack_pass(
+            blocks[seg].tolist(), next_use[seg].tolist(), depth, total,
+            (seg + lo).tolist(), states.get(sid),
+        )
+        out[seg] = dists
+    return out
+
+
 def opt_stack_distances(
     blocks: np.ndarray, max_depth: int, sets: int = 1, scheme: str = "mod"
 ) -> np.ndarray:
@@ -284,30 +379,90 @@ def opt_stack_distances(
         raise CacheConfigError(f"max_depth must be >= 1, got {max_depth}")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     n = blocks.shape[0]
-    out = np.zeros(n, dtype=np.int64)
     if n == 0:
-        return out
-    if sets <= 1:
-        dists, _ = _opt_stack_pass(
-            blocks.tolist(), next_occurrences(blocks).tolist(), max_depth
-        )
-        out[:] = dists
-        return out
-    for seg in _set_segments(blocks, sets, scheme):
-        sub = blocks[seg]
-        dists, _ = _opt_stack_pass(
-            sub.tolist(), next_occurrences(sub).tolist(), max_depth
-        )
-        out[seg] = dists
-    return out
+        return np.zeros(0, dtype=np.int64)
+    return _opt_distances(
+        blocks, next_occurrences(blocks), 0, n, sets, scheme, max_depth, {}
+    )
 
 
 # ----------------------------------------------------------------------
-# per-policy kernels
+# carried state
+# ----------------------------------------------------------------------
+def recency_carry(carry: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Fold a chunk into the global recency carry.
+
+    The carry lists every distinct block seen so far, ordered by last
+    access — LRU first, MRU last.  It is exactly the state the lru/direct
+    passes need: prepend it to the next chunk and the within-chunk stack
+    distances (and per-frame last blocks) come out as if the whole prefix
+    had been replayed.  Folding a chunk is associative with concatenation:
+    ``recency_carry(recency_carry(c, a), b) == recency_carry(c, concat(a,
+    b))`` — the hypothesis property ``tests/test_streaming.py`` pins.
+    """
+    carry = np.ascontiguousarray(carry, dtype=np.int64)
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    if blocks.shape[0] == 0:
+        return carry
+    n = int(blocks.shape[0])
+    uniq, idx = np.unique(blocks[::-1], return_index=True)
+    last = n - 1 - idx  # position of each distinct block's final access
+    order = np.argsort(last, kind="stable")
+    tail = uniq[order]
+    if carry.shape[0]:
+        carry = carry[~np.isin(carry, uniq)]
+    return np.concatenate([carry, tail])
+
+
+def _level_pass(
+    blocks: np.ndarray,
+    carry: np.ndarray,
+    geom: CacheGeometry,
+    memo: Dict[Tuple[object, ...], np.ndarray],
+    direct: bool = False,
+) -> Tuple[np.ndarray, Optional[int]]:
+    """The pass one LRU organization reads a chunk's misses off, under the
+    recency ``carry`` of everything before the chunk, and the bound to read
+    it at (see :func:`_miss_mask`).
+
+    Direct-mapped organizations (``direct``, or ``ways=1``) take the
+    per-frame scan; every other reads per-set stack distances.  The pass
+    runs over ``concat(carry, blocks)`` — just ``blocks`` when the carry is
+    empty — and keeps the chunk's rows.  ``memo`` holds the passes by
+    organization key, so every geometry sharing a set (or frame) count
+    shares one pass: the amortization unit of every kernel and of both
+    levels of a hierarchy.
+    """
+    bound: Optional[int]
+    if direct or geom.ways == 1:
+        kind, classes, bound = "direct", geom.n_blocks, None
+    else:
+        sets = 1 if geom.is_fully_associative else geom.sets
+        kind, classes = "lru", sets
+        bound = geom.associativity if sets > 1 else geom.n_blocks
+    key = (kind, classes, _scheme_of(geom, classes))
+    found = memo.get(key)
+    if found is None:
+        k = int(carry.shape[0])
+        synth = np.concatenate([carry, blocks]) if k else blocks
+        scan = _direct_hit_mask if kind == "direct" else per_set_stack_distances
+        found = memo[key] = scan(synth, classes, key[2])[k:]
+    return found, bound
+
+
+def _miss_mask(level: Tuple[np.ndarray, Optional[int]]) -> np.ndarray:
+    """Read a pass at one organization: a stack distance misses when cold
+    (0) or past the bound; a ``None`` bound marks a direct-mapped hit mask."""
+    d, bound = level
+    return ~d if bound is None else (d == 0) | (d > bound)
+
+
+# ----------------------------------------------------------------------
+# per-policy chunk kernels
 # ----------------------------------------------------------------------
 def _fanout(
     fn: Callable, items: Sequence, workers: Optional[int]
-) -> List[np.ndarray]:
+) -> List:
     """Map ``fn`` over ``items``, through a thread pool when asked to.
 
     **Ordering guarantee**: the result list is always in input order —
@@ -334,162 +489,279 @@ def _fanout(
 
 
 def _lru_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    distances: Dict[tuple, np.ndarray] = {}
-    for geom in geometries:  # shared pass, once per distinct (sets, scheme)
-        sets = 1 if geom.is_fully_associative else geom.sets
-        key = (sets, _scheme_of(geom, sets))
-        if key not in distances:
-            distances[key] = per_set_stack_distances(blocks, *key)
+    source: "ChunkSource",
+    geometries: Sequence[CacheGeometry],
+    workers: Optional[int],
+    carry: Optional[np.ndarray] = None,
+    direct: bool = False,
+) -> Iterator[ChunkMasks]:
+    """LRU (and, with ``direct``, direct-mapped) misses chunk by chunk.
 
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        ways = geom.associativity if sets > 1 else geom.n_blocks
-        d = distances[(sets, _scheme_of(geom, sets))]
-        return (d == 0) | (d > ways)
-
-    return _fanout(mask, list(geometries), workers)
-
-
-def _direct_hit_mask(
-    blocks: np.ndarray, frames: int, scheme: str = "mod"
-) -> np.ndarray:
-    """Per-access hit mask of a direct-mapped cache with ``frames`` frames.
-
-    Per-frame last-block scan: group accesses by frame (the ``scheme``'s
-    hash of the block id; stable argsort keeps them time-ordered), hit iff
-    the previous access to the same frame touched the same block.
+    Each chunk reads every geometry off the memoized passes of
+    :func:`_level_pass` under the recency carry of the chunks before it
+    (``carry`` seeds it: a process worker replaying one chunk of a longer
+    trace gets the carry the parent folded).  The carry is folded only
+    while another chunk follows.
     """
-    n = blocks.shape[0]
-    hit_mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return hit_mask
-    key = set_index_array(blocks, frames, scheme)
-    order = _stable_group_order(key, frames)
-    sk, sb = key[order], blocks[order]
-    same = (sk[1:] == sk[:-1]) & (sb[1:] == sb[:-1])
-    hit_mask[order[1:][same]] = True
-    return hit_mask
-
-
-def _direct_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    hits: Dict[tuple, np.ndarray] = {}
-    for geom in geometries:
-        if geom.ways not in (None, 1):
-            raise CacheConfigError(
-                f"direct-mapped replay needs ways=1 (or an unspecified "
-                f"associativity), got ways={geom.ways}"
-            )
-        key = (geom.n_blocks, _scheme_of(geom, geom.n_blocks))
-        if key not in hits:
-            hits[key] = _direct_hit_mask(blocks, *key)
-
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        return ~hits[(geom.n_blocks, _scheme_of(geom, geom.n_blocks))]
-
-    return _fanout(mask, list(geometries), workers)
+    if direct:
+        for geom in geometries:
+            if geom.ways not in (None, 1):
+                raise CacheConfigError(
+                    f"direct-mapped replay needs ways=1 (or an unspecified "
+                    f"associativity), got ways={geom.ways}"
+                )
+    carry = _EMPTY if carry is None else carry
+    last = source.n_chunks - 1
+    for index in range(source.n_chunks):
+        blocks, phases = source.chunk(index)
+        memo: Dict[Tuple[object, ...], np.ndarray] = {}
+        passes = [_level_pass(blocks, carry, g, memo, direct) for g in geometries]
+        yield phases, _fanout(_miss_mask, passes, workers)
+        if index < last:
+            carry = recency_carry(carry, blocks)
 
 
 def _opt_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    # one truncated priority-stack pass per distinct (set count, scheme),
-    # deep enough for the largest capacity sharing that pass
-    depth_for: Dict[tuple, int] = {}
+    source: "ChunkSource",
+    geometries: Sequence[CacheGeometry],
+    workers: Optional[int],
+    carry: None = None,
+) -> Iterator[ChunkMasks]:
+    """OPT misses chunk by chunk: a reverse next-use pass, then a forward
+    priority stack carried across chunks.
+
+    The reverse pass gives every access the absolute position of its
+    block's next access (``source.accesses`` when there is none).  Chunks
+    after the first spill those to a pass-owned temporary directory (replay
+    intermediates, never the trace cache); chunk 0 keeps its blocks and
+    next uses in memory, so a one-chunk source reads once and opens no
+    directory.  The forward pass resumes :func:`_opt_stack_pass` across
+    chunks, one carried state per set of each distinct (set count, scheme),
+    at the max depth any geometry sharing the pass needs.  OPT derives its
+    state from the source alone, so it takes no seed ``carry``.
+    """
+    depth_for: Dict[Tuple[int, str], int] = {}
+    reads: List[Tuple[Tuple[int, str], int]] = []
     for geom in geometries:
         sets = 1 if geom.is_fully_associative else geom.sets
         cap = geom.n_blocks if sets == 1 else geom.associativity
         key = (sets, _scheme_of(geom, sets))
         depth_for[key] = max(depth_for.get(key, 1), cap)
-    distances = {
-        key: opt_stack_distances(blocks, depth, sets=key[0], scheme=key[1])
-        for key, depth in depth_for.items()
-    }
+        reads.append((key, cap))
+    n_chunks = source.n_chunks
+    total = source.accesses
+    bounds = source.chunk_bounds()
+    spill = (
+        tempfile.TemporaryDirectory(prefix="repro-optstream-")
+        if n_chunks > 1 else contextlib.nullcontext()
+    )
+    with spill as tmp:
+        seen: Dict[int, int] = {}  # block -> first position after this chunk
+        for index in range(n_chunks - 1, -1, -1):
+            blocks, phases = source.chunk(index)
+            lo, hi = bounds[index]
+            next_use = next_occurrences(blocks)
+            next_use += lo  # hi where the chunk has no next access
+            if index < n_chunks - 1:
+                tail = np.flatnonzero(next_use >= hi)
+                next_use[tail] = np.asarray(
+                    [seen.get(b, total) for b in blocks[tail].tolist()],
+                    dtype=np.int64,
+                )
+            if index:
+                uniq, first = np.unique(blocks, return_index=True)
+                seen.update(zip(uniq.tolist(), (first + lo).tolist()))
+                np.save(Path(tmp) / f"next{index}.npy", next_use)
+        states: Dict[Tuple[int, str], Dict[int, _OptState]] = {
+            key: {} for key in depth_for
+        }
+        for index in range(n_chunks):
+            if index:
+                blocks, phases = source.chunk(index)
+                next_use = np.load(Path(tmp) / f"next{index}.npy")
+            lo = bounds[index][0]
+            dist = {
+                key: _opt_distances(
+                    blocks, next_use, lo, total, *key, depth, states[key]
+                )
+                for key, depth in depth_for.items()
+            }
+            passes = [(dist[key], cap) for key, cap in reads]
+            yield phases, _fanout(_miss_mask, passes, workers)
 
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        cap = geom.n_blocks if sets == 1 else geom.associativity
-        d = distances[(sets, _scheme_of(geom, sets))]
-        return (d == 0) | (d > cap)
 
-    return _fanout(mask, list(geometries), workers)
-
-
-def _lru_level_mask(
-    blocks: np.ndarray, geom: CacheGeometry, shared: Dict
-) -> np.ndarray:
-    """Single-level miss mask of one LRU organization, with memoized passes.
-
-    ``ways=1`` takes the per-frame scan (:func:`_direct_hit_mask`); every
-    other organization reads off the per-set stack distances.  ``shared``
-    memoizes both pass kinds by their organization key, so all geometries
-    sharing a set count (or frame count) reuse one pass — this is the
-    hierarchy kernel's amortization unit for both levels.
-    """
-    if geom.ways == 1:
-        scheme = _scheme_of(geom, geom.n_blocks)
-        key = ("direct", geom.n_blocks, scheme)
-        hit = shared.get(key)
-        if hit is None:
-            hit = shared[key] = _direct_hit_mask(blocks, geom.n_blocks, scheme)
-        return ~hit
-    sets = 1 if geom.is_fully_associative else geom.sets
-    scheme = _scheme_of(geom, sets)
-    key = ("lru", sets, scheme)
-    d = shared.get(key)
-    if d is None:
-        d = shared[key] = per_set_stack_distances(blocks, sets, scheme)
-    ways = geom.associativity if sets > 1 else geom.n_blocks
-    return (d == 0) | (d > ways)
+def _two_level_group(
+    blocks: np.ndarray,
+    carry: np.ndarray,
+    l1_memo: Dict[Tuple[object, ...], np.ndarray],
+    sub_carries: Dict[CacheGeometry, np.ndarray],
+    fold: bool,
+    group: Tuple[CacheGeometry, List[CacheGeometry]],
+) -> List[np.ndarray]:
+    """Memory-miss masks of one L1 group over one chunk; with ``fold``, the
+    chunk's L1 miss sub-trace is folded into the group's L2 carry."""
+    l1, l2s = group
+    pos = np.flatnonzero(_miss_mask(_level_pass(blocks, carry, l1, l1_memo)))
+    sub = blocks[pos]
+    sub_carry = sub_carries.get(l1, _EMPTY)
+    l2_memo: Dict[Tuple[object, ...], np.ndarray] = {}
+    masks = []
+    for l2 in l2s:
+        full = np.zeros(blocks.shape[0], dtype=bool)
+        # memory miss = L1 miss AND L2 miss
+        full[pos[_miss_mask(_level_pass(sub, sub_carry, l2, l2_memo))]] = True
+        masks.append(full)
+    if fold:
+        sub_carries[l1] = recency_carry(sub_carry, sub)
+    return masks
 
 
 def _two_level_kernel(
-    blocks: np.ndarray, geometries: Sequence, workers: Optional[int]
-) -> List[np.ndarray]:
-    """Memory-miss masks of two-level hierarchies, one L1 pass per distinct L1.
+    source: "ChunkSource",
+    geometries: Sequence,
+    workers: Optional[int],
+    carry: None = None,
+) -> Iterator[ChunkMasks]:
+    """Memory-miss masks of two-level hierarchies, one L1 pass per distinct
+    L1 and chunk.
 
     The stepwise :class:`~repro.cache.hierarchy.TwoLevelCache` consults L2
     exactly when L1 misses, so L2's contents evolve as an LRU cache fed the
     L1 *miss sub-trace* — which depends only on the L1 geometry.  The kernel
-    therefore groups sweep points by L1, computes each L1 mask once, replays
-    every L2 organization of the group over the (much shorter) sub-trace,
-    and scatters the L2 verdicts back to trace positions.  ``workers``
-    threads the per-L1 groups.
+    therefore groups sweep points by L1, computes each L1 mask once per
+    chunk, replays every L2 organization of the group over the (much
+    shorter) sub-trace, and scatters the L2 verdicts back to chunk
+    positions.  L1 carries the trace's recency list and each group's L2 the
+    recency list of its sub-trace, folded only while another chunk follows;
+    the kernel takes no seed ``carry``.  ``workers`` threads the per-L1
+    groups.
     """
-    for tg in geometries:
+    groups: Dict[CacheGeometry, List[int]] = {}
+    for i, tg in enumerate(geometries):
         if not isinstance(tg, TwoLevelGeometry):
             raise CacheConfigError(
                 f"policy 'two_level' sweeps TwoLevelGeometry points, "
                 f"got {tg!r}"
             )
-    n = blocks.shape[0]
-    groups: Dict[CacheGeometry, List[int]] = {}
-    for i, tg in enumerate(geometries):
         groups.setdefault(tg.l1, []).append(i)
-    l1_shared: Dict = {}  # L1 passes shared even across distinct L1 geometries
+    items = [(l1, [geometries[i].l2 for i in idxs]) for l1, idxs in groups.items()]
+    sub_carries: Dict[CacheGeometry, np.ndarray] = {}
+    l1_carry = _EMPTY
+    last = source.n_chunks - 1
+    for index in range(source.n_chunks):
+        blocks, phases = source.chunk(index)
+        run = functools.partial(
+            _two_level_group, blocks, l1_carry, {}, sub_carries, index < last
+        )
+        out: List[np.ndarray] = [_EMPTY] * len(geometries)
+        for idxs, masks in zip(groups.values(), _fanout(run, items, workers)):
+            for i, mask in zip(idxs, masks):
+                out[i] = mask
+        yield phases, out
+        if index < last:
+            l1_carry = recency_carry(l1_carry, blocks)
 
-    def run_group(item: Tuple[CacheGeometry, List[int]]) -> List:
-        l1, idxs = item
-        l1_mask = _lru_level_mask(blocks, l1, l1_shared)
-        pos = np.flatnonzero(l1_mask)
-        sub = blocks[pos]
-        l2_shared: Dict = {}
-        results = []
-        for i in idxs:
-            l2_miss_sub = _lru_level_mask(sub, geometries[i].l2, l2_shared)
-            full = np.zeros(n, dtype=bool)
-            full[pos[l2_miss_sub]] = True  # memory miss = L1 miss AND L2 miss
-            results.append((i, full))
-        return results
 
-    out: List[Optional[np.ndarray]] = [None] * len(geometries)
-    for group_results in _fanout(run_group, list(groups.items()), workers):
-        for i, mask in group_results:
-            out[i] = mask
-    return out
+_KERNELS: Dict[str, Callable] = {}
+
+
+def register_replay_kernel(policy: str, kernel: Callable) -> None:
+    """Register the chunk kernel answering sweeps for ``policy``.
+
+    ``kernel(source, geometries, workers, carry)`` replays a chunk source
+    (:class:`~repro.runtime.streaming.ChunkSource`) with carried state and
+    yields, per chunk, ``(phases, masks)``: the chunk's phase codes (or
+    ``None``) and one boolean miss mask per geometry.  ``carry`` seeds the
+    state before the first chunk (``None``: the trace starts there).  The
+    name must already exist in the stepwise registry
+    (:func:`repro.cache.policy.get_policy`) — a replay without an oracle is
+    untestable by construction.
+    """
+    get_policy(policy)
+    _KERNELS[policy] = kernel
+
+
+def available_replay_policies() -> tuple:
+    return tuple(sorted(_KERNELS))
+
+
+register_replay_kernel("lru", _lru_kernel)
+register_replay_kernel("direct", functools.partial(_lru_kernel, direct=True))
+register_replay_kernel("opt", _opt_kernel)
+register_replay_kernel("two_level", _two_level_kernel)
+
+
+# ----------------------------------------------------------------------
+# public entry points
+# ----------------------------------------------------------------------
+def replay_chunks(
+    source: "ChunkSource",
+    geometries: Iterable,
+    policy: str = "lru",
+    workers: Optional[int] = None,
+    carry: Optional[np.ndarray] = None,
+) -> Iterator[ChunkMasks]:
+    """Per-chunk ``(phases, masks)`` of ``policy``'s kernel over ``source``.
+
+    The engine itself, uninstrumented (callers count and time the replay
+    they make of it).  An unknown policy fails here, before any chunk is
+    read.  ``carry`` is a recency carry (:func:`recency_carry`) the lru and
+    direct kernels resume from; opt and two_level take ``None``.
+    """
+    get_policy(policy)  # raises CacheConfigError for unknown names
+    kernel = _KERNELS.get(policy)
+    if kernel is None:
+        raise CacheConfigError(
+            f"policy {policy!r} has no vectorized replay kernel; "
+            f"available: {sorted(_KERNELS)}"
+        )
+    return kernel(source, list(geometries), workers, carry)
+
+
+def chunk_counts(
+    chunks: Iterable[ChunkMasks], n_geometries: int, n_labels: int = 0
+) -> List[Tuple[int, np.ndarray]]:
+    """Reduce per-chunk ``(labels, masks)`` to per-geometry ``(misses,
+    label counts)``.
+
+    The one reduction every replay path shares: each chunk's masks are
+    counted and — when ``n_labels`` is set and the chunk has labels (phase
+    codes) — bincounted by label, then dropped, so memory stays O(chunk)
+    whatever the trace length.  Counts over chunks add, so the sums are
+    exact.
+    """
+    misses = [0] * n_geometries
+    counts = [np.zeros(n_labels, dtype=np.int64) for _ in range(n_geometries)]
+    for labels, masks in chunks:
+        for gi, mask in enumerate(masks):
+            misses[gi] += int(np.count_nonzero(mask))
+            if n_labels and labels is not None:
+                counts[gi] += np.bincount(labels[mask], minlength=n_labels)
+    return list(zip(misses, counts))
+
+
+def _as_source(blocks: "np.ndarray | ChunkSource") -> "ChunkSource":
+    """A chunk source as given; a block array as one chunk (the monolithic
+    case)."""
+    if hasattr(blocks, "n_chunks"):
+        return blocks  # type: ignore[return-value]
+    from repro.runtime.streaming import ArrayChunkSource
+
+    arr = np.ascontiguousarray(blocks, dtype=np.int64)
+    return ArrayChunkSource(arr, chunk_words=max(1, int(arr.shape[0])))
+
+
+def _joined(chunks: Iterable[ChunkMasks], n_geometries: int) -> List[np.ndarray]:
+    """Full-length masks from per-chunk ones (no copy for one chunk)."""
+    parts: List[List[np.ndarray]] = [[] for _ in range(n_geometries)]
+    for _phases, masks in chunks:
+        for part, mask in zip(parts, masks):
+            part.append(mask)
+    return [
+        part[0] if len(part) == 1
+        else np.concatenate([np.zeros(0, dtype=bool), *part])
+        for part in parts
+    ]
 
 
 def hierarchy_level_masks(
@@ -503,75 +775,42 @@ def hierarchy_level_masks(
     these two masks.
     """
     arr = np.ascontiguousarray(blocks, dtype=np.int64)
-    l1_mask = _lru_level_mask(arr, geometry.l1, {})
-    (mem_mask,) = _two_level_kernel(arr, [geometry], None)
+    l1_mask = _miss_mask(_level_pass(arr, _EMPTY, geometry.l1, {}))
+    (mem_mask,) = _joined(_two_level_kernel(_as_source(arr), [geometry], None), 1)
     return l1_mask, mem_mask
 
 
-_KERNELS: Dict[str, Callable] = {}
-
-
-def register_replay_kernel(policy: str, kernel: Callable) -> None:
-    """Register the vectorized kernel answering sweeps for ``policy``.
-
-    The name must already exist in the stepwise registry
-    (:func:`repro.cache.policy.get_policy`) — a replay without an oracle is
-    untestable by construction.
-    """
-    get_policy(policy)
-    _KERNELS[policy] = kernel
-
-
-def available_replay_policies() -> tuple:
-    return tuple(sorted(_KERNELS))
-
-
-register_replay_kernel("lru", _lru_kernel)
-register_replay_kernel("direct", _direct_kernel)
-register_replay_kernel("opt", _opt_kernel)
-register_replay_kernel("two_level", _two_level_kernel)
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
 def replay_miss_masks(
-    blocks: np.ndarray,
+    blocks: "np.ndarray | ChunkSource",
     geometries: Iterable[CacheGeometry],
     policy: str = "lru",
     workers: Optional[int] = None,
 ) -> List[np.ndarray]:
     """Per-access boolean miss masks of ``policy`` for every geometry.
 
-    All shared work (stack distances, set partitions, next-use passes) is
+    ``blocks`` is a block array — replayed as one chunk — or any chunk
+    source, whose per-chunk masks are joined into full-length ones.  All
+    shared work (stack distances, set partitions, next-use passes) is
     computed once per distinct organization and reused across the sweep;
     ``workers`` threads the final per-geometry mask evaluation.
     """
     geoms = list(geometries)
-    get_policy(policy)  # raises CacheConfigError for unknown names
-    kernel = _KERNELS.get(policy)
-    if kernel is None:
-        raise CacheConfigError(
-            f"policy {policy!r} has no vectorized replay kernel; "
-            f"available: {sorted(_KERNELS)}"
-        )
-    arr = np.ascontiguousarray(blocks, dtype=np.int64)
-    # the geometry tally is chunk-sum invariant: a process backend's
-    # workers each count their chunk and the merged total equals one
-    # serial call's — tests/test_obs.py pins that equality
+    chunks = replay_chunks(_as_source(blocks), geoms, policy, workers)
     obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
     with obs.span(obs_names.REPLAY, policy=policy):
-        return kernel(arr, geoms, workers)
+        return _joined(chunks, len(geoms))
 
 
 def replay_misses(
-    blocks: np.ndarray,
+    blocks: "np.ndarray | ChunkSource",
     geometries: Iterable[CacheGeometry],
     policy: str = "lru",
     workers: Optional[int] = None,
 ) -> List[int]:
-    """Total miss counts of ``policy`` for every geometry (sweep form)."""
-    return [
-        int(np.count_nonzero(m))
-        for m in replay_miss_masks(blocks, geometries, policy=policy, workers=workers)
-    ]
+    """Total miss counts of ``policy`` for every geometry (sweep form); a
+    chunk source is reduced chunk by chunk, never into full-length masks."""
+    geoms = list(geometries)
+    chunks = replay_chunks(_as_source(blocks), geoms, policy, workers)
+    obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
+    with obs.span(obs_names.REPLAY, policy=policy):
+        return [m for m, _counts in chunk_counts(chunks, len(geoms))]

@@ -49,22 +49,22 @@ def replay_kernel(policy: str, workers: Optional[int] = None) -> Kernel:
     """The vectorized replay engine of ``policy`` as a harness kernel.
 
     The returned kernel also accepts an optional ``chunk_words=`` keyword:
-    when given, the masks come from the out-of-core streaming engine
-    (:func:`repro.runtime.streaming.stream_masks`) at that chunk size
-    instead of the monolithic pass, so the same differential grid pins the
-    chunked replay against the stepwise oracle too.
+    when given, the trace replays as chunks of that many accesses
+    (:class:`~repro.runtime.streaming.ArrayChunkSource`) instead of one, so
+    the same differential grid pins the carried-state replay against the
+    stepwise oracle too.
     """
     from repro.runtime.replay import replay_miss_masks
+    from repro.runtime.streaming import ArrayChunkSource
 
     def kernel(
         blocks: np.ndarray, grid: Sequence, chunk_words: Optional[int] = None
     ) -> List[np.ndarray]:
-        if chunk_words is not None:
-            from repro.runtime.streaming import ArrayChunkSource, stream_masks
-
-            source = ArrayChunkSource(blocks, chunk_words=chunk_words)
-            return stream_masks(source, list(grid), policy=policy)
-        return replay_miss_masks(blocks, list(grid), policy=policy, workers=workers)
+        source = (
+            blocks if chunk_words is None
+            else ArrayChunkSource(blocks, chunk_words=chunk_words)
+        )
+        return replay_miss_masks(source, list(grid), policy=policy, workers=workers)
 
     return kernel
 

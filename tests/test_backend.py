@@ -49,6 +49,7 @@ from repro.runtime.backend import (
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
 from repro.runtime.replay import _fanout, replay_miss_masks
+from repro.runtime.streaming import ArrayChunkSource
 from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
 
@@ -294,7 +295,8 @@ class TestProcessBackendBitIdentity:
         # must partition the grid in order
         _g, _s, trace = workload
         grid = [CacheGeometry(size=s, block=B) for s in (32, 64, 128, 256, 512)]
-        stats = process_sweep(trace.blocks, trace.phases, grid, "lru", workers=3)
+        source = ArrayChunkSource(trace.blocks, trace.phases, chunk_words=trace.accesses)
+        stats = process_sweep(source, grid, "lru", workers=3)
         masks = replay_miss_masks(trace.blocks, grid, policy="lru")
         assert [m for m, _c in stats] == [int(np.count_nonzero(m)) for m in masks]
 

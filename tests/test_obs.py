@@ -469,6 +469,62 @@ class TestCrossBackendAggregation:
         assert serial_work[obs_names.COMPILE_CALLS] == 1
         assert _work_counters(snaps["process"]) == serial_work
 
+    def test_chunked_process_sweep_counts_like_serial(self, tmp_path):
+        """Each geometry counts once per call and each chunk once per
+        replay, whether the chunks replay in process or on a pool."""
+        from repro.cache.base import CacheGeometry
+        from repro.core.baselines import single_appearance_schedule
+        from repro.graphs.topologies import pipeline
+        from repro.runtime.compiled import simulate_trace
+        from repro.runtime.streaming import compile_trace_chunked
+        from repro.runtime.trace_cache import TraceCache
+
+        g = pipeline([12, 20, 6, 28, 10])
+        sched = single_appearance_schedule(g, n_iterations=12)
+        cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
+        trace = compile_trace_chunked(g, sched, 8, chunk_words=157, cache=cache)
+        assert trace.n_chunks == 2
+        geoms = [
+            CacheGeometry(size=64, block=8, ways=1),
+            CacheGeometry(size=128, block=8, ways=2),
+        ]
+        snaps = {}
+        for backend in ("serial", "process"):
+            with obs.capture(enabled=True) as cap:
+                simulate_trace(trace, geoms, policy="lru", backend=backend, workers=2)
+            snaps[backend] = cap.snapshot
+            counters = snaps[backend]["counters"]
+            assert counters[obs_names.REPLAY_GEOMETRIES] == 2
+            assert counters[obs_names.STREAM_CHUNKS] == 2
+        assert _work_counters(snaps["process"]) == _work_counters(snaps["serial"])
+
+    def test_period_shortcut_counts_each_geometry_once(self):
+        """A looped trace answered from its head and tail slices counts the
+        geometry once, as its flat expansion does."""
+        from repro.cache.base import CacheGeometry
+        from repro.graphs.minbuf import min_buffers
+        from repro.graphs.repetition import repetition_vector
+        from repro.graphs.topologies import pipeline
+        from repro.runtime.compiled import compile_trace, simulate_trace
+        from repro.runtime.deadlock import demand_driven_schedule
+        from repro.runtime.looped import Loop, LoopedSchedule
+
+        g = pipeline([24, 16, 32, 8, 40, 16])
+        caps = min_buffers(g)
+        body = demand_driven_schedule(g, repetition_vector(g), caps)
+        looped = LoopedSchedule(loops=(Loop(64, tuple(body)),), capacities=caps)
+        geoms = [CacheGeometry(size=16 * 8, block=8)]
+        answers, snaps = {}, {}
+        for label, sched in (("looped", looped), ("flat", looped.to_flat())):
+            trace = compile_trace(g, sched, 8)
+            with obs.capture(enabled=True) as cap:
+                answers[label] = simulate_trace(trace, geoms, policy="lru")
+            snaps[label] = cap.snapshot["counters"]
+        assert answers["looped"] == answers["flat"]
+        assert snaps["looped"][obs_names.REPLAY_PERIOD_GEOMETRIES] == 1
+        assert snaps["looped"][obs_names.REPLAY_GEOMETRIES] == 1
+        assert snaps["flat"][obs_names.REPLAY_GEOMETRIES] == 1
+
     def test_span_keys_are_backend_comparable(self, workload):
         """Chunking changes span *counts*, never span *keys*."""
         _g, _sched, trace = workload

@@ -1,11 +1,13 @@
-"""A chunked process sweep that loses a worker recomputes serially and says
-so; any other worker error reaches the caller.
+"""A process sweep that loses a worker recomputes in process and says so;
+any other worker error reaches the caller.
 
-:func:`repro.runtime.streaming.simulate_stream` fans lru/direct chunks of a
-:class:`~repro.runtime.streaming.ChunkedTrace` over a process pool.  Only a
-broken pool (a worker that died) falls back to the sequential stream — with
-the same answer, counted as ``replay.process_fallback`` — while an error
-raised inside a worker propagates like any other.
+:func:`repro.runtime.backend.replay_stats` runs the process backend for a
+:class:`~repro.runtime.streaming.ChunkedTrace` (lru/direct chunks with
+parent-built carries) and for an in-memory
+:class:`~repro.runtime.compiled.CompiledTrace` (geometry slices).  On both,
+only a broken pool (a worker that died) falls back to the in-process replay
+— with the same answer, counted as ``replay.process_fallback`` — while an
+error raised inside a worker propagates like any other.
 """
 
 import os
@@ -18,7 +20,7 @@ from repro.core.baselines import single_appearance_schedule
 from repro.graphs.topologies import pipeline
 from repro.obs import core as obs
 from repro.obs import names as obs_names
-from repro.runtime.compiled import simulate_trace
+from repro.runtime.compiled import compile_trace, simulate_trace
 from repro.runtime.streaming import compile_trace_chunked
 from repro.runtime.trace_cache import TraceCache
 
@@ -40,17 +42,27 @@ def _boom(task):
     raise ValueError("boom in chunk worker")
 
 
+def _workload():
+    g = pipeline([12, 20, 6, 28, 10])
+    return g, single_appearance_schedule(g, n_iterations=12)
+
+
 @pytest.fixture
 def chunked(tmp_path):
-    g = pipeline([12, 20, 6, 28, 10])
-    sched = single_appearance_schedule(g, n_iterations=12)
+    g, sched = _workload()
     cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
     return compile_trace_chunked(g, sched, B, chunk_words=157, cache=cache)
 
 
+@pytest.fixture
+def in_memory():
+    g, sched = _workload()
+    return compile_trace(g, sched, B)
+
+
 def test_dead_worker_falls_back_and_is_counted(chunked, monkeypatch):
     want = simulate_trace(chunked, GEOMS, policy="lru", backend="serial")
-    monkeypatch.setattr(backend_mod, "_stream_chunk_worker", _die)
+    monkeypatch.setattr(backend_mod, "_replay_task", _die)
     with obs.capture(enabled=True) as cap:
         got = simulate_trace(
             chunked, GEOMS, policy="lru", backend="process", workers=2
@@ -60,10 +72,34 @@ def test_dead_worker_falls_back_and_is_counted(chunked, monkeypatch):
 
 
 def test_worker_error_raises(chunked, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_stream_chunk_worker", _boom)
+    monkeypatch.setattr(backend_mod, "_replay_task", _boom)
     with obs.capture(enabled=True) as cap:
         with pytest.raises(ValueError, match="boom in chunk worker"):
             simulate_trace(
                 chunked, GEOMS, policy="lru", backend="process", workers=2
+            )
+    assert obs_names.REPLAY_PROCESS_FALLBACK not in cap.snapshot["counters"]
+
+
+@pytest.mark.parametrize("policy", ["lru", "opt"])
+def test_in_memory_dead_worker_falls_back_and_is_counted(
+    in_memory, monkeypatch, policy
+):
+    want = simulate_trace(in_memory, GEOMS, policy=policy, backend="serial")
+    monkeypatch.setattr(backend_mod, "_replay_task", _die)
+    with obs.capture(enabled=True) as cap:
+        got = simulate_trace(
+            in_memory, GEOMS, policy=policy, backend="process", workers=2
+        )
+    assert got == want
+    assert cap.snapshot["counters"][obs_names.REPLAY_PROCESS_FALLBACK] == 1
+
+
+def test_in_memory_worker_error_raises(in_memory, monkeypatch):
+    monkeypatch.setattr(backend_mod, "_replay_task", _boom)
+    with obs.capture(enabled=True) as cap:
+        with pytest.raises(ValueError, match="boom in chunk worker"):
+            simulate_trace(
+                in_memory, GEOMS, policy="lru", backend="process", workers=2
             )
     assert obs_names.REPLAY_PROCESS_FALLBACK not in cap.snapshot["counters"]

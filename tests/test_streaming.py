@@ -39,15 +39,11 @@ from repro.runtime.compiled import (
     measure_compiled,
     simulate_trace,
 )
-from repro.runtime.replay import replay_miss_masks
+from repro.runtime.replay import recency_carry, replay_miss_masks, replay_misses
 from repro.runtime.streaming import (
     ArrayChunkSource,
     ChunkedTrace,
     compile_trace_chunked,
-    recency_carry,
-    simulate_stream,
-    stream_masks,
-    stream_stats,
 )
 from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
@@ -145,7 +141,7 @@ class TestStreamingDifferential:
         geoms = _fa_geometries() + _sa_geometries()
         for policy in ("lru", "opt"):
             mono = replay_miss_masks(trace, geoms, policy=policy)
-            chunked = stream_masks(
+            chunked = replay_miss_masks(
                 ArrayChunkSource(trace, sizes=sizes), geoms, policy=policy
             )
             for m, c in zip(mono, chunked):
@@ -159,11 +155,9 @@ def _partition_invariance(trace, data, policy, geoms):
     blocks = np.asarray(trace, dtype=np.int64)
     sizes = data.draw(chunking_strategy(len(trace)))
     mono = [int(np.count_nonzero(m)) for m in replay_miss_masks(blocks, geoms, policy=policy)]
-    chunked = [
-        m for m, _c in stream_stats(
-            ArrayChunkSource(blocks, sizes=sizes), geoms, policy=policy
-        )
-    ]
+    chunked = replay_misses(
+        ArrayChunkSource(blocks, sizes=sizes), geoms, policy=policy
+    )
     assert chunked == mono
 
 
@@ -434,8 +428,8 @@ class TestFrontDoors:
     def test_simulate_stream_rejects_unknown_policy(self, workload):
         _g, _sched, trace = workload
         with pytest.raises(CacheConfigError):
-            simulate_stream(trace, [CacheGeometry(size=8 * B, block=B)],
-                            policy="belady2")
+            simulate_trace(trace, [CacheGeometry(size=8 * B, block=B)],
+                           policy="belady2")
 
     def test_array_chunk_source_validation(self):
         blocks = np.arange(10, dtype=np.int64)

@@ -252,7 +252,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.layout_targets and args.layout == "topo":
         raise SystemExit(
             "--layout-targets drives the placement optimizer; combine it "
-            "with --layout swap (or color), not the seed topo layout"
+            "with any --layout but the seed topo layout"
         )
     try:
         run_geom = required_geometry(part, geom).with_ways(args.ways)
@@ -298,8 +298,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                     (run_geom.with_ways(w) if w else fully, pol, weight)
                     for pol, w, weight in args.layout_targets
                 ]
-            # a process backend scores candidates in parallel: batch the
-            # steepest-descent wide enough to keep every worker busy
+            # a process backend scores candidates in parallel: score that
+            # many at a time to keep every worker busy
             batch = 1
             if args.backend == "process":
                 import os as _os
@@ -513,6 +513,8 @@ def cmd_obs_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.mem.placement import available_placements
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Cache-conscious scheduling of streaming applications (SPAA'12)",
@@ -554,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--l2-ways", type=int, default=0,
                    help="L2 associativity (0 = fully associative; needs "
                         "--l2-frames)")
-    s.add_argument("--layout", default="topo",
-                   choices=("topo", "color", "swap", "multiswap", "smoothed",
-                            "minimax"),
+    s.add_argument("--layout", default="topo", choices=available_placements(),
                    help="memory placement: seed topological order, greedy "
                         "set-coloring, swap-refined local search, k-object "
                         "multiswap with per-set capacity constraints, "

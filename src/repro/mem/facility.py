@@ -6,7 +6,8 @@ slots; each object "opens" in every set its block span covers), and the
 pairwise-swap search of :func:`repro.mem.placement.swap_refine` is FLIP
 local search — known to stall on plateaus that richer move sets escape.
 This module upgrades the search on three axes, all scored against the
-same exact block-remap cost model (never an estimator):
+same exact block-remap cost model (never an estimator) by the same loop,
+:func:`repro.mem.placement._local_search`:
 
 * :func:`multiswap_refine` — local search over **k-object moves**
   (k <= 3): pairwise exchanges, 3-rotations along conflict-graph
@@ -40,6 +41,7 @@ never-worse-than-seed-at-every-target contract unchanged.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,14 +53,17 @@ from repro.mem.placement import (
     PlacementInstance,
     PlacementTarget,
     RefineStats,
-    _conflict_sets,
-    _gap_vector,
-    _order_ids,
-    _placed_starts,
+    _gap_moves,
+    _hot_objects,
+    _local_search,
+    _Move,
     _primary_target,
+    _refine_strategy,
+    _search_targets,
+    _swap_moves,
+    _targets_of,
     conflict_graph,
     greedy_color_order,
-    normalize_targets,
     register_placement,
 )
 from repro.obs import core as obs
@@ -69,22 +74,10 @@ __all__ = [
     "smoothed_search",
 ]
 
-#: a move descriptor: ("swap", a, b) | ("rot", a, b, c, dir) |
-#: ("move", oid, pos) | ("gap", oid, delta) — oids, not positions,
-#: except the relocation target which is a position index
-_Move = Tuple
-
 #: caps keeping one round's move list bounded on dense conflict graphs
 _MAX_TRIANGLES = 32
 _RELOC_OBJECTS = 6
 _RELOC_POSITIONS = 6
-
-
-def _ratio(misses: int, seed: int) -> float:
-    """Per-target miss ratio vs the seed layout, inf-safe."""
-    if seed:
-        return misses / seed
-    return 0.0 if misses == 0 else float("inf")
 
 
 def _conflict_triangles(
@@ -109,102 +102,26 @@ def _conflict_triangles(
     return sorted(tris, key=lambda t: (-tris[t], t))[:_MAX_TRIANGLES]
 
 
-def _max_set_load(
+def _facility_moves(
     instance: PlacementInstance,
-    starts: np.ndarray,
-    hot_ids: Sequence[int],
-    geometry: CacheGeometry,
-    sets: int,
-) -> int:
-    """Worst per-set count of hot objects covering that set under
-    ``starts`` — the capacitated-facility load the ``ways`` cap bounds."""
-    load: Dict[int, int] = {}
-    for oid in hot_ids:
-        nb = int(instance.nblocks[oid])
-        base = int(starts[oid])
-        for j in range(min(nb, sets)):
-            s = geometry.set_of(base + j, sets)
-            load[s] = load.get(s, 0) + 1
-    return max(load.values()) if load else 0
-
-
-def _gen_moves(
-    instance: PlacementInstance,
-    ranked: Sequence[Tuple[int, int]],
-    triangles: Sequence[Tuple[int, int, int]],
+    weights: Dict[Tuple[int, int], float],
     hot: Sequence[int],
-    gap_budget: int,
-    n_obj: int,
 ) -> List[_Move]:
-    """The move sites of one sweep, strongest first: ranked pairwise swaps
-    (the FLIP workhorse), 3-rotations over conflict triangles, hot-object
-    relocations, then gap moves.  Gap legality is state-dependent (the
-    budget moves under the sweep's feet), so it is rechecked per
-    materialization in :func:`_apply_move`, not here."""
+    """The moves multiswap adds between swap's pairwise and gap moves:
+    3-rotations over conflict triangles (both directions), then
+    relocations of the hottest objects to evenly spaced positions."""
     moves: List[_Move] = []
-    for a, b in ranked:
-        if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
-            continue  # zero-length objects own no blocks: swap is a no-op
-        moves.append(("swap", a, b))
-    for x, y, z in triangles:
+    for x, y, z in _conflict_triangles(weights):
         moves.append(("rot", x, y, z, 1))
         moves.append(("rot", x, y, z, -1))
+    n_obj = instance.n_objects
     step = max(1, n_obj // _RELOC_POSITIONS)
     for oid in hot[:_RELOC_OBJECTS]:
         if instance.nblocks[oid] == 0:
             continue
         for pos in range(0, n_obj, step):
             moves.append(("move", oid, pos))
-    if gap_budget:
-        for oid in hot:
-            moves.append(("gap", oid, 1))
-            moves.append(("gap", oid, -1))
     return moves
-
-
-def _apply_move(
-    move: _Move,
-    ids: List[int],
-    gap_vec: np.ndarray,
-    pos_of: Dict[int, int],
-    gap_total: int,
-    gap_budget: int,
-) -> Optional[Tuple[List[int], np.ndarray]]:
-    """Materialize one move as a fresh ``(ids, gap_vec)`` pair, or ``None``
-    when it is a no-op or illegal in the current state."""
-    kind = move[0]
-    if kind == "swap":
-        _, a, b = move
-        new_ids = list(ids)
-        i, j = pos_of[a], pos_of[b]
-        new_ids[i], new_ids[j] = new_ids[j], new_ids[i]
-        return new_ids, gap_vec
-    if kind == "rot":
-        _, a, b, c, direction = move
-        new_ids = list(ids)
-        pa, pb, pc = pos_of[a], pos_of[b], pos_of[c]
-        if direction > 0:
-            new_ids[pa], new_ids[pb], new_ids[pc] = c, a, b
-        else:
-            new_ids[pa], new_ids[pb], new_ids[pc] = b, c, a
-        return new_ids, gap_vec
-    if kind == "move":
-        _, oid, pos = move
-        cur = pos_of[oid]
-        if cur == pos:
-            return None
-        new_ids = list(ids)
-        new_ids.pop(cur)
-        new_ids.insert(min(pos, len(new_ids)), oid)
-        return new_ids, gap_vec
-    _, oid, delta = move
-    if delta > 0 and gap_total >= gap_budget:
-        return None
-    if delta < 0 and gap_vec[oid] == 0:
-        return None
-    new_gap = gap_vec.copy()
-    new_gap[oid] += delta
-    return list(ids), new_gap
 
 
 def multiswap_refine(
@@ -227,165 +144,40 @@ def multiswap_refine(
     """k-object local search (k <= 3) with per-set capacity as a hard
     constraint, on the exact block-remap cost model.
 
-    Same calling convention and return shape as
+    Same calling convention, return shape and loop
+    (:func:`repro.mem.placement._local_search`) as
     :func:`repro.mem.placement.swap_refine`; the differences are the move
-    set (3-rotations over conflict triangles and hot-object relocations on
-    top of ranked pairwise swaps and gap moves), the capacity prune (a
-    candidate whose worst per-set hot-object load exceeds both the primary
-    target's ``ways`` and the current state's own load is rejected without
-    spending an eval — counted by ``placement.pruned``), and the
+    list (3-rotations over conflict triangles and hot-object relocations
+    between the ranked pairwise swaps and the gap moves), the capacity
+    prune (a candidate whose worst per-set hot-object load exceeds both the
+    primary target's ``ways`` and the current state's own load is rejected
+    without spending an eval — counted by ``placement.pruned``), and the
     ``objective``: ``"sum"`` is the weighted miss total, ``"minimax"``
     minimizes ``(worst per-target miss ratio vs the seed layout, weighted
-    sum)`` lexicographically.  ``RefineStats.evals`` is read back from the
-    scorer, so it always equals the number of cost-model invocations the
-    search performed — the honest currency of "equal eval budget"
-    comparisons.  The trajectory tracks the objective actually optimized
-    (weighted sum, or the worst-case ratio under ``"minimax"``).
+    sum)`` lexicographically and needs ``budget >= 2``.
+    ``RefineStats.evals`` always equals the number of cost-model
+    invocations — the honest currency of "equal eval budget" comparisons.
+    The trajectory tracks the objective actually optimized (weighted sum,
+    or the worst-case ratio under ``"minimax"``).
     """
-    if gap_budget < 0:
-        raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
-    if batch < 1:
-        raise LayoutError(f"batch must be >= 1, got {batch}")
-    if objective not in ("sum", "minimax"):
-        raise LayoutError(
-            f"objective must be 'sum' or 'minimax', got {objective!r}"
-        )
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("multiswap_refine needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
+    targets_n = _targets_of(
+        instance, geometry, policy, targets,
+        "multiswap_refine needs a geometry or targets",
+    )
     if weights is None:
         weights = conflict_graph(instance, window=window)
-    ids = _order_ids(instance, order)
-    gap_arr = _gap_vector(instance, gaps)
-    gap_vec = (
-        gap_arr if gap_arr is not None
-        else np.zeros(instance.n_objects, dtype=np.int64)
+    hot, hot_ids = _hot_objects(weights, instance.n_objects)
+    moves = (
+        _swap_moves(instance, weights)
+        + _facility_moves(instance, weights, hot)
+        + _gap_moves(hot, gap_budget)
     )
-    gap_total = int(gap_vec.sum())
-    if gap_total > gap_budget:
-        raise LayoutError(
-            f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
+    with obs.span(obs_names.FACILITY_SEARCH, batch=batch):
+        return _local_search(
+            instance, order, targets_n, moves, budget, gap_budget=gap_budget,
+            gaps=gaps, batch=batch, backend=backend, workers=workers,
+            chunk_words=chunk_words, objective=objective, prune=hot_ids,
         )
-    n_obj = instance.n_objects
-    ranked = sorted(weights, key=lambda e: (-weights[e], e))
-    seen = set(ranked)
-    ranked += [
-        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
-        if (a, b) not in seen
-    ]
-    triangles = _conflict_triangles(weights)
-    degree = [0.0] * n_obj
-    for (a, b), w in weights.items():
-        degree[a] += w
-        degree[b] += w
-    hot = sorted(range(n_obj), key=lambda o: (-degree[o], o))
-    hot_ids = [o for o in hot if degree[o] > 0]
-    cap_geom, cap_policy, _w = _primary_target(targets_n)
-    cap_sets = _conflict_sets(cap_geom, cap_policy)
-    cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
-
-    from repro.runtime.backend import CandidateScorer
-
-    pruned = 0
-    with obs.span(obs_names.FACILITY_SEARCH, batch=batch), CandidateScorer(
-        instance, targets_n, backend=backend, workers=workers,
-        chunk_words=chunk_words,
-    ) as scorer:
-        seed_per: List[int] = []
-        if objective == "minimax":
-            seed_per = scorer.score_per(
-                [_placed_starts(instance, list(range(n_obj)))]
-            )[0]
-
-        def key_of(per: Sequence[int]) -> Tuple[float, ...]:
-            weighted = sum(w * m for (_g, _p, w), m in zip(targets_n, per))
-            if objective == "minimax":
-                worst = max(
-                    (_ratio(m, s) for m, s in zip(per, seed_per)),
-                    default=0.0,
-                )
-                return (worst, weighted)
-            return (weighted,)
-
-        cur_starts = _placed_starts(instance, ids, gap_vec)
-        cur_per = scorer.score_per([cur_starts])[0]
-        cur_key = key_of(cur_per)
-        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_geom, cap_sets)
-        trajectory: List[float] = [cur_key[0]]
-        moves = _gen_moves(
-            instance, ranked, triangles, hot, gap_budget, n_obj
-        )
-        # continuous sweep, swap_refine style: improvements apply in place
-        # and the sweep keeps going — regenerating the move list after
-        # every accepted move would burn the eval budget re-scoring the
-        # unimproving head of the list each time
-        improved = True
-        while improved and scorer.evals < budget:
-            improved = False
-            pos_of = {oid: p for p, oid in enumerate(ids)}
-            pos = 0
-            while pos < len(moves) and scorer.evals < budget:
-                cands: List[Tuple[_Move, List[int], np.ndarray, np.ndarray, int]] = []
-                room = min(batch, budget - scorer.evals)
-                while pos < len(moves) and len(cands) < room:
-                    move = moves[pos]
-                    pos += 1
-                    out = _apply_move(
-                        move, ids, gap_vec, pos_of, gap_total, gap_budget
-                    )
-                    if out is None:
-                        continue
-                    new_ids, new_gap = out
-                    starts = _placed_starts(instance, new_ids, new_gap)
-                    if cap_sets > 1:
-                        load = _max_set_load(
-                            instance, starts, hot_ids, cap_geom, cap_sets
-                        )
-                        if load > max(cap_ways, cur_load):
-                            pruned += 1
-                            continue
-                    else:
-                        load = cur_load
-                    cands.append((move, new_ids, new_gap, starts, load))
-                if not cands:
-                    continue
-                pers = scorer.score_per([c[3] for c in cands])
-                best_k = -1
-                best_key = cur_key
-                best_per: List[int] = []
-                for k, per in enumerate(pers):
-                    key = key_of(per)
-                    if key < best_key:  # strict: ties keep the earlier state
-                        best_k, best_key, best_per = k, key, per
-                if best_k >= 0:
-                    move, ids, new_gap, _starts, cur_load = cands[best_k]
-                    if move[0] == "gap":
-                        gap_total += move[2]
-                    gap_vec = new_gap
-                    cur_key, cur_per = best_key, best_per
-                    pos_of = {oid: p for p, oid in enumerate(ids)}
-                    improved = True
-            if improved:
-                trajectory.append(cur_key[0])
-        evals = scorer.evals
-    stats = RefineStats(
-        evals=evals, rounds=len(trajectory) - 1, trajectory=tuple(trajectory)
-    )
-    obs.add(obs_names.PLACEMENT_EVALS, stats.evals)
-    obs.add(obs_names.PLACEMENT_ROUNDS, stats.rounds)
-    obs.add(obs_names.PLACEMENT_PRUNED, pruned)
-    for point in stats.trajectory:
-        obs.series(obs_names.PLACEMENT_COST, point)
-    out_gaps = {
-        instance.objects[oid]: int(g)
-        for oid, g in enumerate(gap_vec.tolist())
-        if g
-    }
-    cost = float(sum(w * m for (_g, _p, w), m in zip(targets_n, cur_per)))
-    return [instance.objects[oid] for oid in ids], out_gaps, cost, stats
 
 
 def smoothed_search(
@@ -409,7 +201,10 @@ def smoothed_search(
     Restart ``r`` scales every edge weight by an independent uniform draw
     from ``[1 - noise, 1 + noise]`` (restart 0 stays unperturbed), rebuilds
     the greedy start order and the move ranking from the perturbed graph,
-    and runs :func:`multiswap_refine` with ``budget // restarts`` evals.
+    and runs :func:`multiswap_refine` on a slice of ``budget // restarts``
+    evals, at least 2 and at most ``budget``.  Restart 0 always runs; a
+    later one only while its slice fits in what is left of the budget, so
+    the total never exceeds it (``placement.restarts`` counts those run).
     The perturbation never touches the objective: every candidate is still
     scored by the exact remap cost model, so the winner across restarts —
     picked by that unperturbed objective — is a real improvement or the
@@ -423,19 +218,20 @@ def smoothed_search(
         raise LayoutError(f"restarts must be >= 1, got {restarts}")
     if noise < 0:
         raise LayoutError(f"noise must be >= 0, got {noise}")
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("smoothed_search needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
+    targets_n = _targets_of(
+        instance, geometry, policy, targets,
+        "smoothed_search needs a geometry or targets",
+    )
     base_weights = conflict_graph(instance, window=window)
     pg, pp, _w = _primary_target(targets_n)
     rng = np.random.default_rng(seed)
-    per_budget = max(2, budget // restarts)
+    per_budget = min(budget, max(2, budget // restarts))
     best: Optional[Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]] = None
     total_evals = 0
+    ran = 0
     for r in range(restarts):
+        if r and total_evals + per_budget > budget:
+            break
         if r == 0 or noise == 0:
             w_r = base_weights
         else:
@@ -455,64 +251,51 @@ def smoothed_search(
             backend=backend, workers=workers,
         )
         total_evals += stats.evals
+        ran += 1
         if best is None or cost < best[2]:
             best = (order, gaps, cost, stats)
-    assert best is not None  # restarts >= 1
-    obs.add(obs_names.PLACEMENT_RESTARTS, restarts)
-    win = best[3]
-    stats = RefineStats(
-        evals=total_evals, rounds=win.rounds, trajectory=win.trajectory
-    )
-    return best[0], best[1], best[2], stats
+    assert best is not None  # restart 0 always runs
+    obs.add(obs_names.PLACEMENT_RESTARTS, ran)
+    return best[0], best[1], best[2], replace(best[3], evals=total_evals)
 
 
 # ----------------------------------------------------------------------
 # registered strategies
 # ----------------------------------------------------------------------
-def _setup(
+def _minimax_refine(
     instance: PlacementInstance,
-    geometry: Optional[CacheGeometry],
-    policy: str,
-    targets: Optional[Sequence[PlacementTarget]],
-) -> Optional[List[PlacementTarget]]:
-    """Normalized targets, or ``None`` when every target is fully
-    associative (placement provably cannot matter — skip the search)."""
-    if targets is not None:
-        targets_n = normalize_targets(targets, block=instance.block)
-    else:
-        if geometry is None:
-            raise LayoutError("placement strategy needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
-        return None
-    return targets_n
-
-
-def _multiswap_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
+    order: Sequence[ObjectKey],
+    window: int = 8,
+    budget: int = 400,
+    weights: Optional[Dict[Tuple[int, int], float]] = None,
     targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
+    gap_budget: int = 0,
+    batch: int = 1,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
-    if targets_n is None:
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
-    )
+) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
+    """Two phases: a weighted-sum warmup drives every target down from the
+    start (cheap, broad progress), then the minimax objective spends the
+    rest of the budget on the binding worst-case target — pure minimax
+    from a cold start burns its budget on moves the harsh lexicographic
+    acceptance rejects."""
+    if budget < 3:
+        raise LayoutError(
+            f"minimax needs budget >= 3 (one warmup eval, then the seed and "
+            f"the start under minimax), got {budget}"
+        )
+    warm = budget // 2
     order, gaps, _cost, _stats = multiswap_refine(
-        instance, start, window=window, budget=budget, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
+        instance, order, window=window, budget=warm, weights=weights,
+        targets=targets, gap_budget=gap_budget, batch=batch,
         backend=backend, workers=workers,
     )
-    return order, gaps
+    return multiswap_refine(
+        instance, order, window=window, budget=budget - warm,
+        weights=weights, targets=targets, gap_budget=gap_budget,
+        gaps=gaps, batch=batch, backend=backend, workers=workers,
+        objective="minimax",
+    )
 
 
 def _smoothed_strategy(
@@ -526,7 +309,7 @@ def _smoothed_strategy(
     noise: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
+    targets_n = _search_targets(instance, geometry, policy, targets, budget)
     if targets_n is None:
         return list(instance.objects), {}
     order, gaps, _cost, _stats = smoothed_search(
@@ -539,45 +322,6 @@ def _smoothed_strategy(
     return order, gaps
 
 
-def _minimax_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
-    if targets_n is None:
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
-    )
-    # two phases: a weighted-sum warmup drives every target down from the
-    # greedy start (cheap, broad progress), then the minimax objective
-    # spends the rest of the budget on the binding worst-case target —
-    # pure minimax from a cold start burns its budget on moves the harsh
-    # lexicographic acceptance rejects
-    warm = budget // 2
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, start, window=window, budget=warm, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
-    )
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, order, window=window, budget=budget - warm,
-        weights=weights, targets=targets_n, gap_budget=gap_budget,
-        gaps=gaps, batch=batch, backend=backend, workers=workers,
-        objective="minimax",
-    )
-    return order, gaps
-
-
-register_placement("multiswap", _multiswap_strategy)
+register_placement("multiswap", _refine_strategy(multiswap_refine))
 register_placement("smoothed", _smoothed_strategy)
-register_placement("minimax", _minimax_strategy)
+register_placement("minimax", _refine_strategy(_minimax_refine))

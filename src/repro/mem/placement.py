@@ -46,7 +46,9 @@ Four ideas make the search cheap and exact:
   local search — interleaved with *gap moves* (±1 block of padding before
   an object, bounded by ``gap_budget``) — scored with the *true* remap
   cost model, visiting heavy conflict pairs first.  ``"topo"`` is the seed
-  topological layout, kept as the baseline.
+  topological layout, kept as the baseline.  Every search runs the one
+  loop :func:`_local_search` over a move list; :mod:`repro.mem.facility`
+  widens the list and adds restarts and a minimax objective.
 
 **Multi-geometry objective.**  A7 showed a layout tuned for the
 direct-mapped index can *regress* at 2-way — unacceptable when one binary
@@ -61,9 +63,10 @@ beat layout tuning outright.
 
 :func:`optimize_placement` never returns a placement worse than the seed
 (at any target), so callers can enable it unconditionally.  Wire-up:
-experiments A7/A9, CLI ``schedule --layout {topo,color,swap}
-[--layout-targets SPEC] [--gap-budget N] [--index-scheme {mod,xor}]``,
-``benchmarks/bench_placement.py``, and ``examples/layout_tuning.py``.
+experiments A7/A9/A12, CLI ``schedule --layout NAME`` (any registered
+strategy) ``[--layout-targets SPEC] [--gap-budget N] [--index-scheme
+{mod,xor}]``, ``benchmarks/bench_placement.py``, and
+``examples/layout_tuning.py``.
 """
 
 from __future__ import annotations
@@ -622,21 +625,17 @@ def greedy_color_order(
         weights = conflict_graph(instance, window=window)
     n_obj = instance.n_objects
     adj: List[Dict[int, float]] = [{} for _ in range(n_obj)]
-    degree = [0.0] * n_obj
     for (a, b), w in weights.items():
         adj[a][b] = adj[a].get(b, 0.0) + w
         adj[b][a] = adj[b].get(a, 0.0) + w
-        degree[a] += w
-        degree[b] += w
 
     block = instance.block
     nblocks = instance.nblocks
     lengths = instance.lengths
     set_ix = lambda blk: geometry.set_of(blk, sets)  # scheme-aware (mod/xor)
     covering: List[set] = [set() for _ in range(sets)]  # set idx -> object ids
-    remaining = list(range(n_obj))
     # hottest first so ties (empty sets early on) favour hot objects
-    remaining.sort(key=lambda o: (-degree[o], o))
+    remaining, _hot_ids = _hot_objects(weights, n_obj)
     order_ids: List[int] = []
     cursor = 0
     while remaining:
@@ -665,16 +664,16 @@ def greedy_color_order(
 
 @dataclass(frozen=True)
 class RefineStats:
-    """Telemetry of one :func:`swap_refine` search — the structured
-    replacement for the bare ``evals`` integer it used to return.
+    """What one local search spent and found.
 
-    ``trajectory[0]`` is the seed cost; each further point is the best
-    cost after one improving round, so ``trajectory[-1]`` equals the
-    returned cost and ``rounds == len(trajectory) - 1``.  The same values
-    are recorded as obs metrics (``placement.evals`` / ``placement.rounds``
-    counters, the ``placement.cost`` series) while instrumentation is
-    enabled.  ``int(stats)`` still yields the evaluation count for callers
-    that only budget.
+    ``evals`` is the number of candidates the cost model scored, read off
+    the scorer so it always equals the real invocation count (``int(stats)``
+    returns it too).  ``trajectory[0]`` is the start's objective — the
+    weighted miss sum, or the worst per-target ratio under ``minimax`` —
+    and each further point the objective after one improving sweep, so
+    ``rounds == len(trajectory) - 1``.  Searches also record these as the
+    ``placement.evals`` / ``placement.rounds`` counters and the
+    ``placement.cost`` series while :mod:`repro.obs` is enabled.
     """
 
     evals: int
@@ -685,85 +684,288 @@ class RefineStats:
         return self.evals
 
 
-def _batched_refine(
+#: a search move: ("swap", a, b) | ("rot", a, b, c, dir) | ("move", oid,
+#: pos) | ("gap", oid, delta) — object ids, except a relocation's target,
+#: which is a position index
+_Move = Tuple
+
+
+def _targets_of(
     instance: PlacementInstance,
-    scorer: object,
+    geometry: Optional[CacheGeometry],
+    policy: str,
+    targets: Optional[Sequence[PlacementTarget]],
+    missing: str,
+) -> List[PlacementTarget]:
+    """``targets`` validated, else the one target ``(geometry, policy, 1.0)``;
+    ``missing`` is the error raised when neither is given."""
+    if targets is not None:
+        return normalize_targets(targets, block=instance.block)
+    if geometry is None:
+        raise LayoutError(missing)
+    return [(geometry, policy, 1.0)]
+
+
+def _hot_objects(
+    weights: Dict[Tuple[int, int], float], n_obj: int
+) -> Tuple[List[int], List[int]]:
+    """Object ids by total conflict weight, hottest first (ties by id), and
+    the ones among them with positive weight."""
+    degree = [0.0] * n_obj
+    for (a, b), w in weights.items():
+        degree[a] += w
+        degree[b] += w
+    hot = sorted(range(n_obj), key=lambda o: (-degree[o], o))
+    return hot, [o for o in hot if degree[o] > 0]
+
+
+def _swap_moves(
+    instance: PlacementInstance, weights: Dict[Tuple[int, int], float]
+) -> List[_Move]:
+    """Pairwise swaps, heaviest conflict edge first — on sparse conflict
+    graphs most of the gain lives in a few hot pairs — then every other
+    pair.  Two zero-length objects own no blocks: swapping them is a no-op
+    and is left out."""
+    n_obj = instance.n_objects
+    ranked = sorted(weights, key=lambda e: (-weights[e], e))
+    seen = set(ranked)
+    ranked += [
+        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
+        if (a, b) not in seen
+    ]
+    return [
+        ("swap", a, b) for a, b in ranked
+        if instance.nblocks[a] or instance.nblocks[b]
+    ]
+
+
+def _gap_moves(hot: Sequence[int], gap_budget: int) -> List[_Move]:
+    """+1 then -1 block of padding before each object, hottest first; none
+    without a gap budget."""
+    return [("gap", oid, d) for oid in hot for d in (1, -1)] if gap_budget else []
+
+
+def _apply_move(
+    move: _Move,
     ids: List[int],
     gap_vec: np.ndarray,
-    ranked: Sequence[Tuple[int, int]],
-    hot: Sequence[int],
-    gap_budget: int,
+    pos_of: Dict[int, int],
     gap_total: int,
-    cost: float,
-    evals: int,
-    budget: int,
-    batch: int,
-    trajectory: List[float],
-) -> Tuple[float, int]:
-    """Steepest-descent-within-batch local search (``swap_refine(batch>1)``).
+    gap_budget: int,
+) -> Optional[Tuple[List[int], np.ndarray]]:
+    """Materialize one move as a fresh ``(ids, gap_vec)`` pair, or ``None``
+    when it is a no-op or illegal in the current state (a gap move's
+    legality moves with the gaps already spent)."""
+    kind = move[0]
+    if kind == "swap":
+        _, a, b = move
+        new_ids = list(ids)
+        i, j = pos_of[a], pos_of[b]
+        new_ids[i], new_ids[j] = new_ids[j], new_ids[i]
+        return new_ids, gap_vec
+    if kind == "rot":
+        _, a, b, c, direction = move
+        new_ids = list(ids)
+        pa, pb, pc = pos_of[a], pos_of[b], pos_of[c]
+        if direction > 0:
+            new_ids[pa], new_ids[pb], new_ids[pc] = c, a, b
+        else:
+            new_ids[pa], new_ids[pb], new_ids[pc] = b, c, a
+        return new_ids, gap_vec
+    if kind == "move":
+        _, oid, pos = move
+        cur = pos_of[oid]
+        if cur == pos:
+            return None
+        new_ids = list(ids)
+        new_ids.pop(cur)
+        new_ids.insert(min(pos, len(new_ids)), oid)
+        return new_ids, gap_vec
+    _, oid, delta = move
+    if delta > 0 and gap_total >= gap_budget:
+        return None
+    if delta < 0 and gap_vec[oid] == 0:
+        return None
+    new_gap = gap_vec.copy()
+    new_gap[oid] += delta
+    return list(ids), new_gap
 
-    Enumerates every move legal in the *current* state (ranked swaps, then
-    ±1 gap moves), scores ``batch`` of them at a time through ``scorer``
-    (which may fan over a process pool), applies the best improving one,
-    and regenerates the move list.  Deterministic in ``batch`` alone: the
-    scorer is bit-identical across backends, candidate order is fixed, and
-    ties break to the earliest candidate — so the trajectory, final state,
-    and evaluation count never depend on where scoring ran.  Mutates
-    ``ids``/``gap_vec`` in place and appends each improving round's cost
-    to ``trajectory``; returns ``(cost, evals)``.
+
+def _max_set_load(
+    instance: PlacementInstance,
+    starts: np.ndarray,
+    hot_ids: Sequence[int],
+    geometry: CacheGeometry,
+    sets: int,
+) -> int:
+    """Worst per-set count of hot objects covering that set under
+    ``starts`` — the capacitated-facility load the ``ways`` cap bounds."""
+    load: Dict[int, int] = {}
+    for oid in hot_ids:
+        nb = int(instance.nblocks[oid])
+        base = int(starts[oid])
+        for j in range(min(nb, sets)):
+            s = geometry.set_of(base + j, sets)
+            load[s] = load.get(s, 0) + 1
+    return max(load.values()) if load else 0
+
+
+def _ratio(misses: int, seed: int) -> float:
+    """Per-target miss ratio vs the seed layout, inf-safe."""
+    if seed:
+        return misses / seed
+    return 0.0 if misses == 0 else float("inf")
+
+
+def _local_search(
+    instance: PlacementInstance,
+    order: Sequence[ObjectKey],
+    targets: Sequence[PlacementTarget],
+    moves: Sequence[_Move],
+    budget: int,
+    gap_budget: int = 0,
+    gaps: Optional[Dict[ObjectKey, int]] = None,
+    batch: int = 1,
+    backend: Optional[str] = None,
+    workers: Optional[int] = None,
+    chunk_words: Optional[int] = None,
+    objective: str = "sum",
+    prune: Optional[Sequence[int]] = None,
+) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
+    """The one placement local search: sweep ``moves`` from ``(order, gaps)``
+    on the exact remap cost model.
+
+    A sweep walks ``moves`` in order.  It materializes the next ``batch``
+    moves legal in the current state, scores them together through one
+    :class:`~repro.runtime.backend.CandidateScorer`, applies the best
+    strictly improving one (ties keep the earlier) and goes on from there,
+    so ``batch=1`` is first improvement.  When the opposite of an accepted
+    gap move comes next, it is skipped: it would re-test the state just
+    left.  Sweeps repeat until one improves nothing or ``budget`` evals are
+    spent.  ``objective="sum"`` minimizes the weighted miss sum;
+    ``"minimax"`` minimizes ``(worst per-target miss ratio vs the seed
+    layout, weighted sum)`` lexicographically and spends one eval on the
+    seed.  ``prune`` turns on the per-set capacity constraint over those
+    (hot) objects: a candidate whose worst per-set load at the primary
+    target exceeds both its ``ways`` and the current state's load is
+    dropped without an eval and counted by ``placement.pruned``.  The
+    trajectory depends only on ``batch``: ``backend``/``workers`` choose
+    where scoring runs and ``chunk_words`` how it replays, and the counts
+    are exact either way.
     """
-    pos_of = {oid: p for p, oid in enumerate(ids)}
-    improved = True
-    while improved and evals < budget:
-        improved = False
-        moves: List[Tuple[str, int, int]] = []
-        for a, b in ranked:
-            if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
-                continue  # zero-length objects own no blocks: swap is a no-op
-            moves.append(("swap", a, b))
-        if gap_budget:
-            for oid in hot:
-                if gap_total < gap_budget:
-                    moves.append(("gap", oid, 1))
-                if gap_vec[oid] > 0:
-                    moves.append(("gap", oid, -1))
-        pos = 0
-        while pos < len(moves) and evals < budget:
-            chunk = moves[pos:pos + batch][: budget - evals]
-            pos += len(chunk)
-            starts_list: List[np.ndarray] = []
-            for kind, x, y in chunk:
-                if kind == "swap":
-                    i, j = pos_of[x], pos_of[y]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    starts_list.append(_placed_starts(instance, ids, gap_vec))
-                    ids[i], ids[j] = ids[j], ids[i]
-                else:
-                    gap_vec[x] += y
-                    starts_list.append(_placed_starts(instance, ids, gap_vec))
-                    gap_vec[x] -= y
-            costs = scorer.score(starts_list)  # type: ignore[attr-defined]
-            evals += len(chunk)
-            best_k = -1
-            best_c = cost
-            for k, c in enumerate(costs):
-                if c < best_c:  # strict: ties keep the earlier candidate
-                    best_k, best_c = k, c
-            if best_k >= 0:
-                kind, x, y = chunk[best_k]
-                if kind == "swap":
-                    i, j = pos_of[x], pos_of[y]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    pos_of[x], pos_of[y] = j, i
-                else:
-                    gap_vec[x] += y
-                    gap_total += y
-                cost = best_c
-                improved = True
-                break  # state changed: regenerate the move list
-        if improved:
-            trajectory.append(cost)
-    return cost, evals
+    if objective not in ("sum", "minimax"):
+        raise LayoutError(
+            f"objective must be 'sum' or 'minimax', got {objective!r}"
+        )
+    need = 2 if objective == "minimax" else 1  # the start, and the seed
+    if budget < need:
+        raise LayoutError(
+            f"budget must be >= {need} under the {objective} objective, "
+            f"got {budget}"
+        )
+    if gap_budget < 0:
+        raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
+    if batch < 1:
+        raise LayoutError(f"batch must be >= 1, got {batch}")
+    ids = _order_ids(instance, order)
+    gap_vec = _gap_vector(instance, gaps)
+    if gap_vec is None:
+        gap_vec = np.zeros(instance.n_objects, dtype=np.int64)
+    gap_total = int(gap_vec.sum())
+    if gap_total > gap_budget:
+        raise LayoutError(
+            f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
+        )
+    cap_geom, cap_policy, _w = _primary_target(targets)
+    cap_sets = _conflict_sets(cap_geom, cap_policy)
+    cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
+    # a primary target with one set has no per-set capacity to exceed
+    hot_ids = prune if prune is not None and cap_sets > 1 else ()
+    from repro.runtime.backend import CandidateScorer
+
+    pruned = 0
+    with CandidateScorer(
+        instance, targets, backend=backend, workers=workers,
+        chunk_words=chunk_words,
+    ) as scorer:
+        seed_per: List[int] = []
+        if objective == "minimax":
+            seed_per = scorer.score_per(
+                [_placed_starts(instance, list(range(instance.n_objects)))]
+            )[0]
+
+        def key_of(per: Sequence[int]) -> Tuple[float, ...]:
+            weighted = sum(w * m for (_g, _p, w), m in zip(targets, per))
+            if objective == "minimax":
+                worst = max(
+                    (_ratio(m, s) for m, s in zip(per, seed_per)),
+                    default=0.0,
+                )
+                return (worst, weighted)
+            return (weighted,)
+
+        cur_starts = _placed_starts(instance, ids, gap_vec)
+        cur_per = scorer.score_per([cur_starts])[0]
+        cur_key = key_of(cur_per)
+        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_geom, cap_sets)
+        trajectory: List[float] = [cur_key[0]]
+        improved = True
+        while improved and scorer.evals < budget:
+            improved = False
+            pos_of = {oid: p for p, oid in enumerate(ids)}
+            pos = 0
+            while pos < len(moves) and scorer.evals < budget:
+                cands: List[Tuple[_Move, List[int], np.ndarray, np.ndarray, int]] = []
+                room = min(batch, budget - scorer.evals)
+                while pos < len(moves) and len(cands) < room:
+                    move = moves[pos]
+                    pos += 1
+                    out = _apply_move(
+                        move, ids, gap_vec, pos_of, gap_total, gap_budget
+                    )
+                    if out is None:
+                        continue
+                    new_ids, new_gap = out
+                    starts = _placed_starts(instance, new_ids, new_gap)
+                    load = _max_set_load(instance, starts, hot_ids, cap_geom, cap_sets)
+                    if hot_ids and load > max(cap_ways, cur_load):
+                        pruned += 1
+                        continue
+                    cands.append((move, new_ids, new_gap, starts, load))
+                if not cands:
+                    continue
+                pers = scorer.score_per([c[3] for c in cands])
+                keys = [key_of(per) for per in pers]
+                k = min(range(len(keys)), key=keys.__getitem__)  # earliest best
+                if keys[k] < cur_key:  # strict: ties keep the current state
+                    move, ids, gap_vec, _starts, cur_load = cands[k]
+                    if move[0] == "gap":
+                        gap_total += move[2]
+                        # its opposite would re-test the state just left
+                        if pos < len(moves) and moves[pos] == ("gap", move[1], -move[2]):
+                            pos += 1
+                    cur_key, cur_per = keys[k], pers[k]
+                    pos_of = {oid: p for p, oid in enumerate(ids)}
+                    improved = True
+            if improved:
+                trajectory.append(cur_key[0])
+        evals = scorer.evals
+    stats = RefineStats(
+        evals=evals, rounds=len(trajectory) - 1, trajectory=tuple(trajectory)
+    )
+    obs.add(obs_names.PLACEMENT_EVALS, stats.evals)
+    obs.add(obs_names.PLACEMENT_ROUNDS, stats.rounds)
+    if prune is not None:
+        obs.add(obs_names.PLACEMENT_PRUNED, pruned)
+    for point in stats.trajectory:
+        obs.series(obs_names.PLACEMENT_COST, point)
+    out_gaps = {
+        instance.objects[oid]: int(g)
+        for oid, g in enumerate(gap_vec.tolist())
+        if g
+    }
+    cost = float(sum(w * m for (_g, _p, w), m in zip(targets, cur_per)))
+    return [instance.objects[oid] for oid in ids], out_gaps, cost, stats
 
 
 def swap_refine(
@@ -784,157 +986,46 @@ def swap_refine(
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """FLIP-style local search over (order, gaps) on the true remap cost.
 
-    Starting from ``order`` (and optionally ``gaps``), repeatedly try two
-    move kinds and keep any that lowers the objective — the actual miss
-    count at ``(geometry, policy)``, or the weighted miss sum over
-    ``targets`` when given (the exact cost model either way, so accepted
-    moves are real improvements, never estimator noise):
+    Starting from ``order`` (and optionally ``gaps``), sweep two move kinds
+    and keep each one that lowers the objective — the actual miss count at
+    ``(geometry, policy)``, or the weighted miss sum over ``targets`` when
+    given (the exact cost model either way, so accepted moves are real
+    improvements, never estimator noise):
 
-    * **swaps** of two objects' positions, visited heaviest conflict edge
-      first — on sparse conflict graphs most of the gain lives in a few
-      hot pairs — then every remaining pair for completeness;
-    * **gap moves** (when ``gap_budget > 0``): ±1 block of deliberate
+    * **swaps** of two objects' positions, heaviest conflict edge first,
+      then every remaining pair;
+    * **gap moves** (when ``gap_budget > 0``): +1 or -1 block of deliberate
       padding before an object, hottest objects first, with the total gap
       block count never exceeding ``gap_budget`` (the address-space
       budget).
 
-    The search stops at a local optimum or after ``budget`` cost
-    evaluations.  Returns ``(order, gaps, cost, stats)``; ``gaps`` maps
-    object keys to their padding in blocks (zero entries omitted), and
-    ``stats`` is a :class:`RefineStats` carrying the evaluation count, the
-    number of improving rounds, and the per-round best-cost trajectory
-    (``int(stats)`` recovers the old bare ``evals``).  The same telemetry
-    is recorded as obs metrics when :mod:`repro.obs` is enabled.
-
-    **Parallel scoring.**  ``batch > 1`` switches to steepest-descent over
-    batches: the next ``batch`` untried moves are scored together (through
-    a :class:`repro.runtime.backend.CandidateScorer`, which ships the remap
-    arrays to a process pool once via shared memory when
-    ``backend="process"``) and the best improving one is applied.  The
-    search *trajectory* depends only on ``batch`` — never on ``backend`` or
-    ``workers``, which only choose where candidate scoring runs — so serial
-    and process runs of the same ``batch`` return identical placements at
-    an identical evaluation count, and the process pool buys pure
-    wall-time.  ``batch=1`` (default) is the historical first-improvement
-    loop, unchanged.  ``chunk_words`` scores candidates with a
-    chunked replay — the counts are bit-identical, so the trajectory
-    (and :class:`RefineStats`) is byte-for-byte the monolithic one at equal
-    ``batch``; ``tests/test_streaming.py`` pins exactly that.
+    The sweep is :func:`_local_search`, the loop
+    :func:`repro.mem.facility.multiswap_refine` runs over its wider move
+    list, here without the capacity prune.  It stops at a local optimum or
+    after ``budget`` evals (at least 1: the start is scored first).
+    ``batch`` candidates are scored at a time, the best improving one
+    applied, and the sweep goes on (``batch=1``: first improvement); a
+    :class:`repro.runtime.backend.CandidateScorer` scores them, on a
+    process pool when ``backend="process"``.  The trajectory depends only
+    on ``batch``, never on ``backend``, ``workers`` or ``chunk_words``.
+    Returns ``(order, gaps, cost, stats)``: ``gaps`` maps object keys to
+    their padding in blocks (zero entries omitted), ``stats`` is a
+    :class:`RefineStats`.
     """
-    if gap_budget < 0:
-        raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("swap_refine needs a geometry or explicit targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
+    targets_n = _targets_of(
+        instance, geometry, policy, targets,
+        "swap_refine needs a geometry or explicit targets",
+    )
     if weights is None:
         weights = conflict_graph(instance, window=window)
-    ids = _order_ids(instance, order)
-    gap_vec = _gap_vector(instance, gaps)
-    if gap_vec is None:
-        gap_vec = np.zeros(instance.n_objects, dtype=np.int64)
-    gap_total = int(gap_vec.sum())
-    if gap_total > gap_budget:
-        raise LayoutError(
-            f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
+    hot, _hot_ids = _hot_objects(weights, instance.n_objects)
+    moves = _swap_moves(instance, weights) + _gap_moves(hot, gap_budget)
+    with obs.span(obs_names.PLACEMENT_SEARCH, batch=batch):
+        return _local_search(
+            instance, order, targets_n, moves, budget, gap_budget=gap_budget,
+            gaps=gaps, batch=batch, backend=backend, workers=workers,
+            chunk_words=chunk_words,
         )
-    pos_of = {oid: p for p, oid in enumerate(ids)}
-    n_obj = instance.n_objects
-    # heavy conflict pairs first, then every remaining pair for completeness
-    ranked = sorted(weights, key=lambda e: (-weights[e], e))
-    seen = set(ranked)
-    ranked += [
-        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
-        if (a, b) not in seen
-    ]
-    # gap moves visit hot (high conflict degree) objects first
-    degree = [0.0] * n_obj
-    for (a, b), w in weights.items():
-        degree[a] += w
-        degree[b] += w
-    hot = sorted(range(n_obj), key=lambda o: (-degree[o], o))
-
-    if batch < 1:
-        raise LayoutError(f"batch must be >= 1, got {batch}")
-    from repro.runtime.backend import CandidateScorer
-
-    with obs.span(obs_names.PLACEMENT_SEARCH, batch=batch), CandidateScorer(
-        instance, targets_n, backend=backend, workers=workers,
-        chunk_words=chunk_words,
-    ) as scorer:
-
-        def cost_of() -> float:
-            return scorer.score([_placed_starts(instance, ids, gap_vec)])[0]
-
-        cost = cost_of()
-        evals = 1
-        trajectory: List[float] = [cost]
-        if batch > 1:
-            cost, evals = _batched_refine(
-                instance, scorer, ids, gap_vec, ranked, hot,
-                gap_budget, gap_total, cost, evals, budget, batch, trajectory,
-            )
-        else:
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                for a, b in ranked:
-                    if evals >= budget:
-                        break
-                    if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
-                        continue  # zero-length objects own no blocks: no-op
-                    i, j = pos_of[a], pos_of[b]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    trial = cost_of()
-                    evals += 1
-                    if trial < cost:
-                        cost = trial
-                        pos_of[a], pos_of[b] = j, i
-                        improved = True
-                    else:
-                        ids[i], ids[j] = ids[j], ids[i]
-                if gap_budget:
-                    for oid in hot:
-                        if evals >= budget:
-                            break
-                        for delta in (1, -1):
-                            if delta > 0 and gap_total >= gap_budget:
-                                continue
-                            if delta < 0 and gap_vec[oid] == 0:
-                                continue
-                            gap_vec[oid] += delta
-                            trial = cost_of()
-                            evals += 1
-                            if trial < cost:
-                                cost = trial
-                                gap_total += delta
-                                improved = True
-                                break  # opposite delta re-tests the state left
-                            gap_vec[oid] -= delta
-                            if evals >= budget:
-                                break
-                if improved:
-                    trajectory.append(cost)
-        # the scorer counts every candidate it ever evaluated (gap moves
-        # and batched chunks included), so the reported evals can never
-        # drift from the actual number of cost-model invocations — the
-        # "equal eval budget" comparisons in A12/bench_placement gate on it
-        evals = scorer.evals
-    stats = RefineStats(
-        evals=evals, rounds=len(trajectory) - 1, trajectory=tuple(trajectory)
-    )
-    obs.add(obs_names.PLACEMENT_EVALS, stats.evals)
-    obs.add(obs_names.PLACEMENT_ROUNDS, stats.rounds)
-    for point in stats.trajectory:
-        obs.series(obs_names.PLACEMENT_COST, point)
-    out_gaps = {
-        instance.objects[oid]: int(g)
-        for oid, g in enumerate(gap_vec.tolist())
-        if g
-    }
-    return [instance.objects[oid] for oid in ids], out_gaps, cost, stats
 
 
 # ----------------------------------------------------------------------
@@ -948,8 +1039,8 @@ def register_placement(name: str, fn: Callable) -> None:
     window=..., budget=..., targets=..., gap_budget=..., batch=...,
     backend=..., workers=..., restarts=..., noise=..., seed=...) ->
     (order, gaps)`` (a full object placement plus a per-object gap map,
-    possibly empty).  ``batch``/``backend``/``workers`` only parallelize
-    scoring and must not change the returned placement;
+    possibly empty).  ``backend``/``workers`` only choose where candidates
+    are scored and must not change the returned placement;
     ``restarts``/``noise``/``seed`` drive the smoothed multi-restart
     search (:mod:`repro.mem.facility`) and are ``None`` for strategies
     that ignore them — a given (strategy, knobs) pair must always return
@@ -1001,41 +1092,63 @@ def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
     return greedy_color_order(instance, geometry, policy=policy, window=window), {}
 
 
-def _swap_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                   policy: str = "direct", window: int = 8, budget: int = 400,
-                   targets: Optional[Sequence[PlacementTarget]] = None,
-                   gap_budget: int = 0, batch: int = 1,
-                   backend: Optional[str] = None,
-                   workers: Optional[int] = None,
-                   restarts: Optional[int] = None,
-                   noise: Optional[float] = None,
-                   seed: Optional[int] = None,
-                   ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    if targets:
-        targets_n = normalize_targets(targets, block=instance.block)
-    else:
-        targets_n = [(geometry, policy, 1.0)]
+def _search_targets(
+    instance: PlacementInstance,
+    geometry: Optional[CacheGeometry],
+    policy: str,
+    targets: Optional[Sequence[PlacementTarget]],
+    budget: int,
+) -> Optional[List[PlacementTarget]]:
+    """A search strategy's normalized targets, or ``None`` when every
+    target is fully associative: misses are then provably placement-
+    invariant, so spending the budget on replays could never improve.
+    A budget that could not even score the start is rejected either way."""
+    if budget < 1:
+        raise LayoutError(f"budget must be >= 1, got {budget}")
+    targets_n = _targets_of(
+        instance, geometry, policy, targets,
+        "placement strategy needs a geometry or targets",
+    )
     if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
-        # fully associative everywhere: misses are provably placement-
-        # invariant, so burning the budget on full-trace replays cannot
-        # ever improve
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
-    )
-    order, gaps, _, _ = swap_refine(
-        instance, start, window=window, budget=budget, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
-    )
-    return order, gaps
+        return None
+    return targets_n
+
+
+def _refine_strategy(refine: Callable) -> Callable:
+    """The strategy that refines the greedy color start with ``refine``
+    (called like :func:`swap_refine`)."""
+
+    def strategy(instance: PlacementInstance, geometry: Optional[CacheGeometry],
+                 policy: str = "direct", window: int = 8, budget: int = 400,
+                 targets: Optional[Sequence[PlacementTarget]] = None,
+                 gap_budget: int = 0, batch: int = 1,
+                 backend: Optional[str] = None,
+                 workers: Optional[int] = None,
+                 restarts: Optional[int] = None,
+                 noise: Optional[float] = None,
+                 seed: Optional[int] = None,
+                 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
+        targets_n = _search_targets(instance, geometry, policy, targets, budget)
+        if targets_n is None:
+            return list(instance.objects), {}
+        weights = conflict_graph(instance, window=window)
+        pg, pp, _w = _primary_target(targets_n)
+        start = greedy_color_order(
+            instance, pg, policy=pp, window=window, weights=weights
+        )
+        order, gaps, _cost, _stats = refine(
+            instance, start, window=window, budget=budget, weights=weights,
+            targets=targets_n, gap_budget=gap_budget, batch=batch,
+            backend=backend, workers=workers,
+        )
+        return order, gaps
+
+    return strategy
 
 
 register_placement("topo", _topo_strategy)
 register_placement("color", _color_strategy)
-register_placement("swap", _swap_strategy)
+register_placement("swap", _refine_strategy(swap_refine))
 
 
 # ----------------------------------------------------------------------
@@ -1106,23 +1219,20 @@ def optimize_instance(
     smoothed multi-restart search (:mod:`repro.mem.facility`); strategies
     that do not restart ignore them.
     """
-    if targets is not None:
-        targets_n = normalize_targets(targets, block=instance.block)
-    else:
-        if geometry is None:
-            raise LayoutError("optimize_instance needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
+    targets_n = _targets_of(
+        instance, geometry, policy, targets,
+        "optimize_instance needs a geometry or targets",
+    )
     fn = get_placement(strategy)
     seed_order = list(instance.objects)
     seed_per = _target_misses(remap_blocks(instance, seed_order), targets_n)
     seed_cost = sum(w * m for (_, _, w), m in zip(targets_n, seed_per))
-    out = fn(
+    order, gaps = fn(
         instance, geometry, policy=policy, window=window, budget=budget,
-        targets=targets if targets is not None else None, gap_budget=gap_budget,
+        targets=targets, gap_budget=gap_budget,
         batch=batch, backend=backend, workers=workers,
         restarts=restarts, noise=noise, seed=seed,
     )
-    order, gaps = out
     per = _target_misses(remap_blocks(instance, order, gaps=gaps), targets_n)
     cost = sum(w * m for (_, _, w), m in zip(targets_n, per))
     if cost > seed_cost or any(c > s for c, s in zip(per, seed_per)):

@@ -46,7 +46,7 @@ BACKEND_MAP = "backend.map"
 BATCH = "run_batch"
 #: one `swap_refine` local search (attr ``batch=``)
 PLACEMENT_SEARCH = "placement.search"
-#: one `multiswap_refine` facility-location local search (attr ``k=``)
+#: one `multiswap_refine` facility-location local search (attr ``batch=``)
 FACILITY_SEARCH = "placement.facility"
 #: one chunked out-of-core compilation (`compile_trace_chunked`)
 STREAM_COMPILE = "stream.compile"
@@ -81,9 +81,9 @@ BATCH_DEDUPED = "run_batch.deduped"
 BATCH_GROUPS = "run_batch.groups"
 #: items mapped across a backend by `fan_out` / `process_sweep`
 BACKEND_TASKS = "backend.tasks"
-#: candidate layouts scored by `swap_refine`
+#: candidate layouts scored by a placement local search (every strategy's)
 PLACEMENT_EVALS = "placement.evals"
-#: improvement rounds taken by `swap_refine`
+#: improving sweeps taken by a placement local search
 PLACEMENT_ROUNDS = "placement.rounds"
 #: smoothed-search restarts actually run (`smoothed` strategy)
 PLACEMENT_RESTARTS = "placement.restarts"
@@ -109,7 +109,8 @@ BACKEND_WIDTH = "backend.width"
 PLACEMENT_DIRTY_FRAC = "placement.dirty_frac"
 
 # --------------------------------------------------------------- series
-#: best cost after each `swap_refine` round (index 0 = seed cost)
+#: a local search's objective after each improving sweep (index 0 = the
+#: start's)
 PLACEMENT_COST = "placement.cost"
 
 

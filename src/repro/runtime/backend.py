@@ -2,7 +2,7 @@
 
 Everything the replay engine parallelizes is an ordered map — per-geometry
 mask evaluation in :func:`repro.runtime.replay.replay_miss_masks`,
-per-candidate scoring in :func:`repro.mem.placement.swap_refine`, per-query
+per-candidate scoring in the placement local search, per-query
 evaluation in :func:`run_batch` — so this module centralizes one contract:
 
 * **Ordering.**  Every backend returns results in the exact order of its
@@ -573,12 +573,10 @@ class CandidateScorer:
     backend; only wall-time changes.  Use as a context manager or call
     :meth:`close` — the pool and segment live until then.
 
-    ``evals`` counts every candidate ever scored through this scorer —
-    :meth:`score` and :meth:`score_per` both increment it by the number of
-    candidates they evaluate, on every backend — so a search's
-    ``RefineStats.evals`` can be read straight off the scorer instead of
-    being re-derived by hand at each call site (the A12 "equal eval
-    budget" comparisons are only honest if nothing is missed).
+    ``evals`` counts every candidate ever scored through this scorer, on
+    every backend, so a search's ``RefineStats.evals`` is read straight
+    off the scorer (the A12 "equal eval budget" comparisons are only
+    honest if nothing is missed).
     """
 
     def __init__(
@@ -652,13 +650,6 @@ class CandidateScorer:
                 if snap is not None:
                     obs.merge(snap)
         return out_arr
-
-    def score(self, starts_list: Sequence[np.ndarray]) -> List[float]:
-        """Weighted miss sums, one per candidate, in candidate order."""
-        return [
-            sum(w * m for (_g, _p, w), m in zip(self.targets, per))
-            for per in self.score_per(starts_list)
-        ]
 
     def close(self) -> None:
         if self._pool is not None:

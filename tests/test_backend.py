@@ -346,13 +346,13 @@ class TestCandidateScorer:
     def test_serial_and_process_scores_agree(self, instance, targets):
         cands = self._candidates(instance)
         with CandidateScorer(instance, targets, backend="serial") as serial:
-            want = serial.score(cands)
+            want = serial.score_per(cands)
         with CandidateScorer(
             instance, targets, backend="process", workers=2
         ) as proc:
-            got = proc.score(cands)
+            got = proc.score_per(cands)
         assert got == want
-        assert all(isinstance(c, float) for c in want)
+        assert all(isinstance(m, int) for per in want for m in per)
 
     def test_swap_refine_trajectory_is_backend_invariant(self, instance, targets):
         order = list(instance.objects)

@@ -127,6 +127,13 @@ class TestCliPlacementSurface:
                   "--policy", "direct", "--layout", "swap",
                   "--gap-budget", "-1", "--inputs", "64"])
 
+    def test_zero_layout_budget_is_clean_error(self):
+        # even where the search would be skipped (fully associative), a
+        # budget that could not score the start is a bad request
+        with pytest.raises(SystemExit, match="invalid placement request: budget"):
+            main(["schedule", "des_rounds", "--layout", "swap",
+                  "--layout-budget", "0", "--inputs", "64"])
+
     def test_layout_target_ways_zero_means_fully_associative(self, capsys):
         # even when --ways narrowed the execution cache, a WAYS=0 target is
         # the fully-associative organization, not the narrowed one: a

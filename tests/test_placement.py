@@ -842,3 +842,52 @@ class TestEvalAccounting:
             batch=8, backend="serial",
         )
         assert stats.evals == calls["n"]
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    @pytest.mark.parametrize("strategy", available_placements())
+    def test_budget_is_a_hard_cap(self, monkeypatch, strategy, budget, restarts):
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        geom = CacheGeometry(size=16 * B, block=B)
+        calls = self._counting(monkeypatch)
+        try:
+            optimize_instance(
+                inst, geom, strategy=strategy, policy="direct", budget=budget,
+                restarts=restarts, noise=0.5, backend="serial",
+            )
+        except LayoutError as exc:
+            assert "budget" in str(exc)
+            return
+        assert calls["n"] <= budget
+
+    def test_zero_budget_is_rejected(self):
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        geom = CacheGeometry(size=16 * B, block=B)
+        for search in (swap_refine, multiswap_refine):
+            with pytest.raises(LayoutError, match="budget must be >= 1"):
+                search(inst, list(inst.objects), geom, budget=0)
+        with pytest.raises(LayoutError, match="budget must be >= 2"):
+            multiswap_refine(
+                inst, list(inst.objects), geom, budget=1, objective="minimax"
+            )
+        # fully associative: the search is skipped, the request still checked
+        with pytest.raises(LayoutError, match="budget must be >= 1"):
+            optimize_instance(inst, geom, strategy="swap", policy="lru", budget=0)
+
+    def test_smoothed_counts_the_restarts_that_ran(self, monkeypatch):
+        from repro.obs import names as obs_names
+
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        geom = CacheGeometry(size=16 * B, block=B)
+        calls = self._counting(monkeypatch)
+        with obs.capture(enabled=True) as cap:
+            _o, _g, _c, stats = smoothed_search(
+                inst, geom, policy="direct", budget=5, restarts=4, noise=0.5,
+                backend="serial",
+            )
+        # slices of 2 evals: a third restart would overrun the budget of 5
+        assert cap.snapshot["counters"][obs_names.PLACEMENT_RESTARTS] == 2
+        assert stats.evals == calls["n"] <= 5

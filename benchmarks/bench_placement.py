@@ -22,10 +22,6 @@ can fail on regressions):
   over the A9 target set {direct, 2-way, 4-way}, with the hard A9 gate
   asserted alongside: the optimized layout is never worse than the seed at
   *any* individual target (the deployability contract).
-* **xor_gain** — seed direct-mapped misses under mod indexing / under xor
-  (skewed) indexing at the same snapped geometry: how much conflict the
-  hash alone removes with zero layout tuning.  Trend-tracked so a kernel
-  change that silently breaks the fold shows up as a metric jump.
 * **facility_gain** — swap-refined misses / best facility-location search
   (:mod:`repro.mem.facility` multiswap or smoothed) on the fm_radio
   workload at the *same* eval budget, past FLIP's convergence point so the
@@ -121,7 +117,7 @@ def test_placement_cost_model_speedup(show):
     fa_swap = placement_cost(instance, swap.order, run_geom, policy="lru")
     assert fa_seed == fa_swap, "placement changed fully-associative misses"
 
-    # --- A9 metrics: multi-geometry objective and skewed (xor) indexing
+    # --- A9 metrics: multi-geometry objective
     direct = run_geom.with_ways(1)
     targets = [
         (direct, "direct", 1.0),
@@ -140,12 +136,6 @@ def test_placement_cost_model_speedup(show):
             f"seed {multi.seed_per_target}"
         )
     multi_gain = multi.seed_cost / multi.cost if multi.cost else float("inf")
-
-    xor_direct = direct.with_index_scheme("xor")
-    seed_order = list(instance.objects)
-    mod_misses = placement_cost(instance, seed_order, direct, policy="direct")
-    xor_misses = placement_cost(instance, seed_order, xor_direct, policy="direct")
-    xor_gain = mod_misses / xor_misses if xor_misses else float("inf")
 
     # --- A12 metrics: facility-location search vs FLIP at equal budget.
     # Budget sits past swap's convergence on both workloads (it exhausts its
@@ -228,7 +218,6 @@ def test_placement_cost_model_speedup(show):
         "swap_gain": round(swap_gain, 2),
         "color_gain": round(color_gain, 2),
         "multi_gain": round(multi_gain, 2),
-        "xor_gain": round(xor_gain, 2),
         "facility_gain": round(facility_gain, 4),
         "minimax_worst": round(minimax_worst, 4),
         "evals_per_s": round(evals_per_s, 2),
@@ -275,11 +264,6 @@ def test_placement_cost_model_speedup(show):
             "multi_gain": round(multi_gain, 2),
             "search_s": round(t_multi, 4),
         },
-        "xor": {
-            "seed_mod_misses": mod_misses,
-            "seed_xor_misses": xor_misses,
-            "xor_gain": round(xor_gain, 2),
-        },
         "facility": {
             "budget": FACILITY_BUDGET,
             "workloads": facility_rows,
@@ -313,8 +297,6 @@ def test_placement_cost_model_speedup(show):
              "optimized_s": color.cost, "ratio": round(color_gain, 1)},
             {"path": "multi vs seed (weighted)", "baseline_s": round(multi.seed_cost, 1),
              "optimized_s": round(multi.cost, 1), "ratio": round(multi_gain, 1)},
-            {"path": "xor vs mod (seed layout)", "baseline_s": mod_misses,
-             "optimized_s": xor_misses, "ratio": round(xor_gain, 2)},
             *(
                 {"path": f"facility vs swap ({row['workload']})",
                  "baseline_s": row["swap_misses"],

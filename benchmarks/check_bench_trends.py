@@ -27,9 +27,9 @@ Before comparing, every record is validated against the explicit schema
 (:func:`validate_record`): ``history`` must be a list of dicts, each entry
 must carry a numeric non-decreasing ``ts``, and every tracked metric that
 is present must be numeric.  Older entries may legitimately *lack* newer
-metrics (``multi_gain`` and ``xor_gain`` post-date the placement record's
-first runs) — absence is fine, a wrong type or a time-travelling timestamp
-is a named error, never a traceback.
+metrics (``multi_gain`` and ``facility_gain`` post-date the placement
+record's first runs) — absence is fine, a wrong type or a time-travelling
+timestamp is a named error, never a traceback.
 
 Usage::
 
@@ -54,8 +54,8 @@ METRICS_BY_FILE = {
         "looped_compile_accesses_per_s", "looped_replay_accesses_per_s",
     ),
     "BENCH_placement.json": (
-        "score", "swap_gain", "color_gain", "multi_gain", "xor_gain",
-        "facility_gain", "evals_per_s",
+        "score", "swap_gain", "color_gain", "multi_gain", "facility_gain",
+        "evals_per_s",
     ),
     "BENCH_service.json": (
         "warm_speedup", "dedup_factor", "pool_scaling", "search_speedup",

@@ -367,11 +367,11 @@ def ablation_a9_cross_geometry(
     M: int = 256, B: int = 8, inputs: int = 256, budget: int = 300,
     gap_budget: int = 8,
 ) -> List[Dict[str, Any]]:
-    """A9 — deployable placements: single- vs multi-geometry objectives vs
-    skewed (xor) indexing, across the A7 workload's organizations.
+    """A9 — deployable placements: single- vs multi-geometry objectives
+    across the A7 workload's organizations.
 
     A7's caution was that a placement tuned for the direct-mapped index can
-    *regress* at 2-way.  A9 measures the cure and its alternative:
+    *regress* at 2-way.  A9 measures the cure:
 
     * ``seed (topo)`` — the baseline layout;
     * ``swap@direct`` — the A7 optimizer, tuned only for the direct-mapped
@@ -379,11 +379,7 @@ def ablation_a9_cross_geometry(
     * ``swap@multi`` — the multi-geometry objective
       (:func:`repro.mem.placement.optimize_instance` with ``targets=`` over
       all three organizations, padding allowed via ``gap_budget``), which
-      by contract is **never worse than the seed at any target**;
-    * ``xor-index`` — no layout tuning at all: the *seed* order measured on
-      xor-indexed (skewed) versions of the same organizations, answering
-      "would a skewed cache beat layout tuning?" from the same compiled
-      trace.
+      by contract is **never worse than the seed at any target**.
 
     All candidates are scored from the *one* seed-compiled trace via the
     block-remap cost model.  Columns carry cache sizes in words (``with_ways``
@@ -437,13 +433,6 @@ def ablation_a9_cross_geometry(
         gap_budget=gap_budget,
     )
     rows.append(row("swap@multi", list(multi.per_target), multi.gap_blocks))
-
-    xor_targets = [
-        (geom.with_index_scheme("xor"), policy, w) for geom, policy, w in targets
-    ]
-    rows.append(
-        row("xor-index", placement_costs(instance, seed_order, xor_targets))
-    )
     return rows
 
 

@@ -6,10 +6,9 @@ an arbitrarily large memory; the cost of an execution is the number of block
 transfers (cache misses).  This package implements that model executably,
 with :class:`~repro.cache.base.CacheGeometry` carrying an optional ``ways``
 field that narrows the paper's fully-associative ideal down to real
-set-associative and direct-mapped organizations, and an ``index_scheme``
-field selecting the set hash — classic ``"mod"`` low bits or ``"xor"``
-folded tag bits (skewed indexing), honoured identically by the stepwise
-oracles here and the vectorized replay kernels.
+set-associative and direct-mapped organizations, whose sets are indexed
+by ``block % sets`` in the stepwise oracles here and the vectorized replay
+kernels alike.
 
 Every replacement policy is registered by name in
 :mod:`repro.cache.policy` (``"lru"``, ``"direct"``, ``"opt"``,
@@ -36,7 +35,7 @@ vectorized path:
   second L2 pass, so one compiled trace answers whole (L1, L2) grids.
 """
 
-from repro.cache.base import INDEX_SCHEMES, CacheGeometry, CacheModel, xor_fold_index
+from repro.cache.base import CacheGeometry, CacheModel
 from repro.cache.policy import (
     ReplacementPolicy,
     available_policies,
@@ -53,8 +52,6 @@ from repro.cache.hierarchy import TwoLevelCache, TwoLevelGeometry
 __all__ = [
     "CacheModel",
     "CacheGeometry",
-    "INDEX_SCHEMES",
-    "xor_fold_index",
     "CacheStats",
     "ReplacementPolicy",
     "available_policies",

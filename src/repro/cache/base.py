@@ -16,20 +16,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cache.indexing import xor_fold_index
 from repro.cache.stats import CacheStats
 from repro.errors import CacheConfigError
 
-__all__ = ["CacheGeometry", "CacheModel", "INDEX_SCHEMES", "xor_fold_index"]
-
-#: Set-index hash functions a geometry may carry.  ``"mod"`` is the classic
-#: ``block % sets`` (low address bits); ``"xor"`` folds every tag chunk into
-#: the index bits by XOR — the single-hash form of skewed set indexing that
-#: spreads power-of-two-strided conflicts across sets.  The fold itself
-#: (scalar :func:`~repro.cache.indexing.xor_fold_index`, re-exported here)
-#: lives in :mod:`repro.cache.indexing`, the one module both the stepwise
-#: engines and the vectorized replay kernels read their fold constants from.
-INDEX_SCHEMES = ("mod", "xor")
+__all__ = ["CacheGeometry", "CacheModel"]
 
 
 @dataclass(frozen=True)
@@ -48,20 +38,11 @@ class CacheGeometry:
     indexes demand: ``ways`` must divide ``n_blocks`` and the resulting set
     count must be a power of two (set indices are address bits — a non
     power-of-two count would silently mis-map them).
-
-    ``index_scheme`` picks the set hash: ``"mod"`` (low index bits, the
-    default) or ``"xor"`` (XOR-folded tag bits, the skewed-indexing family).
-    The scheme only matters once there is more than one conflict class, and
-    ``"xor"`` needs power-of-two classes to fold over: with an explicit
-    ``ways`` the power-of-two set count is already enforced above, and a
-    ``ways=None`` geometry must bring a power-of-two frame count, because
-    the direct-mapped engines treat every frame as its own class.
     """
 
     size: int
     block: int
     ways: Optional[int] = None
-    index_scheme: str = "mod"
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -92,20 +73,6 @@ class CacheGeometry:
                     f"sets={n_sets} (n_blocks={n_blocks} / ways={self.ways}) "
                     f"is not a power of two — set indices are address bits"
                 )
-        if self.index_scheme not in INDEX_SCHEMES:
-            raise CacheConfigError(
-                f"unknown index_scheme {self.index_scheme!r}; "
-                f"known: {INDEX_SCHEMES}"
-            )
-        if self.index_scheme == "xor" and self.ways is None:
-            n_blocks = self.size // self.block
-            if n_blocks & (n_blocks - 1):
-                raise CacheConfigError(
-                    f"index_scheme='xor' folds over power-of-two conflict "
-                    f"classes; n_blocks={n_blocks} (size={self.size} / "
-                    f"block={self.block}) is not one — give an explicit ways "
-                    f"or a power-of-two frame count"
-                )
 
     @property
     def n_blocks(self) -> int:
@@ -131,19 +98,13 @@ class CacheGeometry:
         return self.ways is None or self.ways == self.n_blocks
 
     def set_of(self, block: int, sets: Optional[int] = None) -> int:
-        """Set index a block id maps to under this geometry's scheme.
+        """Set index ``block % sets`` a block id maps to.
 
         ``sets`` overrides the class count (the direct-mapped engines pass
         ``n_blocks`` — every frame its own class); by default it is the
         geometry's own set count.
         """
-        if sets is None:
-            sets = self.sets
-        if sets <= 1:
-            return 0
-        if self.index_scheme == "xor":
-            return xor_fold_index(block, sets)
-        return block % sets
+        return block % (self.sets if sets is None else sets)
 
     def frame_of(self, block: int) -> int:
         """Frame a block maps to in a direct-mapped reading of this
@@ -153,10 +114,12 @@ class CacheGeometry:
     def with_ways(self, ways: Optional[int]) -> "CacheGeometry":
         """This geometry reorganized as ``ways``-associative, its frame
         count snapped *up* to the nearest ``ways * power-of-two`` so the
-        set indexing validates.  ``None``/``0`` returns the geometry
-        unchanged (fully associative).  The index scheme is preserved."""
+        set indexing validates.  ``None``/``0`` returns it fully
+        associative."""
         if not ways:
-            return self
+            if self.ways is None:
+                return self
+            return CacheGeometry(size=self.size, block=self.block)
         if not isinstance(ways, int) or ways < 1:
             raise CacheConfigError(
                 f"associativity must be a positive integer, got {ways!r}"
@@ -164,18 +127,7 @@ class CacheGeometry:
         sets = 1
         while sets * ways < self.n_blocks:
             sets *= 2
-        return CacheGeometry(
-            size=sets * ways * self.block, block=self.block, ways=ways,
-            index_scheme=self.index_scheme,
-        )
-
-    def with_index_scheme(self, scheme: str) -> "CacheGeometry":
-        """This geometry under another set-index hash (same size/organization)."""
-        if scheme == self.index_scheme:
-            return self
-        return CacheGeometry(
-            size=self.size, block=self.block, ways=self.ways, index_scheme=scheme
-        )
+        return CacheGeometry(size=sets * ways * self.block, block=self.block, ways=ways)
 
     def block_of(self, address: int) -> int:
         return address // self.block

@@ -26,9 +26,8 @@ __all__ = ["DirectMappedCache"]
 
 
 class DirectMappedCache(CacheModel):
-    """Each block maps to one frame (``block % n_blocks`` under the default
-    ``"mod"`` scheme, XOR-folded tag bits under ``index_scheme="xor"``); a
-    frame holds one block."""
+    """Each block maps to one frame (``block % n_blocks``); a frame holds
+    one block."""
 
     def __init__(self, geometry: CacheGeometry) -> None:
         if geometry.ways not in (None, 1):

@@ -44,8 +44,7 @@ class LRUCache(CacheModel):
         if geometry.is_fully_associative:
             self._set_caches = None
         else:
-            # one (OrderedDict, capacity) LRU domain per set, looked up
-            # through the geometry's index scheme (mod or xor folding)
+            # one (OrderedDict, capacity) LRU domain per set, looked up by block % sets
             self._set_caches = [OrderedDict() for _ in range(geometry.sets)]
             self._n_sets = geometry.sets
             self._ways = geometry.ways

@@ -94,9 +94,8 @@ def simulate_opt_misses(
     """Per-access miss sequence of OPT on ``block_trace`` with this geometry.
 
     Under explicit associativity, OPT runs independently inside each set
-    (blocks mapped through the geometry's index scheme — ``block % sets``
-    or XOR folding — with ``ways`` frames per set): the offline-optimal
-    *within the organization's mapping constraint*.
+    (block ``b`` in set ``b % sets``, ``ways`` frames per set): the
+    offline-optimal *within the organization's mapping constraint*.
     """
     if geometry.is_fully_associative:
         return _opt_miss_sequence(block_trace, geometry.n_blocks)

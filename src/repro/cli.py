@@ -9,12 +9,10 @@ Commands
                          ``--policy {lru,direct,opt}`` and ``--ways N`` pick
                          the replacement model and associativity, all
                          answered by the vectorized replay over one
-                         compiled trace; ``--index-scheme {mod,xor}`` picks
-                         the set hash (xor = skewed indexing);
-                         ``--l2-frames N`` (plus optional ``--l2-ways``)
-                         stacks a second level behind the execution cache
-                         and measures memory transfers out of L2
-                         (``policy="two_level"``); ``--layout
+                         compiled trace; ``--l2-frames N`` (plus optional
+                         ``--l2-ways``) stacks a second level behind the
+                         execution cache and measures memory transfers out
+                         of L2 (``policy="two_level"``); ``--layout
                          {topo,color,swap,multiswap,smoothed,minimax}`` runs
                          the conflict-aware placement optimizer
                          (:mod:`repro.mem.placement` /
@@ -31,7 +29,7 @@ Commands
                          (process pools receive compiled traces via shared
                          memory) and ``--cache-dir PATH`` persists compiled
                          traces content-addressed on disk
-``experiment``           run one experiment driver (e1..e15, a1..a12) and
+``experiment``           run one experiment driver (e1..e15, a1..a9, a12) and
                          print its table; accepts the same
                          ``--backend``/``--workers``/``--cache-dir`` flags;
                          both it and ``schedule`` also take ``--metrics-out
@@ -59,7 +57,6 @@ Examples
     python -m repro schedule fm_radio --cache 256 --ways 4
     python -m repro schedule fm_radio --cache 256 --l2-frames 128
     python -m repro schedule des_rounds --cache 256 --ways 1 --policy direct --layout swap
-    python -m repro schedule des_rounds --cache 256 --ways 1 --policy direct --index-scheme xor
     python -m repro schedule des_rounds --cache 256 --ways 1 --policy direct \
         --layout swap --layout-targets direct:1@2,lru:2,lru:4 --gap-budget 8
     python -m repro schedule des_rounds --cache 256 --ways 1 --policy direct \
@@ -256,7 +253,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         )
     try:
         run_geom = required_geometry(part, geom).with_ways(args.ways)
-        run_geom = run_geom.with_index_scheme(args.index_scheme)
         order = component_layout_order(part)
         measure_geom = run_geom
         if args.l2_frames:
@@ -288,14 +284,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             instance = build_instance(g, sched, run_geom.block, order=order)
             targets = None
             if args.layout_targets:
-                # ways=0 means fully associative even when --ways narrowed
-                # the execution geometry (with_ways(0) would keep it narrow)
-                fully = run_geom if run_geom.is_fully_associative else CacheGeometry(
-                    size=run_geom.size, block=run_geom.block,
-                    index_scheme=run_geom.index_scheme,
-                )
                 targets = [
-                    (run_geom.with_ways(w) if w else fully, pol, weight)
+                    (run_geom.with_ways(w), pol, weight)
                     for pol, w, weight in args.layout_targets
                 ]
             # a process backend scores candidates in parallel: score that
@@ -351,8 +341,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     org = "fully associative" if run_geom.is_fully_associative else (
         f"{run_geom.ways}-way, {run_geom.sets} sets"
     )
-    if run_geom.index_scheme != "mod":
-        org += f", {run_geom.index_scheme}-indexed"
     print(f"partition : {part.k} components, bandwidth {float(part.bandwidth()):.3f}")
     print(f"cache     : {run_geom.size} words "
           f"({run_geom.size / geom.size:.2f}x of M={geom.size}), B={geom.block}, "
@@ -379,23 +367,23 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis.report import rows_to_table
 
     _apply_runtime_flags(args)
-    key = args.id.lower()
-    prefix = {
+    prefixes = {
         **{f"e{i}": f"experiment_e{i}_" for i in range(1, 16)},
         **{f"a{i}": f"ablation_a{i}_" for i in range(1, 13)},
-    }.get(key)
-    if prefix is None:
-        raise SystemExit(f"unknown experiment {args.id!r} (use e1..e15 or a1..a12)")
-    for module in (E, S, L, MC):
-        fn_name = next(
-            (n for n in dir(module) if n.startswith(prefix) and callable(getattr(module, n))),
-            None,
-        )
-        if fn_name:
-            rows = getattr(module, fn_name)()
-            print(rows_to_table(rows, title=fn_name))
-            return 0
-    raise SystemExit(f"driver for {args.id!r} not found")
+    }
+    drivers = {}
+    for exp_id, prefix in prefixes.items():
+        found = [
+            (module, n) for module in (E, S, L, MC) for n in dir(module)
+            if n.startswith(prefix) and callable(getattr(module, n))
+        ]
+        if found:
+            drivers[exp_id] = found[0]
+    if args.id.lower() not in drivers:
+        raise SystemExit(f"unknown experiment {args.id!r} (known: {', '.join(drivers)})")
+    module, fn_name = drivers[args.id.lower()]
+    print(rows_to_table(getattr(module, fn_name)(), title=fn_name))
+    return 0
 
 
 def cmd_misscurve(args: argparse.Namespace) -> int:
@@ -545,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ways", type=int, default=0,
                    help="associativity (0 = fully associative; the cache is "
                         "snapped up to the nearest valid set count)")
-    s.add_argument("--index-scheme", default="mod", choices=("mod", "xor"),
-                   help="set-index hash of the execution cache: mod (low "
-                        "address bits, default) or xor (folded tag bits — "
-                        "skewed indexing; needs a power-of-two set count)")
     s.add_argument("--l2-frames", type=int, default=0,
                    help="stack an L2 of this many block frames behind the "
                         "execution cache and count memory transfers out of "
@@ -595,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_schedule)
 
     e = sub.add_parser("experiment", help="run an experiment driver")
-    e.add_argument("id", help="e1..e15 or a1..a12")
+    e.add_argument("id", help="e1..e15, a1..a9 or a12")
     _add_runtime_flags(e)
     e.set_defaults(fn=cmd_experiment)
 

@@ -3,8 +3,7 @@
 The library is a web of parallel implementations that must agree
 bit-for-bit: every cache policy has a stepwise oracle, a vectorized replay
 kernel, a differential test, a docs section, and a CLI surface; every
-experiment has a dispatch, a benchmark, and a README row; and the scalar
-and vectorized XOR set-index folds are deliberate twins.  Runtime
+experiment has a dispatch, a benchmark, and a README row.  Runtime
 differential tests catch *behavioral* drift; this package catches
 *structural* drift — a policy registered without a kernel, an untyped
 hot-path array, an experiment nobody can invoke — statically, at review
@@ -14,7 +13,7 @@ Run it the way CI does::
 
     python -m repro.lint            # all rules, exit 0 when clean
     python -m repro.lint --list-rules
-    python -m repro.lint --rules R1,R5
+    python -m repro.lint --rules R1,R6
 
 or programmatically (the :class:`Project` ``files=`` overlay is how the
 unit tests feed each rule synthetic violations)::
@@ -30,7 +29,7 @@ unit tests feed each rule synthetic violations)::
 engine 'Executor' from repro.runtime.executor: the vectorized path must \
 not depend on its oracle
 
-Rules (R1–R5), rationale, and the suppression syntax
+Rules (R1–R4, R6), rationale, and the suppression syntax
 (``# repro-lint: disable=R4``) are documented in
 ``docs/STATIC_ANALYSIS.md``.
 """

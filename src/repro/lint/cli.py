@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro.lint",
         description="project-specific static analysis: registry/kernel/"
-        "oracle/docs/CLI consistency (rules R1-R5, see docs/STATIC_ANALYSIS.md)",
+        "oracle/docs/CLI consistency (rules R1-R4 and R6, see docs/STATIC_ANALYSIS.md)",
     )
     p.add_argument(
         "--root", default=None,

@@ -3,7 +3,7 @@
 A lint *rule* is a function from a :class:`Project` (a read-only view of
 the source tree — real files, or an in-memory overlay for tests) to
 :class:`Violation` instances.  Rules register themselves with
-:func:`register_rule` under a stable id (``R1``..``R5``); the runner
+:func:`register_rule` under a stable id (``R1``..``R6``); the runner
 (:func:`run_lint`) executes any subset, filters violations through the
 suppression comments, and returns a :class:`LintReport`.
 
@@ -11,7 +11,7 @@ Suppression syntax (checked on the violation's line *and* the line above,
 so a comment can sit on its own line)::
 
     some_flagged_code()  # repro-lint: disable=R4
-    # repro-lint: disable=R3,R5
+    # repro-lint: disable=R3,R6
     other_flagged_code()
 
 and file-wide, anywhere in the file::

@@ -1,5 +1,6 @@
-"""The project-specific rules: R1–R6, each enforcing one cross-layer
-invariant that generic linters cannot see.
+"""The project-specific rules: R1–R4 and R6, each enforcing one
+cross-layer invariant that generic linters cannot see (R5 pinned a pair of
+set-index hashes that no longer exist; its id is not reused).
 
 ========  =======================  ====================================================
 id        name                     invariant
@@ -14,8 +15,6 @@ id        name                     invariant
                                    the stepwise oracle classes
 ``R4``    dtype-contracts          hot-path numpy constructors pass explicit dtypes
                                    from the module's documented contract
-``R5``    twin-fold-pinning        the scalar and vectorized XOR set-index folds both
-                                   come from :mod:`repro.cache.indexing`
 ``R6``    obs-name-registry        every span/metric name emitted under ``src/repro``
                                    comes from :mod:`repro.obs.names`, and the obs
                                    package itself stays import-light at module load
@@ -59,8 +58,6 @@ README = "README.md"
 TESTS_GLOB = "tests/test_*.py"
 ANALYSIS_GLOB = "src/repro/analysis/*.py"
 BENCH_GLOB = "benchmarks/bench_*.py"
-INDEXING_PATH = "src/repro/cache/indexing.py"
-BASE_PATH = "src/repro/cache/base.py"
 OBS_NAMES_PATH = "src/repro/obs/names.py"
 OBS_GLOB = "src/repro/obs/*.py"
 #: Where R6 looks for instrumentation call sites.  ``pathlib.Path.glob``
@@ -75,8 +72,8 @@ SRC_GLOBS = ("src/repro/*.py", "src/repro/*/*.py", "src/repro/*/*/*.py")
 BENCH_EXEMPT: Dict[str, str] = {
     "a7": "placement gains are gated end to end by benchmarks/"
     "bench_placement.py (swap_gain / color_gain), not by a driver call",
-    "a9": "multi-target and xor-indexing gains are gated by benchmarks/"
-    "bench_placement.py (multi_gain / xor_gain), not by a driver call",
+    "a9": "multi-target gains are gated by benchmarks/"
+    "bench_placement.py (multi_gain), not by a driver call",
     "a12": "facility-search gains are gated by benchmarks/"
     "bench_placement.py (facility_gain / minimax_worst), not by a driver call",
 }
@@ -536,70 +533,6 @@ def rule_dtype_contracts(project: Project) -> Iterator[Violation]:
                     message=f"np.{node.func.attr}(dtype={token or '<dynamic>'}) "
                     f"is outside the module's documented contract "
                     f"({', '.join(allowed)})",
-                )
-
-
-# ---------------------------------------------------------------------------
-# R5 — twin-implementation pinning
-# ---------------------------------------------------------------------------
-def _imports_from(tree: ast.AST, module: str) -> Set[str]:
-    return {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == module
-        for alias in node.names
-    }
-
-
-@register_rule(
-    "R5",
-    "twin-fold-pinning",
-    "the scalar and vectorized XOR set-index folds both come from "
-    "repro.cache.indexing",
-)
-def rule_twin_fold_pinning(project: Project) -> Iterator[Violation]:
-    idx_tree, errs = _tree(project, INDEXING_PATH, "R5")
-    yield from errs
-    if idx_tree is not None:
-        defined = {n.name for n in idx_tree.body if isinstance(n, ast.FunctionDef)}
-        for required in ("fold_parameters", "xor_fold_index", "xor_fold_index_array"):
-            if required not in defined:
-                yield Violation(
-                    rule="R5", path=INDEXING_PATH, line=1,
-                    message=f"shared indexing module does not define "
-                    f"{required}() — both engines' folds must come from here",
-                )
-
-    consumers = (
-        (BASE_PATH, "xor_fold_index", "the stepwise set_of() hash"),
-        (REPLAY_PATH, "xor_fold_index_array", "the vectorized set_index_array() hash"),
-    )
-    for rel, needed, role in consumers:
-        tree, errs = _tree(project, rel, "R5")
-        yield from errs
-        if tree is None:
-            continue
-        if needed not in _imports_from(tree, "repro.cache.indexing"):
-            yield Violation(
-                rule="R5", path=rel, line=1,
-                message=f"{role} must import {needed} from "
-                f"repro.cache.indexing (shared fold constants), found no "
-                f"such import",
-            )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and "xor_fold" in node.name:
-                yield Violation(
-                    rule="R5", path=rel, line=node.lineno,
-                    message=f"local fold implementation {node.name}() "
-                    f"duplicates repro.cache.indexing — the twins must "
-                    f"share one fold module",
-                )
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "bit_length"):
-                yield Violation(
-                    rule="R5", path=rel, line=node.lineno,
-                    message="recomputing fold parameters via bit_length() — "
-                    "import fold_parameters from repro.cache.indexing instead",
                 )
 
 

@@ -41,11 +41,11 @@ Four ideas make the search cheap and exact:
   FLIP-style swap local search is cheap and effective on sparse conflict
   graphs): ``"color"`` greedily appends, at each cursor position, the
   unplaced object whose set span conflicts least with what is already
-  placed (greedy set-coloring of the conflict graph, scheme-aware under
-  xor-indexed targets); ``"swap"`` refines that order by pairwise-swap
-  local search — interleaved with *gap moves* (±1 block of padding before
-  an object, bounded by ``gap_budget``) — scored with the *true* remap
-  cost model, visiting heavy conflict pairs first.  ``"topo"`` is the seed
+  placed (greedy set-coloring of the conflict graph); ``"swap"`` refines
+  that order by pairwise-swap local search — interleaved with *gap moves*
+  (±1 block of padding before an object, bounded by ``gap_budget``) —
+  scored with the *true* remap cost model, visiting heavy conflict pairs
+  first.  ``"topo"`` is the seed
   topological layout, kept as the baseline.  Every search runs the one
   loop :func:`_local_search` over a move list; :mod:`repro.mem.facility`
   widens the list and adds restarts and a minimax objective.
@@ -58,15 +58,13 @@ targets, and :func:`optimize_instance` only accepts a candidate that is
 no worse than the seed **at every individual target** (falling back to
 the seed otherwise), so optimized layouts are deployable: experiment A9
 (:func:`repro.analysis.sweeps.ablation_a9_cross_geometry`) measures the
-cross-geometry behaviour, including whether xor-indexed (skewed) caches
-beat layout tuning outright.
+cross-geometry behaviour.
 
 :func:`optimize_placement` never returns a placement worse than the seed
 (at any target), so callers can enable it unconditionally.  Wire-up:
 experiments A7/A9/A12, CLI ``schedule --layout NAME`` (any registered
-strategy) ``[--layout-targets SPEC] [--gap-budget N] [--index-scheme
-{mod,xor}]``, ``benchmarks/bench_placement.py``, and
-``examples/layout_tuning.py``.
+strategy) ``[--layout-targets SPEC] [--gap-budget N]``,
+``benchmarks/bench_placement.py``, and ``examples/layout_tuning.py``.
 """
 
 from __future__ import annotations
@@ -428,17 +426,14 @@ class ScoreBase:
 _CLASS_SPLIT_POLICIES = ("lru", "opt", "direct")
 
 
-def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[Tuple[int, str]]:
-    """``(class count, index scheme)`` a target's misses are a sum over —
-    frames for direct-mapped, sets otherwise, one class when fully
-    associative — or ``None`` when the policy does not split by class
-    (``two_level``: its L2 sees an L1 miss stream that crosses sets)."""
+def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[int]:
+    """Class count a target's misses are a sum over — frames for
+    direct-mapped, sets otherwise, one class when fully associative — or
+    ``None`` when the policy does not split by class (``two_level``: its L2
+    sees an L1 miss stream that crosses sets)."""
     if policy not in _CLASS_SPLIT_POLICIES:
         return None
-    from repro.runtime.replay import _scheme_of
-
-    classes = _conflict_sets(geometry, policy)
-    return classes, _scheme_of(geometry, classes)
+    return _conflict_sets(geometry, policy)
 
 
 def _chunked(blocks: np.ndarray, chunk_words: Optional[int]) -> "ArrayChunkSource":
@@ -492,8 +487,6 @@ def _delta_misses(
     full.  The dirty fraction of each target is recorded as the
     ``placement.dirty_frac`` histogram.
     """
-    from repro.runtime.replay import set_index_array
-
     blocks = starts[obj_of_access] + block_offset
     if base is None:
         width = int(block_offset.max(initial=0)) + 1
@@ -506,20 +499,20 @@ def _delta_misses(
         moved = starts[t_obj] != base.starts[t_obj]
         old_blocks = base.starts[t_obj[moved]] + t_off[moved]
         new_blocks = starts[t_obj[moved]] + t_off[moved]
-    groups: Dict[Tuple[str, Optional[Tuple[int, str]]], List[int]] = {}
+    groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
     for i, (geom, policy, _w) in enumerate(targets):
         groups.setdefault((policy, _class_spec(geom, policy)), []).append(i)
     counts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(targets)
     for (policy, spec), idxs in groups.items():
-        n_classes, scheme = spec if spec is not None else (1, "mod")
-        classes = set_index_array(blocks, n_classes, scheme)
+        n_classes = 1 if spec is None else spec
+        classes = blocks % n_classes
         if base is None:
             dirty = np.ones(n_classes, dtype=bool)
         elif spec is None:
             dirty = np.full(n_classes, new_blocks.shape[0] > 0, dtype=bool)
         else:
-            old_cls = set_index_array(old_blocks, n_classes, scheme)
-            new_cls = set_index_array(new_blocks, n_classes, scheme)
+            old_cls = old_blocks % n_classes
+            new_cls = new_blocks % n_classes
             changed = old_cls != new_cls
             dirty = np.zeros(n_classes, dtype=bool)
             dirty[old_cls[changed]] = True
@@ -612,11 +605,10 @@ def greedy_color_order(
     weights: Optional[Dict[Tuple[int, int], float]] = None,
 ) -> List[ObjectKey]:
     """Greedy set-coloring: grow the placement left to right, appending at
-    each cursor position the unplaced object whose set span (its blocks
-    hashed through the geometry's index scheme) has the least conflict
-    weight against the objects already covering those sets.  Hot objects
-    (highest total conflict weight) break ties first, so they claim clean
-    sets early.
+    each cursor position the unplaced object whose set span has the least
+    conflict weight against the objects already covering those sets.  Hot
+    objects (highest total conflict weight) break ties first, so they claim
+    clean sets early.
     """
     sets = _conflict_sets(geometry, policy)
     if sets <= 1:
@@ -632,7 +624,6 @@ def greedy_color_order(
     block = instance.block
     nblocks = instance.nblocks
     lengths = instance.lengths
-    set_ix = lambda blk: geometry.set_of(blk, sets)  # scheme-aware (mod/xor)
     covering: List[set] = [set() for _ in range(sets)]  # set idx -> object ids
     # hottest first so ties (empty sets early on) favour hot objects
     remaining, _hot_ids = _hot_objects(weights, n_obj)
@@ -649,15 +640,14 @@ def greedy_color_order(
             neighbours = adj[oid]
             if neighbours and nb:
                 for j in range(min(nb, sets)):
-                    s = set_ix(start_blk + j)
-                    for other in covering[s]:
+                    for other in covering[(start_blk + j) % sets]:
                         cost += neighbours.get(other, 0.0)
             if best_cost is None or cost < best_cost:
                 best_oid, best_cost, best_pos = oid, cost, pos
         order_ids.append(best_oid)
         remaining.pop(best_pos)
         for j in range(min(int(nblocks[best_oid]), sets)):
-            covering[set_ix(start_blk + j)].add(best_oid)
+            covering[(start_blk + j) % sets].add(best_oid)
         cursor = aligned + int(lengths[best_oid])
     return [instance.objects[oid] for oid in order_ids]
 
@@ -795,7 +785,6 @@ def _max_set_load(
     instance: PlacementInstance,
     starts: np.ndarray,
     hot_ids: Sequence[int],
-    geometry: CacheGeometry,
     sets: int,
 ) -> int:
     """Worst per-set count of hot objects covering that set under
@@ -805,7 +794,7 @@ def _max_set_load(
         nb = int(instance.nblocks[oid])
         base = int(starts[oid])
         for j in range(min(nb, sets)):
-            s = geometry.set_of(base + j, sets)
+            s = (base + j) % sets
             load[s] = load.get(s, 0) + 1
     return max(load.values()) if load else 0
 
@@ -907,7 +896,7 @@ def _local_search(
         cur_starts = _placed_starts(instance, ids, gap_vec)
         cur_per = scorer.score_per([cur_starts])[0]
         cur_key = key_of(cur_per)
-        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_geom, cap_sets)
+        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_sets)
         trajectory: List[float] = [cur_key[0]]
         improved = True
         while improved and scorer.evals < budget:
@@ -927,7 +916,7 @@ def _local_search(
                         continue
                     new_ids, new_gap = out
                     starts = _placed_starts(instance, new_ids, new_gap)
-                    load = _max_set_load(instance, starts, hot_ids, cap_geom, cap_sets)
+                    load = _max_set_load(instance, starts, hot_ids, cap_sets)
                     if hot_ids and load > max(cap_ways, cur_load):
                         pruned += 1
                         continue

@@ -52,15 +52,10 @@ geometry sweeps sharing a (trace, policy) pair are evaluated together so
 the replay kernels' shared passes amortize across users, and evaluation
 fans out over the selected backend.  Answers come back in query order.
 
-Geometry presets default to ``index_scheme="mod"``: BENCH_placement.json
-measured ``xor_gain`` flat at 1.0 on the paper's workloads, so the service
-path never pays the xor fold for zero gain (pass ``index_scheme="xor"``
-explicitly to get skewed indexing — see docs/REPLAY.md).
-
 Results are bit-identical across backends: the kernels are pure functions
 of the chunk, its carry and the geometries, so where the map runs cannot
 change what it computes — ``tests/test_backend.py`` pins this
-differentially for every registered policy under both index schemes.
+differentially for every registered policy.
 """
 
 from __future__ import annotations
@@ -98,7 +93,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_INDEX_SCHEME",
     "normalize_backend",
     "effective_workers",
     "resolve",
@@ -117,10 +111,6 @@ __all__ = [
 
 #: The three execution backends, in "least machinery" order.
 BACKENDS = ("serial", "thread", "process")
-
-#: Service presets index sets with low block bits: BENCH_placement.json's
-#: ``xor_gain`` is flat at 1.0, so xor folding is opt-in, never default.
-DEFAULT_INDEX_SCHEME = "mod"
 
 
 # ----------------------------------------------------------------------
@@ -677,20 +667,12 @@ def geometry_sweep(
     sizes: Iterable[int],
     block: int,
     ways: Optional[int] = None,
-    index_scheme: str = DEFAULT_INDEX_SCHEME,
 ) -> List["CacheGeometry"]:
     """Service preset: one :class:`~repro.cache.base.CacheGeometry` per
-    capacity, mod-indexed unless ``index_scheme="xor"`` is requested
-    explicitly (the measured xor gain on the paper's workloads is 1.0 —
-    see docs/REPLAY.md)."""
+    capacity."""
     from repro.cache.base import CacheGeometry
 
-    return [
-        CacheGeometry(
-            size=int(s), block=int(block), ways=ways, index_scheme=index_scheme
-        )
-        for s in sizes
-    ]
+    return [CacheGeometry(size=int(s), block=int(block), ways=ways) for s in sizes]
 
 
 @dataclass

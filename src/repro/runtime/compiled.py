@@ -792,14 +792,10 @@ def _conflict_classes(geom: object, policy: str) -> Optional[int]:
     if not isinstance(geom, CacheGeometry):
         return None
     if policy == "lru":
-        classes = 1 if geom.is_fully_associative else geom.sets
-    elif policy == "direct" and geom.ways in (None, 1):
-        classes = geom.n_blocks
-    else:
-        return None
-    if classes > 1 and geom.index_scheme != "mod":
-        return None
-    return classes
+        return 1 if geom.is_fully_associative else geom.sets
+    if policy == "direct" and geom.ways in (None, 1):
+        return geom.n_blocks
+    return None
 
 
 def _suffix_reaches_back(
@@ -858,8 +854,8 @@ def _period_stats(
     share it.  The tail slice is the final period plus the suffix; only the
     suffix is counted, which is exact unless a suffix access reaches a
     block last touched before the final period (checked, then the whole
-    trace falls back).  Traces with fewer than ``H + 2`` periods, ``xor``
-    indexing and every other policy fall back too.
+    trace falls back).  Traces with fewer than ``H + 2`` periods and every
+    other policy fall back too.
     """
     period = getattr(trace, "period", None)
     if period is None or policy not in ("lru", "direct"):

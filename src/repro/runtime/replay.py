@@ -65,14 +65,6 @@ oracles; ``tests/test_replay.py``, ``tests/test_hierarchy_replay.py`` and
 ``tests/test_streaming.py`` assert exact miss-for-miss agreement on random
 traces, geometries and chunk partitions.
 
-Set indexing is scheme-aware: every kernel hashes block ids to conflict
-classes through the geometry's ``index_scheme`` (``"mod"`` low bits or
-``"xor"`` folded tag bits — :func:`set_index_array`), and shared passes are
-memoized per (class count, scheme) pair, so a sweep mixing mod- and
-xor-indexed organizations still computes each pass once.  Because a block's
-class is a pure function of its id under either scheme, the set-grouped
-reordering argument (and therefore every kernel) carries over unchanged.
-
 Array dtype contract (statically enforced by lint rule R4, see
 ``docs/STATIC_ANALYSIS.md``): block ids, stack distances and positions are
 ``int64``, per-access miss masks are ``bool``, and grouping keys may narrow
@@ -116,7 +108,6 @@ import numpy as np
 
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
-from repro.cache.indexing import xor_fold_index_array
 from repro.cache.opt import next_occurrences
 from repro.cache.policy import get_policy
 from repro.errors import CacheConfigError
@@ -127,7 +118,6 @@ if TYPE_CHECKING:
     from repro.runtime.streaming import ChunkSource
 
 __all__ = [
-    "set_index_array",
     "per_set_stack_distances",
     "opt_stack_distances",
     "hierarchy_level_masks",
@@ -150,36 +140,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 # ----------------------------------------------------------------------
 # shared distance passes
 # ----------------------------------------------------------------------
-def set_index_array(
-    blocks: np.ndarray, sets: int, scheme: str = "mod"
-) -> np.ndarray:
-    """Vectorized set index of every block id under ``scheme``.
-
-    ``"mod"`` is ``blocks % sets``; ``"xor"`` XOR-folds every tag chunk
-    into the low index bits (``sets`` must be a power of two — geometry
-    validation guarantees it).  This is the vectorized twin of
-    :meth:`repro.cache.base.CacheGeometry.set_of`: a distinct codepath the
-    differential suite diffs against the scalar fold, but both read their
-    fold constants from :mod:`repro.cache.indexing`
-    (:func:`~repro.cache.indexing.xor_fold_index_array`) so the twins
-    cannot drift in what they fold over.
-    """
-    if sets <= 1:
-        return np.zeros(blocks.shape[0], dtype=np.int64)
-    if scheme == "mod":
-        return blocks % sets
-    if scheme != "xor":  # pragma: no cover - geometry validation upstream
-        raise CacheConfigError(f"unknown index scheme {scheme!r}")
-    return xor_fold_index_array(blocks, sets)
-
-
-def _scheme_of(geom: CacheGeometry, classes: int) -> str:
-    """The scheme a pass over ``classes`` conflict classes must hash with
-    (normalized to ``"mod"`` when there is a single class, so geometries
-    differing only in an irrelevant scheme share one pass)."""
-    return "mod" if classes <= 1 else geom.index_scheme
-
-
 def _stable_group_order(key: np.ndarray, n_groups: int) -> np.ndarray:
     """Stable argsort of a small-range grouping key.
 
@@ -192,60 +152,53 @@ def _stable_group_order(key: np.ndarray, n_groups: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _set_segments(
-    blocks: np.ndarray, sets: int, scheme: str = "mod"
-) -> List[Tuple[int, np.ndarray]]:
+def _set_segments(blocks: np.ndarray, sets: int) -> List[Tuple[int, np.ndarray]]:
     """``(set index, trace positions)`` of every set the (non-empty)
     ``blocks`` touch, each group time-ordered."""
-    set_idx = set_index_array(blocks, sets, scheme)
+    set_idx = blocks % sets
     order = _stable_group_order(set_idx, sets)
     ss = set_idx[order]
     bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
     return [(int(set_idx[seg[0]]), seg) for seg in np.split(order, bounds)]
 
 
-def per_set_stack_distances(
-    blocks: np.ndarray, sets: int = 1, scheme: str = "mod"
-) -> np.ndarray:
+def per_set_stack_distances(blocks: np.ndarray, sets: int = 1) -> np.ndarray:
     """Within-set LRU stack distances; 0 marks cold accesses.
 
     ``sets=1`` is the fully-associative Mattson pass.  An access hits a
     ``sets``-set, ``w``-way LRU cache iff its distance here is in ``[1, w]``.
 
     The multi-set case needs no per-set loop: a block id determines its set
-    (under either index ``scheme`` — mod or xor folding), so distinct sets
-    touch disjoint block ids, and on the *set-grouped* reordering of the
-    trace (each set's subsequence contiguous, time-ordered) every reuse
-    window stays inside one set's span.  One global stack-distance pass
-    over that reordering therefore computes every set's distances at once;
-    scattering back through the grouping permutation restores trace order.
+    (``block % sets``), so distinct sets touch disjoint block ids, and on
+    the *set-grouped* reordering of the trace (each set's subsequence
+    contiguous, time-ordered) every reuse window stays inside one set's
+    span.  One global stack-distance pass over that reordering therefore
+    computes every set's distances at once; scattering back through the
+    grouping permutation restores trace order.
     """
     from repro.analysis.misscurve import stack_distances_array
 
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     if sets <= 1 or blocks.shape[0] == 0:
         return stack_distances_array(blocks)
-    set_idx = set_index_array(blocks, sets, scheme)
-    order = _stable_group_order(set_idx, sets)
+    order = _stable_group_order(blocks % sets, sets)
     d = np.empty(blocks.shape[0], dtype=np.int64)
     d[order] = stack_distances_array(blocks[order])
     return d
 
 
-def _direct_hit_mask(
-    blocks: np.ndarray, frames: int, scheme: str = "mod"
-) -> np.ndarray:
+def _direct_hit_mask(blocks: np.ndarray, frames: int) -> np.ndarray:
     """Per-access hit mask of a direct-mapped cache with ``frames`` frames.
 
-    Per-frame last-block scan: group accesses by frame (the ``scheme``'s
-    hash of the block id; stable argsort keeps them time-ordered), hit iff
-    the previous access to the same frame touched the same block.
+    Per-frame last-block scan: group accesses by frame (``block % frames``;
+    stable argsort keeps them time-ordered), hit iff the previous access to
+    the same frame touched the same block.
     """
     n = blocks.shape[0]
     hit_mask = np.zeros(n, dtype=bool)
     if n == 0:
         return hit_mask
-    key = set_index_array(blocks, frames, scheme)
+    key = blocks % frames
     order = _stable_group_order(key, frames)
     sk, sb = key[order], blocks[order]
     same = (sk[1:] == sk[:-1]) & (sb[1:] == sb[:-1])
@@ -341,7 +294,6 @@ def _opt_distances(
     lo: int,
     total: int,
     sets: int,
-    scheme: str,
     depth: int,
     states: Dict[int, _OptState],
 ) -> np.ndarray:
@@ -356,7 +308,7 @@ def _opt_distances(
         )
         return np.asarray(dists, dtype=np.int64)
     out = np.zeros(blocks.shape[0], dtype=np.int64)
-    for sid, seg in _set_segments(blocks, sets, scheme):
+    for sid, seg in _set_segments(blocks, sets):
         dists, states[sid] = _opt_stack_pass(
             blocks[seg].tolist(), next_use[seg].tolist(), depth, total,
             (seg + lo).tolist(), states.get(sid),
@@ -366,14 +318,14 @@ def _opt_distances(
 
 
 def opt_stack_distances(
-    blocks: np.ndarray, max_depth: int, sets: int = 1, scheme: str = "mod"
+    blocks: np.ndarray, max_depth: int, sets: int = 1
 ) -> np.ndarray:
     """Per-access OPT stack distances, truncated at ``max_depth``.
 
     0 marks accesses that miss at every capacity up to ``max_depth`` (cold,
     or reused only beyond the truncation horizon); distance ``d >= 1`` means
     the access hits any OPT cache holding at least ``d`` blocks (per set
-    when ``sets > 1``, with sets hashed by ``scheme``).
+    when ``sets > 1``).
     """
     if max_depth < 1:
         raise CacheConfigError(f"max_depth must be >= 1, got {max_depth}")
@@ -382,7 +334,7 @@ def opt_stack_distances(
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     return _opt_distances(
-        blocks, next_occurrences(blocks), 0, n, sets, scheme, max_depth, {}
+        blocks, next_occurrences(blocks), 0, n, sets, max_depth, {}
     )
 
 
@@ -440,13 +392,13 @@ def _level_pass(
         sets = 1 if geom.is_fully_associative else geom.sets
         kind, classes = "lru", sets
         bound = geom.associativity if sets > 1 else geom.n_blocks
-    key = (kind, classes, _scheme_of(geom, classes))
+    key = (kind, classes)
     found = memo.get(key)
     if found is None:
         k = int(carry.shape[0])
         synth = np.concatenate([carry, blocks]) if k else blocks
         scan = _direct_hit_mask if kind == "direct" else per_set_stack_distances
-        found = memo[key] = scan(synth, classes, key[2])[k:]
+        found = memo[key] = scan(synth, classes)[k:]
     return found, bound
 
 
@@ -536,18 +488,17 @@ def _opt_kernel(
     intermediates, never the trace cache); chunk 0 keeps its blocks and
     next uses in memory, so a one-chunk source reads once and opens no
     directory.  The forward pass resumes :func:`_opt_stack_pass` across
-    chunks, one carried state per set of each distinct (set count, scheme),
-    at the max depth any geometry sharing the pass needs.  OPT derives its
+    chunks, one carried state per set of each distinct set count, at the
+    max depth any geometry sharing the pass needs.  OPT derives its
     state from the source alone, so it takes no seed ``carry``.
     """
-    depth_for: Dict[Tuple[int, str], int] = {}
-    reads: List[Tuple[Tuple[int, str], int]] = []
+    depth_for: Dict[int, int] = {}
+    reads: List[Tuple[int, int]] = []
     for geom in geometries:
         sets = 1 if geom.is_fully_associative else geom.sets
         cap = geom.n_blocks if sets == 1 else geom.associativity
-        key = (sets, _scheme_of(geom, sets))
-        depth_for[key] = max(depth_for.get(key, 1), cap)
-        reads.append((key, cap))
+        depth_for[sets] = max(depth_for.get(sets, 1), cap)
+        reads.append((sets, cap))
     n_chunks = source.n_chunks
     total = source.accesses
     bounds = source.chunk_bounds()
@@ -572,21 +523,19 @@ def _opt_kernel(
                 uniq, first = np.unique(blocks, return_index=True)
                 seen.update(zip(uniq.tolist(), (first + lo).tolist()))
                 np.save(Path(tmp) / f"next{index}.npy", next_use)
-        states: Dict[Tuple[int, str], Dict[int, _OptState]] = {
-            key: {} for key in depth_for
-        }
+        states: Dict[int, Dict[int, _OptState]] = {sets: {} for sets in depth_for}
         for index in range(n_chunks):
             if index:
                 blocks, phases = source.chunk(index)
                 next_use = np.load(Path(tmp) / f"next{index}.npy")
             lo = bounds[index][0]
             dist = {
-                key: _opt_distances(
-                    blocks, next_use, lo, total, *key, depth, states[key]
+                sets: _opt_distances(
+                    blocks, next_use, lo, total, sets, depth, states[sets]
                 )
-                for key, depth in depth_for.items()
+                for sets, depth in depth_for.items()
             }
-            passes = [(dist[key], cap) for key, cap in reads]
+            passes = [(dist[sets], cap) for sets, cap in reads]
             yield phases, _fanout(_miss_mask, passes, workers)
 
 

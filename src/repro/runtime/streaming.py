@@ -22,7 +22,7 @@ disk-bounded without changing a single answer:
 :func:`~repro.runtime.compiled.simulate_trace` replays a :class:`ChunkedTrace`
 (or an in-memory trace at ``chunk_words=``) bit-identically to the one-chunk
 replay — the differential contract ``tests/test_streaming.py`` pins across
-every policy × index scheme × chunk size.  Carried state is O(distinct
+every policy × chunk size.  Carried state is O(distinct
 blocks): the looped schedules this targets reuse a bounded working set, so
 the carry stays small while the trace grows without bound.
 

@@ -17,9 +17,9 @@ content-addressed and persistent:
   inputs — so it is identical across processes, interpreter sessions, and
   machines, and *any* semantic change (one firing, one gap block, a
   different placement order) changes the key.  Geometry fields (``ways``,
-  set counts, index scheme) are deliberately absent: traces are
-  geometry-independent, and a digest that varied with them would shatter
-  the cache across sweep points that share one trace.
+  set counts) are deliberately absent: traces are geometry-independent,
+  and a digest that varied with them would shatter the cache across sweep
+  points that share one trace.
 * :func:`query_digest` extends a trace key with (geometry, policy) for
   callers that memoize *answers* rather than traces — there the
   organization does matter, so a ways change yields a different key.
@@ -201,7 +201,6 @@ def _geometry_facts(geom: object) -> object:
         int(getattr(geom, "size")),
         int(getattr(geom, "block")),
         getattr(geom, "ways", None),
-        getattr(geom, "index_scheme", "mod"),
     ]
 
 
@@ -213,8 +212,8 @@ def query_digest(
     """Key of one *answer*: a trace key plus the sweep's organizations.
 
     Unlike :func:`trace_digest`, the organization matters here — changing
-    ``ways``, the set count, or the index scheme changes which misses the
-    replay reports, so it changes this key.
+    ``ways`` or the set count changes which misses the replay reports, so
+    it changes this key.
     """
     payload = {
         "trace": trace_key,

@@ -4,13 +4,13 @@ Every vectorized engine in this library ships with a deliberately simple
 stepwise oracle, and the acceptance bar is *bit-identical per-access
 agreement* — exact miss positions, not totals.  Before this module, each
 test file hand-rolled the same loop (run both engines, zip, assert); as the
-kernel×oracle matrix grows (policies × organizations × index schemes ×
-placements), those copies drift.  :func:`differential_grid` is the one
-loop: it runs the kernel once over the whole grid (so sweeps exercise the
-kernels' shared-pass amortization exactly as production does), runs the
-oracle per point, and on the first divergence raises an ``AssertionError``
-that pinpoints the access — position, block id, both verdicts, and the
-recent window of the trace — instead of a bare ``assert list == list``.
+kernel×oracle matrix grows (policies × organizations × placements), those
+copies drift.  :func:`differential_grid` is the one loop: it runs the
+kernel once over the whole grid (so sweeps exercise the kernels'
+shared-pass amortization exactly as production does), runs the oracle per
+point, and on the first divergence raises an ``AssertionError`` that
+pinpoints the access — position, block id, both verdicts, and the recent
+window of the trace — instead of a bare ``assert list == list``.
 
 :func:`replay_kernel` and :func:`stepwise_oracle` adapt the two registries
 (:mod:`repro.runtime.replay` / :mod:`repro.cache.policy`) to the harness

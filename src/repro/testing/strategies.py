@@ -6,7 +6,7 @@ distributions, and so extensions can reuse them.  The graph strategies emit
 graphs satisfying the paper's Section-2 assumptions (dag, rate matched,
 single source/sink) by construction; :func:`geometry_strategy` emits only
 organizations :class:`~repro.cache.base.CacheGeometry` validation accepts
-(power-of-two set counts, both index schemes), and
+(power-of-two set counts), and
 :func:`placement_strategy` emits (order, gaps) candidates inside a given
 address-space gap budget — the exact search space
 :mod:`repro.mem.placement` explores; and :func:`chunking_strategy` emits
@@ -16,7 +16,7 @@ for the streaming-replay invariance properties.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -64,25 +64,20 @@ def geometry_strategy(
     block: int = 8,
     max_ways: int = 8,
     max_sets: int = 32,
-    schemes: Sequence[str] = ("mod", "xor"),
     allow_fully_associative: bool = True,
 ) -> CacheGeometry:
     """Random *valid* cache organizations: ``ways`` from 1 up to
     ``max_ways``, a power-of-two set count up to ``max_sets`` (what
-    geometry validation demands), either index scheme, and — when allowed —
-    fully-associative geometries with power-of-two frame counts so the
-    ``"xor"`` scheme stays legal in its direct-mapped reading."""
-    scheme = draw(st.sampled_from(list(schemes)))
+    geometry validation demands), and — when allowed — fully-associative
+    geometries with power-of-two frame counts."""
     sets_choices = [s for s in (1, 2, 4, 8, 16, 32) if s <= max_sets]
     ways_choices = [w for w in (1, 2, 4, 8) if w <= max_ways]
     if allow_fully_associative and draw(st.booleans()):
         frames = draw(st.sampled_from(sets_choices))
-        return CacheGeometry(size=frames * block, block=block, index_scheme=scheme)
+        return CacheGeometry(size=frames * block, block=block)
     ways = draw(st.sampled_from(ways_choices))
     sets = draw(st.sampled_from(sets_choices))
-    return CacheGeometry(
-        size=sets * ways * block, block=block, ways=ways, index_scheme=scheme
-    )
+    return CacheGeometry(size=sets * ways * block, block=block, ways=ways)
 
 
 @st.composite

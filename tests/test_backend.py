@@ -8,13 +8,13 @@ The backend contract has three load-bearing clauses, each pinned here:
 * **Clamping** — pool width is ``min(workers, len(items), cpu_count)``;
   zero/negative/``None`` means serial.
 * **Bit-identity** — ``backend="process"`` answers are byte-for-byte the
-  serial answers for *every registered policy* under both index schemes.
+  serial answers for *every registered policy*.
   The serial side is itself anchored to the stepwise engines with
   :func:`~repro.testing.harness.differential_grid`, so the chain
   stepwise oracle == serial replay == process replay holds per access.
 
 Plus the batch front door: intra-batch dedup, persistent-cache sharing,
-query-order answers, and the ``index_scheme="mod"`` preset default.
+query-order answers, and the geometry preset.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.mem.placement import build_instance, normalize_targets, swap_refine
 from repro.runtime import backend as backend_mod
 from repro.runtime.backend import (
     BACKENDS,
-    DEFAULT_INDEX_SCHEME,
     CandidateScorer,
     ServiceQuery,
     SharedTrace,
@@ -216,10 +215,11 @@ class TestSharedTrace:
 
 
 # ----------------------------------------------------------------------
-# the acceptance criterion: process == serial, per policy, per scheme
+# the acceptance criterion: process == serial, per policy
 # ----------------------------------------------------------------------
 def _grids():
-    """One geometry grid per (policy, index scheme) worth sweeping."""
+    """One geometry grid per policy worth sweeping, keyed ``(policy,
+    "mod")``: every geometry indexes sets by ``block % sets``."""
     return {
         ("lru", "mod"): [
             CacheGeometry(size=64, block=B),
@@ -227,23 +227,10 @@ def _grids():
             CacheGeometry(size=256, block=B, ways=4),
             CacheGeometry(size=128, block=B, ways=2),
         ],
-        ("lru", "xor"): [
-            CacheGeometry(size=128, block=B, ways=2, index_scheme="xor"),
-            CacheGeometry(size=256, block=B, ways=4, index_scheme="xor"),
-            CacheGeometry(size=512, block=B, ways=4, index_scheme="xor"),
-        ],
         ("direct", "mod"): [
             CacheGeometry(size=s, block=B, ways=1) for s in (64, 128, 256)
         ],
-        ("direct", "xor"): [
-            CacheGeometry(size=s, block=B, ways=1, index_scheme="xor")
-            for s in (64, 128, 256)
-        ],
         ("opt", "mod"): [CacheGeometry(size=s, block=B) for s in (64, 128, 256)],
-        ("opt", "xor"): [
-            CacheGeometry(size=128, block=B, ways=2, index_scheme="xor"),
-            CacheGeometry(size=256, block=B, ways=2, index_scheme="xor"),
-        ],
         ("two_level", "mod"): [
             TwoLevelGeometry(
                 CacheGeometry(size=64, block=B), CacheGeometry(size=256, block=B)
@@ -251,12 +238,6 @@ def _grids():
             TwoLevelGeometry(
                 CacheGeometry(size=64, block=B, ways=2),
                 CacheGeometry(size=512, block=B, ways=4),
-            ),
-        ],
-        ("two_level", "xor"): [
-            TwoLevelGeometry(
-                CacheGeometry(size=64, block=B, ways=2, index_scheme="xor"),
-                CacheGeometry(size=256, block=B, ways=4, index_scheme="xor"),
             ),
         ],
     }
@@ -386,16 +367,10 @@ class TestCandidateScorer:
 # batch front door
 # ----------------------------------------------------------------------
 class TestGeometrySweepPreset:
-    def test_default_scheme_is_mod(self):
-        assert DEFAULT_INDEX_SCHEME == "mod"
+    def test_one_geometry_per_size(self):
         geoms = geometry_sweep([64, 128, 256], B)
-        assert [g.index_scheme for g in geoms] == ["mod"] * 3
         assert [g.size for g in geoms] == [64, 128, 256]
         assert all(g.ways is None for g in geoms)
-
-    def test_xor_is_explicit_opt_in(self):
-        geoms = geometry_sweep([128, 256], B, ways=2, index_scheme="xor")
-        assert all(g.index_scheme == "xor" and g.ways == 2 for g in geoms)
 
 
 class TestRunBatch:

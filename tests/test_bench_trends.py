@@ -36,14 +36,14 @@ class TestValidateRecord:
     def test_well_formed_record_passes(self):
         rec = _record(
             {"ts": 1.0, "score": 20.0, "swap_gain": 5.0},
-            {"ts": 2.0, "score": 21.0, "swap_gain": 6.0, "xor_gain": 1.2},
+            {"ts": 2.0, "score": 21.0, "swap_gain": 6.0, "facility_gain": 1.2},
         )
         assert _errors(rec) == []
 
     def test_older_entries_may_lack_newer_metrics(self):
-        # multi_gain/xor_gain post-date the record's first runs
+        # multi_gain/facility_gain post-date the record's first runs
         rec = _record({"ts": 1, "score": 20.0}, {"ts": 2, "score": 21.0,
-                                                 "multi_gain": 6.4, "xor_gain": 1.1})
+                                                 "multi_gain": 6.4, "facility_gain": 1.1})
         assert _errors(rec) == []
 
     def test_non_dict_top_level_named(self):

@@ -76,6 +76,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["experiment", "e99"])
 
+    def test_experiment_without_driver_lists_known_ids(self):
+        # a10 is inside the dispatch ranges but has no driver
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "a10"])
+        msg = str(exc.value.code)
+        assert msg.startswith("unknown experiment 'a10' (known: ")
+        known = msg.split("known: ")[1].rstrip(")").split(", ")
+        assert "a10" not in known and "a11" not in known
+        assert {"e1", "e15", "a1", "a9", "a12"} <= set(known)
+
     def test_export_dot_stdout(self, capsys):
         assert main(["export-dot", "mp3_subband"]) == 0
         assert "digraph" in capsys.readouterr().out
@@ -88,9 +98,9 @@ class TestCli:
 
 
 class TestCliPlacementSurface:
-    """The --layout-targets / --index-scheme / --gap-budget surface: bad
-    specs must die as argparse usage errors (exit code 2, no traceback),
-    and the happy paths must run end to end."""
+    """The --layout-targets / --gap-budget surface: bad specs must die as
+    argparse usage errors (exit code 2, no traceback), and the happy paths
+    must run end to end."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -114,9 +124,9 @@ class TestCliPlacementSurface:
         assert exc.value.code == 2  # argparse usage error, not a traceback
         assert "--layout-targets" in capsys.readouterr().err
 
-    def test_unknown_index_scheme_is_argparse_error(self, capsys):
+    def test_removed_index_scheme_flag_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["schedule", "des_rounds", "--index-scheme", "plru",
+            main(["schedule", "des_rounds", "--index-scheme", "xor",
                   "--inputs", "64"])
         assert exc.value.code == 2
         assert "--index-scheme" in capsys.readouterr().err
@@ -151,25 +161,6 @@ class TestCliPlacementSurface:
         with pytest.raises(SystemExit, match="--layout-targets"):
             main(["schedule", "des_rounds", "--layout-targets", "direct:1",
                   "--inputs", "64"])
-
-    def test_xor_scheme_without_valid_frames_is_clean_error(self):
-        # fm_radio's O(M) geometry has a non-power-of-two frame count, so
-        # xor folding has nothing to fold over without --ways
-        with pytest.raises(SystemExit, match="invalid cache organization"):
-            main(["schedule", "fm_radio", "--cache", "256", "--inputs", "128",
-                  "--index-scheme", "xor"])
-
-    def test_schedule_swap_with_xor_scheme_end_to_end(self, capsys):
-        rc = main(
-            ["schedule", "des_rounds", "--cache", "256", "--ways", "1",
-             "--policy", "direct", "--layout", "swap", "--index-scheme", "xor",
-             "--layout-budget", "60", "--inputs", "64"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "xor-indexed" in out
-        assert "swap placement" in out
-        assert "misses" in out
 
     def test_schedule_multi_target_layout_end_to_end(self, capsys):
         rc = main(

@@ -41,17 +41,6 @@ class TestUnknownPolicy:
         assert "'fifo'" in err and "--policy" in err
 
 
-class TestIndexSchemeTypos:
-    @pytest.mark.parametrize("typo", ["xorr", "XOR", "skew", "modn"])
-    def test_typo_names_value_and_valid_schemes(self, typo, capsys):
-        err = _usage_error(
-            capsys,
-            ["schedule", "fm_radio", "--cache", "256", "--index-scheme", typo],
-        )
-        assert f"'{typo}'" in err
-        assert "mod" in err and "xor" in err
-
-
 class TestUnknownBackend:
     """``--backend`` rejects unknown names with exit 2 naming the value, on
     every subcommand that accepts the flag."""

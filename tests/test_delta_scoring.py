@@ -10,7 +10,7 @@ tests hold it to the full replay:
   placements and checks every step's per-target counts against the full
   replay that :func:`repro.mem.placement.placement_costs` runs, across
   lru (fully and set associative), direct, opt and two_level targets,
-  mod/xor indexing and chunked replay (with a ``slow`` nightly twin);
+  and chunked replay (with a ``slow`` nightly twin);
 * every search strategy returns the same layout and the same
   :class:`~repro.mem.placement.RefineStats` as under a full-replay
   reference scorer defined here;
@@ -85,10 +85,7 @@ def _targets(draw: st.DrawFn) -> list:
         policy = draw(st.sampled_from(["lru", "direct", "opt", "two_level"]))
         if policy == "direct":
             frames = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
-            geom = CacheGeometry(
-                size=frames * B, block=B, ways=1,
-                index_scheme=draw(st.sampled_from(["mod", "xor"])),
-            )
+            geom = CacheGeometry(size=frames * B, block=B, ways=1)
         elif policy == "two_level":
             a = draw(geometry_strategy(block=B, max_sets=16))
             b = draw(geometry_strategy(block=B, max_sets=16))

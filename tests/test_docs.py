@@ -30,17 +30,15 @@ def test_required_doc_pages_exist_and_are_linked():
 
 
 def test_module_docstring_doctests():
-    """The docstring examples of the lint package and the shared fold
-    module are runnable, not decorative."""
+    """The docstring examples of the lint package are runnable, not
+    decorative."""
     import doctest
 
-    import repro.cache.indexing
     import repro.lint
 
-    for mod in (repro.lint, repro.cache.indexing):
-        result = doctest.testmod(mod, optionflags=doctest.ELLIPSIS)
-        assert result.attempted > 0, f"{mod.__name__}: no doctests found"
-        assert result.failed == 0, f"{mod.__name__}: {result.failed} failed"
+    result = doctest.testmod(repro.lint, optionflags=doctest.ELLIPSIS)
+    assert result.attempted > 0, "repro.lint: no doctests found"
+    assert result.failed == 0, f"repro.lint: {result.failed} failed"
 
 
 def test_static_analysis_doc_has_runnable_lint_invocation():

@@ -38,39 +38,22 @@ def stepwise_mask(trace, geometry):
 
 def _grid():
     """(L1, L2) organizations covering the interesting corners: direct and
-    set-associative L1s (both index schemes), L2 == L1 (equal geometries),
-    and L2 >> L1."""
+    set-associative L1s, L2 == L1 (equal geometries), and L2 >> L1."""
     points = []
-    for l1_frames, l1_ways, l1_scheme in (
-        (2, None, "mod"),
-        (4, None, "mod"),
-        (4, 1, "mod"),
-        (4, 1, "xor"),
-        (8, 2, "mod"),
-        (8, 2, "xor"),
-        (16, 1, "mod"),
-    ):
-        l1 = CacheGeometry(
-            size=l1_frames * B, block=B, ways=l1_ways, index_scheme=l1_scheme
-        )
-        for l2_frames, l2_ways, l2_scheme in (
-            (l1_frames, None, "mod"),  # equal capacity
-            (2 * l1_frames, None, "mod"),
-            (32, None, "mod"),
-            (32, 4, "mod"),
-            (32, 4, "xor"),  # skewed L2 behind any L1
-            (64, 1, "mod"),  # direct-mapped L2
-            (64, 1, "xor"),
+    for l1_frames, l1_ways in ((2, None), (4, None), (4, 1), (8, 2), (16, 1)):
+        l1 = CacheGeometry(size=l1_frames * B, block=B, ways=l1_ways)
+        for l2_frames, l2_ways in (
+            (l1_frames, None),  # equal capacity
+            (2 * l1_frames, None),
+            (32, None),
+            (32, 4),
+            (64, 1),  # direct-mapped L2
         ):
             if l2_frames < l1_frames:
                 continue
             points.append(
                 TwoLevelGeometry(
-                    l1,
-                    CacheGeometry(
-                        size=l2_frames * B, block=B, ways=l2_ways,
-                        index_scheme=l2_scheme,
-                    ),
+                    l1, CacheGeometry(size=l2_frames * B, block=B, ways=l2_ways)
                 )
             )
     return points

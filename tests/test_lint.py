@@ -32,8 +32,9 @@ class TestLiveTree:
         assert report.rules_run == tuple(r.id for r in all_rules())
         assert report.violations == [], report.format()
 
-    def test_all_six_rule_families_registered(self):
-        assert [r.id for r in all_rules()] == ["R1", "R2", "R3", "R4", "R5", "R6"]
+    def test_all_rule_families_registered(self):
+        # R5 is retired, and its id is not reused
+        assert [r.id for r in all_rules()] == ["R1", "R2", "R3", "R4", "R6"]
 
     def test_bench_exemptions_all_carry_reasons(self):
         for exp_id, reason in BENCH_EXEMPT.items():
@@ -341,68 +342,6 @@ class TestR4DtypeContracts:
 
 
 # ---------------------------------------------------------------------------
-# R5 — twin-fold pinning
-# ---------------------------------------------------------------------------
-_R5_INDEXING = (
-    "def fold_parameters(sets):\n    return sets.bit_length() - 1, sets - 1\n"
-    "def xor_fold_index(block, sets):\n    return 0\n"
-    "def xor_fold_index_array(blocks, sets):\n    return blocks\n"
-)
-
-
-class TestR5TwinFoldPinning:
-    def _files(self, **overrides):
-        files = {
-            "src/repro/cache/indexing.py": _R5_INDEXING,
-            "src/repro/cache/base.py": (
-                "from repro.cache.indexing import xor_fold_index\n"
-            ),
-            "src/repro/runtime/replay.py": (
-                "from repro.cache.indexing import xor_fold_index_array\n"
-            ),
-        }
-        files.update(overrides)
-        return files
-
-    def test_pinned_twins_pass(self):
-        assert _violations(self._files(), ["R5"]) == []
-
-    def test_missing_shared_helper_reported(self):
-        files = self._files(
-            **{
-                "src/repro/cache/indexing.py": (
-                    "def fold_parameters(sets):\n    return 0, 0\n"
-                    "def xor_fold_index(block, sets):\n    return 0\n"
-                )
-            }
-        )
-        (v,) = _violations(files, ["R5"])
-        assert v.path == "src/repro/cache/indexing.py"
-        assert "xor_fold_index_array" in v.message
-
-    def test_consumer_without_import_reported(self):
-        files = self._files(**{"src/repro/cache/base.py": "X = 1\n"})
-        (v,) = _violations(files, ["R5"])
-        assert v.path == "src/repro/cache/base.py"
-        assert "import xor_fold_index" in v.message
-
-    def test_local_duplicate_fold_reported(self):
-        files = self._files(
-            **{
-                "src/repro/runtime/replay.py": (
-                    "from repro.cache.indexing import xor_fold_index_array\n"
-                    "def xor_fold_local(blocks, sets):\n"
-                    "    k = sets.bit_length() - 1\n"
-                    "    return blocks\n"
-                )
-            }
-        )
-        msgs = _messages(files, ["R5"])
-        assert any("duplicates repro.cache.indexing" in m for m in msgs)
-        assert any("bit_length" in m for m in msgs)
-
-
-# ---------------------------------------------------------------------------
 # R6 — obs name registry + import-light obs package
 # ---------------------------------------------------------------------------
 _R6_NAMES = (
@@ -608,11 +547,12 @@ class TestRunnerAndCli:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rid in ("R1", "R2", "R3", "R4", "R5", "R6"):
+        for rid in ("R1", "R2", "R3", "R4", "R6"):
             assert rid in out
+        assert "R5" not in out
 
     def test_cli_rule_subset_and_json(self, capsys):
-        assert main(["--rules", "R3,R5", "--format", "json"]) == 0
+        assert main(["--rules", "R3,R6", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
     def test_cli_unknown_rule_is_usage_error(self, capsys):
@@ -625,9 +565,9 @@ class TestRunnerAndCli:
         # a root missing every anchor file: the linter must fail loudly,
         # not crash — exercised through --root end to end
         (tmp_path / "src").mkdir()
-        assert main(["--root", str(tmp_path), "--rules", "R5"]) == 1
+        assert main(["--root", str(tmp_path), "--rules", "R3"]) == 1
         out = capsys.readouterr().out
-        assert "repro.lint: FAIL" in out and "indexing.py is missing" in out
+        assert "repro.lint: FAIL" in out and "replay.py is missing" in out
 
 
 class TestR2ServiceBenchReference:

@@ -25,15 +25,15 @@ GRIDS = {
     "lru": [
         CacheGeometry(size=4 * B, block=B),
         CacheGeometry(size=8 * B, block=B, ways=2),
-        CacheGeometry(size=16 * B, block=B, ways=4, index_scheme="xor"),
+        CacheGeometry(size=16 * B, block=B, ways=4),
     ],
     "direct": [
         CacheGeometry(size=8 * B, block=B, ways=1),
-        CacheGeometry(size=16 * B, block=B, ways=1, index_scheme="xor"),
+        CacheGeometry(size=16 * B, block=B, ways=1),
     ],
     "opt": [
         CacheGeometry(size=4 * B, block=B),
-        CacheGeometry(size=8 * B, block=B, ways=2, index_scheme="xor"),
+        CacheGeometry(size=8 * B, block=B, ways=2),
     ],
     "two_level": [
         TwoLevelGeometry(
@@ -42,7 +42,7 @@ GRIDS = {
         ),
         TwoLevelGeometry(
             CacheGeometry(size=4 * B, block=B, ways=1),
-            CacheGeometry(size=32 * B, block=B, ways=4, index_scheme="xor"),
+            CacheGeometry(size=32 * B, block=B, ways=4),
         ),
     ],
 }

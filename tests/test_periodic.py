@@ -181,7 +181,7 @@ def test_period_contract(count):
 # ----------------------------------------------------------------------
 # replay: the two-slice answer equals the expanded replay and the executor
 # ----------------------------------------------------------------------
-def _replay_case(g, data, policy, scheme, max_sets):
+def _replay_case(g, data, policy, max_sets):
     body, caps = _body(g)
     p = _period_iterations(g, body)
     assume(p * len(body) <= 64)
@@ -192,22 +192,18 @@ def _replay_case(g, data, policy, scheme, max_sets):
     sched = _looped(body, caps, count, data.draw(st.integers(0, len(body) - 1)),
                     data.draw(st.integers(0, len(body))))
     geoms = data.draw(st.lists(
-        geometry_strategy(block=B, max_sets=max_sets, schemes=(scheme,)),
+        geometry_strategy(block=B, max_sets=max_sets),
         min_size=1, max_size=3,
     ))
     if policy == "direct":
-        geoms = [
-            CacheGeometry(size=geom.size, block=B, ways=1, index_scheme=scheme)
-            for geom in geoms
-        ]
+        geoms = [CacheGeometry(size=geom.size, block=B, ways=1) for geom in geoms]
     flat = sched.to_flat()
     want = _answers(simulate_trace(compile_trace(g, flat, B), geoms, policy=policy))
     assert want == _stepwise(g, flat, geoms, policy)
     repeats = count // p if count >= 2 * p else 0
     expect = sum(
         1 for geom in geoms
-        if (scheme == "mod" or _classes(geom, policy) == 1)
-        and repeats >= _hyperperiod(g, body, p, geom, policy) + 2
+        if repeats >= _hyperperiod(g, body, p, geom, policy) + 2
     )
     event(f"answered from slices: {expect > 0}")
     chunk_words = data.draw(st.sampled_from([97, 1024]))
@@ -223,40 +219,41 @@ def _replay_case(g, data, policy, scheme, max_sets):
 
 @given(
     g=rate_matched_pipelines(max_n=4, with_delays=True), data=st.data(),
-    policy=st.sampled_from(["lru", "direct"]), scheme=st.sampled_from(["mod", "xor"]),
+    policy=st.sampled_from(["lru", "direct"]),
 )
 @settings(
     max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-def test_replay_equals_expanded_and_executor(g, data, policy, scheme):
-    _replay_case(g, data, policy, scheme, max_sets=8)
+def test_replay_equals_expanded_and_executor(g, data, policy):
+    _replay_case(g, data, policy, max_sets=8)
 
 
 @pytest.mark.slow
 @given(
     g=rate_matched_pipelines(max_n=5, with_delays=True), data=st.data(),
-    policy=st.sampled_from(["lru", "direct"]), scheme=st.sampled_from(["mod", "xor"]),
+    policy=st.sampled_from(["lru", "direct"]),
 )
 @settings(
     max_examples=300, deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-def test_replay_equals_expanded_and_executor_nightly(g, data, policy, scheme):
-    _replay_case(g, data, policy, scheme, max_sets=32)
+def test_replay_equals_expanded_and_executor_nightly(g, data, policy):
+    _replay_case(g, data, policy, max_sets=32)
 
 
 def test_mixed_sweep_keeps_geometry_order():
     """Qualifying and non-qualifying geometries in one call come back in
-    input order, each equal to the expanded replay."""
+    input order, each equal to the expanded replay (64 and 128 sets have a
+    hyperperiod longer than the trace's 50 periods)."""
     g = SIX
     body, caps = _body(g)
     sched = _looped(body, caps, 400, 1, 4)
     geoms = [
-        CacheGeometry(size=64 * B, block=B, ways=4, index_scheme="xor"),
+        CacheGeometry(size=64 * 4 * B, block=B, ways=4),
         CacheGeometry(size=16 * B, block=B),
         CacheGeometry(size=16 * B, block=B, ways=2),
-        CacheGeometry(size=32 * B, block=B, ways=2, index_scheme="xor"),
+        CacheGeometry(size=128 * 2 * B, block=B, ways=2),
     ]
     want = _answers(simulate_trace(compile_trace(g, sched.to_flat(), B), geoms))
     with obs.capture(enabled=True) as cap:

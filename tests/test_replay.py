@@ -109,38 +109,11 @@ class TestGeometryValidation:
         with pytest.raises(CacheConfigError):
             CacheGeometry(size=128, block=8).with_ways(ways)
 
-    def test_unknown_index_scheme_rejected(self):
-        with pytest.raises(CacheConfigError, match="unknown index_scheme"):
-            CacheGeometry(size=128, block=8, index_scheme="plru")
-
-    def test_xor_needs_power_of_two_frames_when_fully_associative(self):
-        # 12 frames, no ways: the direct-mapped reading has nothing to fold over
-        with pytest.raises(CacheConfigError, match="power-of-two"):
-            CacheGeometry(size=96, block=8, index_scheme="xor")
-        # but with an explicit ways the set count is already validated
-        g = CacheGeometry(size=128, block=8, ways=2, index_scheme="xor")
-        assert g.sets == 8
-
-    def test_xor_set_of_differs_from_mod_and_stays_in_range(self):
-        mod = CacheGeometry(size=256, block=8, ways=1)
-        xor = CacheGeometry(size=256, block=8, ways=1, index_scheme="xor")
-        idx = [xor.set_of(b) for b in range(200)]
-        assert all(0 <= i < xor.sets for i in idx)
-        assert idx != [mod.set_of(b) for b in range(200)]
-        # blocks inside one tag stride agree with mod; the stride above XORs
-        assert xor.set_of(3) == 3 and xor.set_of(32 + 3) != mod.set_of(32 + 3)
-
-    def test_with_ways_and_with_index_scheme_preserve_scheme(self):
-        g = CacheGeometry(size=1024, block=8, index_scheme="mod")  # 128 frames
-        assert g.with_ways(4).index_scheme == "mod"
-        gx = g.with_index_scheme("xor")
-        assert gx.index_scheme == "xor" and gx.size == g.size
-        assert gx.with_ways(4).index_scheme == "xor"
-        assert gx.with_index_scheme("xor") is gx
-        # snapping a non-power-of-two frame count up keeps xor legal
-        assert CacheGeometry(size=920, block=8).with_ways(4).with_index_scheme(
-            "xor"
-        ).sets == 32
+    def test_with_ways_zero_or_none_is_fully_associative(self):
+        g = CacheGeometry(size=1024, block=8, ways=4)
+        for ways in (0, None):
+            assert g.with_ways(ways) == CacheGeometry(size=1024, block=8)
+            assert g.with_ways(ways).is_fully_associative
 
 
 # ----------------------------------------------------------------------
@@ -154,10 +127,9 @@ def _fa_geometries():
 
 def _sa_geometries():
     return [
-        CacheGeometry(size=sets * ways * B, block=B, ways=ways, index_scheme=scheme)
+        CacheGeometry(size=sets * ways * B, block=B, ways=ways)
         for ways in (1, 2, 4, 8)
         for sets in (1, 2, 8, 16)
-        for scheme in ("mod", "xor")
     ]
 
 
@@ -172,9 +144,7 @@ class TestReplayDifferential:
     @settings(max_examples=40, deadline=None)
     def test_direct_masks_match_stepwise(self, trace):
         geoms = _fa_geometries() + [
-            CacheGeometry(size=s * B, block=B, ways=1, index_scheme=scheme)
-            for s in (1, 2, 4, 16)
-            for scheme in ("mod", "xor")
+            CacheGeometry(size=s * B, block=B, ways=1) for s in (1, 2, 4, 16)
         ]
         differential_grid(
             replay_kernel("direct"), stepwise_oracle("direct"), geoms, trace

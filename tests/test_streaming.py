@@ -3,7 +3,7 @@
 
 The contract is *bit-identity*: chunked compilation + carried replay must
 answer exactly what the monolithic engine answers, for every registered
-policy, both index schemes, and **any** chunk partition — including
+policy and **any** chunk partition — including
 ``chunk_words=1`` (maximal carry traffic), ``chunk_words=len(trace)`` (one
 chunk, the degenerate monolithic case), and prime sizes that straddle every
 frame/loop boundary.  The differential grids run through the shared harness
@@ -68,10 +68,9 @@ def _fa_geometries():
 
 def _sa_geometries():
     return [
-        CacheGeometry(size=sets * ways * B, block=B, ways=ways, index_scheme=scheme)
+        CacheGeometry(size=sets * ways * B, block=B, ways=ways)
         for ways in (1, 2, 4)
         for sets in (2, 8)
-        for scheme in ("mod", "xor")
     ]
 
 
@@ -99,9 +98,7 @@ class TestStreamingDifferential:
     def test_direct_chunked_matches_stepwise_at_every_size(self):
         trace = _trace_blocks(seed=4)
         geoms = _fa_geometries() + [
-            CacheGeometry(size=s * B, block=B, ways=1, index_scheme=scheme)
-            for s in (1, 2, 4, 16)
-            for scheme in ("mod", "xor")
+            CacheGeometry(size=s * B, block=B, ways=1) for s in (1, 2, 4, 16)
         ]
         differential_grid(
             replay_kernel("direct"), stepwise_oracle("direct"), geoms, trace,
@@ -164,8 +161,7 @@ def _partition_invariance(trace, data, policy, geoms):
 class TestChunkingProperties:
     GEOMS = [
         CacheGeometry(size=3 * B, block=B),
-        CacheGeometry(size=4 * 2 * B, block=B, ways=2, index_scheme="mod"),
-        CacheGeometry(size=4 * 2 * B, block=B, ways=2, index_scheme="xor"),
+        CacheGeometry(size=4 * 2 * B, block=B, ways=2),
     ]
 
     @given(
@@ -236,15 +232,15 @@ class TestChunkingProperties:
             geoms = [
                 TwoLevelGeometry(
                     CacheGeometry(size=2 * B, block=B),
-                    CacheGeometry(size=16 * B, block=B, ways=4, index_scheme="xor"),
+                    CacheGeometry(size=16 * B, block=B, ways=4),
                 )
             ]
         elif policy == "direct":
-            geoms = [CacheGeometry(size=8 * B, block=B, ways=1, index_scheme="xor")]
+            geoms = [CacheGeometry(size=8 * B, block=B, ways=1)]
         else:
             geoms = [
                 CacheGeometry(size=6 * B, block=B),
-                CacheGeometry(size=8 * 4 * B, block=B, ways=4, index_scheme="xor"),
+                CacheGeometry(size=8 * 4 * B, block=B, ways=4),
             ]
         _partition_invariance(trace, data, policy, geoms)
 
@@ -373,11 +369,9 @@ class TestFrontDoors:
                 )
             ]
         elif policy == "direct":
-            geoms = [CacheGeometry(size=16 * B, block=B, ways=1, index_scheme=s)
-                     for s in ("mod", "xor")]
+            geoms = [CacheGeometry(size=16 * B, block=B, ways=1)]
         else:
-            geoms = [CacheGeometry(size=16 * B, block=B, ways=2, index_scheme=s)
-                     for s in ("mod", "xor")]
+            geoms = [CacheGeometry(size=16 * B, block=B, ways=2)]
         mono = simulate_trace(trace, geoms, policy=policy)
         for cw in (1, 37, trace.accesses):
             assert simulate_trace(trace, geoms, policy=policy, chunk_words=cw) == mono
@@ -452,10 +446,7 @@ class TestProcessChunkFanOut:
         g, sched, trace = workload
         cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
         ct = compile_trace_chunked(g, sched, B, chunk_words=157, cache=cache)
-        geoms = [
-            CacheGeometry(size=8 * B, block=B, ways=w, index_scheme=s)
-            for w, s in ((1, "mod"), (1, "xor"))
-        ]
+        geoms = [CacheGeometry(size=8 * B, block=B, ways=1)]
         if policy == "lru":
             geoms.append(CacheGeometry(size=16 * B, block=B, ways=2))
         serial = simulate_trace(ct, geoms, policy=policy)

@@ -80,7 +80,7 @@ class TestA9CrossGeometry:
 
     def test_rows_and_shape(self, rows):
         assert [r["placement"] for r in rows] == [
-            "seed (topo)", "swap@direct", "swap@multi", "xor-index",
+            "seed (topo)", "swap@direct", "swap@multi",
         ]
         cols = [k for k in rows[0] if k.endswith("w")]
         assert len(cols) == 3  # direct, 2way, 4way — sizes in the labels

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Wrapper so the analyzer runs without PYTHONPATH gymnastics::
 
-    python tools/run_lint.py [--rules R1,R5] [--list-rules] [--format json]
+    python tools/run_lint.py [--rules R1,R6] [--list-rules] [--format json]
 
 Equivalent to ``PYTHONPATH=src python -m repro.lint`` from the repo root;
 all flags are forwarded (see :mod:`repro.lint.cli`).  Exit status: 0 clean,

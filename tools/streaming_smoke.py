@@ -10,11 +10,11 @@ plus a fixed margin far below the trace's own size:
 
 * the **chunked** child (``compile_trace_chunked`` + ``simulate_trace``)
   must finish: its peak is O(chunk_words + carried state), the trace lives
-  on disk as content-addressed segments.  Its 2-way ``mod`` geometry is
-  answered from two slices of the periodic trace, so the child also
-  replays the same geometry with ``index_scheme="xor"``, which the period
-  shortcut does not cover: that one streams every segment through the
-  carried kernels.  The child's counters must show both paths ran
+  on disk as content-addressed segments.  Its 2-way geometry is answered
+  from two slices of the periodic trace, so the child also replays a
+  two-level hierarchy with that geometry as L1, which the period shortcut
+  does not cover: that one streams every segment through the carried
+  kernels.  The child's counters must show both paths ran
   (``replay.period_geometries == 1``, ``compile.period_repeats > 0``);
 * the **monolithic** child (``compile_trace`` + ``simulate_trace``) must
   die with ``MemoryError``: the block trace alone (int64 blocks + uint8
@@ -100,21 +100,23 @@ def _run_child(mode: str, margin_mb: int) -> int:
     from repro.runtime.compiled import compile_trace, simulate_trace
 
     if mode == "chunked":
+        from repro.cache.hierarchy import TwoLevelGeometry
         from repro.runtime.streaming import compile_trace_chunked
         from repro.runtime.trace_cache import TraceCache
 
-        xor = CacheGeometry(size=16 * 8, block=8, ways=2, index_scheme="xor")
+        pair = TwoLevelGeometry(geom, CacheGeometry(size=64 * 8, block=8, ways=4))
         with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp, \
                 obs.capture(enabled=True) as cap:
             cache = TraceCache(tmp, max_bytes=1 << 31)
             trace = compile_trace_chunked(
                 g, sched, 8, chunk_words=CHUNK_WORDS, cache=cache
             )
-            result, streamed = simulate_trace(trace, [geom, xor], policy="lru")
+            (result,) = simulate_trace(trace, [geom], policy="lru")
+            (streamed,) = simulate_trace(trace, [pair], policy="two_level")
         counters = cap.snapshot["counters"]
         sliced = counters.get(obs_names.REPLAY_PERIOD_GEOMETRIES, 0)
         repeats = counters.get(obs_names.COMPILE_PERIOD_REPEATS, 0)
-        print(f"[{mode}] xor misses={streamed.misses} streamed over "
+        print(f"[{mode}] two_level misses={streamed.misses} streamed over "
               f"{trace.n_chunks} segments; period_geometries={sliced} "
               f"period_repeats={repeats}", flush=True)
         if sliced != 1 or repeats <= 0:

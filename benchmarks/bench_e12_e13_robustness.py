@@ -19,7 +19,7 @@ def test_e12_cache_models(benchmark, show):
 def test_e13_seed_distribution(benchmark, show):
     rows = benchmark.pedantic(
         experiment_e13_seed_distribution,
-        kwargs={"n_seeds": 8, "workers": 4},  # per-seed multi-trace fan-out
+        kwargs={"n_seeds": 8},
         rounds=1,
         iterations=1,
     )

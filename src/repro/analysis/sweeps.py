@@ -26,7 +26,7 @@ replay, no stepwise simulation anywhere (see ``docs/REPLAY.md``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -172,7 +172,6 @@ def _e12_row(label: str, res, base) -> Dict[str, Any]:
 
 def experiment_e13_seed_distribution(
     n_seeds: int = 16, n: int = 24, M: int = 96, n_outputs: int = 400,
-    workers: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """Distribution of measured/LB competitive ratios over random pipelines.
 
@@ -180,11 +179,6 @@ def experiment_e13_seed_distribution(
     deterministically from the seed range, so the row set is stable.  Every
     measurement is the fully-associative LRU model, so the whole sweep runs
     through the compiled-trace engine instead of stepwise simulation.
-
-    ``workers`` fans the per-seed multi-trace runs (two compilations and
-    replays per seed) out over a thread pool; seeds are independent and the
-    results are gathered in seed order, so the rows are identical at any
-    worker count.
     """
     geom = CacheGeometry(size=M, block=8)
 
@@ -215,13 +209,7 @@ def experiment_e13_seed_distribution(
         )
         return ratio, win
 
-    if workers and workers > 1 and n_seeds > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(run_seed, range(n_seeds)))
-    else:
-        per_seed = [run_seed(seed) for seed in range(n_seeds)]
+    per_seed = [run_seed(seed) for seed in range(n_seeds)]
     ratios = [r for r, _ in per_seed if r is not None]
     wins = [w for _, w in per_seed if w is not None]
 

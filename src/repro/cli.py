@@ -24,14 +24,18 @@ Commands
                          POLICY:WAYS[@WEIGHT],...`` switches it to the
                          multi-geometry objective (never worse than the
                          seed at any target);
-                         ``--backend {serial,thread,process}`` +
-                         ``--workers N`` pick the execution backend
-                         (process pools receive compiled traces via shared
-                         memory) and ``--cache-dir PATH`` persists compiled
-                         traces content-addressed on disk
+                         ``--backend {serial,process}`` picks the execution
+                         backend (process pools receive compiled traces via
+                         shared memory; ``--workers N`` sizes the pool),
+                         ``--chunk-words N`` compiles and replays the trace
+                         out of core in segments of N accesses, and
+                         ``--cache-dir PATH`` persists compiled traces
+                         content-addressed on disk
 ``experiment``           run one experiment driver (e1..e15, a1..a9, a12) and
                          print its table; accepts the same
-                         ``--backend``/``--workers``/``--cache-dir`` flags;
+                         ``--backend``/``--workers``/``--chunk-words``/
+                         ``--cache-dir`` flags (drivers replay their
+                         in-memory traces in chunks of N);
                          both it and ``schedule`` also take ``--metrics-out
                          PATH`` to switch on the :mod:`repro.obs`
                          instrumentation and write a JSON run manifest
@@ -78,7 +82,7 @@ from typing import List, Optional
 
 from repro.cache.base import CacheGeometry
 from repro.graphs.apps import ALL_APPS
-from repro.graphs.io import load_graph, save_graph, to_dot
+from repro.graphs.io import load_graph, to_dot
 from repro.graphs.sdf import StreamGraph
 
 __all__ = ["main", "build_parser"]
@@ -162,14 +166,20 @@ def _parse_layout_targets(spec: str):
 
 
 def _apply_runtime_flags(args: argparse.Namespace) -> None:
-    """Install ``--backend``/``--workers``/``--cache-dir`` as the process-wide
-    runtime defaults (:func:`repro.runtime.backend.configure`,
+    """Install ``--backend``/``--workers``/``--chunk-words``/``--cache-dir``
+    as the process-wide runtime defaults
+    (:func:`repro.runtime.backend.configure`,
     :func:`repro.runtime.trace_cache.configure`) so every simulation and
     compilation this command performs — including inside experiment drivers
-    that take no backend parameters — inherits them."""
+    that take no backend parameters — inherits them.  ``--workers`` sizes a
+    process pool, so it needs ``--backend process``."""
     backend = getattr(args, "backend", None)
     workers = getattr(args, "workers", None)
     chunk_words = getattr(args, "chunk_words", None)
+    if workers is not None and backend != "process":
+        raise SystemExit(
+            "--workers sizes the process pool; combine it with --backend process"
+        )
     if backend is not None or workers is not None or chunk_words is not None:
         from repro.runtime.backend import configure as configure_backend
 
@@ -329,7 +339,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )[0]
         else:
             res = measure_compiled(
-                g, measure_geom, sched, layout_order=order, policy=policy
+                g, measure_geom, sched, layout_order=order, policy=policy,
+                chunk_words=args.chunk_words,
             )
     except CacheConfigError as exc:
         # bad --ways/--l2-ways value, or a --policy/--ways combination the
@@ -454,19 +465,20 @@ def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
 
     sub.add_argument("--backend", default=None, choices=BACKENDS,
                      help="execution backend for replay and placement "
-                          "search: serial (no pool), thread (numpy releases "
-                          "the GIL in the kernels), or process (fan out over "
-                          "a process pool; compiled traces travel via "
-                          "shared memory)")
+                          "search: serial (in the calling process; the "
+                          "default) or process (a process pool; compiled "
+                          "traces travel via shared memory)")
     sub.add_argument("--workers", type=int, default=None,
-                     help="pool width, clamped to min(workers, items, "
-                          "cores); default: every core for --backend "
-                          "process, serial otherwise")
+                     help="process pool width (needs --backend process), "
+                          "clamped to min(workers, items, cores); default: "
+                          "every core")
     sub.add_argument("--chunk-words", type=int, default=None, metavar="N",
-                     help="replay traces through the out-of-core streaming "
-                          "engine in chunks of N accesses (bit-identical "
-                          "miss counts, bounded memory); default: the "
-                          "monolithic in-memory path")
+                     help="schedule compiles its trace out of core in "
+                          "segments of N accesses and replays them in order "
+                          "(bounded memory); experiment drivers and "
+                          "--layout replay their in-memory traces in chunks "
+                          "of N.  Miss counts are bit-identical; default: "
+                          "one in-memory chunk")
     sub.add_argument("--cache-dir", default=None, metavar="PATH",
                      help="persistent compiled-trace cache directory: "
                           "identical (graph, schedule, layout, block) "

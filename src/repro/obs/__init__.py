@@ -6,8 +6,8 @@ search service path.  Three pieces:
 * a thread-safe **metrics registry** (counters, gauges, histograms,
   series) — :mod:`repro.obs.registry`;
 * nestable **spans** (``with obs.span("replay", policy="lru"):``) that
-  aggregate wall/CPU per phase and merge across thread *and* process
-  backends — :mod:`repro.obs.core`;
+  aggregate wall/CPU per phase and merge back from process-pool workers —
+  :mod:`repro.obs.core`;
 * **run manifests**: a JSON-lines event log plus a final JSON summary
   (stable run ID, git describe, config digest, per-phase times, metric
   snapshot) per CLI invocation — :mod:`repro.obs.manifest`, rendered by

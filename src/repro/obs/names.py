@@ -79,7 +79,7 @@ BATCH_QUERIES = "run_batch.queries"
 BATCH_DEDUPED = "run_batch.deduped"
 #: distinct (trace, policy) replay groups per batch
 BATCH_GROUPS = "run_batch.groups"
-#: items mapped across a backend by `fan_out` / `process_sweep`
+#: tasks a process pool ran (`process_sweep`)
 BACKEND_TASKS = "backend.tasks"
 #: candidate layouts scored by a placement local search (every strategy's)
 PLACEMENT_EVALS = "placement.evals"

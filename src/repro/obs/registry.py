@@ -16,10 +16,11 @@ instrumentation layer produces, keyed by names from
   (``record_span``), written by the context managers in
   :mod:`repro.obs.core`.
 
-Everything mutates under one lock, so thread-backend workers can record
-into the shared registry directly.  Process-backend workers record into a
-private registry and ship a :meth:`snapshot` (a plain JSON-able dict)
-back with their reduced stats; the parent folds it in with :meth:`merge`.
+Everything mutates under one lock, so any thread of the process can
+record into the shared registry directly.  Process-pool workers record
+into a private registry and ship a :meth:`snapshot` (a plain JSON-able
+dict) back with their reduced stats; the parent folds it in with
+:meth:`merge`.
 Merging is commutative for counters/histograms/spans and order-preserving
 for series, so "serial totals == merged process totals" holds whenever
 the underlying work is identical.

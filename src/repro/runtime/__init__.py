@@ -1,19 +1,19 @@
 """Execution substrate: FIFO channel buffers bound to memory addresses, the
 firing engine that moves tokens through the cache simulator, the trace
 compiler and the policy-aware replay kernels that answer whole geometry
-families in one pass, the execution backends (serial/thread/process fan-out
-with shared-memory trace shipping and the ``run_batch`` service front door),
-the persistent content-addressed trace cache, out-of-core streaming (chunk
-sources and chunked trace compilation spilled to cache segments, replayed
-by the same chunk kernels bit-identically to one in-memory chunk),
-schedule representation/validation, and deadlock analysis."""
+families in one pass, the execution backends (in-process replay, or a
+process pool fed through shared memory, and the ``run_batch`` service
+front door), the persistent content-addressed trace cache, out-of-core
+streaming (chunk sources and chunked trace compilation spilled to cache
+segments, replayed by the same chunk kernels bit-identically to one
+in-memory chunk), schedule representation/validation, and deadlock
+analysis."""
 
 from repro.runtime.backend import (
     BACKENDS,
     ServiceAnswer,
     ServiceQuery,
     effective_workers,
-    fan_out,
     geometry_sweep,
     run_batch,
 )
@@ -33,7 +33,6 @@ from repro.runtime.streaming import (
 from repro.runtime.trace_cache import (
     TraceCache,
     cached_compile_trace,
-    query_digest,
     trace_digest,
 )
 from repro.runtime.replay import (
@@ -60,9 +59,7 @@ __all__ = [
     "TraceCache",
     "cached_compile_trace",
     "effective_workers",
-    "fan_out",
     "geometry_sweep",
-    "query_digest",
     "run_batch",
     "trace_digest",
     "ChannelBuffer",

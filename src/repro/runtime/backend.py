@@ -1,26 +1,23 @@
-"""Execution backends: serial / thread / process fan-out behind ``workers=``.
+"""Execution backends: replay in the calling process, or on a process pool.
 
-Everything the replay engine parallelizes is an ordered map — per-geometry
-mask evaluation in :func:`repro.runtime.replay.replay_miss_masks`,
-per-candidate scoring in the placement local search, per-query
-evaluation in :func:`run_batch` — so this module centralizes one contract:
+Everything this module parallelizes is an ordered map — per-geometry
+replay in :func:`replay_stats`, per-candidate scoring in the placement
+local search (:class:`CandidateScorer`), per-query evaluation in
+:func:`run_batch` — so it centralizes one contract:
 
-* **Ordering.**  Every backend returns results in the exact order of its
-  inputs: ``fan_out(fn, items)[i] == fn(items[i])`` for all ``i``,
-  regardless of which worker finished first.  (Pools preserve submission
-  order by construction — ``Executor.map`` yields in input order — and the
-  serial path is a list comprehension.)  Callers never re-sort.
+* **Ordering.**  Results come back in the exact order of their inputs,
+  regardless of which worker finished first: ``Executor.map`` yields in
+  submission order, and the in-process path is a plain loop.  Callers
+  never re-sort.
 * **Clamping.**  Pool width is ``min(workers, len(items), os.cpu_count())``
   (:func:`effective_workers`): a pool wider than the item list or the
-  machine only adds startup cost.  Zero/negative/None worker counts mean
-  "serial".
-* **Three names** (:data:`BACKENDS`): ``"serial"`` never builds a pool;
-  ``"thread"`` uses a thread pool (numpy releases the GIL inside the heavy
-  ufuncs, so threads help exactly when the work is vectorized);
-  ``"process"`` uses a process pool for Python-heavy work the GIL would
-  serialize.  An explicitly requested process backend keeps its pool even
-  at one worker — a distinct process either way, so differential tests
-  exercise the real cross-process path on any machine.
+  machine only adds startup cost.  A process backend given no width gets
+  every core, clamped.
+* **Two names** (:data:`BACKENDS`): ``"serial"`` runs the replay kernels in
+  the calling process and never builds a pool; ``"process"`` uses a
+  process pool.  A process backend keeps its pool even at one worker — a
+  distinct process either way, so differential tests exercise the real
+  cross-process path on any machine.
 
 **One replay path.**  :func:`replay_stats` is where
 :func:`~repro.runtime.compiled.simulate_trace` replays: in process over
@@ -30,18 +27,19 @@ carry, geometry slice).  A pool that loses a worker falls back to the
 in-process replay and counts ``replay.process_fallback``; any other worker
 error raises.
 
-**Shipping traces to workers.**  A compiled trace is one or two large flat
+**Shipping arrays to workers.**  A compiled trace is one or two large flat
 arrays (``int64`` block ids, ``uint8`` phase codes — often 100k+ accesses).
-Pickling them per task would dwarf the work, so :class:`SharedTrace`
-publishes them once into a :mod:`multiprocessing.shared_memory` segment and
-workers reconstruct zero-copy ``np.ndarray`` views over the mapped buffer;
-per-task payloads are chunk bounds, carries and geometry lists.  A
-:class:`~repro.runtime.streaming.ChunkedTrace` ships segment paths
-instead, which workers read straight off disk.  The placement scorer
-(:class:`CandidateScorer`) does the same with the remap-instance arrays
-(``obj_of_access``/``block_offset``): candidates ship as tiny per-object
-start vectors, never as traces, each with the per-set miss counts of the
-last candidate scored, which it is delta-scored against.
+Pickling them per task would dwarf the work, so both pools publish their
+big arrays once through one publisher, :class:`SharedArrays`: one
+:mod:`multiprocessing.shared_memory` segment, which the one pool
+initializer (:func:`_attach`) maps into each worker as zero-copy
+``np.ndarray`` views.  The replay pool publishes the trace and ships chunk
+bounds, carries and geometry lists per task; a
+:class:`~repro.runtime.streaming.ChunkedTrace` ships segment paths instead,
+which workers read straight off disk.  The placement scorer publishes the
+remap-instance arrays (``obj_of_access``/``block_offset``): candidates ship
+as tiny per-object start vectors, never as traces, each with the per-set
+miss counts of the last candidate scored, which it is delta-scored against.
 
 **Batch front door.**  :func:`run_batch` answers N
 (graph, schedule, geometries, policy) queries the way a many-user service
@@ -50,7 +48,7 @@ must: queries are grouped by their content digest
 compiled **once** (through the persistent cache when one is configured),
 geometry sweeps sharing a (trace, policy) pair are evaluated together so
 the replay kernels' shared passes amortize across users, and evaluation
-fans out over the selected backend.  Answers come back in query order.
+runs on the selected backend.  Answers come back in query order.
 
 Results are bit-identical across backends: the kernels are pure functions
 of the chunk, its carry and the geometries, so where the map runs cannot
@@ -65,7 +63,6 @@ import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -82,6 +79,8 @@ from repro.obs import core as obs
 from repro.obs import names as obs_names
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.cache.base import CacheGeometry
     from repro.graphs.sdf import StreamGraph
     from repro.mem.layout import ObjectKey
@@ -98,8 +97,7 @@ __all__ = [
     "resolve",
     "configure",
     "default_chunk_words",
-    "fan_out",
-    "SharedTrace",
+    "SharedArrays",
     "process_sweep",
     "replay_stats",
     "CandidateScorer",
@@ -109,8 +107,8 @@ __all__ = [
     "run_batch",
 ]
 
-#: The three execution backends, in "least machinery" order.
-BACKENDS = ("serial", "thread", "process")
+#: The two execution backends, in "least machinery" order.
+BACKENDS = ("serial", "process")
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +127,7 @@ def effective_workers(workers: Optional[int], n_items: int) -> int:
     """The pool width actually worth building:
     ``min(workers, n_items, os.cpu_count())``, floored at 1.
 
-    ``None`` or a non-positive count means serial (width 1).  A pool wider
+    ``None`` or a non-positive count means width 1.  A pool wider
     than the item list idles from the first task; wider than the machine,
     it only adds scheduler pressure — neither can go faster.
     """
@@ -139,7 +137,7 @@ def effective_workers(workers: Optional[int], n_items: int) -> int:
 
 
 _DEFAULTS: Dict[str, object] = {
-    "backend": "thread",
+    "backend": "serial",
     "workers": None,
     "chunk_words": None,
 }
@@ -156,9 +154,8 @@ def configure(
     flags install so experiment drivers (which take no backend parameters)
     inherit the choice.  Returns the previous triple so callers can restore
     it (``configure(*previous)``).  The initial default —
-    ``("thread", None, None)`` — reproduces the historical behaviour
-    exactly: no pool unless a caller passes ``workers=``, monolithic replay
-    unless a caller passes ``chunk_words=``.
+    ``("serial", None, None)`` — builds no pool and replays monolithically
+    unless a caller passes ``backend=``/``chunk_words=``.
     """
     previous = (
         str(_DEFAULTS["backend"]),
@@ -191,101 +188,54 @@ def resolve(
     """Resolve ``(backend, workers)`` call parameters to a concrete plan.
 
     ``backend=None`` reads the configured default (and, when ``workers`` is
-    also ``None``, the configured default width).  An explicit ``"process"``
-    request with no width gets every core; an unconfigured thread backend
-    with no width stays serial (the pre-backend contract of ``workers=``).
-    Returns ``(name, width)`` with width already clamped.
+    also ``None``, the configured default width).  A process backend with
+    no width gets every core, whether the caller or :func:`configure`
+    chose it.  Returns ``(name, width)`` with width already clamped; a
+    process backend keeps its pool at width 1 (differential tests rely on
+    crossing the process boundary).
     """
     if backend is None:
         backend = str(_DEFAULTS["backend"])
         if workers is None:
             workers = _DEFAULTS["workers"]  # type: ignore[assignment]
-        explicit = _DEFAULTS["workers"] is not None
-    else:
-        explicit = True
-    backend = normalize_backend(backend)
-    if backend == "serial":
+    if normalize_backend(backend) == "serial":
         return "serial", 1
     if workers is None:
-        if backend == "process" and explicit:
-            workers = os.cpu_count() or 1
-        else:
-            return backend, 1
-    width = effective_workers(workers, n_items)
-    if width <= 1:
-        # a process backend honoured at width 1 still crosses the process
-        # boundary (differential tests rely on this); threads at width 1
-        # are pure overhead and collapse to serial
-        return ("process", 1) if backend == "process" else ("serial", 1)
-    return backend, width
-
-
-def _mp_context():
-    import multiprocessing as mp
-
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()  # pragma: no cover - non-fork platforms
-
-
-def fan_out(
-    fn: Callable,
-    items: Sequence,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> List:
-    """Ordered map: ``fan_out(fn, items)[i] == fn(items[i])``, always.
-
-    The backend only chooses *where* each call runs; submission-order
-    ``Executor.map`` (or the serial comprehension) guarantees the results
-    come back in input order.  The process backend requires ``fn`` and each
-    item to be picklable — module-level functions, not closures.
-    """
-    name, width = resolve(backend, workers, len(items))
-    obs.add(obs_names.BACKEND_TASKS, len(items))
-    obs.gauge(obs_names.BACKEND_WIDTH, width)
-    with obs.span(obs_names.BACKEND_MAP, backend=name):
-        if name == "serial" or width <= 1 and name != "process":
-            return [fn(it) for it in items]
-        if name == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                return list(pool.map(fn, items))
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=width, mp_context=_mp_context()) as pool:
-            return list(pool.map(fn, items))
+        workers = os.cpu_count()
+    return "process", effective_workers(workers, n_items)
 
 
 # ----------------------------------------------------------------------
-# shared-memory trace shipping
+# shared-memory array shipping
 # ----------------------------------------------------------------------
-class SharedTrace:
-    """A compiled trace published once into shared memory.
+class SharedArrays:
+    """Named flat arrays published once into one shared-memory segment.
 
-    Layout: ``n * 8`` bytes of ``int64`` block ids, then (optionally) ``n``
-    bytes of ``uint8`` phase codes, in one segment.  Workers attach by name
-    and build zero-copy ``np.ndarray`` views (:func:`_attach_trace`) — the
-    arrays are never pickled, no matter how many tasks replay them.  Use as
-    a context manager; the parent unlinks the segment on exit.
+    ``SharedArrays(blocks=..., phases=None)`` copies every array that is
+    not ``None`` into the segment, each at an 8-byte-aligned offset, and
+    records its ``layout``: one ``(name, dtype, length, offset)`` per
+    array.  A pool built by :func:`_process_pool` over it runs
+    :func:`_attach` in each worker, which maps the segment and rebuilds
+    zero-copy ``np.ndarray`` views by that layout — the arrays are never
+    pickled, no matter how many tasks read them.  Use as a context manager
+    (or call :meth:`close`); the parent unlinks the segment.
     """
 
-    def __init__(self, blocks: np.ndarray, phases: Optional[np.ndarray]) -> None:
+    def __init__(self, **arrays: Optional[np.ndarray]) -> None:
         from multiprocessing import shared_memory
 
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-        self.n = int(blocks.shape[0])
-        self.has_phases = phases is not None
-        nbytes = self.n * 8 + (self.n if self.has_phases else 0)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        view = np.ndarray((self.n,), dtype=np.int64, buffer=self._shm.buf)
-        view[:] = blocks
-        if phases is not None:
-            pview = np.ndarray(
-                (self.n,), dtype=np.uint8, buffer=self._shm.buf, offset=self.n * 8
-            )
-            pview[:] = np.ascontiguousarray(phases, dtype=np.uint8)
+        parts = [
+            (name, np.ascontiguousarray(a)) for name, a in arrays.items()
+            if a is not None
+        ]
+        self.layout: List[Tuple[str, str, int, int]] = []
+        size = 0
+        for name, a in parts:
+            self.layout.append((name, a.dtype.str, int(a.shape[0]), size))
+            size += -(-a.nbytes // 8) * 8
+        self._shm = shared_memory.SharedMemory(create=True, size=max(1, size))
+        for (_name, dtype, n, offset), (_key, a) in zip(self.layout, parts):
+            np.ndarray((n,), dtype=dtype, buffer=self._shm.buf, offset=offset)[:] = a
         self.name = self._shm.name
 
     def close(self) -> None:
@@ -295,34 +245,55 @@ class SharedTrace:
         except (FileNotFoundError, OSError):  # pragma: no cover - double close
             pass
 
-    def __enter__(self) -> "SharedTrace":
+    def __enter__(self) -> "SharedArrays":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
 
-_WORKER_TRACE: Dict[str, object] = {}
+#: What a pool worker sees: the arrays and state :func:`_attach` installed.
+_WORKER: Dict[str, object] = {}
 
 
-def _attach_trace(shm_name: str, n: int, has_phases: bool) -> None:
-    """Pool initializer: map the published trace into this worker, zero-copy.
+def _attach(
+    name: str,
+    layout: Sequence[Tuple[str, str, int, int]],
+    state: Dict[str, object],
+) -> None:
+    """Pool initializer: map the published segment into this worker,
+    zero-copy, and install ``state`` beside its arrays in :data:`_WORKER`.
 
     Workers never unlink (or unregister) the segment — its lifetime belongs
-    to the parent's :class:`SharedTrace`, which unlinks once the pool is
+    to the parent's :class:`SharedArrays`, which unlinks once the pool is
     drained.  Attach-side registrations are set-idempotent in the resource
     tracker shared by the forked children, so the parent's single unlink
     leaves the books balanced.
     """
     from multiprocessing import shared_memory
 
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_TRACE["shm"] = shm  # keep the mapping alive for the views below
-    _WORKER_TRACE["blocks"] = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    _WORKER_TRACE["phases"] = (
-        np.ndarray((n,), dtype=np.uint8, buffer=shm.buf, offset=n * 8)
-        if has_phases
-        else None
+    shm = shared_memory.SharedMemory(name=name)
+    _WORKER["shm"] = shm  # keep the mapping alive for the views below
+    for key, dtype, n, offset in layout:
+        _WORKER[key] = np.ndarray((n,), dtype=dtype, buffer=shm.buf, offset=offset)
+    _WORKER.update(state)
+
+
+def _process_pool(
+    width: int, shared: Optional[SharedArrays] = None, **state: object
+) -> "ProcessPoolExecutor":
+    """A ``width``-process pool, forked where the platform can.  With
+    ``shared``, each worker runs :func:`_attach` and finds those arrays and
+    ``state`` in :data:`_WORKER`."""
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
+    if shared is None:
+        return ProcessPoolExecutor(max_workers=width, mp_context=ctx)
+    return ProcessPoolExecutor(
+        max_workers=width, mp_context=ctx, initializer=_attach,
+        initargs=(shared.name, shared.layout, state),
     )
 
 
@@ -334,7 +305,7 @@ def _replay_task(
     The chunk is a segment path (a :class:`~repro.runtime.streaming.
     ChunkedTrace` chunk, loaded straight off disk — the cache's documented
     one-``.npz``-per-key layout) or ``(lo, hi)`` bounds into the trace the
-    pool initializer attached (:func:`_attach_trace`).  Returns the reduced
+    pool initializer attached (:func:`_attach`).  Returns the reduced
     per-geometry ``(misses, phase counts)``, never the masks, so nothing
     big crosses back.
     """
@@ -353,8 +324,8 @@ def _replay_task(
             )
     else:
         lo, hi = cast(Tuple[int, int], chunk)
-        blocks = cast(np.ndarray, _WORKER_TRACE["blocks"])[lo:hi]
-        all_phases = cast(Optional[np.ndarray], _WORKER_TRACE["phases"])
+        blocks = cast(np.ndarray, _WORKER["blocks"])[lo:hi]
+        all_phases = cast(Optional[np.ndarray], _WORKER.get("phases"))
         phases = None if all_phases is None else all_phases[lo:hi]
     source = ArrayChunkSource(blocks, phases, chunk_words=int(blocks.shape[0]))
     chunks = replay_chunks(source, geometries, policy, carry=carry)
@@ -389,13 +360,11 @@ def process_sweep(
     of it — cheap and sequential, while the workers do the distance passes;
     only lru and direct resume from such a carry, so the caller sends no
     other policy this way.  An in-memory source is published to shared
-    memory once (:class:`SharedTrace`) and ships chunk bounds; a
+    memory once (:class:`SharedArrays`) and ships chunk bounds; a
     :class:`~repro.runtime.streaming.ChunkedTrace` ships segment paths.
     Per-task counts sum per geometry: bit-identical to the in-process
     replay.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.runtime.replay import recency_carry
     from repro.runtime.streaming import ChunkedTrace
 
@@ -420,18 +389,14 @@ def process_sweep(
     obs.add(obs_names.BACKEND_TASKS, len(tasks))
     obs.gauge(obs_names.BACKEND_WIDTH, width)
     with contextlib.ExitStack() as stack:
-        init: Dict[str, object] = {}
+        shared: Optional[SharedArrays] = None
         if not on_disk:
             src = cast("ArrayChunkSource", source)
-            shared = stack.enter_context(SharedTrace(src.blocks, src.phases))
-            init = {
-                "initializer": _attach_trace,
-                "initargs": (shared.name, shared.n, shared.has_phases),
-            }
+            shared = stack.enter_context(
+                SharedArrays(blocks=src.blocks, phases=src.phases)
+            )
         stack.enter_context(obs.span(obs_names.BACKEND_MAP, backend="process"))
-        pool = stack.enter_context(ProcessPoolExecutor(
-            max_workers=width, mp_context=_mp_context(), **init  # type: ignore[arg-type]
-        ))
+        pool = stack.enter_context(_process_pool(width, shared))
         results = list(pool.map(_replay_task, tasks))
     sums: List[Tuple[int, np.ndarray]] = [(0, 0)] * len(geoms)  # type: ignore[list-item]
     for (_i, _carry, lo, _hi), stats in zip(plan, results):
@@ -451,8 +416,7 @@ def replay_stats(
     chunk of ``source``, on the resolved backend (:func:`resolve`).
 
     In process, the kernel replays the chunks in order and
-    :func:`~repro.runtime.replay.chunk_counts` reduces them; the thread
-    backend threads each chunk's per-geometry evaluation.  The process
+    :func:`~repro.runtime.replay.chunk_counts` reduces them.  The process
     backend runs :func:`process_sweep` when the source is one chunk, or
     when it is longer and ``policy`` resumes from a recency carry (lru,
     direct); other replays stay in process.  A pool that loses a worker
@@ -467,9 +431,7 @@ def replay_stats(
     n_chunks = source.n_chunks
     name, width = resolve(backend, workers, max(len(geoms), n_chunks))
     # built first so an unknown policy fails here, never in a worker
-    chunks = replay_chunks(
-        source, geoms, policy, width if name == "thread" else None
-    )
+    chunks = replay_chunks(source, geoms, policy)
     obs.add(obs_names.STREAM_CHUNKS, n_chunks)
     if name == "process" and geoms and (
         n_chunks == 1 or (n_chunks > 1 and policy in ("lru", "direct"))
@@ -488,30 +450,6 @@ def replay_stats(
 # ----------------------------------------------------------------------
 # placement candidate scoring
 # ----------------------------------------------------------------------
-_SCORER_STATE: Dict[str, object] = {}
-
-
-def _attach_scorer(
-    shm_name: str,
-    n: int,
-    targets: List[Tuple["CacheGeometry", str, float]],
-    want_obs: bool,
-    chunk_words: Optional[int] = None,
-) -> None:
-    """Pool initializer: map the remap-instance arrays; keep targets local."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _SCORER_STATE["shm"] = shm
-    _SCORER_STATE["obj"] = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    _SCORER_STATE["off"] = np.ndarray(
-        (n,), dtype=np.int64, buffer=shm.buf, offset=n * 8
-    )
-    _SCORER_STATE["targets"] = targets
-    _SCORER_STATE["obs"] = want_obs
-    _SCORER_STATE["chunk_words"] = chunk_words
-
-
 def _score_candidate_remote(
     task: Tuple[int, np.ndarray, Optional["ScoreBase"]]
 ) -> Tuple[int, List[int], "ScoreBase", Optional[Dict]]:
@@ -529,13 +467,13 @@ def _score_candidate_remote(
 
     def _score() -> Tuple[List[int], "ScoreBase"]:
         return _delta_misses(
-            cast(np.ndarray, _SCORER_STATE["obj"]),
-            cast(np.ndarray, _SCORER_STATE["off"]),
-            starts, cast(List["PlacementTarget"], _SCORER_STATE["targets"]), base,
-            chunk_words=cast(Optional[int], _SCORER_STATE.get("chunk_words")),
+            cast(np.ndarray, _WORKER["obj"]),
+            cast(np.ndarray, _WORKER["off"]),
+            starts, cast(List["PlacementTarget"], _WORKER["targets"]), base,
+            chunk_words=cast(Optional[int], _WORKER["chunk_words"]),
         )
 
-    if _SCORER_STATE.get("obs"):
+    if _WORKER["obs"]:
         with obs.capture(enabled=True) as cap:
             per, new_base = _score()
         return index, per, new_base, cap.snapshot
@@ -585,28 +523,19 @@ class CandidateScorer:
         #: the last candidate scored, which the next one is scored against
         self._base: Optional["ScoreBase"] = None
         name, width = resolve(backend, workers, os.cpu_count() or 1)
-        self._pool = None
+        self._pool: Optional["ProcessPoolExecutor"] = None
+        self._shared: Optional[SharedArrays] = None
         if name == "process":
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import shared_memory
-
-            obj = np.ascontiguousarray(instance.obj_of_access, dtype=np.int64)
-            off = np.ascontiguousarray(instance.block_offset, dtype=np.int64)
-            n = int(obj.shape[0])
-            shm = shared_memory.SharedMemory(create=True, size=max(1, n * 16))
-            np.ndarray((n,), dtype=np.int64, buffer=shm.buf)[:] = obj
-            np.ndarray((n,), dtype=np.int64, buffer=shm.buf, offset=n * 8)[:] = off
-            self._shm = shm
-            self._pool = ProcessPoolExecutor(
-                max_workers=width,
-                mp_context=_mp_context(),
-                initializer=_attach_scorer,
-                # obs state is frozen at pool construction: enable
-                # instrumentation before building the scorer
-                initargs=(shm.name, n, self.targets, obs.is_enabled(), chunk_words),
+            self._shared = SharedArrays(
+                obj=np.asarray(instance.obj_of_access, dtype=np.int64),
+                off=np.asarray(instance.block_offset, dtype=np.int64),
             )
-        else:
-            self._shm = None
+            # obs state is frozen at pool construction: enable
+            # instrumentation before building the scorer
+            self._pool = _process_pool(
+                width, self._shared, targets=self.targets,
+                obs=obs.is_enabled(), chunk_words=chunk_words,
+            )
 
     def score_per(self, starts_list: Sequence[np.ndarray]) -> List[List[int]]:
         """Per-target miss counts, one list per candidate, in candidate
@@ -645,13 +574,9 @@ class CandidateScorer:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-            self._shm = None
+        if self._shared is not None:
+            self._shared.close()
+            self._shared = None
 
     def __enter__(self) -> "CandidateScorer":
         return self

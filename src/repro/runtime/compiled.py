@@ -30,8 +30,8 @@ every cache size in a single Mattson stack-distance pass
   L1 pass emits the miss sub-trace a second L2 pass replays).  Results are
   :class:`~repro.runtime.executor.ExecutionResult` rows identical — misses,
   accesses, and per-phase attribution — to running the stepwise engine per
-  geometry.  ``workers=`` fans the per-geometry evaluation out over a
-  thread pool after the shared distance passes.
+  geometry.  ``backend="process"`` (with ``workers=`` sizing the pool)
+  spreads the replay over a process pool with the same answers.
 * :func:`measure_compiled` is the drop-in replacement for
   ``Executor.measure`` on any replay-capable policy.
 
@@ -959,14 +959,13 @@ def simulate_trace(
     ``tests/test_streaming.py``).
 
     ``backend`` selects where the replay runs
-    (:func:`repro.runtime.backend.replay_stats`): ``"serial"``/``"thread"``
-    in-process (threads fan the per-geometry mask evaluation out after the
-    shared distance passes, clamped per
-    :func:`~repro.runtime.backend.effective_workers`); ``"process"`` on a
-    process pool — bit-identical results in input order either way, since
-    the kernels are pure functions of the trace and the geometries.
-    ``backend=None`` (default) follows the configured process-wide default,
-    preserving the historical ``workers=``-threads behaviour.
+    (:func:`repro.runtime.backend.replay_stats`): ``"serial"`` in the
+    calling process, ``"process"`` on a process pool of ``workers``
+    processes (every core when ``None``, clamped per
+    :func:`~repro.runtime.backend.effective_workers`) — bit-identical
+    results in input order either way, since the kernels are pure functions
+    of the trace and the geometries.  ``backend=None`` (default) follows
+    the configured process-wide default, which starts as ``"serial"``.
 
     A trace that records a ``period`` (a compiled looped schedule) answers
     its ``mod``-indexed lru and direct geometries from two short slices

@@ -32,8 +32,7 @@ simulating block-by-block:
   per-frame scan when L1 is direct-mapped) selects the sub-trace, a second
   pass over it answers every L2 organization sharing that L1, and the L2
   verdicts are scattered back to trace positions.  One L1 pass therefore
-  amortizes over a whole L2 capacity grid; ``workers`` fans out over
-  distinct L1 geometries.
+  amortizes over a whole L2 capacity grid.
 
 Every kernel replays a *chunk source* — a trace viewed as an ordered
 sequence of chunks (:mod:`repro.runtime.streaming`) — carrying exactly the
@@ -78,11 +77,12 @@ from :func:`repro.mem.placement.remap_blocks` — replay identically, which
 is what lets the placement optimizer score thousands of layouts without
 recompiling.
 
-``workers`` fans the per-geometry mask evaluation out over a thread pool
-*after* the shared distance passes (numpy releases the GIL inside the heavy
-ufuncs); the shared passes themselves are computed once per distinct set
-count and chunk, never per geometry.  See ``docs/REPLAY.md`` for the
-per-policy algorithms, their complexity, and the oracle contract.
+The kernels run in the calling process; the shared passes are computed
+once per distinct set count and chunk, never per geometry.  Parallel
+replay is the process pool of :mod:`repro.runtime.backend`, which hands
+each worker a chunk, its carry and a geometry slice.  See
+``docs/REPLAY.md`` for the per-policy algorithms, their complexity, and
+the oracle contract.
 """
 
 from __future__ import annotations
@@ -412,38 +412,9 @@ def _miss_mask(level: Tuple[np.ndarray, Optional[int]]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # per-policy chunk kernels
 # ----------------------------------------------------------------------
-def _fanout(
-    fn: Callable, items: Sequence, workers: Optional[int]
-) -> List:
-    """Map ``fn`` over ``items``, through a thread pool when asked to.
-
-    **Ordering guarantee**: the result list is always in input order —
-    ``_fanout(fn, items, w)[i] == fn(items[i])`` for every ``i`` and every
-    ``w``.  The serial path is a comprehension and ``ThreadPoolExecutor.map``
-    yields results in submission order regardless of completion order, so
-    callers (every kernel, every sweep) never re-sort.
-
-    The pool width is clamped to ``min(workers, len(items), os.cpu_count())``
-    (:func:`repro.runtime.backend.effective_workers`): a pool wider than the
-    item list idles from the first task, and one wider than the machine only
-    adds scheduler pressure — ``workers=64`` on a 4-core box for 3 items
-    builds a 3-thread pool, not 64.  Width <= 1 runs serially.
-    """
-    from repro.runtime.backend import effective_workers
-
-    width = effective_workers(workers, len(items))
-    if width <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
-
-
 def _lru_kernel(
     source: "ChunkSource",
     geometries: Sequence[CacheGeometry],
-    workers: Optional[int],
     carry: Optional[np.ndarray] = None,
     direct: bool = False,
 ) -> Iterator[ChunkMasks]:
@@ -468,7 +439,7 @@ def _lru_kernel(
         blocks, phases = source.chunk(index)
         memo: Dict[Tuple[object, ...], np.ndarray] = {}
         passes = [_level_pass(blocks, carry, g, memo, direct) for g in geometries]
-        yield phases, _fanout(_miss_mask, passes, workers)
+        yield phases, [_miss_mask(p) for p in passes]
         if index < last:
             carry = recency_carry(carry, blocks)
 
@@ -476,7 +447,6 @@ def _lru_kernel(
 def _opt_kernel(
     source: "ChunkSource",
     geometries: Sequence[CacheGeometry],
-    workers: Optional[int],
     carry: None = None,
 ) -> Iterator[ChunkMasks]:
     """OPT misses chunk by chunk: a reverse next-use pass, then a forward
@@ -536,7 +506,7 @@ def _opt_kernel(
                 for sets, depth in depth_for.items()
             }
             passes = [(dist[sets], cap) for sets, cap in reads]
-            yield phases, _fanout(_miss_mask, passes, workers)
+            yield phases, [_miss_mask(p) for p in passes]
 
 
 def _two_level_group(
@@ -545,11 +515,11 @@ def _two_level_group(
     l1_memo: Dict[Tuple[object, ...], np.ndarray],
     sub_carries: Dict[CacheGeometry, np.ndarray],
     fold: bool,
-    group: Tuple[CacheGeometry, List[CacheGeometry]],
+    l1: CacheGeometry,
+    l2s: List[CacheGeometry],
 ) -> List[np.ndarray]:
     """Memory-miss masks of one L1 group over one chunk; with ``fold``, the
     chunk's L1 miss sub-trace is folded into the group's L2 carry."""
-    l1, l2s = group
     pos = np.flatnonzero(_miss_mask(_level_pass(blocks, carry, l1, l1_memo)))
     sub = blocks[pos]
     sub_carry = sub_carries.get(l1, _EMPTY)
@@ -568,7 +538,6 @@ def _two_level_group(
 def _two_level_kernel(
     source: "ChunkSource",
     geometries: Sequence,
-    workers: Optional[int],
     carry: None = None,
 ) -> Iterator[ChunkMasks]:
     """Memory-miss masks of two-level hierarchies, one L1 pass per distinct
@@ -582,8 +551,7 @@ def _two_level_kernel(
     shorter) sub-trace, and scatters the L2 verdicts back to chunk
     positions.  L1 carries the trace's recency list and each group's L2 the
     recency list of its sub-trace, folded only while another chunk follows;
-    the kernel takes no seed ``carry``.  ``workers`` threads the per-L1
-    groups.
+    the kernel takes no seed ``carry``.
     """
     groups: Dict[CacheGeometry, List[int]] = {}
     for i, tg in enumerate(geometries):
@@ -593,17 +561,18 @@ def _two_level_kernel(
                 f"got {tg!r}"
             )
         groups.setdefault(tg.l1, []).append(i)
-    items = [(l1, [geometries[i].l2 for i in idxs]) for l1, idxs in groups.items()]
     sub_carries: Dict[CacheGeometry, np.ndarray] = {}
     l1_carry = _EMPTY
     last = source.n_chunks - 1
     for index in range(source.n_chunks):
         blocks, phases = source.chunk(index)
-        run = functools.partial(
-            _two_level_group, blocks, l1_carry, {}, sub_carries, index < last
-        )
+        l1_memo: Dict[Tuple[object, ...], np.ndarray] = {}
         out: List[np.ndarray] = [_EMPTY] * len(geometries)
-        for idxs, masks in zip(groups.values(), _fanout(run, items, workers)):
+        for l1, idxs in groups.items():
+            masks = _two_level_group(
+                blocks, l1_carry, l1_memo, sub_carries, index < last,
+                l1, [geometries[i].l2 for i in idxs],
+            )
             for i, mask in zip(idxs, masks):
                 out[i] = mask
         yield phases, out
@@ -617,7 +586,7 @@ _KERNELS: Dict[str, Callable] = {}
 def register_replay_kernel(policy: str, kernel: Callable) -> None:
     """Register the chunk kernel answering sweeps for ``policy``.
 
-    ``kernel(source, geometries, workers, carry)`` replays a chunk source
+    ``kernel(source, geometries, carry)`` replays a chunk source
     (:class:`~repro.runtime.streaming.ChunkSource`) with carried state and
     yields, per chunk, ``(phases, masks)``: the chunk's phase codes (or
     ``None``) and one boolean miss mask per geometry.  ``carry`` seeds the
@@ -647,7 +616,6 @@ def replay_chunks(
     source: "ChunkSource",
     geometries: Iterable,
     policy: str = "lru",
-    workers: Optional[int] = None,
     carry: Optional[np.ndarray] = None,
 ) -> Iterator[ChunkMasks]:
     """Per-chunk ``(phases, masks)`` of ``policy``'s kernel over ``source``.
@@ -664,7 +632,7 @@ def replay_chunks(
             f"policy {policy!r} has no vectorized replay kernel; "
             f"available: {sorted(_KERNELS)}"
         )
-    return kernel(source, list(geometries), workers, carry)
+    return kernel(source, list(geometries), carry)
 
 
 def chunk_counts(
@@ -725,7 +693,7 @@ def hierarchy_level_masks(
     """
     arr = np.ascontiguousarray(blocks, dtype=np.int64)
     l1_mask = _miss_mask(_level_pass(arr, _EMPTY, geometry.l1, {}))
-    (mem_mask,) = _joined(_two_level_kernel(_as_source(arr), [geometry], None), 1)
+    (mem_mask,) = _joined(_two_level_kernel(_as_source(arr), [geometry]), 1)
     return l1_mask, mem_mask
 
 
@@ -733,18 +701,16 @@ def replay_miss_masks(
     blocks: "np.ndarray | ChunkSource",
     geometries: Iterable[CacheGeometry],
     policy: str = "lru",
-    workers: Optional[int] = None,
 ) -> List[np.ndarray]:
     """Per-access boolean miss masks of ``policy`` for every geometry.
 
     ``blocks`` is a block array — replayed as one chunk — or any chunk
     source, whose per-chunk masks are joined into full-length ones.  All
     shared work (stack distances, set partitions, next-use passes) is
-    computed once per distinct organization and reused across the sweep;
-    ``workers`` threads the final per-geometry mask evaluation.
+    computed once per distinct organization and reused across the sweep.
     """
     geoms = list(geometries)
-    chunks = replay_chunks(_as_source(blocks), geoms, policy, workers)
+    chunks = replay_chunks(_as_source(blocks), geoms, policy)
     obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
     with obs.span(obs_names.REPLAY, policy=policy):
         return _joined(chunks, len(geoms))
@@ -754,12 +720,11 @@ def replay_misses(
     blocks: "np.ndarray | ChunkSource",
     geometries: Iterable[CacheGeometry],
     policy: str = "lru",
-    workers: Optional[int] = None,
 ) -> List[int]:
     """Total miss counts of ``policy`` for every geometry (sweep form); a
     chunk source is reduced chunk by chunk, never into full-length masks."""
     geoms = list(geometries)
-    chunks = replay_chunks(_as_source(blocks), geoms, policy, workers)
+    chunks = replay_chunks(_as_source(blocks), geoms, policy)
     obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
     with obs.span(obs_names.REPLAY, policy=policy):
         return [m for m, _counts in chunk_counts(chunks, len(geoms))]

@@ -20,9 +20,6 @@ content-addressed and persistent:
   set counts) are deliberately absent: traces are geometry-independent,
   and a digest that varied with them would shatter the cache across sweep
   points that share one trace.
-* :func:`query_digest` extends a trace key with (geometry, policy) for
-  callers that memoize *answers* rather than traces — there the
-  organization does matter, so a ways change yields a different key.
 * :class:`TraceCache` stores one ``<digest>.npz`` per entry under a cache
   directory: versioned format, atomic writes (temp file + ``os.replace``),
   size-capped LRU eviction (least-recently-*used*, via file mtimes that
@@ -57,7 +54,6 @@ from repro.obs import names as obs_names
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # runtime.compiled imports this module lazily (and vice versa)
-    from repro.cache.base import CacheGeometry
     from repro.graphs.sdf import StreamGraph
     from repro.mem.layout import ObjectKey
     from repro.runtime.compiled import CompiledTrace
@@ -66,7 +62,6 @@ if TYPE_CHECKING:  # runtime.compiled imports this module lazily (and vice versa
 __all__ = [
     "FORMAT_VERSION",
     "trace_digest",
-    "query_digest",
     "segment_digest",
     "CacheCounters",
     "TraceCache",
@@ -188,37 +183,6 @@ def segment_digest(trace_key: str, index: int, chunk_words: int) -> str:
         "trace": trace_key,
         "index": int(index),
         "chunk_words": int(chunk_words),
-    }
-    return hashlib.sha256(_canon(payload)).hexdigest()
-
-
-def _geometry_facts(geom: object) -> object:
-    """JSON-stable description of a sweep point (single- or two-level)."""
-    l1 = getattr(geom, "l1", None)
-    if l1 is not None:  # TwoLevelGeometry
-        return ["two_level", _geometry_facts(l1), _geometry_facts(getattr(geom, "l2"))]
-    return [
-        int(getattr(geom, "size")),
-        int(getattr(geom, "block")),
-        getattr(geom, "ways", None),
-    ]
-
-
-def query_digest(
-    trace_key: str,
-    geometries: Sequence[object],
-    policy: str,
-) -> str:
-    """Key of one *answer*: a trace key plus the sweep's organizations.
-
-    Unlike :func:`trace_digest`, the organization matters here — changing
-    ``ways`` or the set count changes which misses the replay reports, so
-    it changes this key.
-    """
-    payload = {
-        "trace": trace_key,
-        "policy": str(policy),
-        "geometries": [_geometry_facts(g) for g in geometries],
     }
     return hashlib.sha256(_canon(payload)).hexdigest()
 

@@ -45,7 +45,7 @@ Kernel = Callable[[np.ndarray, Sequence], Sequence[Sequence[bool]]]
 Oracle = Callable[[np.ndarray, object], Sequence[bool]]
 
 
-def replay_kernel(policy: str, workers: Optional[int] = None) -> Kernel:
+def replay_kernel(policy: str) -> Kernel:
     """The vectorized replay engine of ``policy`` as a harness kernel.
 
     The returned kernel also accepts an optional ``chunk_words=`` keyword:
@@ -64,7 +64,7 @@ def replay_kernel(policy: str, workers: Optional[int] = None) -> Kernel:
             blocks if chunk_words is None
             else ArrayChunkSource(blocks, chunk_words=chunk_words)
         )
-        return replay_miss_masks(source, list(grid), policy=policy, workers=workers)
+        return replay_miss_masks(source, list(grid), policy=policy)
 
     return kernel
 

@@ -2,11 +2,13 @@
 
 The backend contract has three load-bearing clauses, each pinned here:
 
-* **Ordering** — ``fan_out(fn, items)[i] == fn(items[i])`` on every
-  backend, even when completion order is adversarial (earlier items sleep
-  longer).
+* **Resolution** — two backends, ``serial`` and ``process``; a process
+  backend with no width gets every core, whoever chose it.
+* **Ordering** — the process fan-out returns each geometry's counts in
+  input order, even when completion order is adversarial (earlier slices
+  finish last); the serial backend builds no pool at all.
 * **Clamping** — pool width is ``min(workers, len(items), cpu_count)``;
-  zero/negative/``None`` means serial.
+  zero/negative/``None`` means width 1.
 * **Bit-identity** — ``backend="process"`` answers are byte-for-byte the
   serial answers for *every registered policy*.
   The serial side is itself anchored to the stepwise engines with
@@ -19,7 +21,6 @@ query-order answers, and the geometry preset.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -36,10 +37,9 @@ from repro.runtime.backend import (
     BACKENDS,
     CandidateScorer,
     ServiceQuery,
-    SharedTrace,
+    SharedArrays,
     configure,
     effective_workers,
-    fan_out,
     geometry_sweep,
     normalize_backend,
     process_sweep,
@@ -47,7 +47,7 @@ from repro.runtime.backend import (
     run_batch,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
-from repro.runtime.replay import _fanout, replay_miss_masks
+from repro.runtime.replay import replay_miss_masks
 from repro.runtime.streaming import ArrayChunkSource
 from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
@@ -55,15 +55,14 @@ from repro.testing.harness import differential_grid, replay_kernel, stepwise_ora
 B = 8
 
 
-# -- module-level workers (the process backend pickles these) -----------
-def _square(x):
-    return x * x
-
-
-def _slow_echo(item):
-    index, delay = item
-    time.sleep(delay)
-    return index
+# -- module-level worker (the process pool looks it up by name) ---------
+def _slow_echo_replay(task):
+    """A replay worker whose first geometry slice finishes last; each
+    geometry's "misses" is its own size, so a misplaced result shows."""
+    _chunk, _carry, geometries, _policy = task
+    if geometries[0].size == 32:
+        time.sleep(0.2)
+    return [(g.size, np.zeros(1, dtype=np.int64)) for g in geometries]
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +71,6 @@ def workload():
     sched = interleaved_schedule(g, n_iterations=2)
     trace = compile_trace(g, sched, B)
     return g, sched, trace
-
-
-def _restore_defaults():
-    configure("thread", None)
 
 
 # ----------------------------------------------------------------------
@@ -101,18 +96,19 @@ class TestResolve:
     def test_unknown_backend_names_value_and_choices(self):
         with pytest.raises(CacheConfigError, match=r"'warp'"):
             normalize_backend("warp")
-        with pytest.raises(CacheConfigError, match=r"serial.*thread.*process"):
+        with pytest.raises(CacheConfigError, match=r"serial.*process"):
             resolve("mpi", 2, 8)
+        # the thread backend is gone: its name is as unknown as any other
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(CacheConfigError, match=r"'thread'"):
+            resolve("thread", 2, 8)
 
     def test_default_preserves_historical_workers_contract(self):
         # backend=None, workers=None: no pool, ever — the pre-backend deal
-        assert resolve(None, None, 64) == ("thread", 1)
+        assert resolve(None, None, 64) == ("serial", 1)
 
     def test_serial_ignores_workers(self):
         assert resolve("serial", 16, 64) == ("serial", 1)
-
-    def test_thread_width_one_collapses_to_serial(self):
-        assert resolve("thread", 1, 64) == ("serial", 1)
 
     def test_process_honoured_at_width_one(self):
         # differential tests rely on crossing a real process boundary even
@@ -123,72 +119,73 @@ class TestResolve:
         monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 4)
         assert resolve("process", None, 64) == ("process", 4)
 
+    def test_configured_process_defaults_to_all_cores(self, monkeypatch):
+        # what `--backend process` without `--workers` installs: every
+        # core, clamped — not a one-worker pool
+        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 4)
+        prev = configure("process", None)
+        try:
+            assert resolve(None, None, 64) == ("process", 4)
+            assert resolve(None, None, 3) == ("process", 3)
+        finally:
+            configure(*prev)
+
     def test_configure_installs_and_restores(self):
         prev = configure("process", 3)
         try:
-            assert prev == ("thread", None, None)
+            assert prev == ("serial", None, None)
             name, _width = resolve(None, None, 8)
             assert name == "process"
         finally:
             configure(*prev)
-        assert resolve(None, None, 8) == ("thread", 1)
+        assert resolve(None, None, 8) == ("serial", 1)
 
 
 # ----------------------------------------------------------------------
 # ordering
 # ----------------------------------------------------------------------
 class TestFanOutOrdering:
-    def test_serial_is_a_plain_map(self):
-        assert fan_out(_square, list(range(10)), backend="serial") == [
-            i * i for i in range(10)
-        ]
+    def test_serial_is_a_plain_map(self, workload, monkeypatch):
+        # the serial backend replays in the calling process: no pool
+        _g, _s, trace = workload
+        grid = geometry_sweep([64, 128], B)
+        want = simulate_trace(trace, grid, policy="lru")
 
-    def test_thread_order_survives_adversarial_completion(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 4)
-        # earlier items finish last: completion order is the exact reverse
-        items = [(i, 0.002 * (8 - i)) for i in range(8)]
-        out = fan_out(_slow_echo, items, backend="thread", workers=4)
-        assert out == list(range(8))
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the serial backend built a process pool")
 
-    def test_process_order_survives_adversarial_completion(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 2)
-        items = [(i, 0.002 * (6 - i)) for i in range(6)]
-        out = fan_out(_slow_echo, items, backend="process", workers=2)
-        assert out == list(range(6))
+        monkeypatch.setattr(backend_mod, "_process_pool", no_pool)
+        got = simulate_trace(trace, grid, policy="lru", backend="serial", workers=4)
+        assert got == want
 
-    def test_empty_items(self):
-        assert fan_out(_square, [], backend="process", workers=4) == []
-
-
-class TestReplayFanoutClamp:
-    """``repro.runtime.replay._fanout`` — the thread map under the replay
-    kernels — shares the ordering + clamping contract."""
-
-    def test_order_preserved_with_real_threads(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 4)
-        items = [(i, 0.002 * (8 - i)) for i in range(8)]
-        assert _fanout(_slow_echo, items, workers=4) == list(range(8))
-
-    def test_oversized_pool_request_is_clamped_not_fatal(self):
-        # workers far beyond items and cores: same answers, no error
-        assert _fanout(_square, [1, 2, 3], workers=1000) == [1, 4, 9]
-
-    def test_workers_none_is_serial(self):
-        assert _fanout(_square, [1, 2, 3], workers=None) == [1, 4, 9]
+    def test_process_order_survives_adversarial_completion(
+        self, workload, monkeypatch
+    ):
+        _g, _s, trace = workload
+        grid = [CacheGeometry(size=s, block=B) for s in (32, 64, 128, 256, 512, 1024)]
+        monkeypatch.setattr(backend_mod, "_replay_task", _slow_echo_replay)
+        source = ArrayChunkSource(trace.blocks, trace.phases, chunk_words=trace.accesses)
+        stats = process_sweep(source, grid, "lru", workers=3)
+        assert [m for m, _c in stats] == [g.size for g in grid]
 
 
 # ----------------------------------------------------------------------
 # shared-memory trace shipping
 # ----------------------------------------------------------------------
 class TestSharedTrace:
+    """A compiled trace published through :class:`SharedArrays`, the one
+    publisher both process pools use."""
+
     def test_roundtrip_blocks_and_phases(self):
         from multiprocessing import shared_memory
 
         rng = np.random.default_rng(7)
         blocks = rng.integers(0, 50, size=257).astype(np.int64)
         phases = rng.integers(0, 4, size=257).astype(np.uint8)
-        with SharedTrace(blocks, phases) as shared:
-            assert shared.n == 257 and shared.has_phases
+        with SharedArrays(blocks=blocks, phases=phases) as shared:
+            assert shared.layout == [
+                ("blocks", "<i8", 257, 0), ("phases", "|u1", 257, 257 * 8)
+            ]
             shm = shared_memory.SharedMemory(name=shared.name)
             try:
                 view_b = np.ndarray((257,), dtype=np.int64, buffer=shm.buf)
@@ -204,14 +201,16 @@ class TestSharedTrace:
     def test_unlinked_on_exit(self):
         from multiprocessing import shared_memory
 
-        with SharedTrace(np.arange(4, dtype=np.int64), None) as shared:
+        with SharedArrays(blocks=np.arange(4, dtype=np.int64)) as shared:
             name = shared.name
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
     def test_empty_trace_is_legal(self):
-        with SharedTrace(np.zeros(0, dtype=np.int64), None) as shared:
-            assert shared.n == 0 and not shared.has_phases
+        with SharedArrays(
+            blocks=np.zeros(0, dtype=np.int64), phases=None
+        ) as shared:
+            assert shared.layout == [("blocks", "<i8", 0, 0)]
 
 
 # ----------------------------------------------------------------------

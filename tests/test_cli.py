@@ -50,6 +50,32 @@ class TestCli:
         assert "policy=two_level" in out
         assert "L2        : 1024 words (128 frames)" in out
 
+    def test_schedule_chunk_words_compiles_out_of_core(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        from repro.obs import names as obs_names
+        from repro.runtime import backend as backend_mod
+
+        # the CLI installs its runtime flags process-wide: keep them local
+        monkeypatch.setattr(backend_mod, "_DEFAULTS", dict(backend_mod._DEFAULTS))
+        argv = ["schedule", "fm_radio", "--cache", "256", "--inputs", "256"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "run.json"
+        assert main(argv + ["--chunk-words", "512", "--metrics-out", str(out)]) == 0
+        chunked = capsys.readouterr().out
+
+        def result(text):
+            return [line for line in text.splitlines() if line.startswith("result")]
+
+        assert result(chunked) == result(plain) != []
+        metrics = json.loads(out.read_text())["metrics"]
+        assert obs_names.STREAM_COMPILE in metrics["spans"]
+        assert metrics["counters"][obs_names.STREAM_SPILLED_BYTES] > 0
+        assert metrics["counters"][obs_names.STREAM_CHUNKS] > 1
+
     def test_schedule_l2_smaller_than_l1_exits(self):
         with pytest.raises(SystemExit, match="invalid cache organization"):
             main(["schedule", "fm_radio", "--cache", "256", "--inputs", "256",

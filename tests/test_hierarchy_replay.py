@@ -112,12 +112,18 @@ class TestTwoLevelDifferential:
         assert all(m.shape == (0,) for m in masks)
 
     def test_workers_do_not_change_results(self):
+        from repro.runtime.backend import replay_stats
+        from repro.runtime.streaming import ArrayChunkSource
+
         rng = np.random.default_rng(23)
         trace = rng.integers(0, 80, size=4_000)
         geoms = _grid()
         serial = replay_misses(trace, geoms, "two_level")
-        threaded = replay_misses(trace, geoms, "two_level", workers=4)
-        assert serial == threaded
+        pooled = replay_stats(
+            ArrayChunkSource(trace, chunk_words=len(trace)), geoms,
+            "two_level", workers=2, backend="process",
+        )
+        assert serial == [m for m, _counts in pooled]
 
 
 class TestTwoLevelProperties:
@@ -220,7 +226,7 @@ class TestSimulateTraceTwoLevel:
         l1s = [CacheGeometry(size=s, block=B) for s in (64, 128)]
         l2s = [CacheGeometry(size=s, block=B) for s in (256, 512, 1024)]
         grid = [TwoLevelGeometry(a, b) for a in l1s for b in l2s]
-        results = simulate_trace(trace, grid, policy="two_level", workers=3)
+        results = simulate_trace(trace, grid, policy="two_level")
         assert len(results) == 6
         for tg, res in zip(grid, results):
             ref = sum(stepwise_mask(trace.blocks.tolist(), tg))

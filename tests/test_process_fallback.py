@@ -8,9 +8,16 @@ parent-built carries) and for an in-memory
 only a broken pool (a worker that died) falls back to the in-process replay
 — with the same answer, counted as ``replay.process_fallback`` — while an
 error raised inside a worker propagates like any other.
+
+The placement scorer's pool has no fallback: a lost worker raises
+``BrokenProcessPool`` from ``score_per``, and closing the scorer still
+unlinks the shared-memory segment it published.
 """
 
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -103,3 +110,33 @@ def test_in_memory_worker_error_raises(in_memory, monkeypatch):
                 in_memory, GEOMS, policy="lru", backend="process", workers=2
             )
     assert obs_names.REPLAY_PROCESS_FALLBACK not in cap.snapshot["counters"]
+
+
+def test_scorer_lost_worker_raises_and_unlinks(monkeypatch):
+    from repro.mem.placement import _placed_starts, build_instance, normalize_targets
+    from repro.runtime.backend import CandidateScorer
+
+    created = []
+    real = shared_memory.SharedMemory
+
+    class Recording(real):
+        def __init__(self, name=None, create=False, size=0):
+            super().__init__(name=name, create=create, size=size)
+            if create:
+                created.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+    monkeypatch.setattr(backend_mod, "_score_candidate_remote", _die)
+    g, sched = _workload()
+    instance = build_instance(g, sched, B)
+    targets = normalize_targets([(GEOMS[0], "direct", 1.0)], block=B)
+    starts = _placed_starts(instance, list(range(instance.n_objects)))
+    with CandidateScorer(instance, targets, backend="process", workers=2) as scorer:
+        began = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            scorer.score_per([starts, starts])
+        # raises at once (about 0.1 s here); the bound only rules out a hang
+        assert time.monotonic() - began < 30
+    assert len(created) == 1
+    with pytest.raises(FileNotFoundError):
+        real(name=created[0])

@@ -271,11 +271,17 @@ class TestReplayProperties:
             )
 
     def test_workers_do_not_change_results(self):
+        from repro.runtime.backend import replay_stats
+        from repro.runtime.streaming import ArrayChunkSource
+
         geoms = _fa_geometries() + _sa_geometries()
+        source = ArrayChunkSource(self.trace, chunk_words=len(self.trace))
         for policy in ("lru", "opt"):
             serial = replay_misses(self.trace, geoms, policy)
-            threaded = replay_misses(self.trace, geoms, policy, workers=4)
-            assert serial == threaded
+            pooled = replay_stats(
+                source, geoms, policy, workers=2, backend="process"
+            )
+            assert serial == [m for m, _counts in pooled]
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +340,13 @@ class TestSimulateTracePolicies:
         geoms = [CacheGeometry(size=s, block=B) for s in (32, 64, 128, 256, 512)]
         for policy in ("lru", "direct", "opt"):
             serial = [r.misses for r in simulate_trace(trace, geoms, policy=policy)]
-            threaded = [
+            pooled = [
                 r.misses
-                for r in simulate_trace(trace, geoms, policy=policy, workers=3)
+                for r in simulate_trace(
+                    trace, geoms, policy=policy, backend="process", workers=3
+                )
             ]
-            assert serial == threaded
+            assert serial == pooled
 
     def test_opt_set_associative_oracle_composition(self):
         # set-assoc OPT == OPT run independently per set subsequence

@@ -46,9 +46,16 @@ class TestE13:
         assert stats["min"]["win_vs_single_app"] > 1.0
 
     def test_workers_do_not_change_rows(self):
+        # what `experiment e13 --backend process --workers 2` installs
+        from repro.runtime.backend import configure
+
         serial = experiment_e13_seed_distribution(n_seeds=4, n_outputs=200)
-        threaded = experiment_e13_seed_distribution(n_seeds=4, n_outputs=200, workers=4)
-        assert serial == threaded
+        previous = configure("process", 2)
+        try:
+            pooled = experiment_e13_seed_distribution(n_seeds=4, n_outputs=200)
+        finally:
+            configure(*previous)
+        assert serial == pooled
 
 
 class TestA6Layout:

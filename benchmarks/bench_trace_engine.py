@@ -49,6 +49,13 @@ at the repo root (with a rolling ``history`` so
   compiled per second), and ``simulate_trace`` of that trace for the
   probe's 2-way lru geometry plus one direct geometry (accesses times
   geometries answered per second).  Trend-gated like the speedups.
+* **lru_replay_accesses_per_s** / **set_assoc_replay_accesses_per_s**:
+  absolute replay throughput on this benchmark's own trace, best of 5
+  serial ``simulate_trace`` calls (replay only, the trace already
+  compiled) — the fully associative LRU sweep over ``SWEEP_SIZES`` and
+  the ways sweep over ``SET_ASSOC_WAYS``, accesses times geometries
+  answered per second.  The stack-distance pass sets both.  Trend-gated
+  like the speedups.
 
 Every path must agree miss-for-miss with its stepwise oracle at every size
 (the oracle property, re-checked here on the benchmark workload itself).
@@ -182,6 +189,17 @@ def _looped_throughput():
         t_replay = min(t_replay, time.perf_counter() - t0)
     n = trace.accesses
     return n / t_compile, n * len(geoms) / t_replay, n
+
+
+def _lru_replay_throughput(trace, geoms):
+    """Best-of-5 serial lru ``simulate_trace`` of ``geoms`` over a compiled
+    ``trace``: accesses times geometries answered per second."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        simulate_trace(trace, geoms, policy="lru", backend="serial")
+        best = min(best, time.perf_counter() - t0)
+    return trace.accesses * len(geoms) / best
 
 
 def _workload(n_outputs=800):
@@ -339,6 +357,8 @@ def test_trace_engine_speedup(show):
     streaming_rss_ratio = rss_chunked_kb / rss_mono_kb
 
     looped_compile, looped_replay, looped_accesses = _looped_throughput()
+    lru_replay = _lru_replay_throughput(trace, geoms)
+    sa_replay = _lru_replay_throughput(trace, sa_geoms)
 
     summary = {
         "ts": round(time.time(), 1),
@@ -353,6 +373,8 @@ def test_trace_engine_speedup(show):
         "streaming_rss_ratio": round(streaming_rss_ratio, 3),
         "looped_compile_accesses_per_s": round(looped_compile),
         "looped_replay_accesses_per_s": round(looped_replay),
+        "lru_replay_accesses_per_s": round(lru_replay),
+        "set_assoc_replay_accesses_per_s": round(sa_replay),
     }
     history = []
     if JSON_PATH.exists():
@@ -426,6 +448,10 @@ def test_trace_engine_speedup(show):
             "compile_accesses_per_s": round(looped_compile),
             "replay_accesses_per_s": round(looped_replay),
         },
+        "replay": {
+            "lru_accesses_per_s": round(lru_replay),
+            "set_assoc_accesses_per_s": round(sa_replay),
+        },
         "history": history,
     }
 
@@ -456,6 +482,10 @@ def test_trace_engine_speedup(show):
             {"path": "looped compile / replay (M accesses/s)",
              "stepwise_s": round(looped_compile / 1e6, 2),
              "replay_s": round(looped_replay / 1e6, 2),
+             "speedup": ""},
+            {"path": "lru / set-assoc replay (M accesses/s)",
+             "stepwise_s": round(lru_replay / 1e6, 2),
+             "replay_s": round(sa_replay / 1e6, 2),
              "speedup": ""},
         ],
         "trace engine: vectorized replay vs stepwise loops",

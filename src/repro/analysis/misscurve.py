@@ -24,12 +24,13 @@ because the distinct blocks in the window ``(p_i, i]`` are exactly the
 positions whose own previous occurrence falls at or before ``p_i`` (their
 first appearance inside the window), and every position ``j`` with
 ``p_j > p_i`` necessarily lies inside the window (``p_j < j``).  The
-correction term is a per-element "count earlier, greater" query, computed
-by an iterative merge-sort style pass: at each level the array is sorted
-within width-``w`` blocks, per-block offsets turn it into one globally
-sorted key array, and a single batched :func:`numpy.searchsorted` ranks
-every right-half element against its partner left half.  O(n log^2 n)
-total with all per-element work inside numpy.
+correction term is a per-element "count earlier, greater" query, answered
+like a wavelet matrix (Claude, Navarro & Ordonez 2015): walk the bits of
+``p + 1`` from the top, stably partition the array by each bit (0s first),
+and let every 0-bit element count the 1-bit elements ahead of it among the
+elements that agree with it on all higher bits.  One prefix sum, one
+running maximum and three scatters per bit: O(n log n) total with all
+per-element work inside numpy.
 
 The pure-Python Fenwick-tree formulation this replaces survives as
 :func:`repro.testing.oracles.reference_stack_distances` and backs the
@@ -66,43 +67,46 @@ def _previous_occurrences(blocks: np.ndarray) -> np.ndarray:
 
 
 def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
-    """``out[i]`` = #{ j < i : values[j] > values[i] }, fully vectorized.
+    """``out[i]`` = #{ j < i : values[j] > values[i] } for ``values`` in
+    ``[-1, n)``, in O(n log n).
 
-    Iterative merge counting: pad to a power of two, keep the array sorted
-    within width-``w`` blocks, and at each level rank every element of an
-    odd (right) block against its even (left) partner block with one
-    batched searchsorted over a globally sorted, per-block-offset key
-    array.  Padded slots sit past every real index, so they are only ever
-    queries (discarded), never counted.
+    A pair ``j < i`` with ``values[j] > values[i]`` first differs at one
+    bit, where ``j`` has the 1.  The bits of ``values + 1`` are walked from
+    the top and the array is stably partitioned by each one, 0s first, so
+    before each bit's pass the elements that agree on every higher bit sit
+    together, in trace order.  Within such a group each 0-bit element adds
+    the 1-bit elements ahead of it: a prefix count of the bit minus that
+    count at the group's start, which a running maximum carries across the
+    group.  The work arrays are int32 whenever ``n + 1`` fits in one.
     """
     n = values.shape[0]
     out = np.zeros(n, dtype=np.int64)
     if n < 2:
         return out
-    size = 1 << (n - 1).bit_length()
-    span = np.int64(n + 3)  # > spread of values (in [-1, n]) incl. the pad sentinel
-    a = np.full(size, n, dtype=np.int64)  # pad sentinel sorts last within a block
-    a[:n] = values
-    idx = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    slots = np.arange(size, dtype=np.int64)
-    w = 1
-    while w < size:
-        block = slots // w
-        keys = a + block * span
-        r_mask = (block & 1) == 1
-        l_block = block[r_mask] - 1
-        q = a[r_mask] + l_block * span
-        pos = np.searchsorted(keys, q, side="right")
-        counts[idx[r_mask]] += (l_block + 1) * w - pos
-        w *= 2
-        if w >= size:
-            break  # fully counted; the final full-width merge is never read
-        shaped = a.reshape(-1, w)
-        order = np.argsort(shaped, axis=1, kind="stable")
-        a = np.take_along_axis(shaped, order, axis=1).ravel()
-        idx = np.take_along_axis(idx.reshape(-1, w), order, axis=1).ravel()
-    out[:] = counts[:n]
+    dtype = np.int32 if n + 1 < 2**31 else np.int64
+    v = values.astype(dtype) + 1
+    pos = np.arange(n, dtype=dtype)
+    idx = pos.copy()  # original position of each element in current order
+    counts = np.zeros(n, dtype=dtype)
+    ones = np.zeros(n + 1, dtype=dtype)  # ones[p] = 1-bits before slot p
+    before = ones[:-1]
+    first = np.ones(n, dtype=bool)  # slot opens a group
+    dest = np.empty(n, dtype=np.intp)  # numpy converts other index dtypes per scatter
+    for level in range(int(v.max()).bit_length() - 1, -1, -1):
+        bit = (v >> level) & 1
+        head = v >> (level + 1)
+        np.not_equal(head[1:], head[:-1], out=first[1:])
+        np.cumsum(bit, out=ones[1:])
+        group_ones = np.maximum.accumulate(before * first)
+        counts += (before - group_ones) * (1 - bit)
+        if level == 0:
+            break
+        # 0s keep their order at the front, 1s behind them
+        zeros_before = pos - before
+        np.add(zeros_before, bit * (n - ones[n] + before - zeros_before), out=dest)
+        for arr in (v, counts, idx):
+            arr[dest] = arr.copy()
+    out[idx] = counts
     return out
 
 

@@ -77,8 +77,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.cache.base import CacheGeometry
 from repro.graphs.apps import ALL_APPS
@@ -165,13 +166,16 @@ def _parse_layout_targets(spec: str):
     return triples
 
 
-def _apply_runtime_flags(args: argparse.Namespace) -> None:
+@contextlib.contextmanager
+def _runtime_flags(args: argparse.Namespace) -> Iterator[None]:
     """Install ``--backend``/``--workers``/``--chunk-words``/``--cache-dir``
     as the process-wide runtime defaults
     (:func:`repro.runtime.backend.configure`,
-    :func:`repro.runtime.trace_cache.configure`) so every simulation and
-    compilation this command performs — including inside experiment drivers
-    that take no backend parameters — inherits them.  ``--workers`` sizes a
+    :func:`repro.runtime.trace_cache.configure`) for one command, so every
+    simulation and compilation it performs — including inside experiment
+    drivers that take no backend parameters — inherits them.  The previous
+    defaults come back when the command returns or raises, so a later
+    caller in the same process sees none of them.  ``--workers`` sizes a
     process pool, so it needs ``--backend process``."""
     backend = getattr(args, "backend", None)
     workers = getattr(args, "workers", None)
@@ -180,14 +184,19 @@ def _apply_runtime_flags(args: argparse.Namespace) -> None:
         raise SystemExit(
             "--workers sizes the process pool; combine it with --backend process"
         )
-    if backend is not None or workers is not None or chunk_words is not None:
-        from repro.runtime.backend import configure as configure_backend
+    with contextlib.ExitStack() as restore:
+        if backend is not None or workers is not None or chunk_words is not None:
+            from repro.runtime.backend import configure as configure_backend
 
-        configure_backend(backend=backend, workers=workers, chunk_words=chunk_words)
-    if getattr(args, "cache_dir", None):
-        from repro.runtime.trace_cache import configure as configure_cache
+            previous = configure_backend(
+                backend=backend, workers=workers, chunk_words=chunk_words
+            )
+            restore.callback(configure_backend, *previous)
+        if getattr(args, "cache_dir", None):
+            from repro.runtime.trace_cache import configure as configure_cache
 
-        configure_cache(args.cache_dir)
+            restore.callback(configure_cache, configure_cache(args.cache_dir))
+        yield
 
 
 def _partition_for(graph: StreamGraph, cache: int, c: float):
@@ -238,7 +247,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core.tuning import choose_batch, required_geometry
     from repro.runtime.compiled import measure_compiled
 
-    _apply_runtime_flags(args)
     g = _resolve_graph(args.graph)
     geom = CacheGeometry(size=args.cache, block=args.block)
     part = _partition_for(g, args.cache, args.c)
@@ -377,7 +385,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis import sweeps as S
     from repro.analysis.report import rows_to_table
 
-    _apply_runtime_flags(args)
     prefixes = {
         **{f"e{i}": f"experiment_e{i}_" for i in range(1, 16)},
         **{f"a{i}": f"ablation_a{i}_" for i in range(1, 13)},
@@ -621,7 +628,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     metrics_out = getattr(args, "metrics_out", None)
     if not metrics_out:
-        return args.fn(args)
+        with _runtime_flags(args):
+            return args.fn(args)
     # --metrics-out turns instrumentation on for exactly this run and
     # writes the manifest (plus a .events.jsonl span log) beside it, even
     # when the command fails — the manifest then records ok=false.
@@ -632,7 +640,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = {
         k: v for k, v in vars(args).items() if k != "fn" and not callable(v)
     }
-    with capture_run(command=args.command, config=config, out=Path(metrics_out)):
+    with capture_run(command=args.command, config=config, out=Path(metrics_out)), \
+            _runtime_flags(args):
         rc = args.fn(args)
     return rc
 

@@ -157,6 +157,8 @@ def configure(
     ``("serial", None, None)`` — builds no pool and replays monolithically
     unless a caller passes ``backend=``/``chunk_words=``.
     """
+    if chunk_words is not None and chunk_words < 1:
+        raise CacheConfigError(f"chunk_words must be >= 1, got {chunk_words}")
     previous = (
         str(_DEFAULTS["backend"]),
         _DEFAULTS["workers"],
@@ -165,8 +167,6 @@ def configure(
     if backend is not None:
         _DEFAULTS["backend"] = normalize_backend(backend)
     _DEFAULTS["workers"] = workers
-    if chunk_words is not None and chunk_words < 1:
-        raise CacheConfigError(f"chunk_words must be >= 1, got {chunk_words}")
     _DEFAULTS["chunk_words"] = chunk_words
     return previous  # type: ignore[return-value]
 
@@ -369,6 +369,8 @@ def process_sweep(
     from repro.runtime.streaming import ChunkedTrace
 
     geoms = list(geometries)
+    if not geoms:
+        return []
     n_chunks = source.n_chunks
     if n_chunks == 1:
         plan = [(0, None, lo, hi) for lo, hi in _chunk_slices(len(geoms), workers)]
@@ -558,6 +560,7 @@ class CandidateScorer:
         # last candidate becomes the next base
         tasks = [(i, starts, self._base) for i, starts in enumerate(starts_list)]
         out_arr: List[List[int]] = [[] for _ in tasks]
+        obs.add(obs_names.BACKEND_TASKS, len(tasks))
         with obs.span(obs_names.BACKEND_MAP, backend="process"):
             # pool.map yields in submission order, so worker deltas merge
             # deterministically — same totals as the serial score path

@@ -290,6 +290,10 @@ class TestProcessBackendBitIdentity:
         _g, _s, trace = workload
         assert simulate_trace(trace, [], backend="process", workers=2) == []
 
+    def test_process_sweep_without_geometries_builds_no_pool(self):
+        source = ArrayChunkSource(np.arange(10, dtype=np.int64), None, chunk_words=10)
+        assert process_sweep(source, [], "lru", 2) == []
+
 
 # ----------------------------------------------------------------------
 # placement scoring across backends

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import CacheConfigError
 from repro.graphs.io import save_graph
 from repro.graphs.topologies import pipeline
 
@@ -50,16 +51,11 @@ class TestCli:
         assert "policy=two_level" in out
         assert "L2        : 1024 words (128 frames)" in out
 
-    def test_schedule_chunk_words_compiles_out_of_core(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_schedule_chunk_words_compiles_out_of_core(self, tmp_path, capsys):
         import json
 
         from repro.obs import names as obs_names
-        from repro.runtime import backend as backend_mod
 
-        # the CLI installs its runtime flags process-wide: keep them local
-        monkeypatch.setattr(backend_mod, "_DEFAULTS", dict(backend_mod._DEFAULTS))
         argv = ["schedule", "fm_radio", "--cache", "256", "--inputs", "256"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
@@ -75,6 +71,31 @@ class TestCli:
         assert obs_names.STREAM_COMPILE in metrics["spans"]
         assert metrics["counters"][obs_names.STREAM_SPILLED_BYTES] > 0
         assert metrics["counters"][obs_names.STREAM_CHUNKS] > 1
+
+    @pytest.mark.parametrize("extra, raises", [
+        ([], None),
+        (["--l2-frames", "8"], SystemExit),  # the command fails after set-up
+        (["--backend", "process", "--chunk-words", "0"], CacheConfigError),
+    ])
+    def test_runtime_flags_end_with_the_command(self, tmp_path, extra, raises):
+        from repro.runtime import backend, trace_cache
+
+        def defaults():
+            return (
+                backend.resolve(None, None, 4),
+                backend.default_chunk_words(),
+                trace_cache.default_cache(),
+            )
+
+        before = defaults()
+        argv = ["schedule", "fm_radio", "--cache", "256", "--inputs", "64",
+                "--chunk-words", "512", "--cache-dir", str(tmp_path)] + extra
+        if raises is None:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(raises):
+                main(argv)
+        assert defaults() == before
 
     def test_schedule_l2_smaller_than_l1_exits(self):
         with pytest.raises(SystemExit, match="invalid cache organization"):

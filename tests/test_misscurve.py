@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.misscurve import (
+    _count_earlier_greater,
     experiment_e15_miss_curves,
     miss_curve,
     misses_at,
@@ -46,8 +47,30 @@ class TestStackDistances:
         assert stack_distances([]) == []
 
 
+def brute_earlier_greater(values):
+    return [sum(1 for v in values[:i] if v > values[i]) for i in range(len(values))]
+
+
+class TestCountEarlierGreater:
+    """The wavelet count against the O(n^2) definition, at lengths around
+    the powers of two where its bit count changes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 255, 256, 257])
+    def test_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(-1, max(n, 1), size=n)
+        values[rng.random(n) < 0.3] = -1  # repeated cold accesses
+        got = _count_earlier_greater(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == brute_earlier_greater(values.tolist())
+
+    def test_all_cold(self):
+        assert _count_earlier_greater(np.full(5, -1)).tolist() == [0] * 5
+
+
 class TestVectorizedKernel:
-    """The numpy searchsorted kernel against the sequential Fenwick oracle."""
+    """The vectorized stack-distance kernel against the sequential Fenwick
+    oracle."""
 
     def test_matches_reference_on_randoms(self):
         rng = np.random.default_rng(7)
@@ -64,6 +87,13 @@ class TestVectorizedKernel:
     def test_large_trace_matches_reference(self):
         rng = np.random.default_rng(11)
         trace = rng.integers(0, 64, size=20000).tolist()
+        assert stack_distances(trace) == reference_stack_distances(trace)
+
+    def test_long_reuse_gaps_past_16_bits(self):
+        # 70,000 accesses over 30,000 blocks: previous occurrences reach
+        # past 2**16, so the count walks 17 bits
+        rng = np.random.default_rng(12)
+        trace = rng.integers(0, 30000, size=70000).tolist()
         assert stack_distances(trace) == reference_stack_distances(trace)
 
     @given(trace=st.lists(st.integers(0, 12), max_size=120))

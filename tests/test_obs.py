@@ -315,6 +315,20 @@ class TestManifest:
         assert not obs.is_enabled()
         assert obs.snapshot()["counters"] == {}
 
+    def test_scorer_pool_counts_its_tasks(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "m.json"
+        assert main([
+            "schedule", "des_rounds", "--cache", "256", "--ways", "1",
+            "--policy", "direct", "--layout", "swap", "--layout-budget", "8",
+            "--backend", "process", "--metrics-out", str(out),
+        ]) == 0
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        # one pool task per scored candidate, plus the final replay's one
+        assert counters[obs_names.PLACEMENT_EVALS] == 8
+        assert counters[obs_names.BACKEND_TASKS] == 8 + 1
+
     def test_render_manifest_sections(self, tmp_path):
         out = tmp_path / "m.json"
         with capture_run("schedule", {"graph": "x"}, out) as run:

@@ -4,7 +4,10 @@ for — now per replacement policy.
 
 Measurements, all asserted and all recorded in ``BENCH_trace_engine.json``
 at the repo root (with a rolling ``history`` so
-``benchmarks/check_bench_trends.py`` can fail on regressions):
+``benchmarks/check_bench_trends.py`` can fail on regressions).  Each
+stepwise-vs-replay ratio (sweep, single, direct, opt, set_assoc,
+two_level) takes the best of 3 runs on both sides: the stepwise Python
+loops alone vary about 2x from run to run on a shared host.
 
 * **sweep** (fully-associative LRU): answer N cache sizes for one
   partitioned schedule — the executor pays N full simulations, the engine
@@ -26,7 +29,7 @@ at the repo root (with a rolling ``history`` so
   hierarchical replay (one L1 pass per distinct L1, its miss sub-trace
   feeding one L2 pass per capacity).  Acceptance: >= 5x on the grid.
 * **obs_overhead**: the LRU sweep with :mod:`repro.obs` instrumentation
-  enabled vs disabled (best of N, interleaved) — the enabled/disabled
+  enabled vs disabled (best of 15, interleaved) — the enabled/disabled
   wall-time *ratio*, lower is better.  Acceptance: <= 1.02x, enforced
   here and as an absolute ceiling by ``check_bench_trends.py``.
 * **streaming_overhead**: the LRU sweep through the out-of-core streaming
@@ -49,6 +52,9 @@ at the repo root (with a rolling ``history`` so
   compiled per second), and ``simulate_trace`` of that trace for the
   probe's 2-way lru geometry plus one direct geometry (accesses times
   geometries answered per second).  Trend-gated like the speedups.
+* **flat_compile_accesses_per_s**: absolute compile throughput on this
+  benchmark's own flat schedule, best of 5 monolithic ``compile_trace``
+  calls (accesses compiled per second).  Trend-gated like the speedups.
 * **lru_replay_accesses_per_s** / **set_assoc_replay_accesses_per_s**:
   absolute replay throughput on this benchmark's own trace, best of 5
   serial ``simulate_trace`` calls (replay only, the trace already
@@ -94,6 +100,8 @@ TWO_LEVEL_L1 = (96, 128, 192)
 TWO_LEVEL_L2 = (256, 512, 768, 1024)
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace_engine.json"
 HISTORY_CAP = 50
+#: runs per side of every stepwise-vs-replay ratio (best kept)
+RATIO_RUNS = 3
 
 
 #: the streaming RSS probe: a fresh interpreter compiles + replays a looped
@@ -174,19 +182,25 @@ def _looped_workload():
     return g, sched, geoms
 
 
+def _best_of(runs, run):
+    """``(best wall time of runs calls of run(), the last call's result)``."""
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
 def _looped_throughput():
     """Best-of-5 ``(compile accesses/s, replay accesses/s, accesses)`` on
     the looped workload; replay counts accesses times geometries."""
     g, sched, geoms = _looped_workload()
-    t_compile = t_replay = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        trace = compile_trace(g, sched, B)
-        t_compile = min(t_compile, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        simulate_trace(trace, geoms[:1], policy="lru")
-        simulate_trace(trace, geoms[1:], policy="direct")
-        t_replay = min(t_replay, time.perf_counter() - t0)
+    t_compile, trace = _best_of(5, lambda: compile_trace(g, sched, B))
+    t_replay, _ = _best_of(5, lambda: (
+        simulate_trace(trace, geoms[:1], policy="lru"),
+        simulate_trace(trace, geoms[1:], policy="direct"),
+    ))
     n = trace.accesses
     return n / t_compile, n * len(geoms) / t_replay, n
 
@@ -194,11 +208,9 @@ def _looped_throughput():
 def _lru_replay_throughput(trace, geoms):
     """Best-of-5 serial lru ``simulate_trace`` of ``geoms`` over a compiled
     ``trace``: accesses times geometries answered per second."""
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        simulate_trace(trace, geoms, policy="lru", backend="serial")
-        best = min(best, time.perf_counter() - t0)
+    best, _ = _best_of(
+        5, lambda: simulate_trace(trace, geoms, policy="lru", backend="serial")
+    )
     return trace.accesses * len(geoms) / best
 
 
@@ -229,49 +241,51 @@ def test_trace_engine_speedup(show):
     g, sched, order = _workload()
     geoms = [CacheGeometry(size=s, block=B) for s in SWEEP_SIZES]
 
-    t0 = time.perf_counter()
-    ref = [
+    t_executor_sweep, ref = _best_of(RATIO_RUNS, lambda: [
         Executor.measure(g, geom, sched, layout_order=order).misses for geom in geoms
-    ]
-    t_executor_sweep = time.perf_counter() - t0
+    ])
 
-    t0 = time.perf_counter()
-    trace = compile_trace(g, sched, B, layout_order=order)
-    fast = [r.misses for r in simulate_trace(trace, geoms)]
-    t_compiled_sweep = time.perf_counter() - t0
+    def compiled_sweep():
+        trace = compile_trace(g, sched, B, layout_order=order)
+        return trace, [r.misses for r in simulate_trace(trace, geoms)]
 
+    t_compiled_sweep, (trace, fast) = _best_of(RATIO_RUNS, compiled_sweep)
     assert fast == ref, "compiled sweep diverged from stepwise executor"
     sweep_speedup = t_executor_sweep / t_compiled_sweep
 
     one = geoms[len(geoms) // 2]
-    t0 = time.perf_counter()
-    ref_one = Executor.measure(g, one, sched, layout_order=order)
-    t_executor_one = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fast_one = measure_compiled(g, one, sched, layout_order=order)
-    t_compiled_one = time.perf_counter() - t0
+    t_executor_one, ref_one = _best_of(
+        RATIO_RUNS, lambda: Executor.measure(g, one, sched, layout_order=order)
+    )
+    t_compiled_one, fast_one = _best_of(
+        RATIO_RUNS, lambda: measure_compiled(g, one, sched, layout_order=order)
+    )
     assert fast_one.misses == ref_one.misses
     single_speedup = t_executor_one / t_compiled_one
 
+    t_flat_compile, _ = _best_of(
+        5, lambda: compile_trace(g, sched, B, layout_order=order)
+    )
+    flat_compile = trace.accesses / t_flat_compile
+
     blocks_list = trace.blocks.tolist()
 
+    def policy_misses(geoms, policy):
+        return [r.misses for r in simulate_trace(trace, geoms, policy=policy)]
+
     # --- direct-mapped: stepwise model loop vs per-frame last-block replay
-    t0 = time.perf_counter()
-    dm_ref = _model_sweep_misses(blocks_list, DirectMappedCache, geoms)
-    t_dm_step = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    dm_fast = [r.misses for r in simulate_trace(trace, geoms, policy="direct")]
-    t_dm_replay = time.perf_counter() - t0
+    t_dm_step, dm_ref = _best_of(
+        RATIO_RUNS, lambda: _model_sweep_misses(blocks_list, DirectMappedCache, geoms)
+    )
+    t_dm_replay, dm_fast = _best_of(RATIO_RUNS, lambda: policy_misses(geoms, "direct"))
     assert dm_fast == dm_ref, "direct-mapped replay diverged from stepwise model"
     dm_speedup = t_dm_step / t_dm_replay
 
     # --- OPT: one heap simulation per size vs one priority-stack pass
-    t0 = time.perf_counter()
-    opt_ref = [simulate_opt(blocks_list, geom).misses for geom in geoms]
-    t_opt_step = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    opt_fast = [r.misses for r in simulate_trace(trace, geoms, policy="opt")]
-    t_opt_replay = time.perf_counter() - t0
+    t_opt_step, opt_ref = _best_of(
+        RATIO_RUNS, lambda: [simulate_opt(blocks_list, geom).misses for geom in geoms]
+    )
+    t_opt_replay, opt_fast = _best_of(RATIO_RUNS, lambda: policy_misses(geoms, "opt"))
     assert opt_fast == opt_ref, "OPT replay diverged from stepwise simulate_opt"
     opt_speedup = t_opt_step / t_opt_replay
 
@@ -280,12 +294,10 @@ def test_trace_engine_speedup(show):
         CacheGeometry(size=SET_ASSOC_SETS * w * B, block=B, ways=w)
         for w in SET_ASSOC_WAYS
     ]
-    t0 = time.perf_counter()
-    sa_ref = _model_sweep_misses(blocks_list, LRUCache, sa_geoms)
-    t_sa_step = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sa_fast = [r.misses for r in simulate_trace(trace, sa_geoms, policy="lru")]
-    t_sa_replay = time.perf_counter() - t0
+    t_sa_step, sa_ref = _best_of(
+        RATIO_RUNS, lambda: _model_sweep_misses(blocks_list, LRUCache, sa_geoms)
+    )
+    t_sa_replay, sa_fast = _best_of(RATIO_RUNS, lambda: policy_misses(sa_geoms, "lru"))
     assert sa_fast == sa_ref, "set-associative replay diverged from stepwise LRU"
     sa_speedup = t_sa_step / t_sa_replay
 
@@ -300,14 +312,12 @@ def test_trace_engine_speedup(show):
         for l1 in TWO_LEVEL_L1
         for l2 in TWO_LEVEL_L2
     ]
-    t0 = time.perf_counter()
-    tl_ref = _model_sweep_misses(
+    t_tl_step, tl_ref = _best_of(RATIO_RUNS, lambda: _model_sweep_misses(
         blocks_list, lambda tg: TwoLevelCache(tg.l1, tg.l2), tl_geoms
+    ))
+    t_tl_replay, tl_fast = _best_of(
+        RATIO_RUNS, lambda: policy_misses(tl_geoms, "two_level")
     )
-    t_tl_step = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    tl_fast = [r.misses for r in simulate_trace(trace, tl_geoms, policy="two_level")]
-    t_tl_replay = time.perf_counter() - t0
     assert tl_fast == tl_ref, "two-level replay diverged from stepwise TwoLevelCache"
     tl_speedup = t_tl_step / t_tl_replay
 
@@ -319,7 +329,7 @@ def test_trace_engine_speedup(show):
     from repro import obs
 
     t_obs_off = t_obs_on = float("inf")
-    for _ in range(5):
+    for _ in range(15):
         t0 = time.perf_counter()
         off_misses = [r.misses for r in simulate_trace(trace, geoms)]
         t_obs_off = min(t_obs_off, time.perf_counter() - t0)
@@ -373,6 +383,7 @@ def test_trace_engine_speedup(show):
         "streaming_rss_ratio": round(streaming_rss_ratio, 3),
         "looped_compile_accesses_per_s": round(looped_compile),
         "looped_replay_accesses_per_s": round(looped_replay),
+        "flat_compile_accesses_per_s": round(flat_compile),
         "lru_replay_accesses_per_s": round(lru_replay),
         "set_assoc_replay_accesses_per_s": round(sa_replay),
     }
@@ -448,6 +459,10 @@ def test_trace_engine_speedup(show):
             "compile_accesses_per_s": round(looped_compile),
             "replay_accesses_per_s": round(looped_replay),
         },
+        "flat": {
+            "compile_s": round(t_flat_compile, 4),
+            "compile_accesses_per_s": round(flat_compile),
+        },
         "replay": {
             "lru_accesses_per_s": round(lru_replay),
             "set_assoc_accesses_per_s": round(sa_replay),
@@ -482,6 +497,10 @@ def test_trace_engine_speedup(show):
             {"path": "looped compile / replay (M accesses/s)",
              "stepwise_s": round(looped_compile / 1e6, 2),
              "replay_s": round(looped_replay / 1e6, 2),
+             "speedup": ""},
+            {"path": "flat compile (M accesses/s)",
+             "stepwise_s": "",
+             "replay_s": round(flat_compile / 1e6, 2),
              "speedup": ""},
             {"path": "lru / set-assoc replay (M accesses/s)",
              "stepwise_s": round(lru_replay / 1e6, 2),

@@ -12,12 +12,12 @@ every cache size in a single Mattson stack-distance pass
   :class:`~repro.runtime.schedule.Schedule` or lazy
   :class:`~repro.runtime.looped.LoopedSchedule`) against the same
   :class:`~repro.mem.layout.MemoryLayout` the executor would build, into a
-  flat numpy array of block ids.  Each module's per-firing touch list is
-  precomputed: its state blocks are a fixed array, and every circular-buffer
-  window's block expansion is memoized by its address ranges (a buffer of
-  capacity ``c`` only ever exposes ``c`` distinct windows per rate), so the
-  per-firing work is a few dict lookups and array appends instead of
-  per-block simulation.
+  flat numpy array of block ids.  Every firing moves fixed token counts
+  (synchronous dataflow), so the k-th window a channel exposes starts at
+  ``(head + k * rate) mod capacity``: one numpy pass over a run of firings
+  derives every window, feasibility check, stream position and phase code
+  from per-channel token prefix sums, and a loop's period follows from its
+  body's token arithmetic, with no per-firing Python loop.
 * :func:`simulate_trace` answers a whole family of cache geometries from
   one compiled trace, for any replacement policy registered in
   :mod:`repro.cache.policy`, by dispatching to the vectorized replay
@@ -60,10 +60,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Generator,
     Iterable,
     Iterator,
     List,
@@ -78,11 +78,10 @@ import numpy as np
 
 from repro.cache.base import CacheGeometry
 from repro.errors import CacheConfigError
-from repro.graphs.sdf import Channel, StreamGraph
+from repro.graphs.sdf import StreamGraph
 from repro.obs import core as obs
 from repro.obs import names as obs_names
 from repro.mem.layout import ObjectKey
-from repro.runtime.buffers import ChannelBuffer
 from repro.runtime.looped import Loop, LoopedSchedule
 from repro.runtime.executor import (
     ExecutionResult,
@@ -110,9 +109,10 @@ __all__ = [
 PHASE_NAMES = ("", "state", "data", "stream")
 _STATE, _DATA, _STREAM = 1, 2, 3
 
-#: accesses a chunked compilation may hold uncut while it looks for a
-#: loop's period (the period must sit in memory to be repeated)
-_PERIOD_PROBE_WORDS = 1 << 16
+#: accesses one slice of a chunked compilation may produce, and that it
+#: may hold uncut while it compiles a loop's period (the period must sit
+#: in memory to be repeated)
+_SLICE_WORDS = 1 << 16
 
 _Chunk = Tuple[np.ndarray, np.ndarray]
 
@@ -156,166 +156,79 @@ class CompiledTrace:
         return self.accesses
 
 
-class _ChannelPlan:
-    """A real :class:`~repro.runtime.buffers.ChannelBuffer` plus a memoized
-    range→block-id expansion.
-
-    The buffer owns all circular-FIFO semantics (the same object the
-    executor uses), so the compiled trace cannot drift from the stepwise
-    path; compilation only adds a cache from the buffer's returned address
-    ranges to the block-id array they span.  A buffer of capacity ``c``
-    exposes at most ``c`` distinct windows per direction, so the cache
-    stays small and hits on every steady-state firing.
-    """
-
-    __slots__ = ("buf", "src", "dst", "in_rate", "out_rate", "_block", "_cache")
-
-    def __init__(self, ch: Channel, buf: ChannelBuffer, block: int) -> None:
-        self.buf = buf
-        self.src = ch.src
-        self.dst = ch.dst
-        self.in_rate = ch.in_rate
-        self.out_rate = ch.out_rate
-        self._block = block
-        self._cache: Dict[tuple, np.ndarray] = {}
-
-    def _blocks(self, ranges: Iterable[Tuple[int, int]]) -> np.ndarray:
-        key = tuple(ranges)
-        arr = self._cache.get(key)
-        if arr is None:
-            B = self._block
-            ids: List[int] = []
-            for start, length in ranges:
-                ids.extend(range(start // B, (start + length - 1) // B + 1))
-            arr = self._cache[key] = np.asarray(ids, dtype=np.int64)
-        return arr
-
-    def pop_blocks(self) -> np.ndarray:
-        return self._blocks(self.buf.pop_ranges(self.in_rate))
-
-    def push_blocks(self) -> np.ndarray:
-        return self._blocks(self.buf.push_ranges(self.out_rate))
-
-
-class _ModulePlan:
-    """Precomputed per-firing touch template for one module."""
-
-    __slots__ = ("name", "state_blocks", "ins", "outs", "in_words", "out_words")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.state_blocks: Optional[np.ndarray] = None
-        self.ins: List[_ChannelPlan] = []
-        self.outs: List[_ChannelPlan] = []
-        self.in_words = 0   # external input words per firing (sources)
-        self.out_words = 0  # external output words per firing (sinks)
-
-
 class _TraceWriter:
     """Collects compiled touches and cuts them into ``chunk_words`` chunks.
 
-    Firings append block arrays to ``parts`` with one phase code each
-    (``codes``/``lens``, expanded by one ``np.repeat`` when settled); whole
-    arrays, such as repeated periods, come in through :meth:`add`.
-    ``held`` keeps settled ``(blocks, phases)`` pairs not yet yielded, and
-    ``pending`` counts every access held either way.  The per-firing loop
-    cuts once ``pending`` reaches ``threshold``: ``chunk_words``, raised
-    while a loop's period is sought, and ``None`` (never) when monolithic.
+    ``held`` keeps the ``(blocks, phases)`` pairs not yet yielded, one per
+    compiled run of firings or repeated batch of periods, and ``pending``
+    counts their accesses.  A run cuts once ``pending`` reaches
+    ``threshold``: ``chunk_words``, raised while a loop's period is
+    compiled, and ``None`` (never) when monolithic.
     """
 
-    __slots__ = (
-        "chunk_words", "threshold", "parts", "codes", "lens", "held",
-        "pending", "emitted", "cuts",
-    )
+    __slots__ = ("chunk_words", "threshold", "held", "pending", "emitted", "cuts")
 
     def __init__(self, chunk_words: Optional[int]) -> None:
         self.chunk_words = chunk_words
         self.threshold = chunk_words
-        self.parts: List[np.ndarray] = []
-        self.codes: List[int] = []
-        self.lens: List[int] = []
         self.held: List[_Chunk] = []
         self.pending = 0
         self.emitted = 0
         self.cuts = 0
 
-    def settle(self) -> None:
-        """Turn the per-firing parts into one held array pair."""
-        if self.parts:
-            self.held.append((
-                np.concatenate(self.parts),
-                np.repeat(
-                    np.asarray(self.codes, dtype=np.uint8),
-                    np.asarray(self.lens, dtype=np.int64),
-                ),
-            ))
-            self.parts, self.codes, self.lens = [], [], []
-
     def add(self, blocks: np.ndarray, phases: np.ndarray) -> None:
-        self.settle()
         self.held.append((blocks, phases))
         self.pending += int(blocks.shape[0])
 
-    def _joined(self) -> _Chunk:
-        self.settle()
-        if len(self.held) == 1:
-            return self.held[0]
-        if not self.held:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-        return (
-            np.concatenate([b for b, _p in self.held]),
-            np.concatenate([p for _b, p in self.held]),
+    def join(self, mark: int = 0) -> _Chunk:
+        """The pairs held from index ``mark`` on, joined in their place."""
+        parts = self.held[mark:]
+        if len(parts) == 1:
+            return parts[0]
+        joined = (
+            np.concatenate([b for b, _p in parts] or [np.zeros(0, dtype=np.int64)]),
+            np.concatenate([p for _b, p in parts] or [np.zeros(0, dtype=np.uint8)]),
         )
+        self.held[mark:] = [joined]
+        return joined
 
-    def _full_chunks(
-        self, blocks: np.ndarray, phases: np.ndarray, cw: int
-    ) -> Generator[_Chunk, None, int]:
-        """Yield every full chunk of the arrays; return where the
-        remainder starts."""
-        lo = 0
-        while blocks.shape[0] - lo >= cw:
-            yield blocks[lo:lo + cw], phases[lo:lo + cw]
-            self.emitted += cw
-            lo += cw
-        return lo
-
-    def cut(self) -> Iterator[_Chunk]:
+    def cut(self, final: bool = False) -> Iterator[_Chunk]:
         """Yield every full chunk held and keep the remainder (nothing to
-        cut when monolithic)."""
-        if self.chunk_words is None:
+        cut when monolithic); ``final`` yields the remainder too, and
+        everything as one chunk when monolithic."""
+        cw = self.chunk_words
+        if cw is None and not final:
             return
-        blocks, phases = self._joined()
-        lo = yield from self._full_chunks(blocks, phases, self.chunk_words)
+        blocks, phases = self.join()
+        lo, n = 0, int(blocks.shape[0])
+        while cw is not None and n - lo >= cw:
+            yield blocks[lo:lo + cw], phases[lo:lo + cw]
+            lo += cw
+        if final and (lo < n or cw is None):
+            yield blocks[lo:], phases[lo:]
+            lo = n
+        self.emitted += lo
         # copies release the concatenated buffer once consumers drop
         # their chunk views, keeping the high-water mark at
         # O(chunk_words), not O(flushes)
         self.held = [(blocks[lo:].copy(), phases[lo:].copy())]
-        self.pending = int(blocks.shape[0]) - lo
+        self.pending = n - lo
         self.cuts += 1
-
-    def finish(self) -> Iterator[_Chunk]:
-        """Yield everything held: one chunk when monolithic, else full
-        chunks and then the remainder."""
-        blocks, phases = self._joined()
-        self.held, self.pending = [], 0
-        lo = 0
-        if self.chunk_words is not None:
-            lo = yield from self._full_chunks(blocks, phases, self.chunk_words)
-            if blocks.shape[0] == lo:
-                return
-        self.emitted += int(blocks.shape[0]) - lo
-        yield blocks[lo:], phases[lo:]
 
 
 class TraceCompiler:
     """Compiles schedules for one (graph, block size, capacities, layout).
 
     Shares the executor's memory setup
-    (:func:`~repro.runtime.executor.build_memory_plan`) and its actual
-    :class:`~repro.runtime.buffers.ChannelBuffer` objects, so the compiled
-    trace is bit-identical to what a tracing cache would record.  The cache
-    *size* is deliberately absent: one compiled trace serves every size via
-    :func:`simulate_trace`.
+    (:func:`~repro.runtime.executor.build_memory_plan`), so both paths
+    address the same regions, but never steps a
+    :class:`~repro.runtime.buffers.ChannelBuffer`: each channel is a head
+    and a token count, and every window, feasibility check and stream
+    position follows from SDF token arithmetic over a whole run of
+    firings (:meth:`_pass`).  The executor stays the specification; the
+    differential tests (``tests/test_compiled.py``) pin the compiled trace
+    to its recorded one.  The cache *size* is deliberately absent: one
+    compiled trace serves every size via :func:`simulate_trace`.
     """
 
     def __init__(
@@ -337,33 +250,48 @@ class TraceCompiler:
         self.capacities = caps
         self.count_external = count_external
 
-        buffers = {
-            cid: ChannelBuffer(cid, self.layout.buffer_region(cid)) for cid in caps
+        self._names = [mod.name for mod in graph.modules()]
+        self._index = {name: i for i, name in enumerate(self._names)}
+        self._channels = list(graph.channels())
+        # per channel: producer, consumer, in and out rate, capacity, region
+        # start, delay, pop and push range slot, pop and push check order
+        chan = {
+            ch.cid: [self._index[ch.src], self._index[ch.dst], ch.in_rate, ch.out_rate,
+                     caps[ch.cid], self.layout.buffer_region(ch.cid).start, ch.delay,
+                     0, 0, 0, 0]
+            for ch in self._channels
         }
-        for ch in graph.channels():
-            if ch.delay:
-                buffers[ch.cid].prefill(ch.delay)
-        plans_by_cid = {
-            cid: _ChannelPlan(graph.channel(cid), buf, block)
-            for cid, buf in buffers.items()
-        }
-        source_set = set(graph.sources())
-        sink_set = set(graph.sinks())
-        self._plans: Dict[str, _ModulePlan] = {}
-        for mod in graph.modules():
-            plan = _ModulePlan(mod.name)
-            region = self.layout.state_region(mod.name)
-            if region.length:
-                spanned = range(region.start // block, (region.end - 1) // block + 1)
-                plan.state_blocks = np.asarray(spanned, dtype=np.int64)
-            plan.ins = [plans_by_cid[ch.cid] for ch in graph.in_channels(mod.name)]
-            plan.outs = [plans_by_cid[ch.cid] for ch in graph.out_channels(mod.name)]
-            if mod.name in source_set:
-                plan.in_words = source_stream_words(graph, mod.name)
-            if mod.name in sink_set:
-                plan.out_words = sink_stream_words(graph, mod.name)
-            self._plans[mod.name] = plan
-        self._buffers = buffers
+        # per module: first state block, state blocks, stream words in and
+        # out, range slots per firing (the state, two per window, one per
+        # counted stream), the two streams' slots, a bound on its touches
+        mods: List[List[int]] = []
+        sources, sinks = set(graph.sources()), set(graph.sinks())
+        for name in self._names:
+            region = self.layout.state_region(name)
+            lo = region.start // block
+            n_state = (region.end - 1) // block - lo + 1 if region.length else 0
+            ins, outs = graph.in_channels(name), graph.out_channels(name)
+            for rank, ch in enumerate(ins):
+                chan[ch.cid][7], chan[ch.cid][9] = 1 + 2 * rank, rank
+            for rank, ch in enumerate(outs, start=len(ins)):
+                chan[ch.cid][8], chan[ch.cid][10] = 1 + 2 * rank, rank
+            words_in = source_stream_words(graph, name) if name in sources else 0
+            words_out = sink_stream_words(graph, name) if name in sinks else 0
+            slot_in = 1 + 2 * len(ins + outs)
+            slot_out = slot_in + bool(count_external and words_in)
+            touches = n_state + sum(
+                rate // block + 4 for rate in
+                [ch.in_rate for ch in ins] + [ch.out_rate for ch in outs]
+            ) + (words_in // block + words_out // block + 4) * count_external
+            mods.append([lo, n_state, words_in, words_out,
+                         slot_out + bool(count_external and words_out),
+                         slot_in, slot_out, touches])
+        self._mod = np.array(mods, dtype=np.int64).reshape(-1, 8).T
+        self._chan = np.array(list(chan.values()), dtype=np.int64).reshape(-1, 11).T
+        # channel and stream state, reset by every :meth:`compile_chunks`
+        self._heads = np.zeros(len(chan), dtype=np.int64)
+        self._tokens = self._chan[6].copy()
+        self._stream = [0, 0]
         # metadata of the most recent :meth:`compile_chunks` run; complete
         # once that generator is exhausted (:meth:`compile` reads them)
         self.last_label: str = "schedule"
@@ -373,8 +301,6 @@ class TraceCompiler:
         self.last_sink_fires: int = 0
         self.last_accesses: int = 0
         self.last_period: Optional[Tuple[int, int, int]] = None
-        self._ext_in_pos = 0
-        self._ext_out_pos = 0
 
     def compile_chunks(
         self, schedule: Schedule, chunk_words: Optional[int] = None
@@ -387,33 +313,34 @@ class TraceCompiler:
         remainder (an empty schedule yields no chunks).  Concatenating the
         chunks in order reproduces :meth:`compile`'s arrays bit for bit —
         the contract the streaming engine (:mod:`repro.runtime.streaming`)
-        is differentially pinned on.  Peak memory while chunking is bounded
-        by ``chunk_words`` (or, while a loop's period is being sought, by
-        ``max(chunk_words, 2**16)``) plus one firing's touches, never the
-        trace length.
+        is differentially pinned on.  A flat schedule is one run of firings
+        for :meth:`_pass`; a looped one, one run per top-level loop and per
+        stretch of module names between loops.  While chunking, runs are
+        cut into slices of at most ``max(chunk_words, 2**16)`` accesses, so
+        peak memory is O(that), never the trace length.
 
-        A :class:`~repro.runtime.looped.LoopedSchedule` costs the firings of
-        one period per top-level :class:`~repro.runtime.looped.Loop`, not
-        every firing: iterations compile one at a time until the compiler
-        state (every buffer's head and count, the external stream positions
-        mod ``B``) is back at its loop-entry value after ``p`` iterations.
-        Every later whole period is then the first one's blocks plus a
+        A top-level :class:`~repro.runtime.looped.Loop` whose body leaves
+        every token count as it found it has a period of ``p`` iterations:
+        the lcm of ``cap / gcd(pops, cap)`` over the buffers (their heads
+        return) and of ``B / gcd(words, B)`` over the two streams (their
+        positions mod ``B`` return).  When ``p <= count // 2`` and, while
+        chunking, the accesses held uncut plus one period stay below
+        ``max(chunk_words, 2**16)``, the first ``p`` iterations compile as
+        one run and every later whole period is their blocks plus a
         multiple of the per-access stream shift, written with numpy; the
-        leftover iterations and the rest of the schedule compile as usual.
-        The output and all metadata are identical to compiling the flat
-        expansion, and ``last_period`` records the longest such run as
-        ``(start, length, repeats)`` (see :class:`CompiledTrace`).
+        rest of the loop compiles as a run.  Output and metadata equal the
+        flat expansion's, and ``last_period`` records the longest repeated
+        run as ``(start, length, repeats)`` (see :class:`CompiledTrace`).
 
         Validates feasibility exactly like ``Executor.fire`` and raises
-        :class:`~repro.errors.ScheduleError` on the first violation (a
-        repeated period is feasible because its first copy was).  The
-        compiler mutates its buffer states, so each call continues where
-        the previous one stopped — build a fresh compiler per run.  Trace
-        metadata (label, firings, per-module fire counts, source/sink
-        fires, total accesses, period) is complete once the generator is
-        exhausted and is then readable from ``last_label``/
-        ``last_firings``/``last_fire_counts``/``last_source_fires``/
-        ``last_sink_fires``/``last_accesses``/``last_period``.
+        :class:`~repro.errors.ScheduleError` with the executor's message at
+        the first violation (a repeated period is feasible because its
+        first copy was).  Every call starts from the channel delays and
+        stream position 0.  Trace metadata (label, firings, per-module fire
+        counts, source/sink fires, total accesses, period) is complete once
+        the generator is exhausted, in ``last_label``/``last_firings``/
+        ``last_fire_counts``/``last_source_fires``/``last_sink_fires``/
+        ``last_accesses``/``last_period``.
         """
         if chunk_words is not None and chunk_words < 1:
             raise CacheConfigError(
@@ -425,189 +352,262 @@ class TraceCompiler:
         self.last_source_fires = 0
         self.last_sink_fires = 0
         self.last_period = None
-        self._ext_in_pos = 0
-        self._ext_out_pos = 0
+        self._heads = np.zeros_like(self._heads)
+        self._tokens = self._chan[6].copy()
+        self._stream = [0, 0]
         out = _TraceWriter(chunk_words)
         if isinstance(schedule, LoopedSchedule):
+            run: List[str] = []
             for element in schedule.loops:
                 if isinstance(element, Loop):
+                    yield from self._run(run, out)
+                    run = []
                     yield from self._compile_loop(element, out)
                 else:
-                    yield from self._fire((element,), out)
+                    run.append(element)
+            yield from self._run(run, out)
         else:
-            yield from self._fire(schedule.firings, out)
+            yield from self._run(schedule.firings, out)
         self.last_accesses = out.emitted + out.pending
-        yield from out.finish()
+        yield from out.cut(final=True)
 
-    def _fire(
+    def _indices(self, names: List[str]) -> Tuple[np.ndarray, Optional[str]]:
+        """Module indices of ``names`` up to the first unknown name, and
+        that name (``None`` when every name is known)."""
+        try:
+            return self._as_indices(names), None
+        except KeyError as exc:
+            (unknown,) = exc.args
+        return self._as_indices(names[:names.index(unknown)]), unknown
+
+    def _as_indices(self, names: List[str]) -> np.ndarray:
+        return np.fromiter(
+            map(self._index.__getitem__, names), dtype=np.int64, count=len(names)
+        )
+
+    def _run(
         self, names: Iterable[str], out: "_TraceWriter"
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Compile ``names`` firing by firing into ``out``, yielding every
+        """Compile the firings ``names`` into ``out`` (one :meth:`_pass`
+        when monolithic, one per slice while chunking), yielding every
         chunk that fills up on the way."""
-        plans = self._plans
-        block = self.block
-        count_external = self.count_external
-        threshold = out.threshold
-        chunks, codes, lens, pending = out.parts, out.codes, out.lens, out.pending
-        fire_counts = self.last_fire_counts
-        firings = self.last_firings
-        source_fires = self.last_source_fires
-        sink_fires = self.last_sink_fires
-        ext_in_pos = self._ext_in_pos
-        ext_out_pos = self._ext_out_pos
-
-        for name in names:
-            try:
-                plan = plans[name]
-            except KeyError:
-                self.graph.module(name)  # raises GraphError with the usual message
-                raise
-            for cs in plan.ins:
-                require_input_tokens(name, cs.src, cs.dst, cs.buf.tokens, cs.in_rate)
-            for cs in plan.outs:
-                require_output_space(name, cs.src, cs.dst, cs.buf.free, cs.out_rate)
-
-            if plan.state_blocks is not None:
-                chunks.append(plan.state_blocks)
-                codes.append(_STATE)
-                lens.append(plan.state_blocks.shape[0])
-                pending += plan.state_blocks.shape[0]
-            for cs in plan.ins:
-                arr = cs.pop_blocks()
-                chunks.append(arr)
-                codes.append(_DATA)
-                lens.append(arr.shape[0])
-                pending += arr.shape[0]
-            for cs in plan.outs:
-                arr = cs.push_blocks()
-                chunks.append(arr)
-                codes.append(_DATA)
-                lens.append(arr.shape[0])
-                pending += arr.shape[0]
-            if count_external:
-                if plan.in_words:
-                    start = self._ext_in_base + ext_in_pos
-                    lo, hi = start // block, (start + plan.in_words - 1) // block
-                    chunks.append(np.arange(lo, hi + 1, dtype=np.int64))
-                    codes.append(_STREAM)
-                    lens.append(hi - lo + 1)
-                    pending += hi - lo + 1
-                    ext_in_pos += plan.in_words
-                if plan.out_words:
-                    start = self._ext_out_base + ext_out_pos
-                    lo, hi = start // block, (start + plan.out_words - 1) // block
-                    chunks.append(np.arange(lo, hi + 1, dtype=np.int64))
-                    codes.append(_STREAM)
-                    lens.append(hi - lo + 1)
-                    pending += hi - lo + 1
-                    ext_out_pos += plan.out_words
-
-            fire_counts[name] = fire_counts.get(name, 0) + 1
-            firings += 1
-            if plan.in_words:
-                source_fires += 1
-            if plan.out_words:
-                sink_fires += 1
-
-            if threshold is not None and pending >= threshold:
-                out.pending = pending
+        if out.chunk_words is None:
+            slices: Iterable[List[str]] = (list(names),)
+        else:
+            # the per-module touch bound keeps each slice under the budget
+            touches = int(self._mod[7].max(initial=1))
+            per = max(1, max(out.chunk_words, _SLICE_WORDS) // touches)
+            rest = iter(names)
+            slices = iter(lambda: list(islice(rest, per)), [])
+        for names_slice in slices:
+            idx, unknown = self._indices(names_slice)
+            if idx.shape[0]:
+                out.add(*self._pass(idx))
+            if unknown is not None:
+                self.graph.module(unknown)  # raises GraphError with the usual message
+            if out.threshold is not None and out.pending >= out.threshold:
                 yield from out.cut()
-                chunks, codes, lens, pending = out.parts, out.codes, out.lens, out.pending
 
-        out.pending = pending
-        self.last_firings = firings
-        self.last_source_fires = source_fires
-        self.last_sink_fires = sink_fires
-        self._ext_in_pos = ext_in_pos
-        self._ext_out_pos = ext_out_pos
+    def _pass(self, idx: np.ndarray) -> _Chunk:
+        """Blocks and phases of the firings ``idx`` (module indices): their
+        block ranges (:meth:`_ranges`) expanded in place, so that no
+        temporary of the range table outlives it."""
+        lo, ln, code = self._ranges(idx)
+        lo -= np.cumsum(ln)
+        lo += ln  # less each range's output offset, which the arange adds back
+        blocks = np.repeat(lo, ln)
+        del lo
+        blocks += np.arange(blocks.shape[0], dtype=np.int64)
+        return blocks, np.repeat(code, ln)
 
-    def _state(self) -> Tuple[int, ...]:
-        """Everything the next firing's touches depend on, up to a whole
-        number of blocks of external stream: buffer heads and counts, and
-        the stream positions mod ``B``."""
-        state: List[int] = []
-        for buf in self._buffers.values():
-            state.extend(buf.peek_occupancy())
-        state.append(self._ext_in_pos % self.block)
-        state.append(self._ext_out_pos % self.block)
-        return tuple(state)
+    def _ranges(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First block, block count and phase code of each block range the
+        firings ``idx`` touch, in trace order, from the channel and stream
+        state on entry, which it then advances.
+
+        Each (firing, range slot) is one range: the state, each window's
+        part up to the region end and its wrapped remainder, and each
+        counted stream.  The k-th pop by ``v`` reads from ring slot
+        ``(head + k * in_rate) mod cap``, the k-th push by ``u`` writes at
+        ``(head + count + k * out_rate) mod cap``, and the tokens before a
+        firing are the entry count plus ``u``'s pushes minus ``v``'s pops
+        before it (one ``searchsorted`` against the firings grouped by
+        module).  Nothing is sorted but that grouping.
+        """
+        B = self.block
+        state_lo, state_n, words_in, words_out, slots, slot_in, slot_out, _t = self._mod
+        src, dst, in_rate, out_rate, cap, base, _d, pop_slot, push_slot, pop_rank, push_rank = (
+            self._chan
+        )
+        n = idx.shape[0]
+        fires = np.bincount(idx, minlength=len(self._names))
+        order = np.argsort(idx, kind="stable")
+        first = np.cumsum(fires) - fires  # each module's firings in ``order``
+        grouped = idx[order] * n + order  # ascending: module, then position
+        per = slots[idx]
+        range_at = np.cumsum(per) - per  # each firing's first range slot
+        n_ranges = int(range_at[-1] + per[-1])
+        lo = np.zeros(n_ranges, dtype=np.int64)
+        ln = np.zeros(n_ranges, dtype=np.int64)
+        code = np.full(n_ranges, _DATA, dtype=np.uint8)
+        lo[range_at] = state_lo[idx]
+        ln[range_at] = state_n[idx]
+        code[range_at] = _STATE
+        violations: List[Tuple[int, bool, int, int]] = []
+        for pop in (True, False):
+            mod, other = (dst, src) if pop else (src, dst)
+            events = fires[mod]
+            ch = np.repeat(np.arange(len(events), dtype=np.int64), events)
+            k = np.arange(ch.shape[0], dtype=np.int64) - np.repeat(
+                np.cumsum(events) - events, events
+            )
+            at = order[first[mod][ch] + k]
+            # the other end's firings before each of this end's
+            before = np.searchsorted(grouped, other[ch] * n + at) - first[other][ch]
+            rate = (in_rate if pop else out_rate)[ch]
+            if pop:
+                tokens = self._tokens[ch] + out_rate[ch] * before - rate * k
+                short = tokens < rate
+                offset = self._heads[ch]
+            else:
+                tokens = self._tokens[ch] + rate * k - in_rate[ch] * before
+                short = cap[ch] - tokens < rate
+                offset = self._heads[ch] + self._tokens[ch]
+            if short.any():  # the first in firing order, then in check order
+                j = np.flatnonzero(short)
+                rank = (pop_rank if pop else push_rank)[ch[j]]
+                j = j[np.argmin(at[j] * len(cap) + rank)]
+                violations.append((int(at[j]), not pop, int(ch[j]), int(tokens[j])))
+            word = base[ch] + (offset + k * rate) % cap[ch]
+            head = np.minimum(rate, cap[ch] + base[ch] - word)  # up to the region end
+            r = range_at[at] + (pop_slot if pop else push_slot)[ch]
+            lo[r] = word // B
+            ln[r] = (word + head - 1) // B - word // B + 1
+            wrap = np.flatnonzero(head < rate)
+            lo[r[wrap] + 1] = base[ch[wrap]] // B
+            ln[r[wrap] + 1] = (
+                (base[ch[wrap]] + rate[wrap] - head[wrap] - 1) // B - base[ch[wrap]] // B + 1
+            )
+        if violations:
+            at, push, c, tokens = min(violations)
+            ch = self._channels[c]
+            name = self._names[int(idx[at])]
+            if push:
+                require_output_space(name, ch.src, ch.dst, int(cap[c]) - tokens, ch.out_rate)
+            else:
+                require_input_tokens(name, ch.src, ch.dst, tokens, ch.in_rate)
+        if self.count_external:
+            for side, (words_of, slot, arena) in enumerate((
+                (words_in, slot_in, self._ext_in_base),
+                (words_out, slot_out, self._ext_out_base),
+            )):
+                words = words_of[idx]
+                ends = np.cumsum(words)
+                f = np.flatnonzero(words)
+                word = arena + self._stream[side] + ends[f] - words[f]
+                r = range_at[f] + slot[idx[f]]
+                lo[r] = word // B
+                ln[r] = (word + words[f] - 1) // B - word // B + 1
+                code[r] = _STREAM
+                self._stream[side] += int(ends[-1])
+        self._heads = (self._heads + fires[dst] * in_rate) % cap
+        self._tokens = self._tokens + fires[src] * out_rate - fires[dst] * in_rate
+
+        self.last_firings += n
+        self.last_source_fires += int(fires[words_in > 0].sum())
+        self.last_sink_fires += int(fires[words_out > 0].sum())
+        fired = np.flatnonzero(fires)
+        counts = self.last_fire_counts
+        for m in fired[np.argsort(order[first[fired]])].tolist():  # first-firing order
+            name = self._names[m]
+            counts[name] = counts.get(name, 0) + int(fires[m])
+        return lo, ln, code
+
+    def _period(self, body: List[str], count: int) -> int:
+        """Iterations of ``body`` after which every buffer's head and count
+        and both stream positions mod ``B`` are back where they started, or
+        0 when some channel's count drifts or the period exceeds ``count //
+        2`` (it pays off only if a second whole copy follows)."""
+        idx, unknown = self._indices(body)
+        if unknown is not None:
+            return 0
+        src, dst, in_rate, out_rate, cap = self._chan[:5]
+        fires = np.bincount(idx, minlength=len(self._names))
+        pops = fires[dst] * in_rate
+        if np.any(fires[src] * out_rate != pops):
+            return 0
+        p = math.lcm(*(cap // np.gcd(pops, cap)).tolist())
+        if self.count_external:
+            for words in (self._mod[2] @ fires, self._mod[3] @ fires):
+                p = math.lcm(p, self.block // math.gcd(int(words), self.block))
+        return p if p <= count // 2 else 0
 
     def _compile_loop(
         self, loop: Loop, out: "_TraceWriter"
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Compile a top-level loop, repeating its period with numpy (see
         :meth:`compile_chunks`)."""
-        entry = self._state()
-        one = Loop(1, loop.body)
-        out.settle()  # the period's touches then settle into one array
-        start = out.emitted + out.pending
-        cuts = out.cuts
-        firings, sources, sinks = (
-            self.last_firings, self.last_source_fires, self.last_sink_fires
-        )
-        counts = dict(self.last_fire_counts)
-        ext_in, ext_out = self._ext_in_pos, self._ext_out_pos
-        if out.chunk_words is not None:
-            out.threshold = max(out.chunk_words, _PERIOD_PROBE_WORDS)
-        done = period = 0
-        # a period only pays off if a second whole copy of it follows, and
-        # a probe that outgrew its memory budget was cut into chunks
-        while not period and done < loop.count // 2 and out.cuts == cuts:
-            yield from self._fire(one.firings_iter(), out)
-            done += 1
-            if out.cuts == cuts and self._state() == entry:
-                period = done
-        out.threshold = out.chunk_words
-        length = out.emitted + out.pending - start
-        if period and length:
-            out.settle()
-            blocks, phases = out.held[-1]
-            repeats = loop.count // period
-            in_step = self._ext_in_pos - ext_in
-            out_step = self._ext_out_pos - ext_out
-            shift = np.zeros(length, dtype=np.int64)
-            stream = phases == _STREAM
-            shift[stream] = in_step // self.block
-            shift[stream & (blocks >= self._ext_out_base // self.block)] = (
-                out_step // self.block
+        body = list(Loop(1, loop.body).firings_iter())
+        period = self._period(body, loop.count)
+        done = 0
+        if period:
+            start = out.emitted + out.pending
+            cuts, mark = out.cuts, len(out.held)
+            firings, sources, sinks = (
+                self.last_firings, self.last_source_fires, self.last_sink_fires
             )
-            per_batch = (
-                repeats - 1 if out.chunk_words is None
-                else max(1, out.chunk_words // length)
-            )
-            j = 1
-            while j < repeats:
-                k = min(per_batch, repeats - j)
-                batch = np.arange(j, j + k, dtype=np.int64)[:, None] * shift
-                batch += blocks
-                out.add(batch.ravel(), np.tile(phases, k))
-                yield from out.cut()
-                j += k
-            more = repeats - 1
-            self.last_firings += more * (self.last_firings - firings)
-            self.last_source_fires += more * (self.last_source_fires - sources)
-            self.last_sink_fires += more * (self.last_sink_fires - sinks)
-            for name, n in self.last_fire_counts.items():
-                self.last_fire_counts[name] = n + more * (n - counts.get(name, 0))
-            self._ext_in_pos += more * in_step
-            self._ext_out_pos += more * out_step
-            obs.add(obs_names.COMPILE_PERIOD_REPEATS, more)
-            best = self.last_period
-            if best is None or length * repeats > best[1] * best[2]:
-                self.last_period = (start, length, repeats)
-            done = period * repeats
+            counts = dict(self.last_fire_counts)
+            ext_in, ext_out = self._stream
+            if out.chunk_words is not None:
+                out.threshold = max(out.chunk_words, _SLICE_WORDS)
+            yield from self._run(chain.from_iterable(repeat(body, period)), out)
+            out.threshold = out.chunk_words
+            done = period
+            length = out.emitted + out.pending - start
+            if out.cuts == cuts and length:
+                blocks, phases = out.join(mark)
+                repeats = loop.count // period
+                in_step = self._stream[0] - ext_in
+                out_step = self._stream[1] - ext_out
+                shift = np.zeros(length, dtype=np.int64)
+                stream = phases == _STREAM
+                shift[stream] = in_step // self.block
+                shift[stream & (blocks >= self._ext_out_base // self.block)] = (
+                    out_step // self.block
+                )
+                per_batch = (
+                    repeats - 1 if out.chunk_words is None
+                    else max(1, out.chunk_words // length)
+                )
+                j = 1
+                while j < repeats:
+                    k = min(per_batch, repeats - j)
+                    batch = np.arange(j, j + k, dtype=np.int64)[:, None] * shift
+                    batch += blocks
+                    out.add(batch.ravel(), np.tile(phases, k))
+                    yield from out.cut()
+                    j += k
+                more = repeats - 1
+                self.last_firings += more * (self.last_firings - firings)
+                self.last_source_fires += more * (self.last_source_fires - sources)
+                self.last_sink_fires += more * (self.last_sink_fires - sinks)
+                for name, n in self.last_fire_counts.items():
+                    self.last_fire_counts[name] = n + more * (n - counts.get(name, 0))
+                self._stream[0] += more * in_step
+                self._stream[1] += more * out_step
+                obs.add(obs_names.COMPILE_PERIOD_REPEATS, more)
+                best = self.last_period
+                if best is None or length * repeats > best[1] * best[2]:
+                    self.last_period = (start, length, repeats)
+                done = period * repeats
         if loop.count > done:
-            yield from self._fire(
+            yield from self._run(
                 Loop(loop.count - done, loop.body).firings_iter(), out
             )
 
     def compile(self, schedule: Schedule) -> CompiledTrace:
-        """Compile every firing of ``schedule`` (flat or looped) to a trace.
-
-        One full :meth:`compile_chunks` pass with no chunking: the whole
-        trace materializes as a single chunk.  Validation, buffer mutation,
-        and fresh-compiler caveats are exactly as documented there.
-        """
+        """Compile every firing of ``schedule`` (flat or looped) to a trace:
+        one :meth:`compile_chunks` run with no chunking."""
         blocks, phases = next(self.compile_chunks(schedule, chunk_words=None))
         return CompiledTrace(
             label=self.last_label,

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.repetition import compute_gains
 from repro.graphs.sdf import StreamGraph
+from repro.mem.layout import ObjectKey
 from repro.runtime.schedule import Schedule
+
+if TYPE_CHECKING:  # runtime import at call time, like the engines below
+    from repro.runtime.compiled import CompiledTrace
 
 __all__ = [
     "NaiveLRU",
@@ -154,7 +158,9 @@ def assert_trace_equivalent(
     sizes: Iterable[int],
     layout_order: Optional[Iterable[str]] = None,
     count_external: bool = True,
-) -> None:
+    placement: Optional[Sequence[ObjectKey]] = None,
+    gaps: Optional[Dict[ObjectKey, int]] = None,
+) -> "CompiledTrace":
     """Differential oracle for the compiled-trace engine.
 
     Runs the schedule twice per call: once through the stepwise
@@ -167,7 +173,9 @@ def assert_trace_equivalent(
        equals a fresh per-geometry LRU run — misses, accesses, phase
        attribution, and firing accounting.
 
-    Returns the compiled trace so callers can make further assertions.
+    ``layout_order``, ``placement`` and ``gaps`` place the objects for both
+    paths alike.  Returns the compiled trace so callers can make further
+    assertions.
     """
     from repro.cache.base import CacheGeometry
     from repro.cache.lru import LRUCache
@@ -185,6 +193,8 @@ def assert_trace_equivalent(
         block,
         layout_order=layout_order,
         count_external=count_external,
+        placement=placement,
+        gaps=gaps,
     )
 
     # 1. block-for-block trace equality against the recording executor
@@ -196,6 +206,8 @@ def assert_trace_equivalent(
         schedule,
         layout_order=layout_order,
         count_external=count_external,
+        placement=placement,
+        gaps=gaps,
         cache=TracingCache(LRUCache(big), recorder),
     )
     assert trace.blocks.tolist() == recorder.blocks, (
@@ -217,6 +229,8 @@ def assert_trace_equivalent(
             schedule,
             layout_order=layout_order,
             count_external=count_external,
+            placement=placement,
+            gaps=gaps,
         )
         assert fast_res.misses == ref.misses, (
             f"size {geom.size}: compiled {fast_res.misses} != stepwise {ref.misses}"

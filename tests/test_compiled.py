@@ -2,13 +2,18 @@
 
 The load-bearing property is *exact* equivalence with the stepwise
 executor: same block trace, same misses at every geometry, same phase
-attribution.  The oracle suite exercises the seed graphs the acceptance
-criteria name (pipeline, fm_radio) plus the circular-buffer wrap-around
-case that makes window compilation nontrivial.
+attribution.  The compiler derives every window from token arithmetic
+instead of stepping buffers, so the executor is its specification: the
+oracle suite exercises the seed graphs the acceptance criteria name
+(pipeline, fm_radio) plus the circular-buffer wrap-around case, and the
+differential properties at the end draw random graphs, block sizes,
+layouts, chunkings and infeasible schedules against it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.core.baselines import interleaved_schedule, single_appearance_schedule
@@ -20,11 +25,13 @@ from repro.core.partition_sched import (
 from repro.core.dagpart import interval_dp_partition
 from repro.core.pipeline import optimal_pipeline_partition
 from repro.core.tuning import choose_batch
-from repro.errors import CacheConfigError, ScheduleError
+from repro.errors import CacheConfigError, GraphError, ScheduleError
 from repro.graphs.apps import fm_radio
+from repro.graphs.minbuf import min_buffers
+from repro.graphs.repetition import repetition_vector
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import pipeline, random_pipeline
-from repro.mem.layout import Region
+from repro.mem.layout import Region, layout_objects
 from repro.runtime.buffers import ChannelBuffer
 from repro.runtime.compiled import (
     TraceCompiler,
@@ -32,10 +39,16 @@ from repro.runtime.compiled import (
     measure_compiled,
     simulate_trace,
 )
+from repro.runtime.deadlock import demand_driven_schedule
 from repro.runtime.executor import Executor
-from repro.runtime.looped import compress_schedule
+from repro.runtime.looped import Loop, LoopedSchedule, compress_schedule
 from repro.runtime.schedule import Schedule
 from repro.testing.oracles import assert_trace_equivalent
+from repro.testing.strategies import (
+    placement_strategy,
+    rate_matched_pipelines,
+    small_dags,
+)
 
 
 B = 8
@@ -213,3 +226,122 @@ class TestCompiledTrace:
             simulate_trace(observed, [small])[0].misses
             == simulate_trace(compiled, [small])[0].misses
         )
+
+
+class TestReusedCompiler:
+    def test_each_compile_starts_from_the_delays(self):
+        """A schedule that leaves tokens behind compiles the same trace on
+        every call of one compiler, chunked or not: each call starts from
+        the channel delays and stream position 0."""
+        g = StreamGraph("reuse")
+        g.add_module("m0", state=8)
+        g.add_module("m1", state=8)
+        g.add_module("m2", state=4)
+        g.add_channel("m0", "m1", out_rate=2, in_rate=1, delay=1)
+        g.add_channel("m1", "m2")
+        sched = Schedule(["m0", "m1", "m1", "m2", "m0"], capacities={0: 5, 1: 2})
+        compiler = TraceCompiler(g, 4, capacities=sched.capacities)
+        first = compiler.compile(sched)
+        second = compiler.compile(sched)
+        assert np.array_equal(first.blocks, second.blocks)
+        assert np.array_equal(first.phases, second.phases)
+        assert second.fire_counts == first.fire_counts == {"m0": 2, "m1": 2, "m2": 1}
+        chunks = list(compiler.compile_chunks(sched, chunk_words=3))
+        assert np.array_equal(np.concatenate([b for b, _p in chunks]), first.blocks)
+        oracle = assert_trace_equivalent(g, sched, 4, [4, 16])
+        assert np.array_equal(oracle.blocks, first.blocks)
+
+
+# ----------------------------------------------------------------------
+# differential properties: the pass against the stepwise executor
+# ----------------------------------------------------------------------
+@st.composite
+def _graph_schedules(draw):
+    """A random pipeline (multi-rate, with delays) or homogeneous dag under
+    minBuf capacities, so buffer windows wrap, and one to three balanced
+    steady-state iterations of a demand-driven schedule."""
+    g = draw(st.one_of(
+        rate_matched_pipelines(max_n=4, max_state=20, with_delays=True),
+        small_dags(max_layers=2, max_width=2, max_state=12),
+    ))
+    caps = min_buffers(g)
+    body = demand_driven_schedule(g, repetition_vector(g), caps)
+    return g, Schedule(body * draw(st.integers(1, 3)), capacities=caps, label="hyp")
+
+
+@given(data=st.data())
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_pass_matches_the_executor_at_every_chunking(data):
+    g, sched = data.draw(_graph_schedules())
+    block = data.draw(st.sampled_from([1, 3, 4, 8]))
+    count_external = data.draw(st.booleans())
+    placement = gaps = None
+    if data.draw(st.booleans()):
+        placement, gaps = data.draw(placement_strategy(layout_objects(g), max_gap=2))
+    layout = dict(count_external=count_external, placement=placement, gaps=gaps)
+    trace = assert_trace_equivalent(g, sched, block, [block, 4 * block, 32 * block], **layout)
+    for chunk_words in (1, 37, None):
+        compiler = TraceCompiler(g, block, capacities=sched.capacities, **layout)
+        chunks = list(compiler.compile_chunks(sched, chunk_words=chunk_words))
+        assert all(b.shape[0] == (chunk_words or trace.accesses) for b, _p in chunks[:-1])
+        assert np.array_equal(np.concatenate([b for b, _p in chunks]), trace.blocks)
+        assert np.array_equal(np.concatenate([p for _b, p in chunks]), trace.phases)
+        assert compiler.last_fire_counts == trace.fire_counts
+        assert compiler.last_accesses == trace.accesses
+
+
+def _outcome(run):
+    try:
+        run()
+    except (ScheduleError, GraphError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+@given(data=st.data())
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_infeasible_and_unknown_firings_raise_the_executor_error(data):
+    """One firing moved earlier (and maybe an unknown module name dropped
+    in): compilation raises exactly what ``Executor.measure`` raises, with
+    the same message, or succeeds when it does."""
+    g, sched = data.draw(_graph_schedules())
+    firings = list(sched.firings)
+    if len(firings) > 1:
+        i = data.draw(st.integers(1, len(firings) - 1))
+        firings.insert(data.draw(st.integers(0, i - 1)), firings.pop(i))
+    if data.draw(st.booleans()):
+        firings.insert(data.draw(st.integers(0, len(firings))), "ghost")
+    moved = Schedule(firings, capacities=sched.capacities)
+    want = _outcome(lambda: Executor.measure(g, CacheGeometry(size=64, block=B), moved))
+    event(want[0])
+    assert _outcome(lambda: compile_trace(g, moved, B)) == want
+    compiler = TraceCompiler(g, B, capacities=moved.capacities)
+    assert _outcome(lambda: list(compiler.compile_chunks(moved, chunk_words=5))) == want
+
+
+@pytest.mark.parametrize("chunk_words", [None, 1, 37])
+def test_nested_and_unbalanced_loops_equal_their_flat_expansion(chunk_words):
+    g = pipeline([16, 8, 24])
+    nested = LoopedSchedule(
+        (Loop(3, (Loop(20, ("m0", "m1", "m2")),)),
+         Loop(40, (Loop(2, ("m0",)), Loop(2, ("m1",)), Loop(2, ("m2",)))), "m0"),
+        capacities={0: 2, 1: 2},
+    )
+    unbalanced = LoopedSchedule((Loop(20, ("m0", "m0", "m1")),), capacities={0: 64, 1: 64})
+    for sched, periodic in ((nested, True), (unbalanced, False)):
+        looped = TraceCompiler(g, B, capacities=sched.capacities)
+        flat = TraceCompiler(g, B, capacities=sched.capacities)
+        got = list(looped.compile_chunks(sched, chunk_words=chunk_words))
+        want = list(flat.compile_chunks(sched.to_flat(), chunk_words=chunk_words))
+        assert len(got) == len(want)
+        for (gb, gp), (wb, wp) in zip(got, want):
+            assert np.array_equal(gb, wb) and np.array_equal(gp, wp)
+        assert looped.last_fire_counts == flat.last_fire_counts
+        assert looped.last_accesses == flat.last_accesses
+        assert (looped.last_period is not None) == periodic

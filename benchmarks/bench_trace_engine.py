@@ -55,6 +55,16 @@ loops alone vary about 2x from run to run on a shared host.
 * **flat_compile_accesses_per_s**: absolute compile throughput on this
   benchmark's own flat schedule, best of 5 monolithic ``compile_trace``
   calls (accesses compiled per second).  Trend-gated like the speedups.
+* **measure_accesses_per_s**: absolute single-geometry throughput on the
+  same schedule, best of 5 ``measure_compiled`` calls at the sweep's middle
+  size — the streamed compile and replay the experiment drivers measure
+  with (accesses measured per second).  Trend-gated like the speedups.
+* **measure_stream_accesses_per_s**: the same on a stream-heavy schedule,
+  an interleaved ``pipeline([8, 8, 8, 8])`` whose distinct blocks are
+  nearly all external-stream blocks (~6x10^5 accesses, one 32-frame fully
+  associative geometry), checked against a monolithic compile and replay.
+  It times the recency carry the streamed measure keeps across chunks.
+  Trend-gated like the speedups.
 * **lru_replay_accesses_per_s** / **set_assoc_replay_accesses_per_s**:
   absolute replay throughput on this benchmark's own trace, best of 5
   serial ``simulate_trace`` calls (replay only, the trace already
@@ -98,6 +108,8 @@ SET_ASSOC_WAYS = (1, 2, 4, 8, 16, 32)
 SET_ASSOC_SETS = 16
 TWO_LEVEL_L1 = (96, 128, 192)
 TWO_LEVEL_L2 = (256, 512, 768, 1024)
+#: iterations of the stream-heavy measure's interleaved pipeline
+STREAM_MEASURE_ITERATIONS = 50_000
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace_engine.json"
 HISTORY_CAP = 50
 #: runs per side of every stepwise-vs-replay ratio (best kept)
@@ -267,6 +279,20 @@ def test_trace_engine_speedup(show):
         5, lambda: compile_trace(g, sched, B, layout_order=order)
     )
     flat_compile = trace.accesses / t_flat_compile
+    t_measure, _ = _best_of(
+        5, lambda: measure_compiled(g, one, sched, layout_order=order)
+    )
+    measure_rate = trace.accesses / t_measure
+    sg = pipeline([8, 8, 8, 8])
+    stream_sched = interleaved_schedule(sg, n_iterations=STREAM_MEASURE_ITERATIONS)
+    stream_geom = CacheGeometry(size=32 * B, block=B)
+    t_measure_stream, stream_res = _best_of(
+        5, lambda: measure_compiled(sg, stream_geom, stream_sched)
+    )
+    assert stream_res == simulate_trace(
+        compile_trace(sg, stream_sched, B), [stream_geom]
+    )[0], "streamed measure diverged from the monolithic replay"
+    measure_stream_rate = stream_res.accesses / t_measure_stream
 
     blocks_list = trace.blocks.tolist()
 
@@ -384,6 +410,8 @@ def test_trace_engine_speedup(show):
         "looped_compile_accesses_per_s": round(looped_compile),
         "looped_replay_accesses_per_s": round(looped_replay),
         "flat_compile_accesses_per_s": round(flat_compile),
+        "measure_accesses_per_s": round(measure_rate),
+        "measure_stream_accesses_per_s": round(measure_stream_rate),
         "lru_replay_accesses_per_s": round(lru_replay),
         "set_assoc_replay_accesses_per_s": round(sa_replay),
     }
@@ -463,6 +491,14 @@ def test_trace_engine_speedup(show):
             "compile_s": round(t_flat_compile, 4),
             "compile_accesses_per_s": round(flat_compile),
         },
+        "measure": {
+            "geometry_size": one.size,
+            "measure_s": round(t_measure, 4),
+            "measure_accesses_per_s": round(measure_rate),
+            "stream_accesses": stream_res.accesses,
+            "stream_measure_s": round(t_measure_stream, 4),
+            "stream_accesses_per_s": round(measure_stream_rate),
+        },
         "replay": {
             "lru_accesses_per_s": round(lru_replay),
             "set_assoc_accesses_per_s": round(sa_replay),
@@ -501,6 +537,14 @@ def test_trace_engine_speedup(show):
             {"path": "flat compile (M accesses/s)",
              "stepwise_s": "",
              "replay_s": round(flat_compile / 1e6, 2),
+             "speedup": ""},
+            {"path": "single-geometry measure (M accesses/s)",
+             "stepwise_s": "",
+             "replay_s": round(measure_rate / 1e6, 2),
+             "speedup": ""},
+            {"path": "stream-heavy measure (M accesses/s)",
+             "stepwise_s": "",
+             "replay_s": round(measure_stream_rate / 1e6, 2),
              "speedup": ""},
             {"path": "lru / set-assoc replay (M accesses/s)",
              "stepwise_s": round(lru_replay / 1e6, 2),

@@ -49,7 +49,6 @@ from repro.core.pipeline import (
 from repro.core.tuning import augmented_geometry, choose_batch, required_geometry
 from repro.graphs.apps import beamformer, bitonic_sort, des_rounds, filter_bank, fm_radio, mp3_subband
 from repro.graphs.repetition import compute_gains, repetition_vector
-from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import (
     butterfly,
     diamond,
@@ -60,8 +59,7 @@ from repro.graphs.topologies import (
     split_join_tree,
 )
 from repro.runtime.compiled import compile_trace, measure_compiled, simulate_trace
-from repro.runtime.executor import Executor
-from repro.runtime.schedule import Schedule, validate_schedule
+from repro.runtime.schedule import validate_schedule
 
 __all__ = [
     "experiment_e1_pipeline_optimality",
@@ -86,21 +84,6 @@ __all__ = [
 DEFAULT_B = 8
 
 MIXED_RATES = ((1, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3))
-
-
-def _measure(
-    graph: StreamGraph,
-    geometry: CacheGeometry,
-    schedule: Schedule,
-    layout_order=None,
-) -> Dict[str, Any]:
-    res = Executor.measure(graph, geometry, schedule, layout_order=layout_order)
-    return {
-        "schedule": schedule.label,
-        "misses": res.misses,
-        "inputs": res.source_fires,
-        "misses_per_input": res.misses_per_source_fire,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +116,7 @@ def experiment_e1_pipeline_optimality(
         part = optimal_pipeline_partition(g, M, c=3.0)
         sched = pipeline_dynamic_schedule(g, part, geom, target_outputs=outs)
         run_geom = required_geometry(part, geom)
-        res = Executor.measure(
+        res = measure_compiled(
             g, run_geom, sched, layout_order=component_layout_order(part)
         )
         lb = pipeline_lower_bound(g, M)
@@ -225,7 +208,7 @@ def experiment_e3_lower_bound(n_outputs: int = 1200, seed: int = 3) -> List[Dict
     ]
     rows: List[Dict[str, Any]] = []
     for sched, order in schedules:
-        res = Executor.measure(g, aug, sched, layout_order=order)
+        res = measure_compiled(g, aug, sched, layout_order=order)
         lbm = float(lb.misses(res.source_fires, geom))
         rows.append(
             {
@@ -301,7 +284,7 @@ def experiment_e5_dag_optimality(seed: int = 13) -> List[Dict[str, Any]]:
         exact = exact_min_bandwidth_partition(g, M, c=3.0, max_modules=16)
         heur = refine_partition(interval_dp_partition(g, M, c=3.0), M, c=3.0)
         sched = homogeneous_partition_schedule(g, heur, geom, n_batches=4)
-        res = Executor.measure(
+        res = measure_compiled(
             g,
             required_geometry(heur, geom),
             sched,
@@ -349,11 +332,11 @@ def experiment_e6_inhomogeneous(seed: int = 17) -> List[Dict[str, Any]]:
         sched = inhomogeneous_partition_schedule(g, part, geom, n_batches=n_batches, plan=plan)
         validate_schedule(g, sched, require_drained=True)
         aug = required_geometry(part, geom)
-        res = Executor.measure(g, aug, sched, layout_order=component_layout_order(part))
+        res = measure_compiled(g, aug, sched, layout_order=component_layout_order(part))
         reps = repetition_vector(g)
         src = g.sources()[0]
         base_iters = max(1, res.source_fires // reps[src])
-        base = Executor.measure(g, aug, single_appearance_schedule(g, n_iterations=base_iters))
+        base = measure_compiled(g, aug, single_appearance_schedule(g, n_iterations=base_iters))
         rows.append(
             {
                 "graph": name,
@@ -393,13 +376,13 @@ def experiment_e7_vs_baselines(M: int = 256) -> List[Dict[str, Any]]:
         n_batches = max(2, -(-1024 // max(plan.source_fires, 1)))
         sched = inhomogeneous_partition_schedule(g, part, geom, n_batches=n_batches, plan=plan)
         aug = required_geometry(part, geom)
-        res = Executor.measure(g, aug, sched, layout_order=component_layout_order(part))
+        res = measure_compiled(g, aug, sched, layout_order=component_layout_order(part))
         reps = repetition_vector(g)
         src = g.sources()[0]
         iters = max(1, res.source_fires // reps[src])
-        sas = Executor.measure(g, aug, single_appearance_schedule(g, n_iterations=iters))
-        ser = Executor.measure(g, aug, sermulins_scaled_schedule(g, geom, n_macro_iterations=iters))
-        inter = Executor.measure(g, aug, interleaved_schedule(g, n_iterations=min(iters, 64)))
+        sas = measure_compiled(g, aug, single_appearance_schedule(g, n_iterations=iters))
+        ser = measure_compiled(g, aug, sermulins_scaled_schedule(g, geom, n_macro_iterations=iters))
+        inter = measure_compiled(g, aug, interleaved_schedule(g, n_iterations=min(iters, 64)))
         rows.append(
             {
                 "app": name,
@@ -517,8 +500,8 @@ def experiment_e10_crossover(n_outputs: int = 800) -> List[Dict[str, Any]]:
         part = optimal_pipeline_partition(g, M, c=1.0)
         sched = pipeline_dynamic_schedule(g, part, geom, target_outputs=n_outputs)
         aug = required_geometry(part, geom)
-        res = Executor.measure(g, aug, sched, layout_order=component_layout_order(part))
-        base = Executor.measure(g, aug, interleaved_schedule(g, n_iterations=n_outputs))
+        res = measure_compiled(g, aug, sched, layout_order=component_layout_order(part))
+        base = measure_compiled(g, aug, interleaved_schedule(g, n_iterations=n_outputs))
         rows.append(
             {
                 "total_state": g.total_state(),
@@ -576,7 +559,7 @@ def ablation_a1_cut_choice(seed: int = 31, n_outputs: int = 1000) -> List[Dict[s
     for cut_at_max in (False, True):
         part = build(cut_at_max)
         sched = pipeline_dynamic_schedule(g, part, geom, target_outputs=n_outputs)
-        res = Executor.measure(
+        res = measure_compiled(
             g, required_geometry(part, geom), sched, layout_order=component_layout_order(part)
         )
         rows.append(
@@ -605,7 +588,7 @@ def ablation_a2_cross_buffer_size(seed: int = 37, n_outputs: int = 1000) -> List
         sched = pipeline_dynamic_schedule(
             g, part, geom, target_outputs=n_outputs, cross_capacity=cap
         )
-        res = Executor.measure(g, required_geometry(part, geom), sched, layout_order=order)
+        res = measure_compiled(g, required_geometry(part, geom), sched, layout_order=order)
         rows.append(
             {
                 "cross_capacity": cap,
@@ -680,7 +663,7 @@ def ablation_a4_degree_limits(M: int = 192) -> List[Dict[str, Any]]:
     for name, part in candidates:
         max_deg = max(part.component_degree(i) for i in range(part.k))
         sched = inhomogeneous_partition_schedule(g, part, geom, n_batches=2)
-        res = Executor.measure(g, aug, sched, layout_order=component_layout_order(part))
+        res = measure_compiled(g, aug, sched, layout_order=component_layout_order(part))
         rows.append(
             {
                 "partitioner": name,

@@ -122,7 +122,7 @@ def experiment_e14_latency_tradeoff(
     from repro.core.pipeline import optimal_pipeline_partition
     from repro.core.tuning import required_geometry
     from repro.graphs.topologies import random_pipeline
-    from repro.runtime.executor import Executor
+    from repro.runtime.compiled import measure_compiled
 
     g = random_pipeline(14, 40, seed=seed, rate_choices=[(1, 1)])
     M = 128
@@ -133,7 +133,7 @@ def experiment_e14_latency_tradeoff(
 
     rows: List[Dict[str, Any]] = []
     base = interleaved_schedule(g, n_iterations=n_outputs)
-    res = Executor.measure(g, run_geom, base, layout_order=order)
+    res = measure_compiled(g, run_geom, base, layout_order=order)
     lat = pipeline_latency(g, base)
     rows.append(
         {
@@ -148,7 +148,7 @@ def experiment_e14_latency_tradeoff(
         sched = pipeline_dynamic_schedule(
             g, part, geom, target_outputs=n_outputs, cross_capacity=cap
         )
-        res = Executor.measure(g, run_geom, sched, layout_order=order)
+        res = measure_compiled(g, run_geom, sched, layout_order=order)
         lat = pipeline_latency(g, sched)
         rows.append(
             {

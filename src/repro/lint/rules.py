@@ -11,8 +11,9 @@ id        name                     invariant
 ``R2``    experiment-completeness  every E*/A* experiment driver has a CLI dispatch,
                                    a benchmark reference (or documented exemption),
                                    and a README row
-``R3``    hot-path-purity          the vectorized replay/compile modules never import
-                                   the stepwise oracle classes
+``R3``    hot-path-purity          the vectorized replay/compile modules and the
+                                   experiment drivers (``repro.analysis``) never
+                                   import the stepwise oracle classes
 ``R4``    dtype-contracts          hot-path numpy constructors pass explicit dtypes
                                    from the module's documented contract
 ``R6``    obs-name-registry        every span/metric name emitted under ``src/repro``
@@ -424,18 +425,19 @@ def rule_experiment_completeness(project: Project) -> Iterator[Violation]:
 @register_rule(
     "R3",
     "hot-path-purity",
-    "vectorized replay/compile modules never import the stepwise "
-    "oracle classes",
+    "vectorized replay/compile modules and the experiment drivers never "
+    "import the stepwise oracle classes",
 )
 def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
     # the two compile/replay kernels are mandatory; the service-path
     # modules obey the same purity contract wherever they exist (partial
-    # overlay projects omit them, which is not a violation)
+    # overlay projects omit them, which is not a violation), and so does
+    # every analysis module: the drivers measure on the compiled path
     targets = [REPLAY_PATH, COMPILED_PATH] + [
         rel
         for rel in (BACKEND_PATH, TRACE_CACHE_PATH, STREAMING_PATH)
         if project.exists(rel)
-    ]
+    ] + project.glob(ANALYSIS_GLOB)
     for rel in targets:
         tree, errs = _tree(project, rel, "R3")
         yield from errs

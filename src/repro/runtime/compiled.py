@@ -33,7 +33,9 @@ every cache size in a single Mattson stack-distance pass
   geometry.  ``backend="process"`` (with ``workers=`` sizing the pool)
   spreads the replay over a process pool with the same answers.
 * :func:`measure_compiled` is the drop-in replacement for
-  ``Executor.measure`` on any replay-capable policy.
+  ``Executor.measure`` on any replay-capable policy.  On one ``lru`` or
+  ``direct`` geometry of a flat schedule it replays each compiled chunk as
+  it is yielded, so the trace is never built.
 
 Array dtype contract (statically enforced by lint rule R4, see
 ``docs/STATIC_ANALYSIS.md``): block-id arrays are ``int64`` (the replay
@@ -99,6 +101,7 @@ if TYPE_CHECKING:  # runtime import would cycle: streaming builds on this module
 __all__ = [
     "CompiledTrace",
     "TraceCompiler",
+    "TraceMetadata",
     "compile_trace",
     "compile_trace_uncached",
     "simulate_trace",
@@ -114,7 +117,20 @@ _STATE, _DATA, _STREAM = 1, 2, 3
 #: in memory to be repeated)
 _SLICE_WORDS = 1 << 16
 
+#: accesses per chunk when :func:`measure_compiled` streams and no default
+#: chunk size is configured.  On a 2-vCPU Xeon host E1's 1,420,637-access
+#: heavy-n20 schedule measures in 587 / 555 / 568 / 599 / 620 ms at chunks
+#: of 2**12 .. 2**16 accesses (best of 5; traced allocation peaks 0.97 /
+#: 1.16 / 1.93 / 3.54 / 6.47 MB), and an E1+E3+E5 pass peaks at 42.4 /
+#: 44.5 / 47.5 MB RSS at 2**14 / 2**15 / 2**16 against 39.3 MB stepping
+#: the executor.  Time is flat over that range and memory grows with the
+#: chunk; 2**14 keeps that pass within 10% of the stepwise RSS.
+MEASURE_CHUNK_WORDS = 1 << 14
+
 _Chunk = Tuple[np.ndarray, np.ndarray]
+#: one part a :class:`_TraceWriter` holds: ``(blocks, phases, shift,
+#: first, count)``
+_Part = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int, int]
 
 
 @dataclass
@@ -156,13 +172,32 @@ class CompiledTrace:
         return self.accesses
 
 
+@dataclass
+class TraceMetadata:
+    """A compilation's metadata: every field :class:`CompiledTrace` and
+    :class:`~repro.runtime.streaming.ChunkedTrace` carry besides the
+    accesses themselves, as :meth:`TraceCompiler.compile_chunks` counts
+    them."""
+
+    label: str = "schedule"
+    firings: int = 0
+    fire_counts: Dict[str, int] = field(default_factory=dict)
+    source_fires: int = 0
+    sink_fires: int = 0
+    accesses: int = 0
+    period: Optional[Tuple[int, int, int]] = None
+
+
 class _TraceWriter:
     """Collects compiled touches and cuts them into ``chunk_words`` chunks.
 
-    ``held`` keeps the ``(blocks, phases)`` pairs not yet yielded, one per
-    compiled run of firings or repeated batch of periods, and ``pending``
-    counts their accesses.  A run cuts once ``pending`` reaches
-    ``threshold``: ``chunk_words``, raised while a loop's period is
+    ``held`` keeps the parts not yet yielded, in trace order, and
+    ``pending`` counts their accesses.  A part is ``(blocks, phases, shift,
+    first, count)``: copies ``first .. first + count - 1`` of a run, copy
+    ``j`` being ``blocks + j * shift``.  A compiled run of firings is one
+    copy with no shift; a batch of a loop's repeated periods stays in that
+    form until :meth:`join` writes it out.  A run cuts once ``pending``
+    reaches ``threshold``: ``chunk_words``, raised while a loop's period is
     compiled, and ``None`` (never) when monolithic.
     """
 
@@ -171,26 +206,48 @@ class _TraceWriter:
     def __init__(self, chunk_words: Optional[int]) -> None:
         self.chunk_words = chunk_words
         self.threshold = chunk_words
-        self.held: List[_Chunk] = []
+        self.held: List[_Part] = []
         self.pending = 0
         self.emitted = 0
         self.cuts = 0
 
-    def add(self, blocks: np.ndarray, phases: np.ndarray) -> None:
-        self.held.append((blocks, phases))
-        self.pending += int(blocks.shape[0])
+    def add(
+        self,
+        blocks: np.ndarray,
+        phases: np.ndarray,
+        shift: Optional[np.ndarray] = None,
+        first: int = 0,
+        count: int = 1,
+    ) -> None:
+        self.held.append((blocks, phases, shift, first, count))
+        self.pending += count * int(blocks.shape[0])
 
     def join(self, mark: int = 0) -> _Chunk:
-        """The pairs held from index ``mark`` on, joined in their place."""
+        """The parts held from index ``mark`` on, written into one output
+        in their place (a lone unshifted part is returned as it is)."""
         parts = self.held[mark:]
-        if len(parts) == 1:
-            return parts[0]
-        joined = (
-            np.concatenate([b for b, _p in parts] or [np.zeros(0, dtype=np.int64)]),
-            np.concatenate([p for _b, p in parts] or [np.zeros(0, dtype=np.uint8)]),
-        )
-        self.held[mark:] = [joined]
-        return joined
+        if len(parts) == 1 and parts[0][2] is None:
+            return parts[0][0], parts[0][1]
+        n = sum(count * int(b.shape[0]) for b, _p, _s, _f, count in parts)
+        blocks = np.empty(n, dtype=np.int64)
+        phases = np.empty(n, dtype=np.uint8)
+        at = 0
+        for b, p, shift, first, count in parts:
+            span = (count, int(b.shape[0]))
+            end = at + span[0] * span[1]
+            copies = blocks[at:end].reshape(span)
+            if shift is None:
+                copies[:] = b
+            else:  # written in place: no temporary of the batch's size
+                np.multiply(
+                    np.arange(first, first + count, dtype=np.int64)[:, None],
+                    shift, out=copies,
+                )
+                copies += b
+            phases[at:end].reshape(span)[:] = p
+            at = end
+        self.held[mark:] = [(blocks, phases, None, 0, 1)]
+        return blocks, phases
 
     def cut(self, final: bool = False) -> Iterator[_Chunk]:
         """Yield every full chunk held and keep the remainder (nothing to
@@ -208,10 +265,10 @@ class _TraceWriter:
             yield blocks[lo:], phases[lo:]
             lo = n
         self.emitted += lo
-        # copies release the concatenated buffer once consumers drop
-        # their chunk views, keeping the high-water mark at
-        # O(chunk_words), not O(flushes)
-        self.held = [(blocks[lo:].copy(), phases[lo:].copy())]
+        # copies release the joined buffer once consumers drop their chunk
+        # views, keeping the high-water mark at O(chunk_words), not
+        # O(flushes)
+        self.held = [(blocks[lo:].copy(), phases[lo:].copy(), None, 0, 1)]
         self.pending = n - lo
         self.cuts += 1
 
@@ -293,14 +350,8 @@ class TraceCompiler:
         self._tokens = self._chan[6].copy()
         self._stream = [0, 0]
         # metadata of the most recent :meth:`compile_chunks` run; complete
-        # once that generator is exhausted (:meth:`compile` reads them)
-        self.last_label: str = "schedule"
-        self.last_firings: int = 0
-        self.last_fire_counts: Dict[str, int] = {}
-        self.last_source_fires: int = 0
-        self.last_sink_fires: int = 0
-        self.last_accesses: int = 0
-        self.last_period: Optional[Tuple[int, int, int]] = None
+        # once that generator is exhausted (:meth:`compile` reads it)
+        self.last = TraceMetadata()
 
     def compile_chunks(
         self, schedule: Schedule, chunk_words: Optional[int] = None
@@ -329,7 +380,7 @@ class TraceCompiler:
         one run and every later whole period is their blocks plus a
         multiple of the per-access stream shift, written with numpy; the
         rest of the loop compiles as a run.  Output and metadata equal the
-        flat expansion's, and ``last_period`` records the longest repeated
+        flat expansion's, and ``last.period`` records the longest repeated
         run as ``(start, length, repeats)`` (see :class:`CompiledTrace`).
 
         Validates feasibility exactly like ``Executor.fire`` and raises
@@ -338,20 +389,14 @@ class TraceCompiler:
         first copy was).  Every call starts from the channel delays and
         stream position 0.  Trace metadata (label, firings, per-module fire
         counts, source/sink fires, total accesses, period) is complete once
-        the generator is exhausted, in ``last_label``/``last_firings``/
-        ``last_fire_counts``/``last_source_fires``/``last_sink_fires``/
-        ``last_accesses``/``last_period``.
+        the generator is exhausted, in :attr:`last`, a fresh
+        :class:`TraceMetadata` per call.
         """
         if chunk_words is not None and chunk_words < 1:
             raise CacheConfigError(
                 f"chunk_words must be >= 1, got {chunk_words}"
             )
-        self.last_label = getattr(schedule, "label", "schedule")
-        self.last_firings = 0
-        self.last_fire_counts = {}
-        self.last_source_fires = 0
-        self.last_sink_fires = 0
-        self.last_period = None
+        self.last = TraceMetadata(label=getattr(schedule, "label", "schedule"))
         self._heads = np.zeros_like(self._heads)
         self._tokens = self._chan[6].copy()
         self._stream = [0, 0]
@@ -368,7 +413,7 @@ class TraceCompiler:
             yield from self._run(run, out)
         else:
             yield from self._run(schedule.firings, out)
-        self.last_accesses = out.emitted + out.pending
+        self.last.accesses = out.emitted + out.pending
         yield from out.cut(final=True)
 
     def _indices(self, names: List[str]) -> Tuple[np.ndarray, Optional[str]]:
@@ -513,11 +558,12 @@ class TraceCompiler:
         self._heads = (self._heads + fires[dst] * in_rate) % cap
         self._tokens = self._tokens + fires[src] * out_rate - fires[dst] * in_rate
 
-        self.last_firings += n
-        self.last_source_fires += int(fires[words_in > 0].sum())
-        self.last_sink_fires += int(fires[words_out > 0].sum())
+        meta = self.last
+        meta.firings += n
+        meta.source_fires += int(fires[words_in > 0].sum())
+        meta.sink_fires += int(fires[words_out > 0].sum())
         fired = np.flatnonzero(fires)
-        counts = self.last_fire_counts
+        counts = meta.fire_counts
         for m in fired[np.argsort(order[first[fired]])].tolist():  # first-firing order
             name = self._names[m]
             counts[name] = counts.get(name, 0) + int(fires[m])
@@ -553,10 +599,9 @@ class TraceCompiler:
         if period:
             start = out.emitted + out.pending
             cuts, mark = out.cuts, len(out.held)
-            firings, sources, sinks = (
-                self.last_firings, self.last_source_fires, self.last_sink_fires
-            )
-            counts = dict(self.last_fire_counts)
+            meta = self.last
+            firings, sources, sinks = meta.firings, meta.source_fires, meta.sink_fires
+            counts = dict(meta.fire_counts)
             ext_in, ext_out = self._stream
             if out.chunk_words is not None:
                 out.threshold = max(out.chunk_words, _SLICE_WORDS)
@@ -582,23 +627,21 @@ class TraceCompiler:
                 j = 1
                 while j < repeats:
                     k = min(per_batch, repeats - j)
-                    batch = np.arange(j, j + k, dtype=np.int64)[:, None] * shift
-                    batch += blocks
-                    out.add(batch.ravel(), np.tile(phases, k))
+                    out.add(blocks, phases, shift, j, k)
                     yield from out.cut()
                     j += k
                 more = repeats - 1
-                self.last_firings += more * (self.last_firings - firings)
-                self.last_source_fires += more * (self.last_source_fires - sources)
-                self.last_sink_fires += more * (self.last_sink_fires - sinks)
-                for name, n in self.last_fire_counts.items():
-                    self.last_fire_counts[name] = n + more * (n - counts.get(name, 0))
+                meta.firings += more * (meta.firings - firings)
+                meta.source_fires += more * (meta.source_fires - sources)
+                meta.sink_fires += more * (meta.sink_fires - sinks)
+                for name, n in meta.fire_counts.items():
+                    meta.fire_counts[name] = n + more * (n - counts.get(name, 0))
                 self._stream[0] += more * in_step
                 self._stream[1] += more * out_step
                 obs.add(obs_names.COMPILE_PERIOD_REPEATS, more)
-                best = self.last_period
+                best = meta.period
                 if best is None or length * repeats > best[1] * best[2]:
-                    self.last_period = (start, length, repeats)
+                    meta.period = (start, length, repeats)
                 done = period * repeats
         if loop.count > done:
             yield from self._run(
@@ -609,16 +652,17 @@ class TraceCompiler:
         """Compile every firing of ``schedule`` (flat or looped) to a trace:
         one :meth:`compile_chunks` run with no chunking."""
         blocks, phases = next(self.compile_chunks(schedule, chunk_words=None))
+        meta = self.last
         return CompiledTrace(
-            label=self.last_label,
+            label=meta.label,
             block=self.block,
             blocks=blocks,
             phases=phases,
-            firings=self.last_firings,
-            fire_counts=dict(self.last_fire_counts),
-            source_fires=self.last_source_fires,
-            sink_fires=self.last_sink_fires,
-            period=self.last_period,
+            firings=meta.firings,
+            fire_counts=dict(meta.fire_counts),
+            source_fires=meta.source_fires,
+            sink_fires=meta.sink_fires,
+            period=meta.period,
         )
 
 
@@ -741,12 +785,13 @@ def compile_trace(
 
 
 def _result_from_stats(
-    trace: Union[CompiledTrace, "ChunkedTrace"],
+    meta: Union[CompiledTrace, "ChunkedTrace", TraceMetadata],
     misses: int,
     phase_counts: Optional[Sequence[int]],
 ) -> ExecutionResult:
     """Assemble one :class:`ExecutionResult` from reduced replay statistics
-    (misses and per-phase miss counts — never per-access masks)."""
+    (misses and per-phase miss counts — never per-access masks) and the
+    metadata of a trace or of a compiler's last run."""
     phase_misses: Dict[str, int] = {}
     if phase_counts is not None and misses:
         phase_misses = {
@@ -755,14 +800,14 @@ def _result_from_stats(
             if c and PHASE_NAMES[code]
         }
     return ExecutionResult(
-        label=trace.label,
-        firings=trace.firings,
+        label=meta.label,
+        firings=meta.firings,
         misses=misses,
-        accesses=trace.accesses,
+        accesses=meta.accesses,
         phase_misses=phase_misses,
-        fire_counts=dict(trace.fire_counts),
-        source_fires=trace.source_fires,
-        sink_fires=trace.sink_fires,
+        fire_counts=dict(meta.fire_counts),
+        source_fires=meta.source_fires,
+        sink_fires=meta.sink_fires,
     )
 
 
@@ -1010,64 +1055,78 @@ def measure_compiled(
     layout_order: Optional[Iterable[str]] = None,
     count_external: bool = True,
     policy: str = "lru",
-    workers: Optional[int] = None,
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    backend: Optional[str] = None,
-    cache: Optional[object] = None,
     chunk_words: Optional[int] = None,
 ) -> ExecutionResult:
-    """Drop-in for ``Executor.measure``, via compilation.
+    """Drop-in for ``Executor.measure``, via compilation: the same result,
+    with no stepwise cache simulation.
 
-    Compiles the schedule once and evaluates the single geometry with the
-    vectorized kernel of ``policy`` — exact same result, no stepwise cache
-    simulation.  ``cache`` (a :class:`repro.runtime.trace_cache.TraceCache`)
-    routes the compilation through the persistent content-addressed cache;
-    ``backend`` picks the execution backend exactly as in
-    :func:`simulate_trace`.  ``chunk_words`` compiles out of core
-    (:mod:`repro.runtime.streaming`) and replays the segments as chunks:
-    identical result, O(``chunk_words``) peak memory.
+    An ``lru`` or ``direct`` geometry of a flat schedule streams: each
+    chunk :meth:`TraceCompiler.compile_chunks` yields is replayed as it
+    comes, under the recency carry of the chunks before it
+    (:func:`~repro.runtime.replay.recency_carry`) trimmed to what the
+    geometry can hold (:func:`~repro.runtime.replay.trim_carry`), so the
+    trace is never built and memory is O(chunk + cache blocks).  Chunks
+    hold the configured default chunk size
+    (:func:`repro.runtime.backend.configure`) or
+    :data:`MEASURE_CHUNK_WORDS` accesses, and the replay runs in the
+    calling process whatever backend is configured.  A configured trace
+    cache (:func:`repro.runtime.trace_cache.configure`) is not consulted:
+    no trace is built to keep.
+
+    Every other case compiles the trace (:func:`compile_trace`) and replays
+    it (:func:`simulate_trace`): ``opt`` and ``two_level``, whose state is
+    not a recency carry; a :class:`~repro.runtime.looped.LoopedSchedule`,
+    whose period shortcut reads the compiled trace; and an explicit
+    ``chunk_words``, which compiles out of core into spilled segments
+    (O(``chunk_words``) peak memory).
     """
-    trace: Union[CompiledTrace, "ChunkedTrace"]
-    if chunk_words is not None:
-        from repro.runtime.streaming import compile_trace_chunked
-        from repro.runtime.trace_cache import TraceCache, default_cache
-
-        seg_cache = cache if isinstance(cache, TraceCache) else default_cache()
-        trace = compile_trace_chunked(
-            graph,
-            schedule,
-            geometry.block,
-            chunk_words,
-            layout_order=layout_order,
-            count_external=count_external,
-            placement=placement,
-            gaps=gaps,
-            cache=seg_cache,
-        )
-    elif cache is not None:
-        from repro.runtime.trace_cache import cached_compile_trace
-
-        trace, _key, _hit = cached_compile_trace(
-            graph,
-            schedule,
-            geometry.block,
-            layout_order=layout_order,
-            count_external=count_external,
-            placement=placement,
-            gaps=gaps,
-            cache=cache,  # type: ignore[arg-type]
-        )
-    else:
+    if (
+        policy not in ("lru", "direct")
+        or isinstance(schedule, LoopedSchedule)
+        or chunk_words is not None
+    ):
         trace = compile_trace(
-            graph,
-            schedule,
-            geometry.block,
-            layout_order=layout_order,
-            count_external=count_external,
-            placement=placement,
-            gaps=gaps,
+            graph, schedule, geometry.block, layout_order=layout_order,
+            count_external=count_external, placement=placement, gaps=gaps,
+            chunk_words=chunk_words,
         )
-    return simulate_trace(
-        trace, [geometry], policy=policy, workers=workers, backend=backend
-    )[0]
+        return simulate_trace(trace, [geometry], policy=policy)[0]
+    from repro.runtime.backend import default_chunk_words
+    from repro.runtime.replay import (
+        chunk_counts, recency_carry, replay_chunks, trim_carry,
+    )
+    from repro.runtime.streaming import ArrayChunkSource
+
+    compiler = TraceCompiler(
+        graph, geometry.block, capacities=schedule.capacities,
+        layout_order=layout_order, count_external=count_external,
+        placement=placement, gaps=gaps,
+    )
+    carry = np.zeros(0, dtype=np.int64)
+    direct = policy == "direct"
+    # an empty replay rejects a geometry the policy cannot replay before
+    # anything compiles, even when the schedule yields no chunk
+    chunk_counts(replay_chunks(ArrayChunkSource(carry, chunk_words=1), [geometry], policy), 1)
+    misses, chunks = 0, 0
+    counts = np.zeros(len(PHASE_NAMES), dtype=np.int64)
+    obs.add(obs_names.REPLAY_GEOMETRIES, 1)
+    with obs.span(obs_names.REPLAY, policy=policy):
+        for blocks, phases in compiler.compile_chunks(
+            schedule, chunk_words=default_chunk_words() or MEASURE_CHUNK_WORDS
+        ):
+            source = ArrayChunkSource(blocks, phases, chunk_words=blocks.shape[0])
+            ((m, c),) = chunk_counts(
+                replay_chunks(source, [geometry], policy, carry=carry), 1,
+                n_labels=len(PHASE_NAMES),
+            )
+            misses += m
+            counts += c
+            chunks += 1
+            carry = trim_carry(recency_carry(carry, blocks), geometry, direct)
+    obs.add(obs_names.COMPILE_CALLS)
+    obs.add(obs_names.COMPILE_ACCESSES, compiler.last.accesses)
+    obs.add(obs_names.STREAM_CHUNKS, chunks)
+    obs.add(obs_names.REPLAY_MISSES, misses)
+    return _result_from_stats(compiler.last, misses, counts.tolist())

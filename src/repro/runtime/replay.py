@@ -47,6 +47,8 @@ monolithic case): it pays for no carry copy, no carry fold and no spill.
   whole-trace distances exactly — set-local recency is the restriction of
   global recency, distinct-counting cannot double-count a carried block,
   and the last carried block of a frame is that frame's current content.
+  A replay of one organization may keep only what that organization
+  holds (:func:`trim_carry`), so its carry never outgrows the cache.
 * **opt** walks the chunks backwards once for absolute next-use positions
   (chunks after the first spill theirs to a temporary ``.npy``), then
   resumes the priority stack across chunks.  A block never used again gets
@@ -122,6 +124,7 @@ __all__ = [
     "opt_stack_distances",
     "hierarchy_level_masks",
     "recency_carry",
+    "trim_carry",
     "replay_chunks",
     "chunk_counts",
     "replay_miss_masks",
@@ -366,6 +369,51 @@ def recency_carry(carry: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.concatenate([carry, tail])
 
 
+def _organization(
+    geom: CacheGeometry, direct: bool = False
+) -> Tuple[str, int, Optional[int]]:
+    """``(kind, classes, bound)`` of one LRU organization: a direct-mapped
+    one (``direct``, or ``ways=1``) scans ``n_blocks`` frames and has no
+    bound; every other reads stack distances per set (one set when fully
+    associative) at a bound of its ways (its blocks when fully
+    associative)."""
+    if direct or geom.ways == 1:
+        return "direct", geom.n_blocks, None
+    sets = 1 if geom.is_fully_associative else geom.sets
+    return "lru", sets, geom.associativity if sets > 1 else geom.n_blocks
+
+
+def trim_carry(
+    carry: np.ndarray, geom: CacheGeometry, direct: bool = False
+) -> np.ndarray:
+    """The part of a recency ``carry`` one organization can still hit on:
+    per set its last ``associativity`` blocks (the last ``n_blocks`` when
+    fully associative), per frame its last block when direct-mapped.
+
+    A dropped block has at least a set's worth of its set's blocks touched
+    after it, so its next access misses with the block carried or not, and
+    it is older than every block kept, so no kept block's distance counts
+    it: the passes read the same misses off ``concat(trimmed, chunk)`` as
+    off ``concat(carry, chunk)``, and a carry trimmed after every fold
+    never outgrows the cache.  Only a replay of that one organization may
+    use it.
+    """
+    _kind, classes, bound = _organization(geom, direct)
+    keep = 1 if bound is None else bound
+    n = int(carry.shape[0])
+    if n <= keep:
+        return carry
+    if classes == 1:
+        return carry[n - keep:]
+    # rank every entry among its set's entries, counting from the MRU end
+    newest = carry[::-1] % classes
+    order = _stable_group_order(newest, classes)
+    grouped = newest[order]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64) - np.searchsorted(grouped, grouped)
+    return carry[(rank < keep)[::-1]]
+
+
 def _level_pass(
     blocks: np.ndarray,
     carry: np.ndarray,
@@ -385,13 +433,7 @@ def _level_pass(
     shares one pass: the amortization unit of every kernel and of both
     levels of a hierarchy.
     """
-    bound: Optional[int]
-    if direct or geom.ways == 1:
-        kind, classes, bound = "direct", geom.n_blocks, None
-    else:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        kind, classes = "lru", sets
-        bound = geom.associativity if sets > 1 else geom.n_blocks
+    kind, classes, bound = _organization(geom, direct)
     key = (kind, classes)
     found = memo.get(key)
     if found is None:

@@ -338,24 +338,25 @@ def compile_trace_chunked(
         compiler, keys, _written = spill()
     obs.add(obs_names.STREAM_CHUNKS, len(keys))
     obs.add(obs_names.COMPILE_CALLS)
-    obs.add(obs_names.COMPILE_ACCESSES, compiler.last_accesses)
+    meta = compiler.last
+    obs.add(obs_names.COMPILE_ACCESSES, meta.accesses)
 
     def recompile() -> int:
         _compiler, _keys, written = spill()
         return written
 
     return ChunkedTrace(
-        label=compiler.last_label,
+        label=meta.label,
         block=block,
         chunk_words=chunk_words,
-        accesses=compiler.last_accesses,
-        firings=compiler.last_firings,
-        fire_counts=compiler.last_fire_counts,
-        source_fires=compiler.last_source_fires,
-        sink_fires=compiler.last_sink_fires,
+        accesses=meta.accesses,
+        firings=meta.firings,
+        fire_counts=meta.fire_counts,
+        source_fires=meta.source_fires,
+        sink_fires=meta.sink_fires,
         segment_keys=keys,
         cache=seg_cache,
         recompile=recompile,
         owned=owned,
-        period=compiler.last_period,
+        period=meta.period,
     )

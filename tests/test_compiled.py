@@ -10,12 +10,16 @@ differential properties at the end draw random graphs, block sizes,
 layouts, chunkings and infeasible schedules against it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cache.base import CacheGeometry
+from repro.cache.policy import get_policy
 from repro.core.baselines import interleaved_schedule, single_appearance_schedule
 from repro.core.partition_sched import (
     component_layout_order,
@@ -24,7 +28,7 @@ from repro.core.partition_sched import (
 )
 from repro.core.dagpart import interval_dp_partition
 from repro.core.pipeline import optimal_pipeline_partition
-from repro.core.tuning import choose_batch
+from repro.core.tuning import choose_batch, required_geometry
 from repro.errors import CacheConfigError, GraphError, ScheduleError
 from repro.graphs.apps import fm_radio
 from repro.graphs.minbuf import min_buffers
@@ -32,8 +36,11 @@ from repro.graphs.repetition import repetition_vector
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import pipeline, random_pipeline
 from repro.mem.layout import Region, layout_objects
+from repro.obs import names as obs_names
+from repro.runtime import backend, replay
 from repro.runtime.buffers import ChannelBuffer
 from repro.runtime.compiled import (
+    MEASURE_CHUNK_WORDS,
     TraceCompiler,
     compile_trace,
     measure_compiled,
@@ -45,6 +52,7 @@ from repro.runtime.looped import Loop, LoopedSchedule, compress_schedule
 from repro.runtime.schedule import Schedule
 from repro.testing.oracles import assert_trace_equivalent
 from repro.testing.strategies import (
+    geometry_strategy,
     placement_strategy,
     rate_matched_pipelines,
     small_dags,
@@ -289,8 +297,8 @@ def test_pass_matches_the_executor_at_every_chunking(data):
         assert all(b.shape[0] == (chunk_words or trace.accesses) for b, _p in chunks[:-1])
         assert np.array_equal(np.concatenate([b for b, _p in chunks]), trace.blocks)
         assert np.array_equal(np.concatenate([p for _b, p in chunks]), trace.phases)
-        assert compiler.last_fire_counts == trace.fire_counts
-        assert compiler.last_accesses == trace.accesses
+        assert compiler.last.fire_counts == trace.fire_counts
+        assert compiler.last.accesses == trace.accesses
 
 
 def _outcome(run):
@@ -342,6 +350,127 @@ def test_nested_and_unbalanced_loops_equal_their_flat_expansion(chunk_words):
         assert len(got) == len(want)
         for (gb, gp), (wb, wp) in zip(got, want):
             assert np.array_equal(gb, wb) and np.array_equal(gp, wp)
-        assert looped.last_fire_counts == flat.last_fire_counts
-        assert looped.last_accesses == flat.last_accesses
-        assert (looped.last_period is not None) == periodic
+        assert looped.last.fire_counts == flat.last.fire_counts
+        assert looped.last.accesses == flat.last.accesses
+        assert (looped.last.period is not None) == periodic
+
+
+# ----------------------------------------------------------------------
+# the streamed single-geometry measure against the stepwise executor
+# ----------------------------------------------------------------------
+def _summary(res):
+    return (
+        res.label, res.firings, res.misses, res.accesses, res.phase_misses,
+        res.fire_counts, res.source_fires, res.sink_fires,
+    )
+
+
+@given(data=st.data())
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_streamed_measure_matches_the_executor(data):
+    """``measure_compiled`` streams an lru or direct geometry of a flat
+    schedule chunk by chunk under the recency carry: at every chunk size
+    the configured default can set, it answers what ``Executor.measure``
+    answers with that policy's stepwise cache, metadata included."""
+    g, sched = data.draw(_graph_schedules())
+    block = data.draw(st.sampled_from([1, 4, 8]))
+    policy = data.draw(st.sampled_from(["lru", "direct"]))
+    if policy == "lru":  # fully or set associative, ways=1 included
+        geom = data.draw(geometry_strategy(block=block, max_ways=4, max_sets=8))
+    else:
+        geom = CacheGeometry(size=data.draw(st.sampled_from([1, 2, 8, 32])) * block, block=block)
+    layout = dict(count_external=data.draw(st.booleans()), placement=None, gaps=None)
+    if data.draw(st.booleans()):
+        layout["placement"], layout["gaps"] = data.draw(
+            placement_strategy(layout_objects(g), max_gap=2)
+        )
+    chunk_words = data.draw(st.sampled_from([1, 7, 64, None]))
+    event(f"{policy}, chunk_words={chunk_words}")
+    want = Executor.measure(g, geom, sched, cache=get_policy(policy).make_model(geom), **layout)
+    previous = backend.configure(chunk_words=chunk_words)
+    try:
+        with obs.capture(enabled=True) as cap:
+            got = measure_compiled(g, geom, sched, policy=policy, **layout)
+    finally:
+        backend.configure(*previous)
+    assert _summary(got) == _summary(want)
+    counters = cap.snapshot["counters"]
+    assert counters.get(obs_names.STREAM_CHUNKS, 0) == -(
+        -want.accesses // (chunk_words or MEASURE_CHUNK_WORDS)
+    )
+    assert counters[obs_names.COMPILE_CALLS] == 1
+    assert counters[obs_names.REPLAY_GEOMETRIES] == 1
+
+
+@pytest.mark.parametrize("chunk_words", [7, 64, None])
+@pytest.mark.parametrize(
+    "policy, geom",
+    [
+        ("lru", CacheGeometry(size=8, block=1)),
+        ("lru", CacheGeometry(size=8, block=1, ways=2)),
+        ("direct", CacheGeometry(size=8, block=1)),
+    ],
+)
+def test_streamed_measure_of_a_stream_heavy_schedule(policy, geom, chunk_words, monkeypatch):
+    """External-stream blocks are nearly all of this schedule's distinct
+    blocks, so its recency carry grows with the schedule; trimmed to the
+    geometry after every fold it stays within the cache, and the answer
+    is still the executor's."""
+    g = pipeline([1, 1, 1, 1])
+    sched = interleaved_schedule(g, n_iterations=400)
+    assert compile_trace(g, sched, 1).distinct_blocks() > 50 * geom.n_blocks
+    kept = []
+    trim = replay.trim_carry
+
+    def spy(carry, geometry, direct=False):
+        out = trim(carry, geometry, direct)
+        kept.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(replay, "trim_carry", spy)
+    want = Executor.measure(g, geom, sched, cache=get_policy(policy).make_model(geom))
+    previous = backend.configure(chunk_words=chunk_words)
+    try:
+        got = measure_compiled(g, geom, sched, policy=policy)
+    finally:
+        backend.configure(*previous)
+    assert _summary(got) == _summary(want)
+    assert kept and max(kept) <= geom.n_blocks
+
+
+@pytest.mark.parametrize("firings", [[], ["m0", "m1"]])
+def test_streamed_measure_rejects_direct_geometries_with_ways(firings):
+    """A direct-mapped geometry with ways > 1 is rejected as the stepwise
+    ``DirectMappedCache`` rejects it, even for a schedule with no
+    firings, which yields no chunk to replay."""
+    g = pipeline([8, 8])
+    geom = CacheGeometry(size=64, block=B, ways=2)
+    with pytest.raises(CacheConfigError, match="ways=2"):
+        Executor.measure(g, geom, Schedule(firings), cache=get_policy("direct").make_model(geom))
+    with pytest.raises(CacheConfigError, match="ways=2"):
+        measure_compiled(g, geom, Schedule(firings), policy="direct")
+
+
+def test_streamed_measure_allocates_a_fraction_of_its_trace():
+    """E1's heavy-n20 schedule (1.4M accesses) measures without building
+    its trace: the traced allocation peak stays under a quarter of the
+    trace's bytes (the monolithic compile and replay allocate ~9.5x)."""
+    g = random_pipeline(20, 100, seed=9, rate_choices=((1, 1), (2, 1), (1, 2)))
+    geom = CacheGeometry(size=160, block=B)
+    part = optimal_pipeline_partition(g, 160, c=3.0)
+    sched = pipeline_dynamic_schedule(g, part, geom, target_outputs=200)
+    run_geom, order = required_geometry(part, geom), component_layout_order(part)
+    # a first call imports what numpy loads lazily (~1.3 MB of modules)
+    res = measure_compiled(g, run_geom, sched, layout_order=order)
+    tracemalloc.start()
+    try:
+        assert measure_compiled(g, run_geom, sched, layout_order=order) == res
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace_bytes = res.accesses * (np.dtype(np.int64).itemsize + np.dtype(np.uint8).itemsize)
+    assert res.accesses > 10**6
+    assert peak < trace_bytes / 4

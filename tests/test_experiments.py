@@ -8,6 +8,9 @@ tests double as a regression net for the benchmark harness.
 import pytest
 
 from repro.analysis import experiments as E
+from repro.analysis.latency import experiment_e14_latency_tradeoff
+from repro.runtime import compiled
+from repro.runtime.executor import Executor
 
 
 def uniform(rows):
@@ -110,3 +113,38 @@ class TestAblations:
             assert min(r["misses_per_input"] for r in limited) <= min(
                 r["misses_per_input"] for r in unlimited
             )
+
+
+#: every driver that measures one schedule at a time, at a reduced size
+#: (E1's heavy-n20 config keeps its 200 outputs at any ``n_outputs``)
+REROUTED = [
+    (E.experiment_e1_pipeline_optimality, {"n_outputs": 100}),
+    (E.experiment_e3_lower_bound, {"n_outputs": 100}),
+    (E.experiment_e5_dag_optimality, {}),
+    (E.experiment_e6_inhomogeneous, {}),
+    (E.experiment_e7_vs_baselines, {"M": 64}),
+    (E.experiment_e10_crossover, {"n_outputs": 100}),
+    (E.ablation_a1_cut_choice, {"n_outputs": 100}),
+    (E.ablation_a2_cross_buffer_size, {"n_outputs": 100}),
+    (E.ablation_a4_degree_limits, {}),
+    (experiment_e14_latency_tradeoff, {"n_outputs": 100}),
+]
+
+
+@pytest.mark.parametrize(
+    "driver, kwargs", REROUTED, ids=[d.__name__ for d, _kw in REROUTED]
+)
+def test_drivers_measure_what_the_executor_measures(driver, kwargs, monkeypatch):
+    """The drivers measure through ``measure_compiled``; stepping the same
+    schedules through ``Executor.measure`` gives identical rows."""
+    shipped = driver(**kwargs)
+    stepped = []
+
+    def stepwise(graph, geometry, schedule, layout_order=None):
+        stepped.append(schedule.label)
+        return Executor.measure(graph, geometry, schedule, layout_order=layout_order)
+
+    monkeypatch.setattr(E, "measure_compiled", stepwise)
+    monkeypatch.setattr(compiled, "measure_compiled", stepwise)
+    assert driver(**kwargs) == shipped
+    assert stepped

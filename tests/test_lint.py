@@ -251,6 +251,31 @@ class TestR3HotPathPurity:
         vs = _violations(files, ["R3"])
         assert len(vs) == 1 and vs[0].path == "src/repro/runtime/compiled.py"
 
+    def test_analysis_modules_may_not_import_the_executor(self):
+        # the experiment drivers measure on the compiled path: a stepwise
+        # engine imported at module level or inside a driver is reported
+        files = {
+            "src/repro/runtime/replay.py": "",
+            "src/repro/runtime/compiled.py": "",
+            "src/repro/analysis/experiments.py": (
+                "from repro.runtime.compiled import measure_compiled\n"
+                "from repro.runtime.executor import ExecutionResult, Executor\n"
+            ),
+            "src/repro/analysis/latency.py": (
+                "def experiment_e14():\n"
+                "    from repro.cache.lru import LRUCache\n"
+            ),
+            "src/repro/analysis/sweeps.py": (
+                "from repro.runtime.executor import ExecutionResult\n"
+            ),
+        }
+        vs = _violations(files, ["R3"])
+        assert [(v.path, v.line) for v in vs] == [
+            ("src/repro/analysis/experiments.py", 2),
+            ("src/repro/analysis/latency.py", 2),
+        ]
+        assert "'Executor'" in vs[0].message and "'LRUCache'" in vs[1].message
+
 
 # ---------------------------------------------------------------------------
 # R4 — dtype contracts

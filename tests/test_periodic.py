@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -80,10 +81,8 @@ def _looped(
 
 
 def _meta(c: TraceCompiler) -> tuple:
-    return (
-        c.last_label, c.last_firings, c.last_fire_counts, c.last_source_fires,
-        c.last_sink_fires, c.last_accesses,
-    )
+    m = c.last
+    return (m.label, m.firings, m.fire_counts, m.source_fires, m.sink_fires, m.accesses)
 
 
 def _answers(results) -> List[Tuple[int, Dict[str, int]]]:
@@ -152,7 +151,7 @@ def test_compile_chunks_equal_flat(g, data):
             assert np.array_equal(gb, wb) and np.array_equal(gp, wp)
         assert _meta(looped) == _meta(flat)
         repeats = count // p if count >= 2 * p else None
-        assert (looped.last_period and looped.last_period[2]) == repeats
+        assert (looped.last.period and looped.last.period[2]) == repeats
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 15, 16, 17, 100])
@@ -176,6 +175,29 @@ def test_period_contract(count):
         lo = start + j * length
         assert np.array_equal(trace.blocks[lo:lo + length], base + j * shift)
         assert np.array_equal(trace.phases[lo:lo + length], trace.phases[start:start + length])
+
+
+def test_monolithic_compile_writes_periods_in_place():
+    """A monolithic compile writes a loop's repeated periods straight into
+    the one output array, so its allocation peak stays near the trace's own
+    bytes (it was twice them while the repeats were materialized and then
+    joined with the rest)."""
+    g = SIX
+    body, caps = _body(g)
+    sched = _looped(body, caps, 8000, 2, 3)
+    compiler = TraceCompiler(g, B, capacities=caps)
+    tracemalloc.start()
+    try:
+        trace = compiler.compile(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.period is not None and trace.period[2] == 1000
+    assert trace.accesses > 200_000
+    assert peak <= 1.25 * (trace.blocks.nbytes + trace.phases.nbytes)
+    flat = compile_trace(g, sched.to_flat(), B)
+    assert np.array_equal(trace.blocks, flat.blocks)
+    assert np.array_equal(trace.phases, flat.phases)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,9 @@ from repro.runtime.compiled import (
     measure_compiled,
     simulate_trace,
 )
-from repro.runtime.replay import recency_carry, replay_miss_masks, replay_misses
+from repro.runtime.replay import (
+    recency_carry, replay_chunks, replay_miss_masks, replay_misses, trim_carry,
+)
 from repro.runtime.streaming import (
     ArrayChunkSource,
     ChunkedTrace,
@@ -47,7 +49,7 @@ from repro.runtime.streaming import (
 )
 from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
-from repro.testing.strategies import chunking_strategy
+from repro.testing.strategies import chunking_strategy, geometry_strategy
 
 B = 8
 
@@ -216,6 +218,37 @@ class TestChunkingProperties:
             seen[blk] = i
         expect = [blk for blk, _i in sorted(seen.items(), key=lambda kv: kv[1])]
         assert recency_carry(empty, whole).tolist() == expect
+
+    @given(
+        trace=st.lists(st.integers(0, 80), min_size=1, max_size=300),
+        data=st.data(),
+        policy=st.sampled_from(["lru", "direct"]),
+    )
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_trimmed_carry_replays_like_the_full_carry(self, trace, data, policy):
+        # one geometry resumed from a carry trimmed after every fold reads
+        # the whole trace's masks, and the carry never outgrows the cache
+        if policy == "lru":
+            geom = data.draw(geometry_strategy(block=B, max_ways=4, max_sets=8))
+        else:
+            geom = CacheGeometry(size=data.draw(st.sampled_from([1, 2, 4, 8])) * B, block=B)
+        whole = np.asarray(trace, dtype=np.int64)
+        (want,) = replay_miss_masks(whole, [geom], policy)
+        carry, at, got = np.zeros(0, dtype=np.int64), 0, []
+        for size in data.draw(chunking_strategy(len(trace))):
+            chunk = whole[at:at + size]
+            at += size
+            source = ArrayChunkSource(chunk, chunk_words=size)
+            ((_labels, (mask,)),) = replay_chunks(source, [geom], policy, carry=carry)
+            got.append(mask)
+            carry = trim_carry(recency_carry(carry, chunk), geom, policy == "direct")
+            assert carry.shape[0] <= geom.n_blocks
+            # what is kept is the full carry's order, restricted
+            full = recency_carry(np.zeros(0, dtype=np.int64), whole[:at])
+            assert np.array_equal(carry, full[np.isin(full, carry)])
+        assert np.array_equal(np.concatenate(got), want)
 
     # -- nightly twins: same properties, cranked hard (--runslow) --------
     @pytest.mark.slow

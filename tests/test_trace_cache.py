@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cache.base import CacheGeometry
 from repro.core.baselines import interleaved_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
 from repro.mem.layout import layout_objects
 from repro.runtime import trace_cache as tc
-from repro.runtime.compiled import compile_trace, compile_trace_uncached
+from repro.runtime.compiled import compile_trace, compile_trace_uncached, measure_compiled
 from repro.runtime.schedule import Schedule
 from repro.runtime.trace_cache import (
     TraceCache,
@@ -334,6 +335,21 @@ class TestCachedCompile:
         assert cache.counters.misses == 1 and cache.counters.hits == 1
         assert np.array_equal(cold.blocks, warm.blocks)
         assert len(cache) == 1
+
+    def test_streamed_measure_builds_no_trace_to_cache(self, workload, tmp_path):
+        # an lru measure of a flat schedule streams and never consults the
+        # configured cache; an opt measure compiles the trace through it
+        g, sched = workload
+        geom = CacheGeometry(size=16 * B, block=B)
+        cache = TraceCache(tmp_path)
+        prev = tc.configure(cache)
+        try:
+            measure_compiled(g, geom, sched)
+            assert len(cache) == 0 and cache.counters.misses == 0
+            measure_compiled(g, geom, sched, policy="opt")
+        finally:
+            tc.configure(prev)
+        assert len(cache) == 1 and cache.counters.misses == 1
 
     def test_configure_accepts_paths_and_restores(self, tmp_path):
         prev = tc.configure(tmp_path / "cachedir")

@@ -54,7 +54,7 @@ METRICS_BY_FILE = {
         "looped_compile_accesses_per_s", "looped_replay_accesses_per_s",
         "lru_replay_accesses_per_s", "set_assoc_replay_accesses_per_s",
         "flat_compile_accesses_per_s", "measure_accesses_per_s",
-        "measure_stream_accesses_per_s",
+        "measure_stream_accesses_per_s", "schedule_firings_per_s",
     ),
     "BENCH_placement.json": (
         "score", "swap_gain", "color_gain", "multi_gain", "facility_gain",

@@ -39,7 +39,9 @@ from repro.errors import GraphError, ScheduleError
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.repetition import iteration_tokens, repetition_vector
 from repro.graphs.sdf import StreamGraph
-from repro.runtime.deadlock import demand_driven_schedule
+from repro.obs import core as obs
+from repro.obs import names as obs_names
+from repro.runtime.deadlock import TokenTable, demand_driven_schedule
 from repro.runtime.schedule import Schedule
 
 __all__ = [
@@ -136,9 +138,10 @@ def kohli_greedy_schedule(
 
     Walk the chain cyclically; at each module, keep firing while (a) input
     tokens remain and (b) the output buffer has room, but at most
-    ``ceil(batch_fraction * M / out_rate)`` consecutive firings — the local
+    ``max(1, int(batch_fraction * M) // out_rate)`` consecutive firings — the local
     estimate of how long staying at one module remains profitable before
-    its output traffic exceeds the cache.  Buffers are sized to one batch.
+    its output traffic exceeds the cache.  Buffers are sized to one batch
+    plus the channel's delay, which every channel starts at.
 
     Only local decisions are made, so — as the paper observes — the
     heuristic cannot be asymptotically optimal; experiment E3/E7 exhibit
@@ -148,51 +151,40 @@ def kohli_greedy_schedule(
     if target_outputs < 1:
         raise ScheduleError(f"target_outputs must be >= 1, got {target_outputs}")
     order = graph.pipeline_order()
-    sink = order[-1]
 
-    caps: Dict[int, int] = {}
     batch_tokens = max(1, int(batch_fraction * geometry.size))
-    for ch in graph.channels():
-        caps[ch.cid] = max(batch_tokens, ch.out_rate + ch.in_rate)
-
-    tokens: Dict[int, int] = {ch.cid: 0 for ch in graph.channels()}
+    caps: Dict[int, int] = {
+        ch.cid: max(batch_tokens, ch.out_rate + ch.in_rate) + ch.delay
+        for ch in graph.channels()
+    }
+    table = TokenTable(graph, order, caps)
+    can_fire, fire = table.can_fire, table.fire
+    max_runs = [
+        max(1, batch_tokens // max((rate for _s, rate, _room in outs), default=1))
+        for outs in table.outs
+    ]
+    sink = len(order) - 1
     firings: List[str] = []
     sink_fires = 0
 
-    def can_fire(name: str) -> bool:
-        for ch in graph.in_channels(name):
-            if tokens[ch.cid] < ch.in_rate:
-                return False
-        for ch in graph.out_channels(name):
-            if tokens[ch.cid] + ch.out_rate > caps[ch.cid]:
-                return False
-        return True
-
     idx = 0
     stalls = 0
-    while sink_fires < target_outputs:
-        name = order[idx]
-        runs = 0
-        max_runs = max(
-            1,
-            batch_tokens
-            // max((ch.out_rate for ch in graph.out_channels(name)), default=1),
-        )
-        while runs < max_runs and can_fire(name):
-            for ch in graph.in_channels(name):
-                tokens[ch.cid] -= ch.in_rate
-            for ch in graph.out_channels(name):
-                tokens[ch.cid] += ch.out_rate
-            firings.append(name)
-            runs += 1
-            if name == sink:
-                sink_fires += 1
-                if sink_fires >= target_outputs:
-                    break
-        stalls = stalls + 1 if runs == 0 else 0
-        if stalls > len(order):
-            raise ScheduleError("kohli heuristic made no progress over a full cycle")
-        idx = (idx + 1) % len(order)
+    with obs.span(obs_names.SCHEDULE, scheduler="kohli"):
+        while sink_fires < target_outputs:
+            runs = 0
+            while runs < max_runs[idx] and can_fire(idx):
+                fire(idx)
+                firings.append(order[idx])
+                runs += 1
+                if idx == sink:
+                    sink_fires += 1
+                    if sink_fires >= target_outputs:
+                        break
+            stalls = stalls + 1 if runs == 0 else 0
+            if stalls > len(order):
+                raise ScheduleError("kohli heuristic made no progress over a full cycle")
+            idx = (idx + 1) % len(order)
+    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
 
     return Schedule(firings, capacities=caps, label=f"kohli[b={batch_tokens}]")
 

@@ -30,12 +30,15 @@ middle:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import Partition
 from repro.errors import PartitionError
 from repro.graphs.repetition import GainTable, compute_gains
 from repro.graphs.sdf import StreamGraph
+from repro.obs import core as obs
+from repro.obs import names as obs_names
 
 __all__ = [
     "exact_min_bandwidth_partition",
@@ -59,6 +62,9 @@ def exact_min_bandwidth_partition(
     candidate's bandwidth counts each cross edge's gain once; the partial
     bandwidth of already-decided edges (both endpoints assigned) is a valid
     lower bound on any completion, enabling aggressive pruning.
+
+    The search adds gains as integers: each edge gain times the lcm of all
+    their denominators, which leaves every comparison as it was.
 
     Well-orderedness is checked at the leaves via the contracted graph
     (incremental acyclicity maintenance is not worth the complexity at these
@@ -84,12 +90,16 @@ def exact_min_bandwidth_partition(
         if s > bound:
             raise PartitionError(f"module {name!r} state {s} > c*M = {bound}")
 
+    # Scaling by one positive constant is exact, so every comparison,
+    # tie-break and the partition found stay those of Fraction sums.
+    scale = lcm(*(gains.edge_gain(ch.cid).denominator for ch in graph.channels()))
     # adjacency by position: for each vertex, edges to earlier-assigned ones
-    in_edges: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n)]
+    in_edges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for ch in graph.channels():
-        in_edges[pos[ch.dst]].append((pos[ch.src], gains.edge_gain(ch.cid)))
+        g = gains.edge_gain(ch.cid)
+        in_edges[pos[ch.dst]].append((pos[ch.src], g.numerator * (scale // g.denominator)))
 
-    best_bw: List[Fraction] = [Fraction(1 << 62)]
+    best_bw: List[int] = [(1 << 62) * scale]
     best_assign: List[Optional[List[int]]] = [None]
     assign: List[int] = [-1] * n
     comp_state: List[float] = []
@@ -106,7 +116,7 @@ def exact_min_bandwidth_partition(
             return False
         return p.is_well_ordered()
 
-    def rec(i: int, partial_bw: Fraction) -> None:
+    def rec(i: int, partial_bw: int) -> None:
         if partial_bw >= best_bw[0]:
             return
         if i == n:
@@ -121,7 +131,7 @@ def exact_min_bandwidth_partition(
                 continue
             if comp == n_open and s > bound:
                 continue
-            added = Fraction(0)
+            added = 0
             for src_pos, g in in_edges[i]:
                 if assign[src_pos] != comp:
                     added += g
@@ -139,7 +149,8 @@ def exact_min_bandwidth_partition(
                 comp_state[comp] -= s
             assign[i] = -1
 
-    rec(0, Fraction(0))
+    with obs.span(obs_names.PARTITION, kind="exact"):
+        rec(0, 0)
     if best_assign[0] is None:
         raise PartitionError("no well-ordered c-bounded partition found")
     k = max(best_assign[0]) + 1

@@ -31,6 +31,9 @@ from repro.core.partition import Partition
 from repro.errors import DeadlockError, GraphError, ScheduleError
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.sdf import StreamGraph
+from repro.obs import core as obs
+from repro.obs import names as obs_names
+from repro.runtime.deadlock import TokenTable
 from repro.runtime.schedule import Schedule
 
 __all__ = ["dynamic_dag_schedule", "ready_components"]
@@ -77,7 +80,8 @@ def dynamic_dag_schedule(
     Repeatedly picks a ready component (under ``policy``: ``"fifo"`` —
     least-recently-run first, the fair choice; ``"topo"`` — earliest in
     contracted topological order) and runs its M-fold sweep, until the sink
-    has fired at least ``target_outputs`` times.
+    has fired at least ``target_outputs`` times.  Channels start at their
+    delays.
 
     Returns the induced firing sequence with its buffer capacities; the
     sequence is feasible by construction and reproducible through
@@ -108,46 +112,47 @@ def dynamic_dag_schedule(
     for ch in partition.cross_channels():
         caps[ch.cid] = capacity
 
-    tokens: Dict[int, int] = {ch.cid: 0 for ch in graph.channels()}
-    sink = graph.sinks()[0]
-    sink_comp = partition.component_of(sink)
+    names = graph.module_names()
+    table = TokenTable(graph, names, caps)
+    index = {n: i for i, n in enumerate(names)}
+    fire, tokens = table.fire, table.tokens
+    sweeps = {idx: [index[n] for n in comp_topo[idx]] for idx in comp_order}
+    in_slots = [[table.slot[cid] for cid in cids] for cids in incoming]
+    out_slots = [[(table.slot[cid], caps[cid] - M) for cid in cids] for cids in outgoing]
+    sink = index[graph.sinks()[0]]
 
     firings: List[str] = []
     sink_fires = 0
     last_run: Dict[int, int] = {idx: -1 for idx in comp_order}
     clock = 0
 
-    def run_component(idx: int) -> None:
-        nonlocal sink_fires, clock
-        for _ in range(M):
-            for name in comp_topo[idx]:
-                for ch in graph.in_channels(name):
-                    tokens[ch.cid] -= 1
-                for ch in graph.out_channels(name):
-                    tokens[ch.cid] += 1
-                firings.append(name)
-                if name == sink:
-                    sink_fires += 1
-        clock += 1
-        last_run[idx] = clock
-
-    while sink_fires < target_outputs:
-        ready = [
-            idx
-            for idx in comp_order
-            if all(tokens[cid] >= M for cid in incoming[idx])
-            and all(tokens[cid] + M <= caps[cid] for cid in outgoing[idx])
-        ]
-        if not ready:
-            raise DeadlockError(
-                "no schedulable component — partition is not well ordered or "
-                "buffers are undersized"
-            )
-        if policy == "fifo":
-            chosen = min(ready, key=lambda idx: last_run[idx])
-        else:
-            chosen = ready[0]  # comp_order is topological
-        run_component(chosen)
+    with obs.span(obs_names.SCHEDULE, scheduler="dynamic_dag"):
+        while sink_fires < target_outputs:
+            ready = [
+                idx
+                for idx in comp_order
+                if all(tokens[s] >= M for s in in_slots[idx])
+                and all(tokens[s] <= room for s, room in out_slots[idx])
+            ]
+            if not ready:
+                raise DeadlockError(
+                    "no schedulable component — partition is not well ordered or "
+                    "buffers are undersized"
+                )
+            if policy == "fifo":
+                chosen = min(ready, key=lambda idx: last_run[idx])
+            else:
+                chosen = ready[0]  # comp_order is topological
+            sweep = sweeps[chosen]
+            for _ in range(M):
+                for i in sweep:
+                    fire(i)
+                firings.extend(comp_topo[chosen])
+            if sink in sweep:
+                sink_fires += M
+            clock += 1
+            last_run[chosen] = clock
+    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
 
     return Schedule(
         firings,

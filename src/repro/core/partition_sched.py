@@ -31,8 +31,7 @@ checked by construction (tests re-validate with
 
 from __future__ import annotations
 
-from math import ceil
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.base import CacheGeometry
 from repro.core.partition import Partition
@@ -41,7 +40,9 @@ from repro.errors import DeadlockError, GraphError, PartitionError, ScheduleErro
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.transforms import induced_subgraph
-from repro.runtime.deadlock import demand_driven_schedule
+from repro.obs import core as obs
+from repro.obs import names as obs_names
+from repro.runtime.deadlock import TokenTable, demand_driven_schedule
 from repro.runtime.schedule import Schedule
 
 __all__ = [
@@ -218,7 +219,7 @@ def pipeline_dynamic_schedule(
     order for the first at-most-half-full buffer and runs the preceding
     segment until its input is empty or its output full; when every cross
     buffer is more than half full, the last segment runs (the sink's output
-    buffer is "always empty").
+    buffer is "always empty").  Channels start at their delays.
 
     The returned schedule is a plain firing list — executing it through
     :class:`repro.runtime.executor.Executor` with the recorded capacities
@@ -254,58 +255,47 @@ def pipeline_dynamic_schedule(
                 caps[ch.cid] = buffer_factor * max(geometry.size, caps[ch.cid])
     cross.sort(key=lambda cid: rank[graph.channel(cid).src])
 
-    tokens: Dict[int, int] = {ch.cid: 0 for ch in graph.channels()}
-    sink = order[-1]
+    # the table's module i is chain position i; segment i spans the
+    # positions bounds[i][0]..bounds[i][1]
+    table = TokenTable(graph, order, caps)
+    can_fire, fire, tokens = table.can_fire, table.fire, table.tokens
+    cross_slots = [(table.slot[cid], caps[cid]) for cid in cross]
+    bounds: List[Tuple[int, int]] = [(rank[seg[0]], rank[seg[-1]]) for seg in segments]
+    sink = len(order) - 1
     firings: List[str] = []
     sink_fires = 0
 
-    def can_fire(name: str) -> bool:
-        for ch in graph.in_channels(name):
-            if tokens[ch.cid] < ch.in_rate:
-                return False
-        for ch in graph.out_channels(name):
-            if tokens[ch.cid] + ch.out_rate > caps[ch.cid]:
-                return False
-        return True
-
-    def fire(name: str) -> None:
-        nonlocal sink_fires
-        for ch in graph.in_channels(name):
-            tokens[ch.cid] -= ch.in_rate
-        for ch in graph.out_channels(name):
-            tokens[ch.cid] += ch.out_rate
-        firings.append(name)
-        if name == sink:
-            sink_fires += 1
-
-    def run_segment(idx: int) -> int:
-        """Fire segment ``idx`` downstream-first until stuck; return count."""
-        members = segments[idx]
-        count = 0
+    with obs.span(obs_names.SCHEDULE, scheduler="pipeline_dynamic"):
         while sink_fires < target_outputs:
-            fired = False
-            for name in reversed(members):  # downstream-first
-                if can_fire(name):
-                    fire(name)
-                    count += 1
-                    fired = True
+            target_seg = len(segments) - 1
+            for i, (s, cap) in enumerate(cross_slots):
+                if tokens[s] * 2 <= cap:
+                    target_seg = i
                     break
-            if not fired:
-                break
-        return count
-
-    while sink_fires < target_outputs:
-        target_seg = len(segments) - 1
-        for i, cid in enumerate(cross):
-            if tokens[cid] * 2 <= caps[cid]:
-                target_seg = i
-                break
-        progressed = run_segment(target_seg)
-        if progressed == 0:
-            raise DeadlockError(
-                f"dynamic pipeline scheduler stuck: segment {target_seg} cannot fire "
-                f"(cross occupancies={[tokens[c] for c in cross]})"
-            )
+            # Fire the segment downstream-first until stuck.  A firing at
+            # position p changes only p's two channels, so of the positions
+            # the scan rejected (p + 1 .. hi) only p + 1 can fire now.
+            lo, hi = bounds[target_seg]
+            start = hi
+            progressed = 0
+            while sink_fires < target_outputs:
+                for p in range(start, lo - 1, -1):
+                    if can_fire(p):
+                        break
+                else:
+                    break
+                fire(p)
+                firings.append(order[p])
+                progressed += 1
+                if p == sink:
+                    sink_fires += 1
+                start = min(p + 1, hi)
+            if progressed == 0:
+                raise DeadlockError(
+                    f"dynamic pipeline scheduler stuck: segment {target_seg} cannot fire "
+                    f"(cross occupancies={[tokens[s] for s, _cap in cross_slots]})"
+                )
+    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
 
     return Schedule(
         firings,

@@ -50,6 +50,10 @@ PLACEMENT_SEARCH = "placement.search"
 FACILITY_SEARCH = "placement.facility"
 #: one chunked out-of-core compilation (`compile_trace_chunked`)
 STREAM_COMPILE = "stream.compile"
+#: one call of a firing-by-firing scheduler (attr ``scheduler=``)
+SCHEDULE = "schedule"
+#: one partition search (attr ``kind=``)
+PARTITION = "partition"
 
 # ------------------------------------------------------------- counters
 #: traces compiled from scratch (cache misses + uncached calls)
@@ -98,6 +102,8 @@ STREAM_SPILLED_BYTES = "stream.spilled_bytes"
 STREAM_RECOMPILED = "stream.segments_recompiled"
 #: process sweeps that lost a worker and were recomputed in process
 REPLAY_PROCESS_FALLBACK = "replay.process_fallback"
+#: firings the schedulers under a ``schedule`` span returned
+SCHEDULE_FIRINGS = "schedule.firings"
 
 # --------------------------------------------------------------- gauges
 #: pool width chosen by the last backend sizing decision

@@ -12,18 +12,26 @@ Section 3 of the paper leans on two facts about rate-matched dags:
    at all times; :func:`fireable_modules` is the primitive that dynamic
    schedulers poll.
 
+:class:`TokenTable` is the token state every scheduler that decides
+firing by firing runs on (this module's and the pipeline schedulers in
+:mod:`repro.core`): built once per call, it resolves each module's
+channels to slots of one flat token list.
+
 These functions operate on token counts only (no cache); the executor
 applies the resulting firing sequences to the memory simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import sys
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DeadlockError, ScheduleError
+from repro.errors import DeadlockError
 from repro.graphs.sdf import StreamGraph
+from repro.obs import core as obs
+from repro.obs import names as obs_names
 
-__all__ = ["can_fire", "fireable_modules", "demand_driven_schedule"]
+__all__ = ["can_fire", "fireable_modules", "TokenTable", "demand_driven_schedule"]
 
 
 def can_fire(
@@ -65,6 +73,80 @@ def fireable_modules(
     return [n for n in names if can_fire(graph, n, tokens, capacities, allow_source)]
 
 
+#: ``room`` of an output channel with no capacity bound
+_UNBOUNDED = sys.maxsize
+
+
+class TokenTable:
+    """Token counts of one graph's channels, with every module's channels
+    resolved once, so a scheduler checks and fires modules by index.
+
+    Module ``i`` is ``order[i]``.  ``ins[i]`` holds one ``(slot, rate)``
+    tuple per input channel and ``outs[i]`` one ``(slot, rate, room)``
+    tuple per output channel, ``room`` being the capacity minus the rate:
+    a firing fits while its output slot holds at most ``room`` tokens.
+    ``tokens`` holds one count per channel, at ``slot[cid]``; each channel
+    starts at its delay unless ``initial_tokens`` names it.  Channels
+    absent from ``capacities`` are unbounded.
+    """
+
+    __slots__ = ("slot", "tokens", "ins", "outs")
+
+    def __init__(
+        self,
+        graph: StreamGraph,
+        order: Sequence[str],
+        capacities: Optional[Dict[int, int]] = None,
+        initial_tokens: Optional[Dict[int, int]] = None,
+    ) -> None:
+        chans = list(graph.channels())
+        slot = {ch.cid: k for k, ch in enumerate(chans)}
+        caps = capacities or {}
+        self.slot = slot
+        self.tokens = [ch.delay for ch in chans]
+        for cid, t in (initial_tokens or {}).items():
+            if cid in slot:
+                self.tokens[slot[cid]] = t
+        self.ins: List[Tuple[Tuple[int, int], ...]] = [
+            tuple((slot[ch.cid], ch.in_rate) for ch in graph.in_channels(n))
+            for n in order
+        ]
+        self.outs: List[Tuple[Tuple[int, int, int], ...]] = [
+            tuple(
+                (
+                    slot[ch.cid],
+                    ch.out_rate,
+                    _UNBOUNDED if caps.get(ch.cid) is None else caps[ch.cid] - ch.out_rate,
+                )
+                for ch in graph.out_channels(n)
+            )
+            for n in order
+        ]
+
+    def can_fire(self, i: int) -> bool:
+        """True when module ``i`` has its inputs and room for its outputs."""
+        tokens = self.tokens
+        for s, rate in self.ins[i]:
+            if tokens[s] < rate:
+                return False
+        for s, _rate, room in self.outs[i]:
+            if tokens[s] > room:
+                return False
+        return True
+
+    def fire(self, i: int) -> None:
+        """Pop module ``i``'s inputs and push its outputs (unchecked)."""
+        tokens = self.tokens
+        for s, rate in self.ins[i]:
+            tokens[s] -= rate
+        for s, rate, _room in self.outs[i]:
+            tokens[s] += rate
+
+    def occupancies(self) -> Dict[int, int]:
+        """Channel id -> tokens now, in channel-id order."""
+        return {cid: self.tokens[k] for cid, k in self.slot.items()}
+
+
 def demand_driven_schedule(
     graph: StreamGraph,
     target_fires: Dict[str, int],
@@ -82,6 +164,13 @@ def demand_driven_schedule(
     ``minBuf`` capacities suffice.  Set ``prefer_downstream=False`` to prefer
     upstream modules instead (useful in tests to exhibit higher occupancy).
 
+    Each step's scan starts at the earliest candidate that the previous
+    firing could have made fireable: the fired module or one of its
+    neighbours.  A firing changes only the fired module's channels, so
+    every candidate the previous scan rejected before it and not adjacent
+    to it is still unfireable, and the firing order is that of a scan
+    from the first candidate.
+
     Raises
     ------
     DeadlockError
@@ -90,37 +179,37 @@ def demand_driven_schedule(
         capacities >= minBuf this cannot happen [17]; reaching it signals
         either inconsistent targets or undersized buffers.
     """
-    order = graph.topological_order()
-    rank = {n: i for i, n in enumerate(order)}
-    owed: Dict[str, int] = {n: int(c) for n, c in target_fires.items() if c > 0}
-    for n in owed:
+    rank = {n: i for i, n in enumerate(graph.topological_order())}
+    targets = {n: int(c) for n, c in target_fires.items() if c > 0}
+    for n in targets:
         graph.module(n)
-
-    tokens: Dict[int, int] = {ch.cid: ch.delay for ch in graph.channels()}
-    if initial_tokens:
-        tokens.update(initial_tokens)
-
+    candidates = sorted(targets, key=rank.__getitem__, reverse=prefer_downstream)
+    index = {n: i for i, n in enumerate(candidates)}
+    resume = [
+        min([i] + [index[m] for m in graph.successors(n) + graph.predecessors(n) if m in index])
+        for i, n in enumerate(candidates)
+    ]
+    table = TokenTable(graph, candidates, capacities, initial_tokens)
+    can_fire_at, fire = table.can_fire, table.fire
+    owed = [targets[n] for n in candidates]
     firings: List[str] = []
-    total = sum(owed.values())
-    candidates = sorted(owed, key=lambda n: rank[n], reverse=prefer_downstream)
-    while total > 0:
-        fired = None
-        for n in candidates:
-            if owed.get(n, 0) > 0 and can_fire(graph, n, tokens, capacities):
-                fired = n
-                break
-        if fired is None:
-            owing = {n: c for n, c in owed.items() if c > 0}
-            raise DeadlockError(
-                f"no fireable module among {sorted(owing)}; "
-                f"occupancies={{cid: t for cid, t in tokens.items() if t}}"
-                f" = { {cid: t for cid, t in tokens.items() if t} }"
-            )
-        for ch in graph.in_channels(fired):
-            tokens[ch.cid] -= ch.in_rate
-        for ch in graph.out_channels(fired):
-            tokens[ch.cid] += ch.out_rate
-        owed[fired] -= 1
-        total -= 1
-        firings.append(fired)
+    total = sum(owed)
+    start = 0
+    with obs.span(obs_names.SCHEDULE, scheduler="demand_driven"):
+        while total > 0:
+            for i in range(start, len(candidates)):
+                if owed[i] and can_fire_at(i):
+                    break
+            else:
+                owing = [n for n, c in zip(candidates, owed) if c]
+                occupied = {cid: t for cid, t in table.occupancies().items() if t}
+                raise DeadlockError(
+                    f"no fireable module among {sorted(owing)}; occupancies={occupied}"
+                )
+            fire(i)
+            owed[i] -= 1
+            total -= 1
+            firings.append(candidates[i])
+            start = resume[i]
+    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
     return firings

@@ -14,7 +14,13 @@ structures than the production code so shared bugs are unlikely:
 * :func:`assert_trace_equivalent` — the compiled-trace engine
   (:mod:`repro.runtime.compiled`) against the stepwise
   :class:`~repro.runtime.executor.Executor` + :class:`~repro.cache.lru.LRUCache`,
-  block-for-block and miss-for-miss across cache geometries.
+  block-for-block and miss-for-miss across cache geometries;
+* :func:`reference_demand_driven_schedule`,
+  :func:`reference_pipeline_dynamic_schedule` and
+  :func:`reference_kohli_greedy_schedule` — the schedulers as per-check
+  scans over the graph's channel lists, each scan starting from the
+  preferred end, against the :class:`~repro.runtime.deadlock.TokenTable`
+  versions that resume a scan where a firing could have changed anything.
 """
 
 from __future__ import annotations
@@ -23,12 +29,16 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import DeadlockError, GraphError, PartitionError, ScheduleError
+from repro.graphs.minbuf import min_buffers
 from repro.graphs.repetition import compute_gains
 from repro.graphs.sdf import StreamGraph
 from repro.mem.layout import ObjectKey
 from repro.runtime.schedule import Schedule
 
 if TYPE_CHECKING:  # runtime import at call time, like the engines below
+    from repro.cache.base import CacheGeometry
+    from repro.core.partition import Partition
     from repro.runtime.compiled import CompiledTrace
 
 __all__ = [
@@ -37,6 +47,9 @@ __all__ = [
     "reference_token_replay",
     "reference_stack_distances",
     "assert_trace_equivalent",
+    "reference_demand_driven_schedule",
+    "reference_pipeline_dynamic_schedule",
+    "reference_kohli_greedy_schedule",
 ]
 
 
@@ -282,3 +295,214 @@ def reference_token_replay(
                 queues[ch.cid].append(next_seq[ch.cid])
                 next_seq[ch.cid] += 1
     return True, {cid: len(q) for cid, q in queues.items()}
+
+
+# ----------------------------------------------------------------------
+# reference schedulers: a full downstream-first scan per firing, each check
+# re-reading the graph's channel lists
+# ----------------------------------------------------------------------
+def reference_demand_driven_schedule(
+    graph: StreamGraph,
+    target_fires: Dict[str, int],
+    capacities: Optional[Dict[int, int]] = None,
+    initial_tokens: Optional[Dict[int, int]] = None,
+    prefer_downstream: bool = True,
+) -> List[str]:
+    """:func:`repro.runtime.deadlock.demand_driven_schedule` as a scan of
+    every candidate per firing, each check through
+    :func:`repro.runtime.deadlock.can_fire`."""
+    from repro.runtime.deadlock import can_fire
+
+    order = graph.topological_order()
+    rank = {n: i for i, n in enumerate(order)}
+    owed: Dict[str, int] = {n: int(c) for n, c in target_fires.items() if c > 0}
+    for n in owed:
+        graph.module(n)
+
+    tokens: Dict[int, int] = {ch.cid: ch.delay for ch in graph.channels()}
+    if initial_tokens:
+        tokens.update(initial_tokens)
+
+    firings: List[str] = []
+    total = sum(owed.values())
+    candidates = sorted(owed, key=lambda n: rank[n], reverse=prefer_downstream)
+    while total > 0:
+        fired = None
+        for n in candidates:
+            if owed.get(n, 0) > 0 and can_fire(graph, n, tokens, capacities):
+                fired = n
+                break
+        if fired is None:
+            owing = {n: c for n, c in owed.items() if c > 0}
+            raise DeadlockError(
+                f"no fireable module among {sorted(owing)}; "
+                f"occupancies={ {cid: t for cid, t in tokens.items() if t} }"
+            )
+        for ch in graph.in_channels(fired):
+            tokens[ch.cid] -= ch.in_rate
+        for ch in graph.out_channels(fired):
+            tokens[ch.cid] += ch.out_rate
+        owed[fired] -= 1
+        total -= 1
+        firings.append(fired)
+    return firings
+
+
+def reference_pipeline_dynamic_schedule(
+    graph: StreamGraph,
+    partition: "Partition",
+    geometry: "CacheGeometry",
+    target_outputs: int,
+    buffer_factor: int = 2,
+    cross_capacity: Optional[int] = None,
+) -> Schedule:
+    """:func:`repro.core.partition_sched.pipeline_dynamic_schedule` with
+    every firing's segment scan restarting at the segment's downstream
+    end."""
+    if target_outputs < 1:
+        raise ScheduleError(f"target_outputs must be >= 1, got {target_outputs}")
+    if not graph.is_pipeline():
+        raise GraphError("pipeline_dynamic_schedule requires a pipeline graph")
+    order = graph.pipeline_order()
+
+    comp_order = partition.component_order()
+    segments: List[List[str]] = [list(partition.components[i]) for i in comp_order]
+    rank = {n: i for i, n in enumerate(order)}
+    flat: List[str] = []
+    for seg in segments:
+        seg.sort(key=lambda n: rank[n])
+        flat.extend(seg)
+    if flat != order:
+        raise PartitionError("pipeline partition components must be contiguous chain segments")
+
+    seg_of = {n: i for i, seg in enumerate(segments) for n in seg}
+    caps: Dict[int, int] = min_buffers(graph)
+    cross: List[int] = []
+    for ch in graph.channels():
+        if seg_of[ch.src] != seg_of[ch.dst]:
+            cross.append(ch.cid)
+            if cross_capacity is not None:
+                caps[ch.cid] = max(cross_capacity, 2 * caps[ch.cid])
+            else:
+                caps[ch.cid] = buffer_factor * max(geometry.size, caps[ch.cid])
+    cross.sort(key=lambda cid: rank[graph.channel(cid).src])
+
+    tokens: Dict[int, int] = {ch.cid: ch.delay for ch in graph.channels()}
+    sink = order[-1]
+    firings: List[str] = []
+    sink_fires = 0
+
+    def can_fire(name: str) -> bool:
+        for ch in graph.in_channels(name):
+            if tokens[ch.cid] < ch.in_rate:
+                return False
+        for ch in graph.out_channels(name):
+            if tokens[ch.cid] + ch.out_rate > caps[ch.cid]:
+                return False
+        return True
+
+    def fire(name: str) -> None:
+        nonlocal sink_fires
+        for ch in graph.in_channels(name):
+            tokens[ch.cid] -= ch.in_rate
+        for ch in graph.out_channels(name):
+            tokens[ch.cid] += ch.out_rate
+        firings.append(name)
+        if name == sink:
+            sink_fires += 1
+
+    def run_segment(idx: int) -> int:
+        members = segments[idx]
+        count = 0
+        while sink_fires < target_outputs:
+            fired = False
+            for name in reversed(members):  # downstream-first
+                if can_fire(name):
+                    fire(name)
+                    count += 1
+                    fired = True
+                    break
+            if not fired:
+                break
+        return count
+
+    while sink_fires < target_outputs:
+        target_seg = len(segments) - 1
+        for i, cid in enumerate(cross):
+            if tokens[cid] * 2 <= caps[cid]:
+                target_seg = i
+                break
+        progressed = run_segment(target_seg)
+        if progressed == 0:
+            raise DeadlockError(
+                f"dynamic pipeline scheduler stuck: segment {target_seg} cannot fire "
+                f"(cross occupancies={[tokens[c] for c in cross]})"
+            )
+
+    return Schedule(
+        firings,
+        capacities=caps,
+        label=f"pipeline-dynamic[{partition.label or partition.k}]",
+    )
+
+
+def reference_kohli_greedy_schedule(
+    graph: StreamGraph,
+    geometry: "CacheGeometry",
+    target_outputs: int,
+    batch_fraction: float = 0.25,
+) -> Schedule:
+    """:func:`repro.core.baselines.kohli_greedy_schedule` with every check
+    re-reading the module's channel lists."""
+    if not graph.is_pipeline():
+        raise GraphError("kohli_greedy_schedule requires a pipeline graph")
+    if target_outputs < 1:
+        raise ScheduleError(f"target_outputs must be >= 1, got {target_outputs}")
+    order = graph.pipeline_order()
+    sink = order[-1]
+
+    caps: Dict[int, int] = {}
+    batch_tokens = max(1, int(batch_fraction * geometry.size))
+    for ch in graph.channels():
+        caps[ch.cid] = max(batch_tokens, ch.out_rate + ch.in_rate) + ch.delay
+
+    tokens: Dict[int, int] = {ch.cid: ch.delay for ch in graph.channels()}
+    firings: List[str] = []
+    sink_fires = 0
+
+    def can_fire(name: str) -> bool:
+        for ch in graph.in_channels(name):
+            if tokens[ch.cid] < ch.in_rate:
+                return False
+        for ch in graph.out_channels(name):
+            if tokens[ch.cid] + ch.out_rate > caps[ch.cid]:
+                return False
+        return True
+
+    idx = 0
+    stalls = 0
+    while sink_fires < target_outputs:
+        name = order[idx]
+        runs = 0
+        max_runs = max(
+            1,
+            batch_tokens
+            // max((ch.out_rate for ch in graph.out_channels(name)), default=1),
+        )
+        while runs < max_runs and can_fire(name):
+            for ch in graph.in_channels(name):
+                tokens[ch.cid] -= ch.in_rate
+            for ch in graph.out_channels(name):
+                tokens[ch.cid] += ch.out_rate
+            firings.append(name)
+            runs += 1
+            if name == sink:
+                sink_fires += 1
+                if sink_fires >= target_outputs:
+                    break
+        stalls = stalls + 1 if runs == 0 else 0
+        if stalls > len(order):
+            raise ScheduleError("kohli heuristic made no progress over a full cycle")
+        idx = (idx + 1) % len(order)
+
+    return Schedule(firings, capacities=caps, label=f"kohli[b={batch_tokens}]")

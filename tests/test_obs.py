@@ -352,6 +352,44 @@ class TestManifest:
         printed = capsys.readouterr().out
         assert "compile.calls" in printed and "run " in printed
 
+    def test_experiment_e3_manifest_carries_the_schedulers(self, tmp_path, capsys):
+        """E3 runs all three table schedulers: the dynamic pipeline one,
+        Kohli's, and the demand-driven one under the interleaved
+        baseline."""
+        from repro.cli import main
+
+        out = tmp_path / "e3.json"
+        assert main(["experiment", "e3", "--metrics-out", str(out)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(out.read_text())["metrics"]
+        for scheduler in ("pipeline_dynamic", "kohli", "demand_driven"):
+            key = f"{obs_names.SCHEDULE}[scheduler={scheduler}]"
+            assert metrics["spans"][key]["count"] == 1
+        assert metrics["counters"][obs_names.SCHEDULE_FIRINGS] > 0
+
+    def test_schedule_firings_counts_what_the_schedulers_return(self):
+        from repro.cache.base import CacheGeometry
+        from repro.core.baselines import kohli_greedy_schedule
+        from repro.graphs.minbuf import min_buffers
+        from repro.graphs.repetition import repetition_vector
+        from repro.graphs.topologies import pipeline
+        from repro.runtime.deadlock import demand_driven_schedule
+
+        g = pipeline([16] * 6, rates=[(2, 1), (1, 2), (1, 1), (3, 1), (1, 3)])
+        with obs.capture(enabled=True) as cap:
+            kohli = kohli_greedy_schedule(g, CacheGeometry(size=64, block=8), 50)
+            body = demand_driven_schedule(g, repetition_vector(g), min_buffers(g))
+        counters = cap.snapshot["counters"]
+        assert counters[obs_names.SCHEDULE_FIRINGS] == len(kohli.firings) + len(body)
+
+    def test_exact_search_records_a_partition_span(self):
+        from repro.core.dagpart import exact_min_bandwidth_partition
+        from repro.graphs.topologies import diamond
+
+        with obs.capture(enabled=True) as cap:
+            exact_min_bandwidth_partition(diamond(branch_len=2, ways=2, state=24), 48)
+        assert cap.snapshot["spans"][f"{obs_names.PARTITION}[kind=exact]"]["count"] == 1
+
     def test_obs_report_cli_missing_file(self, tmp_path):
         from repro.cli import main
 

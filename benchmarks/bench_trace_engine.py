@@ -73,6 +73,13 @@ loops alone vary about 2x from run to run on a shared host.
   associative geometry), checked against a monolithic compile and replay.
   It times the recency carry the streamed measure keeps across chunks.
   Trend-gated like the speedups.
+* **warm_speedup**: the persistent trace cache's saving — one cold
+  ``cached_compile_trace`` of this benchmark's own trace into a fresh
+  ``TraceCache`` (digest, compile, store) over the best of 3 warm hits
+  (digest, load) of the same input, the hit checked bit-equal to the
+  compiled trace.  Acceptance: >= 5x, enforced here and as an absolute floor
+  by ``check_bench_trends.py``; not trend-gated, because its cold side is
+  one compile timed once.
 * **lru_replay_accesses_per_s** / **set_assoc_replay_accesses_per_s**:
   absolute replay throughput on this benchmark's own trace, best of 5
   serial ``simulate_trace`` calls (replay only, the trace already
@@ -89,8 +96,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.cache.base import CacheGeometry
 from repro.cache.direct import DirectMappedCache
@@ -109,6 +119,7 @@ from repro.runtime.compiled import (
 )
 from repro.runtime.executor import Executor
 from repro.runtime.looped import Loop, LoopedSchedule
+from repro.runtime.trace_cache import TraceCache, cached_compile_trace
 
 B = 8
 SWEEP_SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
@@ -258,6 +269,26 @@ def _schedule_throughput():
     return len(sched.firings) / t_schedule
 
 
+def _warm_cache_times(g, sched, order, trace):
+    """``(cold s, best warm s)``: one ``cached_compile_trace`` into a
+    fresh :class:`TraceCache` against the best of 3 hits on it; the last
+    hit must return ``trace``'s exact blocks."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
+        cache = TraceCache(tmp)
+        t0 = time.perf_counter()
+        _cold, key, hit = cached_compile_trace(
+            g, sched, B, layout_order=order, cache=cache
+        )
+        t_cold = time.perf_counter() - t0
+        assert not hit and len(cache) == 1
+        t_warm, (warm, warm_key, warm_hit) = _best_of(3, lambda: cached_compile_trace(
+            g, sched, B, layout_order=order, cache=cache
+        ))
+        assert warm_hit and warm_key == key
+        assert np.array_equal(warm.blocks, trace.blocks), "cache hit changed the trace"
+    return t_cold, t_warm
+
+
 def _lru_replay_throughput(trace, geoms):
     """Best-of-5 serial lru ``simulate_trace`` of ``geoms`` over a compiled
     ``trace``: accesses times geometries answered per second."""
@@ -338,6 +369,8 @@ def test_trace_engine_speedup(show):
         compile_trace(sg, stream_sched, B), [stream_geom]
     )[0], "streamed measure diverged from the monolithic replay"
     measure_stream_rate = stream_res.accesses / t_measure_stream
+    t_cold_cache, t_warm_cache = _warm_cache_times(g, sched, order, trace)
+    warm_speedup = t_cold_cache / t_warm_cache
 
     blocks_list = trace.blocks.tolist()
 
@@ -461,6 +494,7 @@ def test_trace_engine_speedup(show):
         "lru_replay_accesses_per_s": round(lru_replay),
         "set_assoc_replay_accesses_per_s": round(sa_replay),
         "schedule_firings_per_s": round(schedule_rate),
+        "warm_speedup": round(warm_speedup, 2),
     }
     history = []
     if JSON_PATH.exists():
@@ -555,6 +589,11 @@ def test_trace_engine_speedup(show):
             "firings": trace.firings,
             "firings_per_s": round(schedule_rate),
         },
+        "trace_cache": {
+            "cold_s": round(t_cold_cache, 4),
+            "warm_s": round(t_warm_cache, 4),
+            "warm_speedup": round(warm_speedup, 2),
+        },
         "history": history,
     }
 
@@ -606,6 +645,10 @@ def test_trace_engine_speedup(show):
              "stepwise_s": "",
              "replay_s": round(schedule_rate / 1e6, 2),
              "speedup": ""},
+            {"path": "trace cache cold vs warm hit",
+             "stepwise_s": round(t_cold_cache, 4),
+             "replay_s": round(t_warm_cache, 4),
+             "speedup": round(warm_speedup, 1)},
         ],
         "trace engine: vectorized replay vs stepwise loops",
     )
@@ -620,6 +663,9 @@ def test_trace_engine_speedup(show):
     )
     assert streaming_overhead <= 1.25, (
         f"streaming replay overhead {streaming_overhead:.3f}x > 1.25x ceiling"
+    )
+    assert warm_speedup >= 5.0, (
+        f"warm trace-cache speedup {warm_speedup:.2f}x < 5x floor"
     )
     assert streaming_rss_ratio < 1.0, (
         f"streaming peak RSS {streaming_rss_ratio:.3f}x of monolithic — the "

@@ -1,27 +1,25 @@
 #!/usr/bin/env python
 """Fail when tracked benchmark metrics regress against their history.
 
-``benchmarks/bench_trace_engine.py``, ``benchmarks/bench_placement.py``
-and ``benchmarks/bench_service.py`` each append one summary per run to the
-``history`` array of their JSON record (``BENCH_trace_engine.json`` /
-``BENCH_placement.json`` / ``BENCH_service.json``).  This script compares
-the latest entry against the previous one, per file, and exits non-zero
-when any tracked metric fell by more than the tolerated fraction (default
-30%).  The service record additionally carries *absolute* floors
-(:data:`FLOORS_BY_FILE`) that hold from the very first run: the warm-cache
-speedup must be >= 5x everywhere, while the pool-scaling and
-search-speedup floors apply only when the entry's recorded ``cores`` says
-the machine could parallelize at all (>= 4 cores) — a 1-core runner
-records its honest ratios without failing.  Lower-is-better metrics get
-absolute *ceilings* instead (:data:`CEILINGS_BY_FILE`): ``obs_overhead``
+``benchmarks/bench_trace_engine.py`` and ``benchmarks/bench_placement.py``
+each append one summary per run to the ``history`` array of their JSON
+record (``BENCH_trace_engine.json`` / ``BENCH_placement.json``).  This
+script compares the latest entry against the previous one, per file, and
+exits non-zero when any tracked metric fell by more than the tolerated
+fraction (default 30%).  Some metrics carry *absolute* floors instead
+(:data:`FLOORS_BY_FILE`) that hold from the very first run: the trace
+cache's ``warm_speedup`` must be >= 5x.  Lower-is-better metrics get
+absolute *ceilings* (:data:`CEILINGS_BY_FILE`): ``obs_overhead``
 (the enabled/disabled instrumentation wall-time ratio) must stay <= 1.02x,
 ``streaming_overhead`` (chunked over monolithic replay wall time)
 <= 1.25x, and ``streaming_rss_ratio`` (chunked over monolithic subprocess
-peak RSS) <= 1.0 — all from the very first run.  Ceiling metrics are deliberately *not* in the
-relative trend gate — a falling ratio is an improvement, never a
-regression.  With fewer than two history entries there is
-nothing to compare yet and the check passes (that is the "once history
-exists" contract: the first run of a fresh clone seeds the baseline).
+peak RSS) <= 1.0 — all from the very first run.  Floor and ceiling
+metrics are deliberately *not* in the relative trend gate: a falling
+ratio is an improvement for a ceiling metric, and ``warm_speedup``'s cold
+side is one compile timed once.  With fewer than two history entries
+there is nothing to compare yet and the check passes (that is the "once
+history exists" contract: the first run of a fresh clone seeds the
+baseline).
 
 Before comparing, every record is validated against the explicit schema
 (:func:`validate_record`): ``history`` must be a list of dicts, each entry
@@ -60,23 +58,16 @@ METRICS_BY_FILE = {
         "score", "swap_gain", "color_gain", "multi_gain", "facility_gain",
         "evals_per_s",
     ),
-    "BENCH_service.json": (
-        "warm_speedup", "dedup_factor", "pool_scaling", "search_speedup",
-    ),
 }
 DEFAULT_JSONS = [_ROOT / name for name in METRICS_BY_FILE]
 
-#: absolute floors on the *latest* entry: ``(metric, floor, min_cores)``.
-#: Unlike the relative trend gate these hold from the very first run — but
-#: pool metrics only mean anything with real parallelism, so a floor with
-#: ``min_cores > 1`` is skipped (with a note) when the entry's recorded
-#: ``cores`` is absent or below it.  A 1-core CI runner records honest
-#: sub-1x pool ratios without failing; a 4-core runner is held to them.
+#: absolute floors on the *latest* entry: ``(metric, floor)`` for
+#: higher-is-better metrics.  Unlike the relative trend gate these hold
+#: from the very first run.
 FLOORS_BY_FILE = {
-    "BENCH_service.json": (
-        ("warm_speedup", 5.0, 1),
-        ("pool_scaling", 1.5, 4),
-        ("search_speedup", 2.0, 4),
+    "BENCH_trace_engine.json": (
+        # a trace-cache hit against one cold compile of the bench's trace
+        ("warm_speedup", 5.0),
     ),
 }
 
@@ -100,11 +91,6 @@ CEILINGS_BY_FILE = {
 
 #: keys every history entry must carry; everything else is optional
 REQUIRED_ENTRY_KEYS = ("ts",)
-
-#: entry keys that are optional but must be numeric when present (``cores``
-#: is machine provenance, not a tracked metric — it gates floors, it is
-#: never compared run-to-run)
-OPTIONAL_NUMERIC_KEYS = ("cores",)
 
 
 def _is_number(value: object) -> bool:
@@ -150,7 +136,7 @@ def validate_record(record: object, name: str, metrics: tuple) -> list:
             prev_ts = ts
         # tracked metrics are optional per entry (older records predate
         # newer metrics) but must be numeric when present
-        for metric in tuple(metrics) + OPTIONAL_NUMERIC_KEYS:
+        for metric in metrics:
             if metric in entry and not _is_number(entry[metric]):
                 errors.append(
                     f"{where}.{metric}: expected a number, "
@@ -169,7 +155,9 @@ def check(path: Path, tolerance: float) -> int:
         print(f"trend check: cannot parse {path}: {exc}")
         return 1
     known_metrics = METRICS_BY_FILE.get(path.name, ()) + tuple(
-        metric for metric, _ceiling in CEILINGS_BY_FILE.get(path.name, ())
+        metric
+        for limits in (FLOORS_BY_FILE, CEILINGS_BY_FILE)
+        for metric, _limit in limits.get(path.name, ())
     )
     schema_errors = validate_record(record, path.name, known_metrics)
     if schema_errors:
@@ -229,23 +217,10 @@ def check_floors(name: str, history: list) -> list:
     if not floors or not history or not isinstance(history[-1], dict):
         return []
     last = history[-1]
-    cores = last.get("cores")
     failures = []
-    for metric, floor, min_cores in floors:
+    for metric, floor in floors:
         value = last.get(metric)
         if not _is_number(value):
-            continue
-        if min_cores > 1 and (not _is_number(cores) or cores < min_cores):
-            # legacy entries predate the ``cores`` key entirely; name that
-            # case explicitly so the skip reads as provenance, not a bug
-            have = (
-                f"entry has {cores}" if _is_number(cores)
-                else "entry records no 'cores' (legacy run)"
-            )
-            print(
-                f"  {metric:14s} {value:8.2f}x  floor {floor:.2f}x skipped "
-                f"(needs >= {min_cores} cores, {have})"
-            )
             continue
         status = "ok" if value >= floor else "BELOW FLOOR"
         print(f"  {metric:14s} {value:8.2f}x  (absolute floor {floor:.2f}x)  {status}")

@@ -1,10 +1,11 @@
 """Benchmark-suite configuration.
 
-Each bench target wraps one experiment driver from
-:mod:`repro.analysis.experiments`, times it with pytest-benchmark, prints the
-rows of that experiment (the "Experiments" table in the top-level README.md
-lists every driver), and asserts the paper-predicted shape so a regression
-in either performance or behavior fails the suite.
+``bench_trace_engine.py`` and ``bench_placement.py`` print their measured
+rows through the :func:`show` fixture; each records its summary in a
+``BENCH_*.json`` file at the repo root, which ``check_bench_trends.py``
+gates.  ``bench_components.py`` times the substrates with
+pytest-benchmark.  The paper-shape checks of every experiment driver live
+in the tier-1 suite (``tests/``).
 """
 
 import pytest

@@ -8,7 +8,7 @@ Three schedulers, one per graph class the paper treats:
   order ``M`` times ("the modules are topologically sorted and are each
   fired just once in order; this lower-level schedule repeats M times").
   Cross edges carry exactly ``M`` tokens per batch, so each buffer needs
-  capacity ``M``.
+  capacity ``M`` plus the edge's delay.
 
 * :func:`inhomogeneous_partition_schedule` — arbitrary rates.  Batch
   granularity ``T`` from :func:`repro.core.tuning.choose_batch`; each
@@ -101,7 +101,7 @@ def homogeneous_partition_schedule(
 
     caps: Dict[int, int] = min_buffers(graph)
     for ch in partition.cross_channels():
-        caps[ch.cid] = T
+        caps[ch.cid] = T + ch.delay
     return Schedule(
         firings,
         capacities=caps,

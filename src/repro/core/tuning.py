@@ -90,8 +90,12 @@ def choose_batch(
 
 def cross_capacities(partition: Partition, plan: BatchPlan) -> Dict[int, int]:
     """Buffer capacities for a partition's cross edges under ``plan``:
-    exactly the batch traffic ``T * gain(u, v)`` of each cross edge."""
-    return {ch.cid: plan.channel_tokens[ch.cid] for ch in partition.cross_channels()}
+    exactly the batch traffic ``T * gain(u, v)`` of each cross edge, plus
+    its delay (the tokens already on the edge when a batch lands)."""
+    return {
+        ch.cid: plan.channel_tokens[ch.cid] + ch.delay
+        for ch in partition.cross_channels()
+    }
 
 
 def required_geometry(

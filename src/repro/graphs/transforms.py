@@ -97,8 +97,8 @@ def normalize_source_sink(graph: StreamGraph) -> StreamGraph:
 
 def induced_subgraph(graph: StreamGraph, names: Iterable[str], name: str = "") -> StreamGraph:
     """Subgraph induced by ``names``: those modules plus every channel whose
-    two endpoints both lie in the set.  Channel rates and module state carry
-    over unchanged."""
+    two endpoints both lie in the set.  Channel rates, delays and module
+    state carry over unchanged."""
     keep = set(names)
     for n in keep:
         graph.module(n)  # existence check
@@ -108,7 +108,9 @@ def induced_subgraph(graph: StreamGraph, names: Iterable[str], name: str = "") -
             sub.add_module(m.name, state=m.state, work=m.work)
     for ch in graph.channels():
         if ch.src in keep and ch.dst in keep:
-            sub.add_channel(ch.src, ch.dst, out_rate=ch.out_rate, in_rate=ch.in_rate)
+            sub.add_channel(
+                ch.src, ch.dst, out_rate=ch.out_rate, in_rate=ch.in_rate, delay=ch.delay
+            )
     return sub
 
 

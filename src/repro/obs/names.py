@@ -42,8 +42,6 @@ CACHE_PUT = "trace_cache.put"
 REPLAY = "replay"
 #: one ordered map over an execution backend (attr ``backend=``)
 BACKEND_MAP = "backend.map"
-#: one `run_batch` front-door invocation
-BATCH = "run_batch"
 #: one `swap_refine` local search (attr ``batch=``)
 PLACEMENT_SEARCH = "placement.search"
 #: one `multiswap_refine` facility-location local search (attr ``batch=``)
@@ -77,12 +75,6 @@ REPLAY_GEOMETRIES = "replay.geometries"
 REPLAY_MISSES = "replay.misses"
 #: geometries `simulate_trace` answered from two slices of a periodic trace
 REPLAY_PERIOD_GEOMETRIES = "replay.period_geometries"
-#: queries entering `run_batch`
-BATCH_QUERIES = "run_batch.queries"
-#: queries whose trace an earlier query in the batch already compiled
-BATCH_DEDUPED = "run_batch.deduped"
-#: distinct (trace, policy) replay groups per batch
-BATCH_GROUPS = "run_batch.groups"
 #: tasks a process pool ran (`process_sweep`)
 BACKEND_TASKS = "backend.tasks"
 #: candidate layouts scored by a placement local search (every strategy's)

@@ -2,21 +2,13 @@
 firing engine that moves tokens through the cache simulator, the trace
 compiler and the policy-aware replay kernels that answer whole geometry
 families in one pass, the execution backends (in-process replay, or a
-process pool fed through shared memory, and the ``run_batch`` service
-front door), the persistent content-addressed trace cache, out-of-core
-streaming (chunk sources and chunked trace compilation spilled to cache
-segments, replayed by the same chunk kernels bit-identically to one
-in-memory chunk), schedule representation/validation, and deadlock
-analysis."""
+process pool fed through shared memory), the persistent content-addressed
+trace cache, out-of-core streaming (chunk sources and chunked trace
+compilation spilled to cache segments, replayed by the same chunk kernels
+bit-identically to one in-memory chunk), schedule representation/validation,
+and deadlock analysis."""
 
-from repro.runtime.backend import (
-    BACKENDS,
-    ServiceAnswer,
-    ServiceQuery,
-    effective_workers,
-    geometry_sweep,
-    run_batch,
-)
+from repro.runtime.backend import BACKENDS, effective_workers
 from repro.runtime.buffers import ChannelBuffer
 from repro.runtime.compiled import (
     CompiledTrace,
@@ -54,13 +46,9 @@ from repro.runtime.deadlock import fireable_modules, demand_driven_schedule
 
 __all__ = [
     "BACKENDS",
-    "ServiceAnswer",
-    "ServiceQuery",
     "TraceCache",
     "cached_compile_trace",
     "effective_workers",
-    "geometry_sweep",
-    "run_batch",
     "trace_digest",
     "ChannelBuffer",
     "CompiledTrace",

@@ -1,9 +1,8 @@
 """Execution backends: replay in the calling process, or on a process pool.
 
 Everything this module parallelizes is an ordered map — per-geometry
-replay in :func:`replay_stats`, per-candidate scoring in the placement
-local search (:class:`CandidateScorer`), per-query evaluation in
-:func:`run_batch` — so it centralizes one contract:
+replay in :func:`replay_stats` and per-candidate scoring in the placement
+local search (:class:`CandidateScorer`) — so it centralizes one contract:
 
 * **Ordering.**  Results come back in the exact order of their inputs,
   regardless of which worker finished first: ``Executor.map`` yields in
@@ -41,15 +40,6 @@ remap-instance arrays (``obj_of_access``/``block_offset``): candidates ship
 as tiny per-object start vectors, never as traces, each with the per-set
 miss counts of the last candidate scored, which it is delta-scored against.
 
-**Batch front door.**  :func:`run_batch` answers N
-(graph, schedule, geometries, policy) queries the way a many-user service
-must: queries are grouped by their content digest
-(:func:`repro.runtime.trace_cache.trace_digest`), each distinct trace is
-compiled **once** (through the persistent cache when one is configured),
-geometry sweeps sharing a (trace, policy) pair are evaluated together so
-the replay kernels' shared passes amortize across users, and evaluation
-runs on the selected backend.  Answers come back in query order.
-
 Results are bit-identical across backends: the kernels are pure functions
 of the chunk, its carry and the geometries, so where the map runs cannot
 change what it computes — ``tests/test_backend.py`` pins this
@@ -60,17 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -81,14 +61,8 @@ from repro.obs import names as obs_names
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.cache.base import CacheGeometry
-    from repro.graphs.sdf import StreamGraph
-    from repro.mem.layout import ObjectKey
     from repro.mem.placement import PlacementInstance, PlacementTarget, ScoreBase
-    from repro.runtime.executor import ExecutionResult
-    from repro.runtime.schedule import Schedule
     from repro.runtime.streaming import ArrayChunkSource, ChunkSource
-    from repro.runtime.trace_cache import TraceCache
 
 __all__ = [
     "BACKENDS",
@@ -101,10 +75,6 @@ __all__ = [
     "process_sweep",
     "replay_stats",
     "CandidateScorer",
-    "geometry_sweep",
-    "ServiceQuery",
-    "ServiceAnswer",
-    "run_batch",
 ]
 
 #: The two execution backends, in "least machinery" order.
@@ -586,197 +556,3 @@ class CandidateScorer:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# batch front door
-# ----------------------------------------------------------------------
-def geometry_sweep(
-    sizes: Iterable[int],
-    block: int,
-    ways: Optional[int] = None,
-) -> List["CacheGeometry"]:
-    """Service preset: one :class:`~repro.cache.base.CacheGeometry` per
-    capacity."""
-    from repro.cache.base import CacheGeometry
-
-    return [CacheGeometry(size=int(s), block=int(block), ways=ways) for s in sizes]
-
-
-@dataclass
-class ServiceQuery:
-    """One user's question: misses of ``policy`` at every geometry for this
-    (graph, schedule, layout) — the unit :func:`run_batch` deduplicates."""
-
-    graph: "StreamGraph"
-    schedule: "Schedule"
-    block: int
-    geometries: Sequence
-    policy: str = "lru"
-    capacities: Optional[Dict[int, int]] = None
-    layout_order: Optional[Sequence[str]] = None
-    count_external: bool = True
-    placement: Optional[Sequence["ObjectKey"]] = None
-    gaps: Optional[Dict["ObjectKey", int]] = None
-    #: per-query replay chunk size; ``None`` inherits ``run_batch``'s
-    chunk_words: Optional[int] = None
-    #: placement strategy to run before answering (``None``/``"topo"`` =
-    #: measure the seed layout as-is; any other registered name —
-    #: ``swap``/``multiswap``/``smoothed``/``minimax`` — optimizes the
-    #: layout first and the query is answered under the result)
-    layout: Optional[str] = None
-    #: multi-geometry objective for ``layout``; defaults to every query
-    #: geometry at ``policy`` with weight 1
-    layout_targets: Optional[Sequence[Tuple]] = None
-    #: eval budget of the ``layout`` search
-    layout_budget: int = 400
-    #: padding blocks the ``layout`` search may spend
-    gap_budget: int = 0
-    #: smoothed-search knobs (``layout="smoothed"``); ``None`` = defaults
-    restarts: Optional[int] = None
-    noise: Optional[float] = None
-    seed: Optional[int] = None
-
-
-@dataclass
-class ServiceAnswer:
-    """One query's results plus its provenance within the batch.
-
-    ``trace_key`` is the content digest the trace was filed under;
-    ``cache_hit`` says the compiled trace came off the persistent cache,
-    ``deduped`` that an earlier query in the same batch already owned the
-    trace (so this one compiled nothing at all).
-    """
-
-    index: int
-    trace_key: str
-    cache_hit: bool
-    deduped: bool
-    results: List["ExecutionResult"] = field(default_factory=list)
-
-
-def _resolve_layout(
-    q: ServiceQuery,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> ServiceQuery:
-    """Run a query's requested placement strategy and pin the result.
-
-    Returns the query unchanged when no optimization was asked for
-    (``layout`` absent or ``"topo"``); otherwise runs
-    :func:`repro.mem.placement.optimize_placement` — against
-    ``layout_targets`` when given, else every query geometry at the query's
-    policy, weight 1 — and returns a copy carrying the optimized
-    ``placement``/``gaps`` (so batch dedup keys on the *resolved* layout:
-    two queries that optimize to the same placement share one trace).
-    """
-    if q.layout in (None, "topo"):
-        return q
-    from dataclasses import replace
-
-    from repro.mem.placement import optimize_placement
-
-    targets = q.layout_targets
-    if targets is None:
-        targets = [(g, q.policy, 1.0) for g in q.geometries]
-    res = optimize_placement(
-        q.graph, q.schedule, strategy=q.layout, capacities=q.capacities,
-        order=q.layout_order, targets=targets, budget=q.layout_budget,
-        gap_budget=q.gap_budget, backend=backend, workers=workers,
-        restarts=q.restarts, noise=q.noise, seed=q.seed,
-    )
-    return replace(q, placement=res.order, gaps=res.gaps, layout=None)
-
-
-def run_batch(
-    queries: Sequence[ServiceQuery],
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    cache: Optional["TraceCache"] = None,
-    chunk_words: Optional[int] = None,
-) -> List[ServiceAnswer]:
-    """Answer N queries with shared compilation, shared passes, one pool.
-
-    0. Queries carrying a ``layout`` strategy (``swap``/``multiswap``/
-       ``smoothed``/``minimax``) are resolved first
-       (:func:`_resolve_layout`): the placement search runs under the
-       query's targets and the query is answered — and deduplicated —
-       under the optimized layout.
-    1. Every query's compilation input is digested
-       (:func:`repro.runtime.trace_cache.trace_digest`); queries with equal
-       digests share one compiled trace — the batch compiles each distinct
-       trace exactly once, through the persistent cache when ``cache`` (or
-       a configured default) is present.
-    2. Queries sharing a (trace, policy, chunk size) triple are evaluated
-       in one replay call, concatenating their geometry lists so the
-       kernels' shared passes (stack distances, set partitions) amortize
-       across users.
-    3. Evaluation fans out over ``backend``; answers return in query order,
-       each tagged with its digest, cache-hit, and intra-batch dedup flags.
-
-    ``chunk_words`` streams every replay in bounded-memory chunks
-    (:mod:`repro.runtime.streaming`) — bit-identical answers; a query's own
-    ``chunk_words`` overrides the batch-wide value.
-    """
-    from repro.runtime.compiled import simulate_trace
-    from repro.runtime.trace_cache import cached_compile_trace, trace_digest
-
-    with obs.span(obs_names.BATCH):
-        obs.add(obs_names.BATCH_QUERIES, len(queries))
-        queries = [
-            _resolve_layout(q, backend=backend, workers=workers)
-            for q in queries
-        ]
-        keys = [
-            trace_digest(
-                q.graph, q.schedule, q.block, capacities=q.capacities,
-                layout_order=q.layout_order, count_external=q.count_external,
-                placement=q.placement, gaps=q.gaps,
-            )
-            for q in queries
-        ]
-        # compile each distinct trace once, in first-appearance order
-        traces: Dict[str, Tuple[object, bool]] = {}
-        deduped = [False] * len(queries)
-        for i, (q, key) in enumerate(zip(queries, keys)):
-            if key in traces:
-                deduped[i] = True
-                continue
-            trace, _key, was_hit = cached_compile_trace(
-                q.graph, q.schedule, q.block, capacities=q.capacities,
-                layout_order=q.layout_order, count_external=q.count_external,
-                placement=q.placement, gaps=q.gaps, cache=cache, key=key,
-            )
-            traces[key] = (trace, was_hit)
-        obs.add(obs_names.BATCH_DEDUPED, sum(deduped))
-
-        # group evaluation by (trace, policy, chunk size): one replay call
-        # per group — mixing chunked and monolithic sweeps over one trace
-        # stays correct because the answers are bit-identical either way
-        groups: Dict[Tuple[str, str, Optional[int]], List[int]] = {}
-        for i, (q, key) in enumerate(zip(queries, keys)):
-            eff = q.chunk_words if q.chunk_words is not None else chunk_words
-            groups.setdefault((key, q.policy, eff), []).append(i)
-        obs.add(obs_names.BATCH_GROUPS, len(groups))
-
-        answers: List[Optional[ServiceAnswer]] = [None] * len(queries)
-        for (key, policy, eff), idxs in groups.items():
-            trace, was_hit = traces[key]
-            geoms: List = []
-            bounds = [0]
-            for i in idxs:
-                geoms.extend(queries[i].geometries)
-                bounds.append(len(geoms))
-            results = simulate_trace(
-                trace, geoms, policy=policy, workers=workers, backend=backend,  # type: ignore[arg-type]
-                chunk_words=eff,
-            )
-            for slot, i in enumerate(idxs):
-                answers[i] = ServiceAnswer(
-                    index=i,
-                    trace_key=key,
-                    cache_hit=was_hit,
-                    deduped=deduped[i],
-                    results=results[bounds[slot]:bounds[slot + 1]],
-                )
-        return [a for a in answers if a is not None]

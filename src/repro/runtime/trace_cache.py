@@ -145,14 +145,9 @@ def trace_digest(
         return hashlib.sha256(_canon(header)).hexdigest()
     h = hashlib.sha256()
     h.update(_canon(header))
-    chunk: List[str] = []
-    for name in schedule.firings:
-        chunk.append(name)
-        if len(chunk) >= 4096:
-            h.update("\x00".join(chunk).encode("utf-8") + b"\x00")
-            chunk = []
-    if chunk:
-        h.update("\x00".join(chunk).encode("utf-8") + b"\x00")
+    firings = schedule.firings
+    for lo in range(0, len(firings), 4096):
+        h.update("\x00".join(firings[lo:lo + 4096]).encode("utf-8") + b"\x00")
     return h.hexdigest()
 
 
@@ -448,17 +443,14 @@ def cached_compile_trace(
     placement: Optional[Sequence["ObjectKey"]] = None,
     gaps: Optional[Dict["ObjectKey", int]] = None,
     cache: Optional[TraceCache] = None,
-    key: Optional[str] = None,
 ) -> Tuple["CompiledTrace", str, bool]:
     """Compile through the cache: ``(trace, key, was_hit)``.
 
     With ``cache=None`` (and no configured default) this is exactly
-    :func:`repro.runtime.compiled.compile_trace` plus a digest.  The
-    returned trace is a fresh object either way — cached arrays are loaded
-    from disk per call, so callers may remap or slice without aliasing
-    other callers' results.  Callers that already digested the input (the
-    batch front door groups queries by digest first) pass ``key=`` to skip
-    the recompute.
+    :func:`repro.runtime.compiled.compile_trace`, and the key is ``""``.
+    The returned trace is a fresh object either way — cached arrays are
+    loaded from disk per call, so callers may remap or slice without
+    aliasing other callers' results.
     """
     from repro.runtime.compiled import compile_trace_uncached
 
@@ -468,30 +460,27 @@ def cached_compile_trace(
         placement = list(placement)
     if cache is None:
         cache = default_cache()
-    if cache is None and key is None:
-        # nothing to file the trace under and nobody asked for the digest
+    if cache is None:
+        # nothing to file the trace under
         trace = compile_trace_uncached(
             graph, schedule, block, capacities=capacities,
             layout_order=layout_order, count_external=count_external,
             placement=placement, gaps=gaps,
         )
         return trace, "", False
-    if key is None:
-        key = trace_digest(
-            graph, schedule, block, capacities=capacities,
-            layout_order=layout_order, count_external=count_external,
-            placement=placement, gaps=gaps,
-        )
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached, key, True
+    key = trace_digest(
+        graph, schedule, block, capacities=capacities,
+        layout_order=layout_order, count_external=count_external,
+        placement=placement, gaps=gaps,
+    )
+    cached = cache.get(key)
+    if cached is not None:
+        return cached, key, True
     trace = compile_trace_uncached(
         graph, schedule, block, capacities=capacities, layout_order=layout_order,
         count_external=count_external, placement=placement, gaps=gaps,
     )
-    if cache is not None:
-        cache.put(key, trace)
+    cache.put(key, trace)
     return trace, key, False
 
 

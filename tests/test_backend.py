@@ -14,9 +14,6 @@ The backend contract has three load-bearing clauses, each pinned here:
   The serial side is itself anchored to the stepwise engines with
   :func:`~repro.testing.harness.differential_grid`, so the chain
   stepwise oracle == serial replay == process replay holds per access.
-
-Plus the batch front door: intra-batch dedup, persistent-cache sharing,
-query-order answers, and the geometry preset.
 """
 
 from __future__ import annotations
@@ -36,20 +33,16 @@ from repro.runtime import backend as backend_mod
 from repro.runtime.backend import (
     BACKENDS,
     CandidateScorer,
-    ServiceQuery,
     SharedArrays,
     configure,
     effective_workers,
-    geometry_sweep,
     normalize_backend,
     process_sweep,
     resolve,
-    run_batch,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
 from repro.runtime.replay import replay_miss_masks
 from repro.runtime.streaming import ArrayChunkSource
-from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
 
 B = 8
@@ -148,7 +141,7 @@ class TestFanOutOrdering:
     def test_serial_is_a_plain_map(self, workload, monkeypatch):
         # the serial backend replays in the calling process: no pool
         _g, _s, trace = workload
-        grid = geometry_sweep([64, 128], B)
+        grid = [CacheGeometry(size=s, block=B) for s in (64, 128)]
         want = simulate_trace(trace, grid, policy="lru")
 
         def no_pool(*args, **kwargs):
@@ -364,161 +357,3 @@ class TestCandidateScorer:
             instance, order, targets=targets, budget=40, batch=3
         )
         assert cost <= seed_cost
-
-
-# ----------------------------------------------------------------------
-# batch front door
-# ----------------------------------------------------------------------
-class TestGeometrySweepPreset:
-    def test_one_geometry_per_size(self):
-        geoms = geometry_sweep([64, 128, 256], B)
-        assert [g.size for g in geoms] == [64, 128, 256]
-        assert all(g.ways is None for g in geoms)
-
-
-class TestRunBatch:
-    def test_dedup_and_query_order(self, workload, monkeypatch):
-        g, sched, _trace = workload
-        import repro.runtime.compiled as compiled_mod
-
-        compiles = []
-        real = compiled_mod.compile_trace_uncached
-
-        def counting(*args, **kwargs):
-            compiles.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(compiled_mod, "compile_trace_uncached", counting)
-
-        geoms = geometry_sweep([64, 128], B)
-        queries = [
-            ServiceQuery(g, sched, B, geoms, policy="lru"),
-            ServiceQuery(g, sched, B, geoms, policy="lru"),    # same trace+policy
-            ServiceQuery(g, sched, B, geoms, policy="opt"),    # same trace, new policy
-            ServiceQuery(g, sched, B * 2, geometry_sweep([64, 128], B * 2)),  # new trace
-        ]
-        answers = run_batch(queries)
-        assert [a.index for a in answers] == [0, 1, 2, 3]
-        assert sum(compiles) == 2  # two distinct traces, four queries
-        assert answers[0].trace_key == answers[1].trace_key == answers[2].trace_key
-        assert answers[3].trace_key != answers[0].trace_key
-        assert [a.deduped for a in answers] == [False, True, True, False]
-        assert not any(a.cache_hit for a in answers)  # no cache configured
-
-    def test_results_match_direct_simulation(self, workload):
-        g, sched, trace = workload
-        geoms = geometry_sweep([64, 128, 256], B)
-        queries = [
-            ServiceQuery(g, sched, B, geoms, policy="lru"),
-            ServiceQuery(g, sched, B, geoms, policy="opt"),
-        ]
-        answers = run_batch(queries)
-        for q, a in zip(queries, answers):
-            want = simulate_trace(trace, geoms, policy=q.policy)
-            assert [r.misses for r in a.results] == [r.misses for r in want]
-            assert [r.phase_misses for r in a.results] == [
-                r.phase_misses for r in want
-            ]
-
-    def test_identical_queries_share_one_replay_answer(self, workload):
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 256], B)
-        q = ServiceQuery(g, sched, B, geoms)
-        a1, a2 = run_batch([q, q])
-        assert [r.misses for r in a1.results] == [r.misses for r in a2.results]
-        assert len(a1.results) == len(geoms)
-
-    def test_persistent_cache_shares_across_batches(self, workload, tmp_path):
-        g, sched, _trace = workload
-        cache = TraceCache(tmp_path / "traces")
-        geoms = geometry_sweep([64, 128], B)
-        cold = run_batch([ServiceQuery(g, sched, B, geoms)], cache=cache)
-        assert not cold[0].cache_hit
-        assert cache.counters.misses == 1 and len(cache) == 1
-        warm = run_batch([ServiceQuery(g, sched, B, geoms)], cache=cache)
-        assert warm[0].cache_hit
-        assert cache.counters.hits == 1
-        assert warm[0].trace_key == cold[0].trace_key
-        assert [r.misses for r in warm[0].results] == [
-            r.misses for r in cold[0].results
-        ]
-
-    def test_process_backend_batch_matches_serial(self, workload):
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128, 256, 512], B)
-        queries = [ServiceQuery(g, sched, B, geoms, policy="lru")]
-        serial = run_batch(queries, backend="serial")
-        proc = run_batch(queries, backend="process", workers=2)
-        assert [r.misses for r in serial[0].results] == [
-            r.misses for r in proc[0].results
-        ]
-
-    def test_process_backend_merges_obs_work_counters(self, workload):
-        """Worker metric deltas merged back from the pool equal the serial
-        run's totals for the chunk-sum-invariant work counters (the
-        backend-dependent ``backend.*`` scheduling counters excepted)."""
-        from repro import obs
-        from repro.obs import names as obs_names
-
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128, 256, 512], B)
-        work = (
-            obs_names.COMPILE_CALLS, obs_names.COMPILE_ACCESSES,
-            obs_names.REPLAY_GEOMETRIES, obs_names.REPLAY_MISSES,
-            obs_names.BATCH_QUERIES, obs_names.BATCH_DEDUPED,
-            obs_names.BATCH_GROUPS,
-        )
-        snaps = {}
-        for backend in ("serial", "process"):
-            queries = [ServiceQuery(g, sched, B, geoms, policy="lru")]
-            with obs.capture(enabled=True) as cap:
-                run_batch(queries, backend=backend, workers=2)
-            snaps[backend] = cap.snapshot
-        serial_counters = snaps["serial"]["counters"]
-        proc_counters = snaps["process"]["counters"]
-        assert serial_counters[obs_names.REPLAY_GEOMETRIES] == len(geoms)
-        for name in work:
-            assert proc_counters.get(name, 0) == serial_counters.get(name, 0)
-
-    def test_empty_batch(self):
-        assert run_batch([]) == []
-
-    def test_layout_field_resolves_to_an_optimized_placement(self, workload):
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128], B)
-        plain, tuned = run_batch(
-            [
-                ServiceQuery(g, sched, B, geoms, policy="direct"),
-                ServiceQuery(
-                    g, sched, B, geoms, policy="direct",
-                    layout="multiswap", layout_budget=40,
-                ),
-            ]
-        )
-        # the never-worse contract holds through the batch front door
-        for r_tuned, r_plain in zip(tuned.results, plain.results):
-            assert r_tuned.misses <= r_plain.misses
-
-    def test_layout_seed_is_deterministic_through_run_batch(self, workload):
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128], B)
-        q = ServiceQuery(
-            g, sched, B, geoms, policy="direct", layout="smoothed",
-            layout_budget=40, restarts=2, noise=0.5, seed=21,
-        )
-        first = run_batch([q])[0]
-        second = run_batch([q])[0]
-        assert [r.misses for r in first.results] == [
-            r.misses for r in second.results
-        ]
-
-    def test_identical_layout_queries_dedup_after_resolution(self, workload):
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128], B)
-        q = ServiceQuery(
-            g, sched, B, geoms, policy="direct", layout="multiswap",
-            layout_budget=40,
-        )
-        a1, a2 = run_batch([q, q])
-        assert [a1.deduped, a2.deduped] == [False, True]
-        assert [r.misses for r in a1.results] == [r.misses for r in a2.results]

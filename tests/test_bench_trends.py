@@ -144,90 +144,58 @@ class TestCheckIntegration:
             assert cbt.validate_record(record, name, metrics) == []
 
 
-class TestServiceFloors:
-    """Absolute floors on BENCH_service.json: warm cache everywhere, pool
-    metrics only where the recorded ``cores`` says parallelism exists."""
+class TestWarmCacheFloor:
+    """The absolute floor on BENCH_trace_engine.json: the trace cache's
+    ``warm_speedup`` is >= 5x from the first run, and stays out of the
+    relative trend gate (its cold side is one compile timed once)."""
 
     def _write(self, tmp_path, *entries):
-        p = tmp_path / "BENCH_service.json"
+        p = tmp_path / "BENCH_trace_engine.json"
         p.write_text(json.dumps({"history": list(entries)}))
         return p
 
     def test_warm_floor_holds_from_first_run(self, tmp_path, capsys):
-        p = self._write(tmp_path, {"ts": 1, "cores": 1, "warm_speedup": 2.0})
+        p = self._write(tmp_path, {"ts": 1, "warm_speedup": 2.0})
         assert cbt.check(p, tolerance=0.3) == 1
         assert "BELOW FLOOR" in capsys.readouterr().out
 
     def test_warm_floor_passes_when_met(self, tmp_path, capsys):
-        p = self._write(tmp_path, {"ts": 1, "cores": 1, "warm_speedup": 7.0})
+        p = self._write(tmp_path, {"ts": 1, "warm_speedup": 7.0})
         assert cbt.check(p, tolerance=0.3) == 0
         assert "absolute floor 5.00x" in capsys.readouterr().out
-
-    def test_pool_floors_skipped_below_four_cores(self, tmp_path, capsys):
-        p = self._write(
-            tmp_path,
-            {"ts": 1, "cores": 1, "warm_speedup": 9.0,
-             "pool_scaling": 0.8, "search_speedup": 0.9},
-        )
-        assert cbt.check(p, tolerance=0.3) == 0
-        out = capsys.readouterr().out
-        assert out.count("skipped (needs >= 4 cores") == 2
-
-    def test_pool_floors_enforced_at_four_cores(self, tmp_path, capsys):
-        p = self._write(
-            tmp_path,
-            {"ts": 1, "cores": 4, "warm_speedup": 9.0,
-             "pool_scaling": 1.1, "search_speedup": 2.5},
-        )
-        assert cbt.check(p, tolerance=0.3) == 1
-        out = capsys.readouterr().out
-        assert "pool_scaling" in out and "BELOW FLOOR" in out
-        assert "search_speedup" in out
-
-    def test_missing_cores_field_skips_pool_floors(self, tmp_path, capsys):
-        # provenance-less entries (hand-edited, pre-cores) stay green on
-        # pool metrics but are still held to the warm floor
-        p = self._write(tmp_path, {"ts": 1, "warm_speedup": 9.0,
-                                   "pool_scaling": 0.5})
-        assert cbt.check(p, tolerance=0.3) == 0
-
-    def test_legacy_entry_skip_note_names_the_missing_key(self, tmp_path, capsys):
-        # the skip note must say the entry *records no cores* — not print
-        # a bare "entry has None" that reads like a parsing bug
-        p = self._write(tmp_path, {"ts": 1, "warm_speedup": 9.0,
-                                   "pool_scaling": 0.5})
-        assert cbt.check(p, tolerance=0.3) == 0
-        out = capsys.readouterr().out
-        assert "records no 'cores' (legacy run)" in out
-        assert "None" not in out
-
-    def test_low_cores_skip_note_still_reports_the_count(self, tmp_path, capsys):
-        p = self._write(tmp_path, {"ts": 1, "cores": 2, "warm_speedup": 9.0,
-                                   "pool_scaling": 0.5})
-        assert cbt.check(p, tolerance=0.3) == 0
-        assert "entry has 2" in capsys.readouterr().out
 
     def test_floors_also_apply_with_full_history(self, tmp_path, capsys):
         p = self._write(
             tmp_path,
-            {"ts": 1, "cores": 4, "warm_speedup": 9.0, "pool_scaling": 2.0},
-            {"ts": 2, "cores": 4, "warm_speedup": 8.5, "pool_scaling": 1.2},
+            {"ts": 1, "sweep": 8.0, "warm_speedup": 6.0},
+            {"ts": 2, "sweep": 8.1, "warm_speedup": 4.5},
         )
-        # relative drop is within tolerance, but 1.2x is below the 1.5x floor
+        # every relative trend is fine, but 4.5x is below the 5x floor
         assert cbt.check(p, tolerance=0.3) == 1
         assert "BELOW FLOOR" in capsys.readouterr().out
 
-    def test_non_numeric_cores_is_a_schema_error(self, tmp_path, capsys):
-        p = self._write(tmp_path, {"ts": 1, "cores": "one", "warm_speedup": 9.0})
-        assert cbt.check(p, tolerance=0.3) == 1
-        assert "history[0].cores" in capsys.readouterr().out
+    def test_falling_speedup_above_the_floor_is_not_a_regression(
+        self, tmp_path, capsys
+    ):
+        p = self._write(
+            tmp_path,
+            {"ts": 1, "sweep": 8.0, "warm_speedup": 20.0},
+            {"ts": 2, "sweep": 8.1, "warm_speedup": 6.0},
+        )
+        assert cbt.check(p, tolerance=0.3) == 0
+        assert "REGRESSED" not in capsys.readouterr().out
 
-    def test_live_service_record_passes_floors(self):
-        path = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+    def test_non_numeric_warm_speedup_is_a_schema_error(self, tmp_path, capsys):
+        p = self._write(tmp_path, {"ts": 1, "warm_speedup": "fast"})
+        assert cbt.check(p, tolerance=0.3) == 1
+        assert "history[0].warm_speedup" in capsys.readouterr().out
+
+    def test_live_trace_engine_record_passes_floors(self):
+        path = Path(__file__).resolve().parent.parent / "BENCH_trace_engine.json"
         if not path.exists():
-            pytest.skip("no live service record")
+            pytest.skip("no live trace-engine record")
         history = json.loads(path.read_text())["history"]
-        assert cbt.check_floors("BENCH_service.json", history) == []
+        assert cbt.check_floors("BENCH_trace_engine.json", history) == []
 
 
 class TestTraceEngineCeilings:

@@ -1,8 +1,8 @@
-"""Smoke + shape tests for the experiment drivers (E1-E10, A1-A4).
+"""Smoke + shape tests for the experiment drivers (E1-E11, A1-A5).
 
 Each driver must run, return uniform rows, and exhibit the paper-predicted
-shape recorded in EXPERIMENTS.md.  Sizes are the benches' defaults, so these
-tests double as a regression net for the benchmark harness.
+shape summarized in the README's experiments table, at sizes small enough
+for tier-1.
 """
 
 import pytest
@@ -51,6 +51,7 @@ class TestDriversRun:
         rows = uniform(E.experiment_e5_dag_optimality())
         for r in rows:
             assert r["heur_bw"] >= r["minBW3"]
+            assert r["alpha"] <= 2.0  # heuristic near-optimal on these dags
             assert r["measured"] >= r["lb"]
 
     def test_e6(self):
@@ -62,10 +63,12 @@ class TestDriversRun:
         rows = uniform(E.experiment_e7_vs_baselines())
         big = [r for r in rows if r["state_over_M"] > 1.5]
         assert all(r["win_vs_single_app"] > 4 for r in big), big
+        assert all(r["partitioned"] <= r["interleaved"] + 1e-9 for r in rows)
 
     def test_e8(self):
         rows = uniform(E.experiment_e8_augmentation(n_outputs=400))
         assert rows[0]["misses"] > rows[-1]["misses"]
+        assert rows[0]["misses"] > 2 * rows[2]["misses"]  # steep fall
         # plateau: last two within 40%
         assert rows[-2]["misses"] <= 1.4 * rows[-1]["misses"] + 1
 
@@ -82,6 +85,14 @@ class TestDriversRun:
         big = [r for r in rows if r["state_over_M"] >= 3]
         assert all(r["advantage"] <= 1.5 for r in small)
         assert all(r["advantage"] > 10 for r in big)
+
+    def test_e11(self):
+        rows = uniform(E.experiment_e11_parallel_scaling())
+        assert rows[1]["speedup"] > 1.5  # P=2 gives real speedup
+        # parallelism does not inflate misses
+        assert all(r["miss_inflation_vs_P1"] < 1.5 for r in rows)
+        # saturation: P=8 no better than P=4 on this width-4 dag
+        assert rows[3]["speedup"] <= rows[2]["speedup"] * 1.2
 
 
 class TestAblations:
@@ -113,6 +124,13 @@ class TestAblations:
             assert min(r["misses_per_input"] for r in limited) <= min(
                 r["misses_per_input"] for r in unlimited
             )
+
+    def test_a5_greedy_never_uniquely_best(self):
+        rows = uniform(E.ablation_a5_multilevel())
+        for r in rows:
+            best = min(r["greedy_bw"], r["dp_bw"], r["ml_bw"])
+            assert min(r["dp_bw"], r["ml_bw"]) == best
+            assert r["ml_ms"] < 1000
 
 
 #: every driver that measures one schedule at a time, at a reduced size

@@ -77,6 +77,8 @@ class TestE14:
         # ...while latency rises
         for a, b in zip(part_rows, part_rows[1:]):
             assert b["mean_latency"] >= a["mean_latency"]
+        assert part_rows[-1]["misses_per_input"] < part_rows[0]["misses_per_input"]
+        assert part_rows[-1]["mean_latency"] > part_rows[0]["mean_latency"]
         # interleaved anchors minimum latency but maximum misses
         inter = rows[0]
         assert inter["mean_latency"] < part_rows[0]["mean_latency"]

@@ -142,7 +142,7 @@ class TestR2ExperimentCompleteness:
             ),
             "src/repro/cli.py": _R2_CLI,
             "README.md": "| E1 | demo | `experiment_e1_demo` |\n",
-            "benchmarks/bench_e1_demo.py": (
+            "tests/test_e1_demo.py": (
                 "from repro.analysis.experiments import experiment_e1_demo\n"
             ),
         }
@@ -152,6 +152,12 @@ class TestR2ExperimentCompleteness:
     def test_complete_experiment_passes(self):
         assert _violations(self._files(), ["R2"]) == []
 
+    def test_driver_referenced_only_by_a_bench_is_reported(self):
+        files = self._files()
+        files["benchmarks/bench_e1_demo.py"] = files.pop("tests/test_e1_demo.py")
+        (v,) = _violations(files, ["R2"])
+        assert "'e1'" in v.message and "tests/test_*.py" in v.message
+
     def test_missing_cli_dispatch_reported(self):
         files = self._files(
             **{
@@ -160,7 +166,7 @@ class TestR2ExperimentCompleteness:
                     "def experiment_e2_extra():\n    return []\n"
                 ),
                 "README.md": "`experiment_e1_demo` `experiment_e2_extra`\n",
-                "benchmarks/bench_e1_demo.py": (
+                "tests/test_e1_demo.py": (
                     "from repro.analysis.experiments import "
                     "experiment_e1_demo, experiment_e2_extra\n"
                 ),
@@ -177,12 +183,12 @@ class TestR2ExperimentCompleteness:
 
     def test_missing_benchmark_reported_unless_exempt(self):
         files = self._files()
-        del files["benchmarks/bench_e1_demo.py"]
+        del files["tests/test_e1_demo.py"]
         (v,) = _violations(files, ["R2"])
-        assert "bench" in v.message and "'e1'" in v.message
+        assert "tests/test_*.py" in v.message and "'e1'" in v.message
 
     def test_documented_exemption_silences_benchmark_gap(self):
-        some_exempt_id = next(iter(BENCH_EXEMPT))  # e.g. "a7"
+        some_exempt_id = next(iter(BENCH_EXEMPT))  # e.g. "a12"
         n = some_exempt_id[1:]
         files = {
             "src/repro/analysis/experiments.py": (
@@ -197,7 +203,7 @@ class TestR2ExperimentCompleteness:
             "README.md": f"`ablation_{some_exempt_id}_demo`\n",
         }
         msgs = _messages(files, ["R2"])
-        assert not any("bench" in m for m in msgs), msgs
+        assert not any("tests/test_*.py" in m for m in msgs), msgs
 
     def test_missing_readme_row_reported(self):
         files = self._files(**{"README.md": "nothing here\n"})
@@ -596,36 +602,31 @@ class TestRunnerAndCli:
 
 
 class TestR2ServiceBenchReference:
-    """Service-path modules (backend, trace cache) must stay benchmarked."""
+    """The trace cache must stay benchmarked."""
 
-    def _files(self, bench="run_batch(qs)\nTraceCache(p)\n", with_service=True):
+    def _files(self, bench="TraceCache(p)\n", with_service=True):
         files = {
             "src/repro/analysis/experiments.py": (
                 "def experiment_e1_demo():\n    return []\n"
             ),
             "src/repro/cli.py": _R2_CLI,
             "README.md": "| E1 | demo | `experiment_e1_demo` |\n",
-            "benchmarks/bench_e1_demo.py": (
+            "tests/test_e1_demo.py": (
                 "from repro.analysis.experiments import experiment_e1_demo\n"
             ),
-            "benchmarks/bench_service.py": bench,
+            "benchmarks/bench_trace_engine.py": bench,
         }
         if with_service:
-            files["src/repro/runtime/backend.py"] = "def run_batch():\n    pass\n"
             files["src/repro/runtime/trace_cache.py"] = "class TraceCache:\n    pass\n"
         return files
 
     def test_benchmarked_service_modules_pass(self):
         assert _violations(self._files(), ["R2"]) == []
 
-    def test_unbenchmarked_backend_reported(self):
-        (v,) = _violations(self._files(bench="TraceCache(p)\n"), ["R2"])
-        assert v.path == "src/repro/runtime/backend.py"
-        assert "run_batch" in v.message and "bench_service" in v.message
-
     def test_unbenchmarked_trace_cache_reported(self):
-        (v,) = _violations(self._files(bench="run_batch(qs)\n"), ["R2"])
+        (v,) = _violations(self._files(bench="simulate_trace(t)\n"), ["R2"])
         assert v.path == "src/repro/runtime/trace_cache.py"
+        assert "TraceCache" in v.message and "bench_trace_engine" in v.message
 
     def test_overlay_without_service_modules_is_exempt(self):
         # synthetic projects that omit the modules owe no benchmark

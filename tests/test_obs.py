@@ -185,11 +185,11 @@ class TestCoreSwitchAndSpans:
 
     def test_nested_spans_record_separately(self):
         obs.enable()
-        with obs.span(obs_names.BATCH):
+        with obs.span(obs_names.STREAM_COMPILE):
             with obs.span(obs_names.COMPILE):
                 pass
         spans = obs.snapshot()["spans"]
-        assert spans[obs_names.BATCH]["count"] == 1
+        assert spans[obs_names.STREAM_COMPILE]["count"] == 1
         assert spans[obs_names.COMPILE]["count"] == 1
 
     def test_capture_isolates_and_restores(self):
@@ -252,7 +252,7 @@ class TestNames:
         values = set(obs_names.registered_names().values())
         for expected in (
             "compile", "trace_cache.hits", "replay.misses",
-            "run_batch.queries", "backend.tasks", "placement.cost", "run",
+            "schedule.firings", "backend.tasks", "placement.cost", "run",
         ):
             assert expected in values
 
@@ -441,9 +441,6 @@ WORK_COUNTERS = frozenset({
     obs_names.CACHE_CORRUPT,
     obs_names.REPLAY_GEOMETRIES,
     obs_names.REPLAY_MISSES,
-    obs_names.BATCH_QUERIES,
-    obs_names.BATCH_DEDUPED,
-    obs_names.BATCH_GROUPS,
     obs_names.PLACEMENT_EVALS,
     obs_names.PLACEMENT_ROUNDS,
 })
@@ -471,10 +468,10 @@ def workload():
 
 class TestCrossBackendAggregation:
     def _sweep(self, trace, backend):
-        from repro.runtime.backend import geometry_sweep
+        from repro.cache.base import CacheGeometry
         from repro.runtime.compiled import simulate_trace
 
-        geoms = geometry_sweep([64, 128, 256, 512], 8)
+        geoms = [CacheGeometry(size=s, block=8) for s in (64, 128, 256, 512)]
         with obs.capture(enabled=True) as cap:
             results = simulate_trace(
                 trace, geoms, policy="lru", backend=backend, workers=2
@@ -494,32 +491,6 @@ class TestCrossBackendAggregation:
             r.misses for r in serial_results
         )
         assert _work_counters(proc_snap) == serial_work
-
-    def test_process_batch_counters_match_serial(self, workload):
-        from repro.runtime.backend import ServiceQuery, geometry_sweep, run_batch
-
-        g, sched, _trace = workload
-        geoms = geometry_sweep([64, 128, 256], 8)
-        queries = [
-            ServiceQuery(g, sched, 8, geoms, policy="lru") for _ in range(3)
-        ]
-        snaps = {}
-        answers = {}
-        for backend in ("serial", "process"):
-            with obs.capture(enabled=True) as cap:
-                answers[backend] = run_batch(
-                    queries, backend=backend, workers=2
-                )
-            snaps[backend] = cap.snapshot
-        assert [r.misses for r in answers["serial"][0].results] == [
-            r.misses for r in answers["process"][0].results
-        ]
-        serial_work = _work_counters(snaps["serial"])
-        assert serial_work[obs_names.BATCH_QUERIES] == 3
-        assert serial_work[obs_names.BATCH_DEDUPED] == 2
-        assert serial_work[obs_names.BATCH_GROUPS] == 1
-        assert serial_work[obs_names.COMPILE_CALLS] == 1
-        assert _work_counters(snaps["process"]) == serial_work
 
     def test_chunked_process_sweep_counts_like_serial(self, tmp_path):
         """Each geometry counts once per call and each chunk once per
@@ -586,11 +557,11 @@ class TestCrossBackendAggregation:
         assert "replay[policy=lru]" in proc_snap["spans"]
 
     def test_results_bit_identical_obs_on_off(self, workload):
-        from repro.runtime.backend import geometry_sweep
+        from repro.cache.base import CacheGeometry
         from repro.runtime.compiled import simulate_trace
 
         _g, _sched, trace = workload
-        geoms = geometry_sweep([64, 128, 256, 512], 8)
+        geoms = [CacheGeometry(size=s, block=8) for s in (64, 128, 256, 512)]
         for backend in ("serial", "process"):
             plain = simulate_trace(
                 trace, geoms, policy="lru", backend=backend, workers=2

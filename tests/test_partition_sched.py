@@ -1,6 +1,8 @@
 """Tests for the three partition schedulers (Section 3)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.core.dagpart import greedy_topological_partition, interval_dp_partition
@@ -13,12 +15,14 @@ from repro.core.partition_sched import (
 )
 from repro.core.pipeline import optimal_pipeline_partition
 from repro.core.tuning import choose_batch, required_geometry
-from repro.errors import GraphError, PartitionError, ScheduleError
+from repro.errors import DeadlockError, GraphError, PartitionError, ScheduleError
 from repro.graphs.repetition import repetition_vector
+from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import diamond, pipeline, random_pipeline
 from repro.graphs.apps import filter_bank
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import validate_schedule
+from repro.testing.strategies import rate_matched_pipelines
 
 
 class TestHomogeneousScheduler:
@@ -220,3 +224,58 @@ class TestComponentLayoutOrder:
         for comp in part.components:
             positions = sorted(idx[n] for n in comp)
             assert positions == list(range(positions[0], positions[0] + len(comp)))
+
+
+def _delayed_chain(rates, delays):
+    """Six modules of state 40 in a chain; ``rates``/``delays`` by edge."""
+    g = StreamGraph("delayed")
+    for i in range(6):
+        g.add_module(f"m{i}", state=40)
+    for i in range(5):
+        out_rate, in_rate = rates.get(i, (1, 1))
+        g.add_channel(
+            f"m{i}", f"m{i + 1}", out_rate=out_rate, in_rate=in_rate,
+            delay=delays.get(i, 0),
+        )
+    return g
+
+
+class TestDelays:
+    """Every channel starts at its delay, so a cross edge holds its delay
+    plus one batch's traffic."""
+
+    def test_unit_rate_pipeline_validates(self):
+        g = _delayed_chain({}, {1: 3})
+        geom = CacheGeometry(size=32, block=8)
+        part = optimal_pipeline_partition(g, 32, c=3.0)
+        assert 1 in {ch.cid for ch in part.cross_channels()}
+        for scheduler in (homogeneous_partition_schedule, inhomogeneous_partition_schedule):
+            sched = scheduler(g, part, geom, n_batches=2)
+            assert sched.capacities[1] == 32 + 3
+            validate_schedule(g, sched)
+
+    def test_rate_changing_pipeline_validates(self):
+        g = _delayed_chain({2: (2, 1), 3: (1, 2)}, {0: 3, 1: 3})
+        geom = CacheGeometry(size=32, block=8)
+        part = optimal_pipeline_partition(g, 32, c=3.0)
+        validate_schedule(g, inhomogeneous_partition_schedule(g, part, geom, n_batches=3))
+
+    @given(
+        data=st.data(),
+        g=rate_matched_pipelines(max_n=8, max_state=30, with_delays=True),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_delayed_pipelines_validate_or_deadlock(self, data, g):
+        M = data.draw(st.sampled_from([32, 64]))
+        part = optimal_pipeline_partition(g, M, c=data.draw(st.sampled_from([2.0, 3.0])))
+        geom = CacheGeometry(size=M, block=8)
+        n_batches = data.draw(st.integers(1, 3))
+        schedulers = [inhomogeneous_partition_schedule]
+        if g.is_homogeneous():
+            schedulers.append(homogeneous_partition_schedule)
+        for scheduler in schedulers:
+            try:
+                sched = scheduler(g, part, geom, n_batches=n_batches)
+            except DeadlockError:
+                continue
+            validate_schedule(g, sched)

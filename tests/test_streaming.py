@@ -16,7 +16,7 @@ Also pinned here: segment-granular recompilation after cache corruption
 and mtimes), the ``swap_refine`` cost trajectory under chunked candidate
 scoring, the process chunk fan-out, and the ``chunk_words=`` threading
 through every front door (``compile_trace`` / ``simulate_trace`` /
-``measure_compiled`` / ``run_batch`` / ``configure``).
+``measure_compiled`` / ``configure``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
 from repro.graphs.topologies import pipeline
 from repro.mem.placement import build_instance, placement_cost, swap_refine
-from repro.runtime.backend import ServiceQuery, configure, run_batch
+from repro.runtime.backend import configure
 from repro.runtime.compiled import (
     compile_trace,
     measure_compiled,
@@ -387,8 +387,8 @@ class TestChunkedCompilation:
 
 
 # ----------------------------------------------------------------------
-# replay front doors: simulate_trace / measure_compiled / run_batch /
-# configure, all bit-identical to the monolithic path
+# replay front doors: simulate_trace / measure_compiled / configure, all
+# bit-identical to the monolithic path
 # ----------------------------------------------------------------------
 class TestFrontDoors:
     @pytest.mark.parametrize("policy", ["lru", "direct", "opt", "two_level"])
@@ -433,24 +433,6 @@ class TestFrontDoors:
             assert simulate_trace(trace, geoms, policy="lru") == mono
         finally:
             configure(*prev)
-
-    def test_run_batch_chunk_words_batch_and_per_query(self, workload):
-        g, sched, _trace = workload
-        geoms = [CacheGeometry(size=16 * B, block=B, ways=2)]
-        queries = [
-            ServiceQuery(graph=g, schedule=sched, block=B, geometries=geoms),
-            ServiceQuery(
-                graph=g, schedule=sched, block=B, geometries=geoms,
-                policy="opt", chunk_words=71,
-            ),
-        ]
-        plain = run_batch(
-            [ServiceQuery(graph=g, schedule=sched, block=B, geometries=geoms),
-             ServiceQuery(graph=g, schedule=sched, block=B, geometries=geoms,
-                          policy="opt")]
-        )
-        chunked = run_batch(queries, chunk_words=29)
-        assert [a.results for a in chunked] == [a.results for a in plain]
 
     def test_simulate_stream_rejects_unknown_policy(self, workload):
         _g, _sched, trace = workload

@@ -39,6 +39,7 @@ class TestE13:
         assert stats["seeds"]["ratio_to_lb"] == 4
         assert stats["min"]["ratio_to_lb"] <= stats["median"]["ratio_to_lb"]
         assert stats["median"]["ratio_to_lb"] <= stats["max"]["ratio_to_lb"]
+        assert stats["max"]["ratio_to_lb"] < 50  # the ratio band is tight
 
     def test_every_seed_beats_baseline(self):
         rows = experiment_e13_seed_distribution(n_seeds=4, n_outputs=200)
@@ -119,7 +120,7 @@ class TestA8Inclusion:
                 "l1", "l1_misses", "mem_misses", "filter_rate", "inclusion_ratio",
             }
             assert 0 <= r["mem_misses"] <= r["l1_misses"]
-            assert 0.0 <= r["filter_rate"] <= 1.0
+            assert 0.5 < r["filter_rate"] <= 1.0  # L2 absorbs most L1 misses
 
     def test_bigger_l1_filters_more(self):
         rows = ablation_a8_inclusion()

@@ -33,12 +33,10 @@ can fail on regressions):
   ``check_bench_trends.py`` holds it <= 1.0, and the bench asserts it
   strictly beats the weighted-sum optimizer's worst ratio).
 * **evals_per_s** — absolute candidate evals per second of a
-  fixed-budget multiswap search on DES over the A9 target set, serial
-  backend, batches of ``EVALS_BATCH``.  The trend gate holds it within
-  30% of the previous run.  The same search on ``backend="process",
-  workers=2`` is recorded beside it as ``process_evals_per_s``, ungated:
-  it is the data for judging whether the scorer's process pool still
-  pays against serial delta scoring.
+  fixed-budget multiswap search on DES over the A9 target set: the
+  first-improvement search every caller runs, each candidate
+  delta-scored against the last.  The trend gate holds it within 30% of
+  the previous run.
 """
 
 import json
@@ -66,7 +64,6 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_placement.json"
 HISTORY_CAP = 50
 FACILITY_BUDGET = 8000
 EVALS_BUDGET = 200
-EVALS_BATCH = 4
 
 
 def _workload(inputs=256):
@@ -197,20 +194,15 @@ def test_placement_cost_model_speedup(show):
         for m, s in zip(mmx.per_target, mmx.seed_per_target)
     )
 
-    # --- candidate throughput: one fixed-budget multiswap search per backend
+    # --- candidate throughput: one fixed-budget multiswap search
     evals_start = greedy_color_order(instance, direct, policy="direct")
-    throughput = {}
-    for backend, workers in (("serial", None), ("process", 2)):
-        t0 = time.perf_counter()
-        _, _, _, ev_stats = multiswap_refine(
-            instance, evals_start, targets=targets, budget=EVALS_BUDGET,
-            batch=EVALS_BATCH, backend=backend, workers=workers,
-        )
-        elapsed = time.perf_counter() - t0
-        assert ev_stats.evals == EVALS_BUDGET, "search stopped short of its budget"
-        throughput[backend] = ev_stats.evals / elapsed
-    evals_per_s = throughput["serial"]
-    process_evals_per_s = throughput["process"]
+    t0 = time.perf_counter()
+    _, _, _, ev_stats = multiswap_refine(
+        instance, evals_start, targets=targets, budget=EVALS_BUDGET
+    )
+    t_evals = time.perf_counter() - t0
+    assert ev_stats.evals == EVALS_BUDGET, "search stopped short of its budget"
+    evals_per_s = ev_stats.evals / t_evals
 
     summary = {
         "ts": round(time.time(), 1),
@@ -221,7 +213,6 @@ def test_placement_cost_model_speedup(show):
         "facility_gain": round(facility_gain, 4),
         "minimax_worst": round(minimax_worst, 4),
         "evals_per_s": round(evals_per_s, 2),
-        "process_evals_per_s": round(process_evals_per_s, 2),
     }
     history = []
     if JSON_PATH.exists():
@@ -279,10 +270,8 @@ def test_placement_cost_model_speedup(show):
         "evals": {
             "search": "multiswap over the A9 targets",
             "budget": EVALS_BUDGET,
-            "batch": EVALS_BATCH,
+            "search_s": round(t_evals, 4),
             "evals_per_s": round(evals_per_s, 2),
-            "process_workers": 2,
-            "process_evals_per_s": round(process_evals_per_s, 2),
         },
         "history": history,
     }
@@ -307,10 +296,9 @@ def test_placement_cost_model_speedup(show):
             {"path": "minimax worst target ratio", "baseline_s": 1.0,
              "optimized_s": round(minimax_worst, 4),
              "ratio": round(minimax_worst, 4)},
-            {"path": "evals/s serial (process x2 beside)",
-             "baseline_s": round(process_evals_per_s, 1),
-             "optimized_s": round(evals_per_s, 1),
-             "ratio": round(evals_per_s / process_evals_per_s, 2)},
+            {"path": f"multiswap evals/s ({EVALS_BUDGET} evals)",
+             "baseline_s": "", "optimized_s": round(evals_per_s, 1),
+             "ratio": ""},
         ],
         "placement: remap cost model and optimizer gains",
     )

@@ -23,7 +23,10 @@ loops alone vary about 2x from run to run on a shared host.
   pass answering every capacity.  Acceptance: >= 5x on the sweep.
 * **set_assoc**: a ways sweep at fixed set count through the stepwise
   set-associative ``LRUCache`` vs the shared set-grouped stack-distance
-  pass.  New capability (no replaced path): recorded, sanity-bounded only.
+  pass.  New capability (no replaced path): sanity-bounded only.  Both
+  sides run under a :class:`perfbench.clock.Clock`; ``set_assoc_scaled``,
+  the ratio of their median host-scaled times, is trend-gated, and the
+  raw wall ratio ``set_assoc`` (best of 3 each) is recorded beside it.
 * **two_level**: the stepwise loop the E12 hierarchy row replaced — a
   ``TwoLevelCache`` walked block by block per (L1, L2) pair — vs the
   hierarchical replay (one L1 pass per distinct L1, its miss sub-trace
@@ -54,12 +57,18 @@ loops alone vary about 2x from run to run on a shared host.
   geometries answered per second).  A replay takes ~1-2 ms, so each of
   its 10 samples times back-to-back calls for at least ``MIN_SAMPLE_S``
   (50 ms) and the best per-call time counts: a process's first sample
-  runs ~1.5x slower than the rest, and neighbours' load on a shared host
-  can slow several samples in a row.  Trend-gated like the speedups.
+  runs ~1.5x slower than the rest.  Neighbours' load on a shared host can
+  slow several samples in a row, so each sample also runs under a
+  :class:`perfbench.clock.Clock`, which probes the host's speed before
+  and after it; ``looped_replay_scaled_accesses_per_s``, from the median
+  host-scaled time, is trend-gated, and the raw rate is recorded beside
+  it.  The compile rate is trend-gated raw, like the speedups.
 * **schedule_firings_per_s**: absolute throughput of
   ``pipeline_dynamic_schedule`` on this benchmark's own input (firings
-  returned per second), the best of 5 samples of at least
-  ``MIN_SAMPLE_S`` each.  Trend-gated like the speedups.
+  returned per second), the best of 5 clocked samples of at least
+  ``MIN_SAMPLE_S`` each.  ``schedule_scaled_firings_per_s``, from the
+  median host-scaled time, is trend-gated; the raw rate is recorded
+  beside it.
 * **flat_compile_accesses_per_s**: absolute compile throughput on this
   benchmark's own flat schedule, best of 5 monolithic ``compile_trace``
   calls (accesses compiled per second).  Trend-gated like the speedups.
@@ -94,6 +103,7 @@ Every path must agree miss-for-miss with its stepwise oracle at every size
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -120,6 +130,8 @@ from repro.runtime.compiled import (
 from repro.runtime.executor import Executor
 from repro.runtime.looped import Loop, LoopedSchedule
 from repro.runtime.trace_cache import TraceCache, cached_compile_trace
+
+from perfbench.clock import Clock
 
 B = 8
 SWEEP_SIZES = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
@@ -225,48 +237,73 @@ def _best_of(runs, run):
     return best, result
 
 
+def _clocked_best_of(runs, run):
+    """``(best wall time, median host-scaled time, the last call's result)``
+    of ``runs`` calls of ``run()``, each timed by one
+    :class:`perfbench.clock.Clock`: it runs a fixed probe before and after
+    every call and scales the call's wall time by the probe's reference
+    time over their mean, so a host slowed by its neighbours reads as the
+    same host.  The scaled side takes the median, as perfbench does: the
+    minimum picks the call whose probe was slowed most, not its work."""
+    clock = Clock()
+    walls, scaled = [], []
+    for _ in range(runs):
+        result, wall, s = clock.time(run)
+        walls.append(wall)
+        scaled.append(s)
+    return min(walls), statistics.median(scaled), result
+
+
 def _best_per_call(samples, run, min_sample_s=MIN_SAMPLE_S):
-    """``(best per-call wall time, the last call's result)`` over
-    ``samples`` samples, each timing back-to-back calls of ``run()`` for at
-    least ``min_sample_s`` seconds — a call of a few milliseconds timed
-    alone swings with the host more than the trend gate allows."""
-    best = float("inf")
-    for _ in range(samples):
+    """``(best per-call wall time, median per-call host-scaled time, the
+    last call's result)`` over ``samples`` clocked samples (as in
+    :func:`_clocked_best_of`), each timing back-to-back calls of ``run()``
+    for at least ``min_sample_s`` seconds — a call of a few milliseconds
+    timed alone swings with the host more than the trend gate allows."""
+
+    def sample():
         calls = 0
         t0 = time.perf_counter()
         while True:
             result = run()
             calls += 1
-            elapsed = time.perf_counter() - t0
-            if elapsed >= min_sample_s:
-                break
-        best = min(best, elapsed / calls)
-    return best, result
+            if time.perf_counter() - t0 >= min_sample_s:
+                return calls, result
+
+    clock = Clock()
+    walls, scaled = [], []
+    for _ in range(samples):
+        (calls, result), wall, s = clock.time(sample)
+        walls.append(wall / calls)
+        scaled.append(s / calls)
+    return min(walls), statistics.median(scaled), result
 
 
 def _looped_throughput():
-    """``(compile accesses/s, replay accesses/s, accesses)`` on the looped
-    workload: best of 5 compiles, and best of 10 replay samples of at least
-    ``MIN_SAMPLE_S`` each; replay counts accesses times geometries."""
+    """``(compile accesses/s, replay accesses/s, host-scaled replay
+    accesses/s, accesses)`` on the looped workload: best of 5 compiles, and
+    best of 10 replay samples of at least ``MIN_SAMPLE_S`` each; replay
+    counts accesses times geometries."""
     g, sched, geoms = _looped_workload()
     t_compile, trace = _best_of(5, lambda: compile_trace(g, sched, B))
-    t_replay, _ = _best_per_call(10, lambda: (
+    t_replay, t_replay_scaled, _ = _best_per_call(10, lambda: (
         simulate_trace(trace, geoms[:1], policy="lru"),
         simulate_trace(trace, geoms[1:], policy="direct"),
     ))
     n = trace.accesses
-    return n / t_compile, n * len(geoms) / t_replay, n
+    answered = n * len(geoms)
+    return n / t_compile, answered / t_replay, answered / t_replay_scaled, n
 
 
 def _schedule_throughput():
-    """Firings per second of ``pipeline_dynamic_schedule`` on
-    :func:`_workload`'s input: best of 5 samples of at least
-    ``MIN_SAMPLE_S`` each."""
+    """``(firings/s, host-scaled firings/s)`` of
+    ``pipeline_dynamic_schedule`` on :func:`_workload`'s input: best of 5
+    samples of at least ``MIN_SAMPLE_S`` each."""
     g, part, geom, n_outputs = _workload_input()
-    t_schedule, sched = _best_per_call(
+    t_schedule, t_scaled, sched = _best_per_call(
         5, lambda: pipeline_dynamic_schedule(g, part, geom, target_outputs=n_outputs)
     )
-    return len(sched.firings) / t_schedule
+    return len(sched.firings) / t_schedule, len(sched.firings) / t_scaled
 
 
 def _warm_cache_times(g, sched, order, trace):
@@ -292,9 +329,7 @@ def _warm_cache_times(g, sched, order, trace):
 def _lru_replay_throughput(trace, geoms):
     """Best-of-5 serial lru ``simulate_trace`` of ``geoms`` over a compiled
     ``trace``: accesses times geometries answered per second."""
-    best, _ = _best_of(
-        5, lambda: simulate_trace(trace, geoms, policy="lru", backend="serial")
-    )
+    best, _ = _best_of(5, lambda: simulate_trace(trace, geoms, policy="lru"))
     return trace.accesses * len(geoms) / best
 
 
@@ -398,12 +433,15 @@ def test_trace_engine_speedup(show):
         CacheGeometry(size=SET_ASSOC_SETS * w * B, block=B, ways=w)
         for w in SET_ASSOC_WAYS
     ]
-    t_sa_step, sa_ref = _best_of(
+    t_sa_step, t_sa_step_scaled, sa_ref = _clocked_best_of(
         RATIO_RUNS, lambda: _model_sweep_misses(blocks_list, LRUCache, sa_geoms)
     )
-    t_sa_replay, sa_fast = _best_of(RATIO_RUNS, lambda: policy_misses(sa_geoms, "lru"))
+    t_sa_replay, t_sa_replay_scaled, sa_fast = _clocked_best_of(
+        RATIO_RUNS, lambda: policy_misses(sa_geoms, "lru")
+    )
     assert sa_fast == sa_ref, "set-associative replay diverged from stepwise LRU"
     sa_speedup = t_sa_step / t_sa_replay
+    sa_scaled = t_sa_step_scaled / t_sa_replay_scaled
 
     # --- two-level hierarchy: stepwise TwoLevelCache per (L1, L2) pair vs
     # the hierarchical replay (the E12 rewiring); the grid shares one L1
@@ -470,8 +508,10 @@ def test_trace_engine_speedup(show):
     )
     streaming_rss_ratio = rss_chunked_kb / rss_mono_kb
 
-    looped_compile, looped_replay, looped_accesses = _looped_throughput()
-    schedule_rate = _schedule_throughput()
+    looped_compile, looped_replay, looped_replay_scaled, looped_accesses = (
+        _looped_throughput()
+    )
+    schedule_rate, schedule_scaled = _schedule_throughput()
     lru_replay = _lru_replay_throughput(trace, geoms)
     sa_replay = _lru_replay_throughput(trace, sa_geoms)
 
@@ -482,18 +522,21 @@ def test_trace_engine_speedup(show):
         "direct": round(dm_speedup, 2),
         "opt": round(opt_speedup, 2),
         "set_assoc": round(sa_speedup, 2),
+        "set_assoc_scaled": round(sa_scaled, 2),
         "two_level": round(tl_speedup, 2),
         "obs_overhead": round(obs_overhead, 3),
         "streaming_overhead": round(streaming_overhead, 3),
         "streaming_rss_ratio": round(streaming_rss_ratio, 3),
         "looped_compile_accesses_per_s": round(looped_compile),
         "looped_replay_accesses_per_s": round(looped_replay),
+        "looped_replay_scaled_accesses_per_s": round(looped_replay_scaled),
         "flat_compile_accesses_per_s": round(flat_compile),
         "measure_accesses_per_s": round(measure_rate),
         "measure_stream_accesses_per_s": round(measure_stream_rate),
         "lru_replay_accesses_per_s": round(lru_replay),
         "set_assoc_replay_accesses_per_s": round(sa_replay),
         "schedule_firings_per_s": round(schedule_rate),
+        "schedule_scaled_firings_per_s": round(schedule_scaled),
         "warm_speedup": round(warm_speedup, 2),
     }
     history = []
@@ -540,6 +583,9 @@ def test_trace_engine_speedup(show):
                 "stepwise_s": round(t_sa_step, 4),
                 "replay_s": round(t_sa_replay, 4),
                 "speedup": round(sa_speedup, 2),
+                "stepwise_scaled_s": round(t_sa_step_scaled, 4),
+                "replay_scaled_s": round(t_sa_replay_scaled, 4),
+                "scaled_speedup": round(sa_scaled, 2),
             },
             "two_level": {
                 "stepwise_s": round(t_tl_step, 4),
@@ -567,6 +613,7 @@ def test_trace_engine_speedup(show):
             "geometries": ["lru 16 frames 2-way", "direct 32 frames"],
             "compile_accesses_per_s": round(looped_compile),
             "replay_accesses_per_s": round(looped_replay),
+            "replay_scaled_accesses_per_s": round(looped_replay_scaled),
         },
         "flat": {
             "compile_s": round(t_flat_compile, 4),
@@ -588,6 +635,7 @@ def test_trace_engine_speedup(show):
             "scheduler": "pipeline_dynamic_schedule",
             "firings": trace.firings,
             "firings_per_s": round(schedule_rate),
+            "scaled_firings_per_s": round(schedule_scaled),
         },
         "trace_cache": {
             "cold_s": round(t_cold_cache, 4),

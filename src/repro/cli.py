@@ -23,19 +23,16 @@ Commands
                          (deterministic per seed), and ``--layout-targets
                          POLICY:WAYS[@WEIGHT],...`` switches it to the
                          multi-geometry objective (never worse than the
-                         seed at any target);
-                         ``--backend {serial,process}`` picks the execution
-                         backend (process pools receive compiled traces via
-                         shared memory; ``--workers N`` sizes the pool),
+                         seed at any target, and a search that regresses
+                         at one is reported by target and discarded);
                          ``--chunk-words N`` compiles and replays the trace
                          out of core in segments of N accesses, and
                          ``--cache-dir PATH`` persists compiled traces
                          content-addressed on disk
 ``experiment``           run one experiment driver (e1..e15, a1..a9, a12) and
                          print its table; accepts the same
-                         ``--backend``/``--workers``/``--chunk-words``/
-                         ``--cache-dir`` flags (drivers replay their
-                         in-memory traces in chunks of N);
+                         ``--chunk-words``/``--cache-dir`` flags (drivers
+                         replay their in-memory traces in chunks of N);
                          both it and ``schedule`` also take ``--metrics-out
                          PATH`` to switch on the :mod:`repro.obs`
                          instrumentation and write a JSON run manifest
@@ -168,29 +165,19 @@ def _parse_layout_targets(spec: str):
 
 @contextlib.contextmanager
 def _runtime_flags(args: argparse.Namespace) -> Iterator[None]:
-    """Install ``--backend``/``--workers``/``--chunk-words``/``--cache-dir``
-    as the process-wide runtime defaults
-    (:func:`repro.runtime.backend.configure`,
+    """Install ``--chunk-words``/``--cache-dir`` as the process-wide runtime
+    defaults (:func:`repro.runtime.backend.configure`,
     :func:`repro.runtime.trace_cache.configure`) for one command, so every
     simulation and compilation it performs — including inside experiment
-    drivers that take no backend parameters — inherits them.  The previous
+    drivers that take no such parameters — inherits them.  The previous
     defaults come back when the command returns or raises, so a later
-    caller in the same process sees none of them.  ``--workers`` sizes a
-    process pool, so it needs ``--backend process``."""
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
+    caller in the same process sees none of them."""
     chunk_words = getattr(args, "chunk_words", None)
-    if workers is not None and backend != "process":
-        raise SystemExit(
-            "--workers sizes the process pool; combine it with --backend process"
-        )
     with contextlib.ExitStack() as restore:
-        if backend is not None or workers is not None or chunk_words is not None:
+        if chunk_words is not None:
             from repro.runtime.backend import configure as configure_backend
 
-            previous = configure_backend(
-                backend=backend, workers=workers, chunk_words=chunk_words
-            )
+            previous = configure_backend(chunk_words=chunk_words)
             restore.callback(configure_backend, *previous)
         if getattr(args, "cache_dir", None):
             from repro.runtime.trace_cache import configure as configure_cache
@@ -306,25 +293,19 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                     (run_geom.with_ways(w), pol, weight)
                     for pol, w, weight in args.layout_targets
                 ]
-            # a process backend scores candidates in parallel: score that
-            # many at a time to keep every worker busy
-            batch = 1
-            if args.backend == "process":
-                import os as _os
-
-                batch = max(2, args.workers or _os.cpu_count() or 1)
             pres = optimize_instance(
                 instance, run_geom, strategy=args.layout, policy=args.policy,
                 targets=targets, gap_budget=args.gap_budget,
-                budget=args.layout_budget, batch=batch,
-                backend=args.backend, workers=args.workers,
+                budget=args.layout_budget,
                 restarts=args.restarts, noise=args.noise, seed=args.seed,
             )
+            # targets are named like --layout-targets: POLICY:WAYS
+            names = [f"{pol}:{tg.associativity}" for tg, pol, _w in pres.targets]
             if targets:
                 per = ", ".join(
-                    f"{pol}:{tg.size}w {s}->{c}"
-                    for (tg, pol, _w), s, c in zip(
-                        pres.targets, pres.seed_per_target, pres.per_target
+                    f"{name} ({tg.size}w) {s}->{c}"
+                    for name, (tg, _p, _w), s, c in zip(
+                        names, pres.targets, pres.seed_per_target, pres.per_target
                     )
                 )
                 placement_note = (
@@ -338,6 +319,16 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                     f"layout    : {args.layout} placement, {args.policy} misses "
                     f"{pres.seed_cost} -> {pres.cost} "
                     f"({pres.improvement:.1%} fewer than the seed layout)"
+                )
+            if pres.regressed:
+                worse = ", ".join(
+                    f"{names[i]} {pres.seed_per_target[i]}->"
+                    f"{pres.searched_per_target[i]}"
+                    for i in pres.regressed
+                )
+                placement_note += (
+                    f"\nrejected  : the {args.layout} layout missed more than "
+                    f"the seed at {worse}; the seed layout is kept"
                 )
             # the remapped trace is bit-identical to recompiling under
             # (pres.order, pres.gaps) — no second compilation needed
@@ -467,18 +458,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
-    """Execution-backend flags shared by the simulating subcommands."""
-    from repro.runtime.backend import BACKENDS
-
-    sub.add_argument("--backend", default=None, choices=BACKENDS,
-                     help="execution backend for replay and placement "
-                          "search: serial (in the calling process; the "
-                          "default) or process (a process pool; compiled "
-                          "traces travel via shared memory)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="process pool width (needs --backend process), "
-                          "clamped to min(workers, items, cores); default: "
-                          "every core")
+    """Runtime flags shared by the simulating subcommands."""
     sub.add_argument("--chunk-words", type=int, default=None, metavar="N",
                      help="schedule compiles its trace out of core in "
                           "segments of N accesses and replays them in order "

@@ -427,8 +427,9 @@ def rule_experiment_completeness(project: Project) -> Iterator[Violation]:
     "import the stepwise oracle classes",
 )
 def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
-    # the two compile/replay kernels are mandatory; the service-path
-    # modules obey the same purity contract wherever they exist (partial
+    # the two compile/replay kernels are mandatory; the runtime modules
+    # that set replay defaults, cache and stream traces obey the same
+    # purity contract wherever they exist (partial
     # overlay projects omit them, which is not a violation), and so does
     # every analysis module: the drivers measure on the compiled path
     targets = [REPLAY_PATH, COMPILED_PATH] + [

@@ -26,8 +26,8 @@ same exact block-remap cost model (never an estimator) by the same loop,
   only match or beat single-start ``multiswap`` at the same total
   budget, modulo budget slicing.  Deterministic: one ``seed`` fixes the
   whole noise stream (``numpy.random.default_rng``), so the same
-  ``(seed, restarts, noise, budget, batch)`` always returns the same
-  layout — CI pins exactly that.
+  ``(seed, restarts, noise, budget)`` always returns the same layout —
+  CI pins exactly that.
 * ``objective="minimax"`` — the fault-tolerant variant: instead of the
   weighted miss sum, minimize the **worst-case per-target ratio versus
   the seed layout** (lexicographically tie-broken by the weighted sum),
@@ -68,6 +68,7 @@ from repro.mem.placement import (
 )
 from repro.obs import core as obs
 from repro.obs import names as obs_names
+from repro.runtime.backend import normalize_backend
 
 __all__ = [
     "multiswap_refine",
@@ -135,11 +136,8 @@ def multiswap_refine(
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    chunk_words: Optional[int] = None,
     objective: str = "sum",
+    backend: Optional[str] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """k-object local search (k <= 3) with per-set capacity as a hard
     constraint, on the exact block-remap cost model.
@@ -158,8 +156,11 @@ def multiswap_refine(
     ``RefineStats.evals`` always equals the number of cost-model
     invocations — the honest currency of "equal eval budget" comparisons.
     The trajectory tracks the objective actually optimized (weighted sum,
-    or the worst-case ratio under ``"minimax"``).
+    or the worst-case ratio under ``"minimax"``).  The search runs in the
+    calling process; ``backend`` accepts only ``"serial"`` or ``None``
+    (:func:`repro.runtime.backend.normalize_backend`).
     """
+    normalize_backend(backend)
     targets_n = _targets_of(
         instance, geometry, policy, targets,
         "multiswap_refine needs a geometry or targets",
@@ -172,11 +173,10 @@ def multiswap_refine(
         + _facility_moves(instance, weights, hot)
         + _gap_moves(hot, gap_budget)
     )
-    with obs.span(obs_names.FACILITY_SEARCH, batch=batch):
+    with obs.span(obs_names.FACILITY_SEARCH):
         return _local_search(
             instance, order, targets_n, moves, budget, gap_budget=gap_budget,
-            gaps=gaps, batch=batch, backend=backend, workers=workers,
-            chunk_words=chunk_words, objective=objective, prune=hot_ids,
+            gaps=gaps, objective=objective, prune=hot_ids,
         )
 
 
@@ -188,9 +188,6 @@ def smoothed_search(
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     restarts: int = 4,
     noise: float = 0.25,
     seed: int = 0,
@@ -247,8 +244,7 @@ def smoothed_search(
         )
         order, gaps, cost, stats = multiswap_refine(
             instance, start, window=window, budget=per_budget, weights=w_r,
-            targets=targets_n, gap_budget=gap_budget, batch=batch,
-            backend=backend, workers=workers,
+            targets=targets_n, gap_budget=gap_budget,
         )
         total_evals += stats.evals
         ran += 1
@@ -270,9 +266,6 @@ def _minimax_refine(
     weights: Optional[Dict[Tuple[int, int], float]] = None,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """Two phases: a weighted-sum warmup drives every target down from the
     start (cheap, broad progress), then the minimax objective spends the
@@ -287,14 +280,12 @@ def _minimax_refine(
     warm = budget // 2
     order, gaps, _cost, _stats = multiswap_refine(
         instance, order, window=window, budget=warm, weights=weights,
-        targets=targets, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
+        targets=targets, gap_budget=gap_budget,
     )
     return multiswap_refine(
         instance, order, window=window, budget=budget - warm,
         weights=weights, targets=targets, gap_budget=gap_budget,
-        gaps=gaps, batch=batch, backend=backend, workers=workers,
-        objective="minimax",
+        gaps=gaps, objective="minimax",
     )
 
 
@@ -302,9 +293,7 @@ def _smoothed_strategy(
     instance: PlacementInstance, geometry: Optional[CacheGeometry],
     policy: str = "direct", window: int = 8, budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    gap_budget: int = 0,
     restarts: Optional[int] = None,
     noise: Optional[float] = None,
     seed: Optional[int] = None,
@@ -314,7 +303,7 @@ def _smoothed_strategy(
         return list(instance.objects), {}
     order, gaps, _cost, _stats = smoothed_search(
         instance, window=window, budget=budget, targets=targets_n,
-        gap_budget=gap_budget, batch=batch, backend=backend, workers=workers,
+        gap_budget=gap_budget,
         restarts=4 if restarts is None else restarts,
         noise=0.25 if noise is None else noise,
         seed=0 if seed is None else seed,

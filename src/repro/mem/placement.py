@@ -29,9 +29,8 @@ Four ideas make the search cheap and exact:
   :func:`~repro.runtime.executor.build_memory_plan` arithmetic to the word.
 * **Delta scoring** — consecutive candidates differ in a few objects, and
   a target's misses are a sum over its sets (frames, for direct-mapped
-  targets), so :class:`~repro.runtime.backend.CandidateScorer` replays
-  only the sets a move dirties and reuses the other per-set counts
-  (:func:`_delta_misses`).
+  targets), so :class:`CandidateScorer` replays only the sets a move
+  dirties and reuses the other per-set counts (:func:`_delta_misses`).
 * **Temporal-affinity conflict graph** — objects co-scheduled within a
   short reuse window of the trace are the ones that must not collide in a
   set.  The graph is extracted from the run-length-compressed object
@@ -85,7 +84,6 @@ from repro.runtime.executor import EXT_OUT_SPAN
 if TYPE_CHECKING:  # import cycle: the runtime layer sits above repro.mem
     from repro.runtime.compiled import CompiledTrace
     from repro.runtime.schedule import Schedule
-    from repro.runtime.streaming import ArrayChunkSource
 
 __all__ = [
     "PlacementInstance",
@@ -99,6 +97,7 @@ __all__ = [
     "conflict_graph",
     "greedy_color_order",
     "RefineStats",
+    "CandidateScorer",
     "swap_refine",
     "register_placement",
     "get_placement",
@@ -320,20 +319,15 @@ def placement_cost(
     geometry: CacheGeometry,
     policy: str = "direct",
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    chunk_words: Optional[int] = None,
 ) -> int:
     """Misses of ``policy`` at ``geometry`` under the candidate placement.
 
     Exact, not an estimate: the remapped trace is bit-identical to what the
     compiler would produce for this placement (gaps included), and the
     replay kernels agree miss-for-miss with the stepwise simulators.
-    ``chunk_words`` replays the remapped trace in bounded-memory chunks —
-    the same count, by the chunked-replay differential contract.
     """
     return _target_misses(
-        remap_blocks(instance, order, gaps=gaps),
-        [(geometry, policy, 1.0)],
-        chunk_words=chunk_words,
+        remap_blocks(instance, order, gaps=gaps), [(geometry, policy, 1.0)]
     )[0]
 
 
@@ -371,23 +365,18 @@ def normalize_targets(
 
 
 def _target_misses(
-    blocks: np.ndarray,
-    targets: Sequence[PlacementTarget],
-    chunk_words: Optional[int] = None,
+    blocks: np.ndarray, targets: Sequence[PlacementTarget]
 ) -> List[int]:
     """Per-target miss counts of one remapped trace, sharing replay passes
-    across targets of the same policy (the kernels memoize per organization).
-    ``chunk_words`` replays the trace in chunks of that many accesses — same
-    counts, O(``chunk_words``) peak memory per pass."""
+    across targets of the same policy (the kernels memoize per organization)."""
     from repro.runtime.replay import replay_misses
 
-    source = _chunked(blocks, chunk_words)
     by_policy: Dict[str, List[int]] = {}
     for i, (_geom, policy, _w) in enumerate(targets):
         by_policy.setdefault(policy, []).append(i)
     out: List[int] = [0] * len(targets)
     for policy, idxs in by_policy.items():
-        misses = replay_misses(source, [targets[i][0] for i in idxs], policy=policy)
+        misses = replay_misses(blocks, [targets[i][0] for i in idxs], policy=policy)
         for i, m in zip(idxs, misses):
             out[i] = m
     return out
@@ -436,29 +425,18 @@ def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[int]:
     return _conflict_sets(geometry, policy)
 
 
-def _chunked(blocks: np.ndarray, chunk_words: Optional[int]) -> "ArrayChunkSource":
-    """``blocks`` as a replay source: chunks of ``chunk_words`` accesses, or
-    one chunk when it is ``None``."""
-    from repro.runtime.streaming import ArrayChunkSource
-
-    return ArrayChunkSource(
-        blocks, chunk_words=max(1, len(blocks)) if chunk_words is None else chunk_words
-    )
-
-
 def _class_miss_counts(
     blocks: np.ndarray,
     classes: np.ndarray,
     n_classes: int,
     geometries: Sequence[CacheGeometry],
     policy: str,
-    chunk_words: Optional[int],
 ) -> List[np.ndarray]:
     """Per-geometry miss counts of ``blocks`` split by access class, in one
-    replay (in chunks of ``chunk_words`` accesses when it is given)."""
+    replay."""
     from repro.runtime.replay import chunk_counts, replay_miss_masks
 
-    masks = replay_miss_masks(_chunked(blocks, chunk_words), geometries, policy=policy)
+    masks = replay_miss_masks(blocks, geometries, policy=policy)
     return [c for _m, c in chunk_counts([(classes, masks)], len(masks), n_classes)]
 
 
@@ -468,7 +446,6 @@ def _delta_misses(
     starts: np.ndarray,
     targets: Sequence[PlacementTarget],
     base: Optional[ScoreBase] = None,
-    chunk_words: Optional[int] = None,
 ) -> Tuple[List[int], ScoreBase]:
     """Per-target miss counts of the candidate ``starts``, replaying only
     the conflict classes that differ from ``base`` (every class when
@@ -531,13 +508,46 @@ def _delta_misses(
         else:
             blocks_d, classes_d = blocks, classes
         fresh = _class_miss_counts(
-            blocks_d, classes_d, n_classes, [targets[i][0] for i in idxs],
-            policy, chunk_words,
+            blocks_d, classes_d, n_classes, [targets[i][0] for i in idxs], policy
         )
         for i, f in zip(idxs, fresh):
             counts[i] = f if base is None else np.where(dirty, f, base.counts[i])
     per = [int(c.sum()) for c in counts]
     return per, ScoreBase(starts=starts.copy(), counts=tuple(counts), touched=touched)
+
+
+class CandidateScorer:
+    """Scores placement candidates (start vectors) on the exact remap cost
+    model, each delta-scored against the last one scored
+    (:func:`_delta_misses`); the first replays every class.  Counts are
+    exact either way, so a search's trajectory does not depend on what was
+    scored before.
+
+    ``evals`` counts every candidate scored, so a search's
+    ``RefineStats.evals`` is read straight off the scorer (the A12 "equal
+    eval budget" comparisons are only honest if nothing is missed).
+    """
+
+    def __init__(
+        self, instance: PlacementInstance, targets: Sequence[PlacementTarget]
+    ) -> None:
+        self.instance = instance
+        self.targets = list(targets)
+        #: candidates scored so far
+        self.evals = 0
+        #: the last candidate scored, which the next one is scored against
+        self._base: Optional[ScoreBase] = None
+
+    def score(self, starts: np.ndarray) -> List[int]:
+        """Per-target miss counts of one candidate, in target order: the raw
+        material for any objective (weighted sum, minimax worst-case
+        ratio).  Counts toward :attr:`evals`."""
+        self.evals += 1
+        per, self._base = _delta_misses(
+            self.instance.obj_of_access, self.instance.block_offset,
+            starts, self.targets, self._base,
+        )
+        return per
 
 
 # ----------------------------------------------------------------------
@@ -814,33 +824,25 @@ def _local_search(
     budget: int,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    chunk_words: Optional[int] = None,
     objective: str = "sum",
     prune: Optional[Sequence[int]] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """The one placement local search: sweep ``moves`` from ``(order, gaps)``
     on the exact remap cost model.
 
-    A sweep walks ``moves`` in order.  It materializes the next ``batch``
-    moves legal in the current state, scores them together through one
-    :class:`~repro.runtime.backend.CandidateScorer`, applies the best
-    strictly improving one (ties keep the earlier) and goes on from there,
-    so ``batch=1`` is first improvement.  When the opposite of an accepted
-    gap move comes next, it is skipped: it would re-test the state just
-    left.  Sweeps repeat until one improves nothing or ``budget`` evals are
-    spent.  ``objective="sum"`` minimizes the weighted miss sum;
-    ``"minimax"`` minimizes ``(worst per-target miss ratio vs the seed
-    layout, weighted sum)`` lexicographically and spends one eval on the
-    seed.  ``prune`` turns on the per-set capacity constraint over those
-    (hot) objects: a candidate whose worst per-set load at the primary
-    target exceeds both its ``ways`` and the current state's load is
-    dropped without an eval and counted by ``placement.pruned``.  The
-    trajectory depends only on ``batch``: ``backend``/``workers`` choose
-    where scoring runs and ``chunk_words`` how it replays, and the counts
-    are exact either way.
+    A sweep walks ``moves`` in order, first improvement: each move legal in
+    the current state is scored by one :class:`CandidateScorer` and applied
+    when it strictly improves the objective (ties keep the current state).
+    When the opposite of an accepted gap move comes next, it is skipped: it
+    would re-test the state just left.  Sweeps repeat until one improves
+    nothing or ``budget`` evals are spent.  ``objective="sum"`` minimizes
+    the weighted miss sum; ``"minimax"`` minimizes ``(worst per-target miss
+    ratio vs the seed layout, weighted sum)`` lexicographically and spends
+    one eval on the seed.  ``prune`` turns on the per-set capacity
+    constraint over those (hot) objects: a candidate whose worst per-set
+    load at the primary target exceeds both its ``ways`` and the current
+    state's load is dropped without an eval and counted by
+    ``placement.pruned``.
     """
     if objective not in ("sum", "minimax"):
         raise LayoutError(
@@ -854,8 +856,6 @@ def _local_search(
         )
     if gap_budget < 0:
         raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
-    if batch < 1:
-        raise LayoutError(f"batch must be >= 1, got {batch}")
     ids = _order_ids(instance, order)
     gap_vec = _gap_vector(instance, gaps)
     if gap_vec is None:
@@ -870,77 +870,62 @@ def _local_search(
     cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
     # a primary target with one set has no per-set capacity to exceed
     hot_ids = prune if prune is not None and cap_sets > 1 else ()
-    from repro.runtime.backend import CandidateScorer
-
     pruned = 0
-    with CandidateScorer(
-        instance, targets, backend=backend, workers=workers,
-        chunk_words=chunk_words,
-    ) as scorer:
-        seed_per: List[int] = []
+    scorer = CandidateScorer(instance, targets)
+    seed_per: List[int] = []
+    if objective == "minimax":
+        seed_per = scorer.score(
+            _placed_starts(instance, list(range(instance.n_objects)))
+        )
+
+    def key_of(per: Sequence[int]) -> Tuple[float, ...]:
+        weighted = sum(w * m for (_g, _p, w), m in zip(targets, per))
         if objective == "minimax":
-            seed_per = scorer.score_per(
-                [_placed_starts(instance, list(range(instance.n_objects)))]
-            )[0]
+            worst = max(
+                (_ratio(m, s) for m, s in zip(per, seed_per)), default=0.0
+            )
+            return (worst, weighted)
+        return (weighted,)
 
-        def key_of(per: Sequence[int]) -> Tuple[float, ...]:
-            weighted = sum(w * m for (_g, _p, w), m in zip(targets, per))
-            if objective == "minimax":
-                worst = max(
-                    (_ratio(m, s) for m, s in zip(per, seed_per)),
-                    default=0.0,
-                )
-                return (worst, weighted)
-            return (weighted,)
-
-        cur_starts = _placed_starts(instance, ids, gap_vec)
-        cur_per = scorer.score_per([cur_starts])[0]
-        cur_key = key_of(cur_per)
-        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_sets)
-        trajectory: List[float] = [cur_key[0]]
-        improved = True
-        while improved and scorer.evals < budget:
-            improved = False
-            pos_of = {oid: p for p, oid in enumerate(ids)}
-            pos = 0
-            while pos < len(moves) and scorer.evals < budget:
-                cands: List[Tuple[_Move, List[int], np.ndarray, np.ndarray, int]] = []
-                room = min(batch, budget - scorer.evals)
-                while pos < len(moves) and len(cands) < room:
-                    move = moves[pos]
-                    pos += 1
-                    out = _apply_move(
-                        move, ids, gap_vec, pos_of, gap_total, gap_budget
-                    )
-                    if out is None:
-                        continue
-                    new_ids, new_gap = out
-                    starts = _placed_starts(instance, new_ids, new_gap)
-                    load = _max_set_load(instance, starts, hot_ids, cap_sets)
-                    if hot_ids and load > max(cap_ways, cur_load):
-                        pruned += 1
-                        continue
-                    cands.append((move, new_ids, new_gap, starts, load))
-                if not cands:
-                    continue
-                pers = scorer.score_per([c[3] for c in cands])
-                keys = [key_of(per) for per in pers]
-                k = min(range(len(keys)), key=keys.__getitem__)  # earliest best
-                if keys[k] < cur_key:  # strict: ties keep the current state
-                    move, ids, gap_vec, _starts, cur_load = cands[k]
-                    if move[0] == "gap":
-                        gap_total += move[2]
-                        # its opposite would re-test the state just left
-                        if pos < len(moves) and moves[pos] == ("gap", move[1], -move[2]):
-                            pos += 1
-                    cur_key, cur_per = keys[k], pers[k]
-                    pos_of = {oid: p for p, oid in enumerate(ids)}
-                    improved = True
-            if improved:
-                trajectory.append(cur_key[0])
-        evals = scorer.evals
+    cur_starts = _placed_starts(instance, ids, gap_vec)
+    cur_per = scorer.score(cur_starts)
+    cur_key = key_of(cur_per)
+    cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_sets)
+    trajectory: List[float] = [cur_key[0]]
+    improved = True
+    while improved and scorer.evals < budget:
+        improved = False
+        pos_of = {oid: p for p, oid in enumerate(ids)}
+        pos = 0
+        while pos < len(moves) and scorer.evals < budget:
+            move = moves[pos]
+            pos += 1
+            out = _apply_move(move, ids, gap_vec, pos_of, gap_total, gap_budget)
+            if out is None:
+                continue
+            new_ids, new_gap = out
+            starts = _placed_starts(instance, new_ids, new_gap)
+            load = _max_set_load(instance, starts, hot_ids, cap_sets)
+            if hot_ids and load > max(cap_ways, cur_load):
+                pruned += 1
+                continue
+            per = scorer.score(starts)
+            key = key_of(per)
+            if key < cur_key:  # strict: ties keep the current state
+                ids, gap_vec, cur_load = new_ids, new_gap, load
+                if move[0] == "gap":
+                    gap_total += move[2]
+                    # its opposite would re-test the state just left
+                    if pos < len(moves) and moves[pos] == ("gap", move[1], -move[2]):
+                        pos += 1
+                cur_key, cur_per = key, per
+                pos_of = {oid: p for p, oid in enumerate(ids)}
+                improved = True
+        if improved:
+            trajectory.append(cur_key[0])
     stats = RefineStats(
-        evals=evals, rounds=len(trajectory) - 1, trajectory=tuple(trajectory)
+        evals=scorer.evals, rounds=len(trajectory) - 1,
+        trajectory=tuple(trajectory),
     )
     obs.add(obs_names.PLACEMENT_EVALS, stats.evals)
     obs.add(obs_names.PLACEMENT_ROUNDS, stats.rounds)
@@ -968,10 +953,6 @@ def swap_refine(
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    chunk_words: Optional[int] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """FLIP-style local search over (order, gaps) on the true remap cost.
 
@@ -992,11 +973,6 @@ def swap_refine(
     :func:`repro.mem.facility.multiswap_refine` runs over its wider move
     list, here without the capacity prune.  It stops at a local optimum or
     after ``budget`` evals (at least 1: the start is scored first).
-    ``batch`` candidates are scored at a time, the best improving one
-    applied, and the sweep goes on (``batch=1``: first improvement); a
-    :class:`repro.runtime.backend.CandidateScorer` scores them, on a
-    process pool when ``backend="process"``.  The trajectory depends only
-    on ``batch``, never on ``backend``, ``workers`` or ``chunk_words``.
     Returns ``(order, gaps, cost, stats)``: ``gaps`` maps object keys to
     their padding in blocks (zero entries omitted), ``stats`` is a
     :class:`RefineStats`.
@@ -1009,11 +985,10 @@ def swap_refine(
         weights = conflict_graph(instance, window=window)
     hot, _hot_ids = _hot_objects(weights, instance.n_objects)
     moves = _swap_moves(instance, weights) + _gap_moves(hot, gap_budget)
-    with obs.span(obs_names.PLACEMENT_SEARCH, batch=batch):
+    with obs.span(obs_names.PLACEMENT_SEARCH):
         return _local_search(
             instance, order, targets_n, moves, budget, gap_budget=gap_budget,
-            gaps=gaps, batch=batch, backend=backend, workers=workers,
-            chunk_words=chunk_words,
+            gaps=gaps,
         )
 
 
@@ -1025,15 +1000,13 @@ _STRATEGIES: Dict[str, Callable] = {}
 
 def register_placement(name: str, fn: Callable) -> None:
     """Register a placement strategy: ``fn(instance, geometry, policy=...,
-    window=..., budget=..., targets=..., gap_budget=..., batch=...,
-    backend=..., workers=..., restarts=..., noise=..., seed=...) ->
-    (order, gaps)`` (a full object placement plus a per-object gap map,
-    possibly empty).  ``backend``/``workers`` only choose where candidates
-    are scored and must not change the returned placement;
-    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart
-    search (:mod:`repro.mem.facility`) and are ``None`` for strategies
-    that ignore them — a given (strategy, knobs) pair must always return
-    the same placement (seeded determinism, pinned in CI)."""
+    window=..., budget=..., targets=..., gap_budget=..., restarts=...,
+    noise=..., seed=...) -> (order, gaps)`` (a full object placement plus a
+    per-object gap map, possibly empty).  ``restarts``/``noise``/``seed``
+    drive the smoothed multi-restart search (:mod:`repro.mem.facility`)
+    and are ``None`` for strategies that ignore them — a given (strategy,
+    knobs) pair must always return the same placement (seeded determinism,
+    pinned in CI)."""
     _STRATEGIES[name] = fn
 
 
@@ -1054,9 +1027,7 @@ def available_placements() -> Tuple[str, ...]:
 def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
                    policy: str = "direct", window: int = 8, budget: int = 400,
                    targets: Optional[Sequence[PlacementTarget]] = None,
-                   gap_budget: int = 0, batch: int = 1,
-                   backend: Optional[str] = None,
-                   workers: Optional[int] = None,
+                   gap_budget: int = 0,
                    restarts: Optional[int] = None,
                    noise: Optional[float] = None,
                    seed: Optional[int] = None,
@@ -1067,9 +1038,7 @@ def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
 def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
                     policy: str = "direct", window: int = 8, budget: int = 400,
                     targets: Optional[Sequence[PlacementTarget]] = None,
-                    gap_budget: int = 0, batch: int = 1,
-                    backend: Optional[str] = None,
-                    workers: Optional[int] = None,
+                    gap_budget: int = 0,
                     restarts: Optional[int] = None,
                     noise: Optional[float] = None,
                     seed: Optional[int] = None,
@@ -1110,9 +1079,7 @@ def _refine_strategy(refine: Callable) -> Callable:
     def strategy(instance: PlacementInstance, geometry: Optional[CacheGeometry],
                  policy: str = "direct", window: int = 8, budget: int = 400,
                  targets: Optional[Sequence[PlacementTarget]] = None,
-                 gap_budget: int = 0, batch: int = 1,
-                 backend: Optional[str] = None,
-                 workers: Optional[int] = None,
+                 gap_budget: int = 0,
                  restarts: Optional[int] = None,
                  noise: Optional[float] = None,
                  seed: Optional[int] = None,
@@ -1127,8 +1094,7 @@ def _refine_strategy(refine: Callable) -> Callable:
         )
         order, gaps, _cost, _stats = refine(
             instance, start, window=window, budget=budget, weights=weights,
-            targets=targets_n, gap_budget=gap_budget, batch=batch,
-            backend=backend, workers=workers,
+            targets=targets_n, gap_budget=gap_budget,
         )
         return order, gaps
 
@@ -1156,6 +1122,9 @@ class PlacementResult:
     weighted miss sums for a multi-target one; ``per_target`` /
     ``seed_per_target`` carry the individual miss counts in target order
     (the never-worse-at-every-target guarantee is stated on those).
+    ``searched_per_target`` holds the counts of the layout the strategy
+    returned; it differs from ``per_target`` only when that layout
+    regressed at some target and the seed was kept (:attr:`regressed`).
     """
 
     strategy: str
@@ -1166,11 +1135,23 @@ class PlacementResult:
     targets: List[PlacementTarget] = field(default_factory=list)
     per_target: List[int] = field(default_factory=list)
     seed_per_target: List[int] = field(default_factory=list)
+    searched_per_target: List[int] = field(default_factory=list)
 
     @property
     def improvement(self) -> float:
         """Fraction of the seed layout's (weighted) misses removed."""
         return 1.0 - self.cost / self.seed_cost if self.seed_cost else 0.0
+
+    @property
+    def regressed(self) -> List[int]:
+        """Indices of the targets where the searched layout missed more
+        than the seed: non-empty exactly when the search was rejected."""
+        return [
+            i for i, (c, s) in enumerate(
+                zip(self.searched_per_target, self.seed_per_target)
+            )
+            if c > s
+        ]
 
     @property
     def gap_blocks(self) -> int:
@@ -1187,9 +1168,6 @@ def optimize_instance(
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     restarts: Optional[int] = None,
     noise: Optional[float] = None,
     seed: Optional[int] = None,
@@ -1202,11 +1180,10 @@ def optimize_instance(
     seed at any individual target**: a candidate that regresses anywhere
     (the A7 cross-geometry failure mode) is discarded for the seed layout.
 
-    ``batch``/``backend``/``workers`` parallelize candidate scoring (see
-    :func:`swap_refine`): the returned placement depends only on ``batch``,
-    never on where scoring ran.  ``restarts``/``noise``/``seed`` drive the
-    smoothed multi-restart search (:mod:`repro.mem.facility`); strategies
-    that do not restart ignore them.
+    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart search
+    (:mod:`repro.mem.facility`); strategies that do not restart ignore
+    them.  A rejected search is counted as ``placement.rejected``, and
+    :attr:`PlacementResult.regressed` names the targets it regressed.
     """
     targets_n = _targets_of(
         instance, geometry, policy, targets,
@@ -1219,12 +1196,14 @@ def optimize_instance(
     order, gaps = fn(
         instance, geometry, policy=policy, window=window, budget=budget,
         targets=targets, gap_budget=gap_budget,
-        batch=batch, backend=backend, workers=workers,
         restarts=restarts, noise=noise, seed=seed,
     )
-    per = _target_misses(remap_blocks(instance, order, gaps=gaps), targets_n)
-    cost = sum(w * m for (_, _, w), m in zip(targets_n, per))
-    if cost > seed_cost or any(c > s for c, s in zip(per, seed_per)):
+    searched = _target_misses(remap_blocks(instance, order, gaps=gaps), targets_n)
+    per, cost = searched, sum(w * m for (_, _, w), m in zip(targets_n, searched))
+    if any(c > s for c, s in zip(searched, seed_per)):
+        # a layout worse at any one target is discarded for the seed, and
+        # counted: PlacementResult.regressed names the targets
+        obs.add(obs_names.PLACEMENT_REJECTED)
         order, gaps, cost, per = seed_order, {}, seed_cost, seed_per
     if targets is None:
         # single-target runs keep integer miss counts for cost/seed_cost
@@ -1232,7 +1211,7 @@ def optimize_instance(
     return PlacementResult(
         strategy=strategy, order=order, cost=cost, seed_cost=seed_cost,
         gaps=dict(gaps), targets=targets_n, per_target=list(per),
-        seed_per_target=list(seed_per),
+        seed_per_target=list(seed_per), searched_per_target=list(searched),
     )
 
 
@@ -1248,9 +1227,6 @@ def optimize_placement(
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     restarts: Optional[int] = None,
     noise: Optional[float] = None,
     seed: Optional[int] = None,
@@ -1258,10 +1234,8 @@ def optimize_placement(
     """One-shot convenience: compile the seed trace, search, return the
     best placement for ``(geometry, policy)`` — or, with ``targets``, the
     best layout under the multi-geometry weighted objective.
-    ``batch``/``backend``/``workers`` fan candidate scoring over the
-    selected execution backend (:mod:`repro.runtime.backend`) without
-    changing the search trajectory; ``restarts``/``noise``/``seed`` drive
-    the smoothed multi-restart search (:mod:`repro.mem.facility`)."""
+    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart search
+    (:mod:`repro.mem.facility`)."""
     if geometry is not None:
         block = geometry.block
     elif targets:
@@ -1274,6 +1248,5 @@ def optimize_placement(
     return optimize_instance(
         instance, geometry, strategy=strategy, policy=policy,
         window=window, budget=budget, targets=targets, gap_budget=gap_budget,
-        batch=batch, backend=backend, workers=workers,
         restarts=restarts, noise=noise, seed=seed,
     )

@@ -6,8 +6,7 @@ search service path.  Three pieces:
 * a thread-safe **metrics registry** (counters, gauges, histograms,
   series) — :mod:`repro.obs.registry`;
 * nestable **spans** (``with obs.span("replay", policy="lru"):``) that
-  aggregate wall/CPU per phase and merge back from process-pool workers —
-  :mod:`repro.obs.core`;
+  aggregate wall/CPU per phase — :mod:`repro.obs.core`;
 * **run manifests**: a JSON-lines event log plus a final JSON summary
   (stable run ID, git describe, config digest, per-phase times, metric
   snapshot) per CLI invocation — :mod:`repro.obs.manifest`, rendered by
@@ -38,7 +37,6 @@ from repro.obs.core import (
     enable,
     gauge,
     is_enabled,
-    merge,
     observe,
     reset,
     series,
@@ -59,7 +57,6 @@ __all__ = [
     "observe",
     "series",
     "snapshot",
-    "merge",
     "reset",
     "capture",
     "set_event_sink",

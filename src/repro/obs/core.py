@@ -11,14 +11,12 @@ When enabled (:func:`enable`), emitters record into one process-global
 :class:`~repro.obs.registry.MetricsRegistry`.  Spans are nestable context
 managers that aggregate wall and CPU time per key; attributes fold into
 the key (``span("replay", policy="lru")`` -> ``replay[policy=lru]``), so
-aggregation is flat and backend-independent — a serial sweep and a
-chunked process sweep produce the same keys.
+aggregation is flat: a monolithic and a chunked sweep produce the same
+keys.
 
 :class:`capture` swaps in a fresh registry for a scope and exposes the
-scope's delta as ``.snapshot`` on exit.  That is how process-pool workers
-isolate their measurements per task (the delta pickles back with the
-reduced stats; the parent :func:`merge`\\ s it in submission order) and
-how the CLI's run manifests scope one invocation.
+scope's delta as ``.snapshot`` on exit.  That is how the CLI's run
+manifests scope one invocation.
 
 An optional **event sink** (:func:`set_event_sink`) receives one
 ``(kind, payload)`` call per completed span — the run-manifest writer
@@ -28,7 +26,7 @@ streams these to a JSON-lines event log.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.registry import MetricsRegistry
 
@@ -42,7 +40,6 @@ __all__ = [
     "observe",
     "series",
     "snapshot",
-    "merge",
     "reset",
     "capture",
     "set_event_sink",
@@ -171,16 +168,10 @@ def series(name: str, value: float) -> None:
         _STATE.registry.series(name, value)
 
 
-# ------------------------------------------------------ snapshot / merge
+# -------------------------------------------------------------- snapshot
 def snapshot() -> Dict[str, Dict[str, Any]]:
     """Snapshot of the active registry (works even while disabled)."""
     return _STATE.registry.snapshot()
-
-
-def merge(snap: Mapping[str, Mapping[str, Any]]) -> None:
-    """Fold a worker's snapshot into the active registry (while enabled)."""
-    if _STATE.enabled:
-        _STATE.registry.merge(snap)
 
 
 def reset() -> None:
@@ -194,10 +185,8 @@ class capture:
     On enter, the global registry is swapped for an empty one (and the
     enable switch forced to ``enabled`` when given); on exit both are
     restored and the scope's measurements are available as
-    ``cap.snapshot`` — a plain dict that pickles across process
-    boundaries.  Measurements inside the scope land *only* in the
-    snapshot, never in the outer registry; callers that want them merged
-    call :func:`merge` with the snapshot afterwards.
+    ``cap.snapshot``, a plain JSON-able dict.  Measurements inside the
+    scope land *only* in the snapshot, never in the outer registry.
     """
 
     __slots__ = ("_force", "_saved", "snapshot")

@@ -22,8 +22,7 @@ exit the manifest is written to ``out``:
     ``metrics.spans`` (the run itself is the ``run`` span).
 ``metrics``
     The full registry snapshot: counters, gauges, histograms, series and
-    span aggregates recorded during the run — including worker deltas
-    merged back from process pools.
+    span aggregates recorded during the run.
 
 ``python -m repro obs-report manifest.json`` renders the manifest as a
 per-phase time/count table (:mod:`repro.obs.report`).

@@ -40,11 +40,9 @@ CACHE_GET = "trace_cache.get"
 CACHE_PUT = "trace_cache.put"
 #: one vectorized replay call (attr ``policy=`` names the kernel)
 REPLAY = "replay"
-#: one ordered map over an execution backend (attr ``backend=``)
-BACKEND_MAP = "backend.map"
-#: one `swap_refine` local search (attr ``batch=``)
+#: one `swap_refine` local search
 PLACEMENT_SEARCH = "placement.search"
-#: one `multiswap_refine` facility-location local search (attr ``batch=``)
+#: one `multiswap_refine` facility-location local search
 FACILITY_SEARCH = "placement.facility"
 #: one chunked out-of-core compilation (`compile_trace_chunked`)
 STREAM_COMPILE = "stream.compile"
@@ -69,14 +67,12 @@ CACHE_MISSES = "trace_cache.misses"
 CACHE_EVICTIONS = "trace_cache.evictions"
 #: corrupt entries dropped and recompiled (mirrors ``.counters.corrupt``)
 CACHE_CORRUPT = "trace_cache.corrupt"
-#: geometries answered by replay kernels (once per call, on every backend)
+#: geometries answered by replay kernels (once per call)
 REPLAY_GEOMETRIES = "replay.geometries"
 #: total misses reported by `simulate_trace` (summed over geometries)
 REPLAY_MISSES = "replay.misses"
 #: geometries `simulate_trace` answered from two slices of a periodic trace
 REPLAY_PERIOD_GEOMETRIES = "replay.period_geometries"
-#: tasks a process pool ran (`process_sweep`)
-BACKEND_TASKS = "backend.tasks"
 #: candidate layouts scored by a placement local search (every strategy's)
 PLACEMENT_EVALS = "placement.evals"
 #: improving sweeps taken by a placement local search
@@ -86,20 +82,17 @@ PLACEMENT_RESTARTS = "placement.restarts"
 #: candidate moves rejected by the per-set capacity constraint before
 #: scoring (`multiswap_refine` — pruned moves never consume evals)
 PLACEMENT_PRUNED = "placement.pruned"
+#: searched layouts `optimize_instance` discarded for the seed because they
+#: missed more than the seed at some target
+PLACEMENT_REJECTED = "placement.rejected"
 #: trace chunks produced by chunked compilation / consumed by replay
 STREAM_CHUNKS = "stream.chunks"
 #: bytes spilled to on-disk trace segments by chunked compilation
 STREAM_SPILLED_BYTES = "stream.spilled_bytes"
 #: segments recompiled after a corrupt/missing entry (segment granularity)
 STREAM_RECOMPILED = "stream.segments_recompiled"
-#: process sweeps that lost a worker and were recomputed in process
-REPLAY_PROCESS_FALLBACK = "replay.process_fallback"
 #: firings the schedulers under a ``schedule`` span returned
 SCHEDULE_FIRINGS = "schedule.firings"
-
-# --------------------------------------------------------------- gauges
-#: pool width chosen by the last backend sizing decision
-BACKEND_WIDTH = "backend.width"
 
 # ----------------------------------------------------------- histograms
 #: fraction of a target's conflict classes one delta-scored placement

@@ -5,8 +5,7 @@ instrumentation layer produces, keyed by names from
 :mod:`repro.obs.names`:
 
 * **counters** — monotone integer sums (``add``);
-* **gauges** — last-written values (``gauge``), e.g. the most recent pool
-  width;
+* **gauges** — last-written values (``gauge``);
 * **histograms** — ``count/total/min/max`` summaries of observed values
   (``observe``), enough for means and ranges without storing samples;
 * **series** — append-only value lists (``series``), e.g. the per-round
@@ -17,24 +16,18 @@ instrumentation layer produces, keyed by names from
   :mod:`repro.obs.core`.
 
 Everything mutates under one lock, so any thread of the process can
-record into the shared registry directly.  Process-pool workers record
-into a private registry and ship a :meth:`snapshot` (a plain JSON-able
-dict) back with their reduced stats; the parent folds it in with
-:meth:`merge`.
-Merging is commutative for counters/histograms/spans and order-preserving
-for series, so "serial totals == merged process totals" holds whenever
-the underlying work is identical.
+record into the shared registry directly.  :meth:`MetricsRegistry.snapshot`
+returns a plain JSON-able dict.
 
 This module must not import numpy or any ``repro`` runtime module at load
 time (lint rule R6): the registry is plain Python on purpose, so
-importing it costs nothing and workers can use it before heavy modules
-load.
+importing it costs nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List
 
 __all__ = ["SERIES_CAP", "MetricsRegistry"]
 
@@ -123,49 +116,6 @@ class MetricsRegistry:
                     for key, s in self._spans.items()
                 },
             }
-
-    # ------------------------------------------------------------ merge
-    def merge(self, snap: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters, histograms and spans add; gauges take the snapshot's
-        value (last write wins); series extend in order.  Merging worker
-        deltas chunk-by-chunk in submission order therefore reproduces
-        exactly what a serial run would have recorded — the property
-        ``tests/test_obs.py`` pins across backends.
-        """
-        with self._lock:
-            for name, value in snap.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + int(value)
-            for name, value in snap.get("gauges", {}).items():
-                self._gauges[name] = float(value)
-            for name, h in snap.get("histograms", {}).items():
-                mine = self._hists.get(name)
-                if mine is None:
-                    self._hists[name] = [
-                        int(h["count"]), float(h["total"]),
-                        float(h["min"]), float(h["max"]),
-                    ]
-                else:
-                    mine[0] += int(h["count"])
-                    mine[1] += float(h["total"])
-                    mine[2] = min(mine[2], float(h["min"]))
-                    mine[3] = max(mine[3], float(h["max"]))
-            for name, points in snap.get("series", {}).items():
-                dest = self._series.setdefault(name, [])
-                room = SERIES_CAP - len(dest)
-                if room > 0:
-                    dest.extend(float(p) for p in points[:room])
-            for key, s in snap.get("spans", {}).items():
-                mine = self._spans.get(key)
-                if mine is None:
-                    self._spans[key] = [
-                        int(s["count"]), float(s["wall_s"]), float(s["cpu_s"])
-                    ]
-                else:
-                    mine[0] += int(s["count"])
-                    mine[1] += float(s["wall_s"])
-                    mine[2] += float(s["cpu_s"])
 
     def reset(self) -> None:
         """Drop everything recorded so far."""

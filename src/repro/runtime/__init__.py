@@ -1,14 +1,12 @@
 """Execution substrate: FIFO channel buffers bound to memory addresses, the
 firing engine that moves tokens through the cache simulator, the trace
 compiler and the policy-aware replay kernels that answer whole geometry
-families in one pass, the execution backends (in-process replay, or a
-process pool fed through shared memory), the persistent content-addressed
-trace cache, out-of-core streaming (chunk sources and chunked trace
-compilation spilled to cache segments, replayed by the same chunk kernels
-bit-identically to one in-memory chunk), schedule representation/validation,
-and deadlock analysis."""
+families in one pass, the process-wide replay chunk size, the persistent
+content-addressed trace cache, out-of-core streaming (chunk sources and
+chunked trace compilation spilled to cache segments, replayed by the same
+chunk kernels bit-identically to one in-memory chunk), schedule
+representation/validation, and deadlock analysis."""
 
-from repro.runtime.backend import BACKENDS, effective_workers
 from repro.runtime.buffers import ChannelBuffer
 from repro.runtime.compiled import (
     CompiledTrace,
@@ -45,10 +43,8 @@ from repro.runtime.executor import (
 from repro.runtime.deadlock import fireable_modules, demand_driven_schedule
 
 __all__ = [
-    "BACKENDS",
     "TraceCache",
     "cached_compile_trace",
-    "effective_workers",
     "trace_digest",
     "ChannelBuffer",
     "CompiledTrace",

@@ -30,8 +30,7 @@ every cache size in a single Mattson stack-distance pass
   L1 pass emits the miss sub-trace a second L2 pass replays).  Results are
   :class:`~repro.runtime.executor.ExecutionResult` rows identical — misses,
   accesses, and per-phase attribution — to running the stepwise engine per
-  geometry.  ``backend="process"`` (with ``workers=`` sizing the pool)
-  spreads the replay over a process pool with the same answers.
+  geometry.
 * :func:`measure_compiled` is the drop-in replacement for
   ``Executor.measure`` on any replay-capable policy.  On one ``lru`` or
   ``direct`` geometry of a flat schedule it replays each compiled chunk as
@@ -975,7 +974,6 @@ def simulate_trace(
     trace: Union[CompiledTrace, "ChunkedTrace"],
     geometries: Sequence[CacheGeometry],
     policy: str = "lru",
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     chunk_words: Optional[int] = None,
 ) -> List[ExecutionResult]:
@@ -1003,14 +1001,8 @@ def simulate_trace(
     Every chunking gives the same answer (the differential contract of
     ``tests/test_streaming.py``).
 
-    ``backend`` selects where the replay runs
-    (:func:`repro.runtime.backend.replay_stats`): ``"serial"`` in the
-    calling process, ``"process"`` on a process pool of ``workers``
-    processes (every core when ``None``, clamped per
-    :func:`~repro.runtime.backend.effective_workers`) — bit-identical
-    results in input order either way, since the kernels are pure functions
-    of the trace and the geometries.  ``backend=None`` (default) follows
-    the configured process-wide default, which starts as ``"serial"``.
+    The replay runs in the calling process; ``backend`` accepts only
+    ``"serial"`` or ``None`` (:func:`repro.runtime.backend.normalize_backend`).
 
     A trace that records a ``period`` (a compiled looped schedule) answers
     its ``mod``-indexed lru and direct geometries from two short slices
@@ -1019,9 +1011,11 @@ def simulate_trace(
     take the replay above.
     """
     from repro.cache.policy import get_policy
-    from repro.runtime.backend import default_chunk_words, replay_stats
+    from repro.runtime.backend import default_chunk_words, normalize_backend
+    from repro.runtime.replay import chunk_counts, replay_chunks
     from repro.runtime.streaming import ArrayChunkSource, ChunkedTrace
 
+    normalize_backend(backend)
     get_policy(policy)  # unknown names fail even when nothing is replayed
     geometries = list(geometries)
     for geom in geometries:
@@ -1040,10 +1034,9 @@ def simulate_trace(
             source = trace if isinstance(trace, ChunkedTrace) else ArrayChunkSource(
                 trace.blocks, trace.phases, chunk_words=chunk_words
             )
-            replayed = replay_stats(
-                source, [geometries[i] for i in rest], policy, workers, backend
-            )
-            stats.update(zip(rest, replayed))
+            chunks = replay_chunks(source, [geometries[i] for i in rest], policy)
+            obs.add(obs_names.STREAM_CHUNKS, source.n_chunks)
+            stats.update(zip(rest, chunk_counts(chunks, len(rest), len(PHASE_NAMES))))
     obs.add(obs_names.REPLAY_MISSES, sum(m for m, _c in stats.values()))
     return [_result_from_stats(trace, *stats[i]) for i in range(len(geometries))]
 
@@ -1070,8 +1063,7 @@ def measure_compiled(
     trace is never built and memory is O(chunk + cache blocks).  Chunks
     hold the configured default chunk size
     (:func:`repro.runtime.backend.configure`) or
-    :data:`MEASURE_CHUNK_WORDS` accesses, and the replay runs in the
-    calling process whatever backend is configured.  A configured trace
+    :data:`MEASURE_CHUNK_WORDS` accesses.  A configured trace
     cache (:func:`repro.runtime.trace_cache.configure`) is not consulted:
     no trace is built to keep.
 

@@ -80,9 +80,7 @@ is what lets the placement optimizer score thousands of layouts without
 recompiling.
 
 The kernels run in the calling process; the shared passes are computed
-once per distinct set count and chunk, never per geometry.  Parallel
-replay is the process pool of :mod:`repro.runtime.backend`, which hands
-each worker a chunk, its carry and a geometry slice.  See
+once per distinct set count and chunk, never per geometry.  See
 ``docs/REPLAY.md`` for the per-policy algorithms, their complexity, and
 the oracle contract.
 """
@@ -464,8 +462,9 @@ def _lru_kernel(
 
     Each chunk reads every geometry off the memoized passes of
     :func:`_level_pass` under the recency carry of the chunks before it
-    (``carry`` seeds it: a process worker replaying one chunk of a longer
-    trace gets the carry the parent folded).  The carry is folded only
+    (``carry`` seeds it: the streamed
+    :func:`~repro.runtime.compiled.measure_compiled` passes the carry of the
+    chunks it compiled before).  The carry is folded only
     while another chunk follows.
     """
     if direct:

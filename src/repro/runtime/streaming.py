@@ -226,7 +226,7 @@ class ChunkedTrace:
 
     def segment_path(self, index: int) -> Path:
         """On-disk location of segment ``index`` (the cache's documented
-        one-``.npz``-per-key layout); process workers read it directly."""
+        one-``.npz``-per-key layout)."""
         return self.cache.path / f"{self.segment_keys[index]}.npz"
 
     def chunk(self, index: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -1,7 +1,9 @@
 """Testing substrate: hypothesis strategies for random stream graphs /
 geometries / placements, independent reference implementations (oracles)
-used by differential tests, and the reusable differential-grid harness
-that diffs a vectorized kernel against its stepwise oracle per access.
+used by differential tests, the reusable differential-grid harness
+that diffs a vectorized kernel against its stepwise oracle per access, and
+the list of every schedule producer for properties that must hold of all
+of them.
 
 Exposed as a public subpackage so downstream users extending the library
 (new schedulers, new partitioners, new cache models, new replay kernels)
@@ -19,6 +21,7 @@ from repro.testing.oracles import (
     bruteforce_pipeline_partition,
     reference_token_replay,
 )
+from repro.testing.producers import SCHEDULE_PRODUCERS, Producer
 from repro.testing.strategies import (
     geometry_strategy,
     placement_strategy,
@@ -28,6 +31,8 @@ from repro.testing.strategies import (
 
 __all__ = [
     "NaiveLRU",
+    "Producer",
+    "SCHEDULE_PRODUCERS",
     "bruteforce_pipeline_partition",
     "differential_grid",
     "format_divergence",

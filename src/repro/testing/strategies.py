@@ -36,6 +36,20 @@ __all__ = [
 _rates = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
 
+def _delayed(draw: st.DrawFn, g: StreamGraph) -> StreamGraph:
+    """``g`` with a small SDF delay (0-4 tokens) drawn for every channel."""
+    channels = list(g.channels())
+    delays = draw(
+        st.lists(st.integers(0, 4), min_size=len(channels), max_size=len(channels))
+    )
+    out = StreamGraph(g.name)
+    for m in g.modules():
+        out.add_module(m.name, state=m.state, work=m.work)
+    for ch, d in zip(channels, delays):
+        out.add_channel(ch.src, ch.dst, out_rate=ch.out_rate, in_rate=ch.in_rate, delay=d)
+    return out
+
+
 @st.composite
 def rate_matched_pipelines(
     draw: st.DrawFn, max_n: int = 10, max_state: int = 30,
@@ -47,15 +61,7 @@ def rate_matched_pipelines(
     states = draw(st.lists(st.integers(0, max_state), min_size=n, max_size=n))
     rs = draw(st.lists(_rates, min_size=n - 1, max_size=n - 1))
     g = pipeline(states, rs)
-    if with_delays:
-        delays = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
-        g2 = StreamGraph(g.name)
-        for m in g.modules():
-            g2.add_module(m.name, state=m.state, work=m.work)
-        for ch, d in zip(g.channels(), delays):
-            g2.add_channel(ch.src, ch.dst, out_rate=ch.out_rate, in_rate=ch.in_rate, delay=d)
-        return g2
-    return g
+    return _delayed(draw, g) if with_delays else g
 
 
 @st.composite
@@ -132,10 +138,11 @@ def chunking_strategy(draw: st.DrawFn, n: int) -> List[int]:
 @st.composite
 def small_dags(
     draw: st.DrawFn, max_layers: int = 4, max_width: int = 3,
-    max_state: int = 20,
+    max_state: int = 20, with_delays: bool = False,
 ) -> StreamGraph:
     """Random homogeneous layered dags, small enough for exact partition
-    search: a single source/sink, every layer fully reachable."""
+    search: a single source/sink, every layer fully reachable, optionally
+    with small SDF delays."""
     layers = draw(st.integers(1, max_layers))
     width = draw(st.integers(1, max_width))
     g = StreamGraph("hyp-dag")
@@ -163,4 +170,4 @@ def small_dags(
     g.add_module("snk", state=draw(st.integers(0, max_state)))
     for p in prev:
         g.add_channel(p, "snk")
-    return g
+    return _delayed(draw, g) if with_delays else g

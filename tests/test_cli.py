@@ -75,17 +75,13 @@ class TestCli:
     @pytest.mark.parametrize("extra, raises", [
         ([], None),
         (["--l2-frames", "8"], SystemExit),  # the command fails after set-up
-        (["--backend", "process", "--chunk-words", "0"], CacheConfigError),
+        (["--chunk-words", "0"], CacheConfigError),
     ])
     def test_runtime_flags_end_with_the_command(self, tmp_path, extra, raises):
         from repro.runtime import backend, trace_cache
 
         def defaults():
-            return (
-                backend.resolve(None, None, 4),
-                backend.default_chunk_words(),
-                trace_cache.default_cache(),
-            )
+            return backend.default_chunk_words(), trace_cache.default_cache()
 
         before = defaults()
         argv = ["schedule", "fm_radio", "--cache", "256", "--inputs", "64",

@@ -41,46 +41,6 @@ class TestUnknownPolicy:
         assert "'fifo'" in err and "--policy" in err
 
 
-class TestUnknownBackend:
-    """``--backend`` rejects unknown names with exit 2 naming the value, on
-    every subcommand that accepts the flag."""
-
-    @pytest.mark.parametrize(
-        "bogus", ["warp", "threads", "PROCESS", "mpi", "thread"]
-    )
-    def test_schedule_names_value_and_choices(self, bogus, capsys):
-        err = _usage_error(
-            capsys,
-            ["schedule", "fm_radio", "--cache", "256", "--backend", bogus],
-        )
-        assert f"'{bogus}'" in err
-        for valid in ("serial", "process"):
-            assert valid in err
-
-    def test_experiment_rejects_unknown_backend_too(self, capsys):
-        err = _usage_error(capsys, ["experiment", "e7", "--backend", "gpu"])
-        assert "'gpu'" in err and "--backend" in err
-
-    def test_workers_must_be_an_integer(self, capsys):
-        err = _usage_error(
-            capsys,
-            ["schedule", "fm_radio", "--cache", "256", "--workers", "many"],
-        )
-        assert "'many'" in err and "--workers" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["schedule", "fm_radio", "--cache", "256", "--workers", "2"],
-        ["experiment", "e8", "--workers", "2"],
-        ["experiment", "e8", "--backend", "serial", "--workers", "2"],
-    ])
-    def test_workers_needs_the_process_backend(self, argv):
-        # --workers sizes a process pool; without one it would do nothing
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code not in (0, None)
-        assert "--backend process" in str(exc.value.code)
-
-
 class TestLayoutTargetMessages:
     """Each malformed chunk is echoed back verbatim in the error."""
 

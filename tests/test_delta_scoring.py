@@ -1,6 +1,6 @@
 """Delta scoring of placement candidates.
 
-:class:`repro.runtime.backend.CandidateScorer` scores each candidate
+:class:`repro.mem.placement.CandidateScorer` scores each candidate
 against the last one it scored and replays only the conflict classes
 (sets, or frames for direct-mapped targets) the difference dirties.  These
 tests hold it to the full replay:
@@ -9,31 +9,30 @@ tests hold it to the full replay:
   unequal-span swaps, rotations, relocations, ±1 gap moves — from random
   placements and checks every step's per-target counts against the full
   replay that :func:`repro.mem.placement.placement_costs` runs, across
-  lru (fully and set associative), direct, opt and two_level targets,
-  and chunked replay (with a ``slow`` nightly twin);
+  lru (fully and set associative), direct, opt and two_level targets
+  (with a ``slow`` nightly twin);
 * every search strategy returns the same layout and the same
   :class:`~repro.mem.placement.RefineStats` as under a full-replay
   reference scorer defined here;
-* the process pool, which ships the base with each task, agrees with the
-  serial chain;
 * each delta-scored candidate records its dirty-class fraction per target.
 """
 
 import random
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.runtime.backend as backend_mod
+import repro.mem.placement as placement_mod
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
 from repro.core.baselines import single_appearance_schedule
 from repro.graphs.topologies import pipeline
 from repro.mem.facility import multiswap_refine, smoothed_search
 from repro.mem.placement import (
+    CandidateScorer,
     _placed_starts,
     _target_misses,
     build_instance,
@@ -44,7 +43,6 @@ from repro.mem.placement import (
 )
 from repro.obs import core as obs
 from repro.obs import names as obs_names
-from repro.runtime.backend import CandidateScorer
 from repro.testing.strategies import geometry_strategy, placement_strategy
 
 B = 8
@@ -129,21 +127,19 @@ def _apply(instance, ids: List[int], gap_vec: np.ndarray, move) -> None:
         gap_vec[ids[i]] -= 1
 
 
-def _check_walk(start, targets, moves, chunk_words) -> None:
+def _check_walk(start, targets, moves) -> None:
     instance = _instance()
     order, gaps = start
     ids = [instance.index_of(key) for key in order]
     gap_vec = np.zeros(instance.n_objects, dtype=np.int64)
     for key, g in gaps.items():
         gap_vec[instance.index_of(key)] = g
-    with CandidateScorer(
-        instance, targets, backend="serial", chunk_words=chunk_words
-    ) as scorer:
-        for step in [None] + list(moves):
-            if step is not None:
-                _apply(instance, ids, gap_vec, step)
-            (got,) = scorer.score_per([_placed_starts(instance, ids, gap_vec)])
-            assert got == _full_replay(instance, ids, gap_vec, targets), step
+    scorer = CandidateScorer(instance, targets)
+    for step in [None] + list(moves):
+        if step is not None:
+            _apply(instance, ids, gap_vec, step)
+        got = scorer.score(_placed_starts(instance, ids, gap_vec))
+        assert got == _full_replay(instance, ids, gap_vec, targets), step
 
 
 class TestDeltaEqualsFullReplay:
@@ -151,22 +147,20 @@ class TestDeltaEqualsFullReplay:
         start=placement_strategy(_instance().objects, max_gap=2),
         targets=_targets(),
         moves=st.lists(_moves, max_size=8),
-        chunk_words=st.sampled_from([None, 37]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_move_sequences(self, start, targets, moves, chunk_words):
-        _check_walk(start, targets, moves, chunk_words)
+    def test_move_sequences(self, start, targets, moves):
+        _check_walk(start, targets, moves)
 
     @pytest.mark.slow
     @given(
         start=placement_strategy(_instance().objects, max_gap=3),
         targets=_targets(),
         moves=st.lists(_moves, max_size=24),
-        chunk_words=st.sampled_from([None, 1, 37, 512]),
     )
     @settings(deadline=None)
-    def test_move_sequences_nightly(self, start, targets, moves, chunk_words):
-        _check_walk(start, targets, moves, chunk_words)
+    def test_move_sequences_nightly(self, start, targets, moves):
+        _check_walk(start, targets, moves)
 
     def test_fully_associative_target_replays_once(self, monkeypatch):
         """One class never goes dirty: only the first candidate replays."""
@@ -183,14 +177,14 @@ class TestDeltaEqualsFullReplay:
         monkeypatch.setattr(replay, "replay_miss_masks", counted)
         targets = [(CacheGeometry(size=16 * B, block=B), "lru", 1.0)]
         ids = list(range(instance.n_objects))
-        with CandidateScorer(instance, targets, backend="serial") as scorer:
-            first = scorer.score_per([_placed_starts(instance, ids)])
-            rest = scorer.score_per(
-                [_placed_starts(instance, ids[::-1]),
-                 _placed_starts(instance, ids[1:] + ids[:1])]
-            )
+        scorer = CandidateScorer(instance, targets)
+        first = scorer.score(_placed_starts(instance, ids))
+        rest = [
+            scorer.score(_placed_starts(instance, ids[::-1])),
+            scorer.score(_placed_starts(instance, ids[1:] + ids[:1])),
+        ]
         assert calls["n"] == 1
-        assert rest == first * 2
+        assert rest == [first] * 2
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +193,12 @@ class TestDeltaEqualsFullReplay:
 class FullReplayScorer(CandidateScorer):
     """Reference scorer: every candidate replays its whole remapped trace."""
 
-    def score_per(self, starts_list: Sequence[np.ndarray]) -> List[List[int]]:
-        self.evals += len(starts_list)
+    def score(self, starts: np.ndarray) -> List[int]:
+        self.evals += 1
         inst = self.instance
-        return [
-            _target_misses(
-                starts[inst.obj_of_access] + inst.block_offset,
-                self.targets, chunk_words=self.chunk_words,
-            )
-            for starts in starts_list
-        ]
+        return _target_misses(
+            starts[inst.obj_of_access] + inst.block_offset, self.targets
+        )
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +232,7 @@ def _both(monkeypatch, fn):
     """``fn()`` under the delta scorer, then under the full-replay one."""
     delta = fn()
     with monkeypatch.context() as m:
-        m.setattr(backend_mod, "CandidateScorer", FullReplayScorer)
+        m.setattr(placement_mod, "CandidateScorer", FullReplayScorer)
         full = fn()
     return delta, full
 
@@ -252,13 +242,6 @@ class TestSearchesMatchFullReplay:
         inst, targets, start = des
         delta, full = _both(monkeypatch, lambda: swap_refine(
             inst, start, targets=targets, budget=80, gap_budget=2,
-        ))
-        assert delta == full
-
-    def test_batched_swap_refine(self, des, monkeypatch):
-        inst, targets, start = des
-        delta, full = _both(monkeypatch, lambda: swap_refine(
-            inst, start, targets=targets, budget=60, batch=4,
         ))
         assert delta == full
 
@@ -294,7 +277,7 @@ class TestSearchesMatchFullReplay:
 
 
 # ----------------------------------------------------------------------
-# process pool and observability
+# observability
 # ----------------------------------------------------------------------
 def _walk_starts(instance, n: int) -> List[np.ndarray]:
     rng = np.random.default_rng(5)
@@ -307,23 +290,6 @@ def _walk_starts(instance, n: int) -> List[np.ndarray]:
     return out
 
 
-def test_process_pool_matches_serial_chain():
-    """Pool tasks are scored against the shipped base; the batch's last
-    candidate becomes the next base — same counts as the serial chain."""
-    instance = _instance()
-    targets = [
-        (CacheGeometry(size=16 * B, block=B, ways=1), "direct", 1.0),
-        (CacheGeometry(size=32 * B, block=B, ways=2), "opt", 0.5),
-    ]
-    starts = _walk_starts(instance, 9)
-    batches = [starts[lo:lo + 3] for lo in range(0, 9, 3)]
-    with CandidateScorer(instance, targets, backend="serial") as serial:
-        want = [serial.score_per(b) for b in batches]
-    with CandidateScorer(instance, targets, backend="process", workers=2) as proc:
-        got = [proc.score_per(b) for b in batches]
-    assert got == want
-
-
 def test_dirty_fraction_histogram():
     instance = _instance()
     targets = [
@@ -332,8 +298,9 @@ def test_dirty_fraction_histogram():
     ]
     starts = _walk_starts(instance, 5)
     with obs.capture(enabled=True) as cap:
-        with CandidateScorer(instance, targets, backend="serial") as scorer:
-            scorer.score_per(starts)
+        scorer = CandidateScorer(instance, targets)
+        for candidate in starts:
+            scorer.score(candidate)
     hist = cap.snapshot["histograms"][obs_names.PLACEMENT_DIRTY_FRAC]
     # the first candidate has no base; each later one records every target
     assert hist["count"] == (len(starts) - 1) * len(targets)

@@ -111,20 +111,6 @@ class TestTwoLevelDifferential:
         masks = replay_miss_masks(empty, _grid(), "two_level")
         assert all(m.shape == (0,) for m in masks)
 
-    def test_workers_do_not_change_results(self):
-        from repro.runtime.backend import replay_stats
-        from repro.runtime.streaming import ArrayChunkSource
-
-        rng = np.random.default_rng(23)
-        trace = rng.integers(0, 80, size=4_000)
-        geoms = _grid()
-        serial = replay_misses(trace, geoms, "two_level")
-        pooled = replay_stats(
-            ArrayChunkSource(trace, chunk_words=len(trace)), geoms,
-            "two_level", workers=2, backend="process",
-        )
-        assert serial == [m for m, _counts in pooled]
-
 
 class TestTwoLevelProperties:
     def setup_method(self):

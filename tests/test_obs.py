@@ -6,14 +6,10 @@ The load-bearing contracts pinned here:
   returns a shared no-op, and instrumented results are bit-identical
   with instrumentation on or off.
 * **Registry semantics** — counters sum, gauges last-write, histograms
-  keep count/total/min/max, series append under a hard cap, and
-  :meth:`MetricsRegistry.merge` folds a worker snapshot in so that
-  chunked + merged equals serial.
-* **Cross-process aggregation** — the *work counters* (compile, cache,
-  replay, batch, placement) merged back from a process pool equal the
-  serial run's counters for identical work.  Execution counters
-  (``backend.tasks``, ``backend.width``) are backend-dependent by
-  design and excluded from the equality.
+  keep count/total/min/max, and series append under a hard cap.
+* **Work counters** — replay counts each geometry once per call, however
+  the trace is chunked or shortcut, and a placement search records its
+  evals, rounds and cost trajectory.
 * **Run manifests** — ``capture_run`` writes a manifest + event log
   with a stable run id, and ``repro obs-report`` renders it.
 """
@@ -92,31 +88,6 @@ class TestMetricsRegistry:
         snap["counters"]["c"] = 99
         assert r.counter_value("c") == 1
 
-    def test_merge_equals_serial(self):
-        """Chunked recording + merge reproduces one serial registry."""
-        serial = MetricsRegistry()
-        workers = [MetricsRegistry() for _ in range(3)]
-        for i, w in enumerate(workers):
-            for r in (serial, w):
-                r.add("c", i + 1)
-                r.observe("h", float(i))
-                r.series("s", float(i))
-                r.record_span("k", 0.125, 0.0625)
-                r.gauge("g", float(i))
-        merged = MetricsRegistry()
-        for w in workers:
-            merged.merge(w.snapshot())
-        assert merged.snapshot() == serial.snapshot()
-
-    def test_merge_respects_series_cap(self):
-        donor = MetricsRegistry()
-        for i in range(SERIES_CAP):
-            donor.series("s", float(i))
-        dest = MetricsRegistry()
-        dest.series("s", -1.0)
-        dest.merge(donor.snapshot())
-        assert len(dest.snapshot()["series"]["s"]) == SERIES_CAP
-
     def test_reset(self):
         r = MetricsRegistry()
         r.add("c")
@@ -150,7 +121,7 @@ class TestMetricsRegistry:
 class TestCoreSwitchAndSpans:
     def test_disabled_emitters_record_nothing(self):
         obs.add(obs_names.CACHE_HITS, 5)
-        obs.gauge(obs_names.BACKEND_WIDTH, 4)
+        obs.gauge("g", 4)
         obs.observe(obs_names.COMPILE_ACCESSES, 1.0)
         obs.series(obs_names.PLACEMENT_COST, 1.0)
         snap = obs.snapshot()
@@ -172,7 +143,7 @@ class TestCoreSwitchAndSpans:
         assert _span_key("replay", {}) == "replay"
         assert _span_key("replay", {"policy": "lru"}) == "replay[policy=lru]"
         assert (
-            _span_key("backend.map", {"b": 1, "a": 2}) == "backend.map[a=2,b=1]"
+            _span_key("replay", {"b": 1, "a": 2}) == "replay[a=2,b=1]"
         )
 
     def test_enabled_span_records_under_key(self):
@@ -217,15 +188,6 @@ class TestCoreSwitchAndSpans:
                 pass
         json.dumps(cap.snapshot)  # plain dicts/lists/numbers only
 
-    def test_merge_noop_while_disabled(self):
-        worker = MetricsRegistry()
-        worker.add(obs_names.CACHE_HITS, 3)
-        obs.merge(worker.snapshot())
-        assert obs.snapshot()["counters"] == {}
-        obs.enable()
-        obs.merge(worker.snapshot())
-        assert obs.snapshot()["counters"] == {obs_names.CACHE_HITS: 3}
-
     def test_event_sink_sees_span_events(self):
         events = []
         previous = obs.set_event_sink(lambda kind, p: events.append((kind, p)))
@@ -252,7 +214,7 @@ class TestNames:
         values = set(obs_names.registered_names().values())
         for expected in (
             "compile", "trace_cache.hits", "replay.misses",
-            "schedule.firings", "backend.tasks", "placement.cost", "run",
+            "schedule.firings", "placement.rejected", "placement.cost", "run",
         ):
             assert expected in values
 
@@ -315,25 +277,11 @@ class TestManifest:
         assert not obs.is_enabled()
         assert obs.snapshot()["counters"] == {}
 
-    def test_scorer_pool_counts_its_tasks(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "m.json"
-        assert main([
-            "schedule", "des_rounds", "--cache", "256", "--ways", "1",
-            "--policy", "direct", "--layout", "swap", "--layout-budget", "8",
-            "--backend", "process", "--metrics-out", str(out),
-        ]) == 0
-        counters = json.loads(out.read_text())["metrics"]["counters"]
-        # one pool task per scored candidate, plus the final replay's one
-        assert counters[obs_names.PLACEMENT_EVALS] == 8
-        assert counters[obs_names.BACKEND_TASKS] == 8 + 1
-
     def test_render_manifest_sections(self, tmp_path):
         out = tmp_path / "m.json"
         with capture_run("schedule", {"graph": "x"}, out) as run:
             obs.add(obs_names.REPLAY_MISSES, 42)
-            obs.gauge(obs_names.BACKEND_WIDTH, 4)
+            obs.gauge("g", 4)
             obs.observe(obs_names.COMPILE_ACCESSES, 2.0)
             obs.series(obs_names.PLACEMENT_COST, 9.0)
         text = render_manifest(json.loads(out.read_text()))
@@ -426,34 +374,8 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------------
-# cross-backend aggregation + bit-identity
+# work counters + bit-identity
 # ---------------------------------------------------------------------------
-#: Counters whose totals depend only on the *work* performed, not on how
-#: it was chunked across a backend — merged process totals must equal the
-#: serial totals for these.  ``backend.tasks`` / ``backend.width`` count
-#: scheduling decisions and legitimately differ between backends.
-WORK_COUNTERS = frozenset({
-    obs_names.COMPILE_CALLS,
-    obs_names.COMPILE_ACCESSES,
-    obs_names.CACHE_HITS,
-    obs_names.CACHE_MISSES,
-    obs_names.CACHE_EVICTIONS,
-    obs_names.CACHE_CORRUPT,
-    obs_names.REPLAY_GEOMETRIES,
-    obs_names.REPLAY_MISSES,
-    obs_names.PLACEMENT_EVALS,
-    obs_names.PLACEMENT_ROUNDS,
-})
-
-
-def _work_counters(snap):
-    return {
-        name: value
-        for name, value in snap["counters"].items()
-        if name in WORK_COUNTERS
-    }
-
-
 @pytest.fixture(scope="module")
 def workload():
     from repro.core.baselines import interleaved_schedule
@@ -466,35 +388,10 @@ def workload():
     return g, sched, trace
 
 
-class TestCrossBackendAggregation:
-    def _sweep(self, trace, backend):
-        from repro.cache.base import CacheGeometry
-        from repro.runtime.compiled import simulate_trace
-
-        geoms = [CacheGeometry(size=s, block=8) for s in (64, 128, 256, 512)]
-        with obs.capture(enabled=True) as cap:
-            results = simulate_trace(
-                trace, geoms, policy="lru", backend=backend, workers=2
-            )
-        return results, cap.snapshot
-
-    def test_process_sweep_counters_match_serial(self, workload):
-        _g, _sched, trace = workload
-        serial_results, serial_snap = self._sweep(trace, "serial")
-        proc_results, proc_snap = self._sweep(trace, "process")
-        assert [r.misses for r in serial_results] == [
-            r.misses for r in proc_results
-        ]
-        serial_work = _work_counters(serial_snap)
-        assert serial_work[obs_names.REPLAY_GEOMETRIES] == 4
-        assert serial_work[obs_names.REPLAY_MISSES] == sum(
-            r.misses for r in serial_results
-        )
-        assert _work_counters(proc_snap) == serial_work
-
-    def test_chunked_process_sweep_counts_like_serial(self, tmp_path):
+class TestWorkCounters:
+    def test_chunked_sweep_counts_each_geometry_once(self, tmp_path):
         """Each geometry counts once per call and each chunk once per
-        replay, whether the chunks replay in process or on a pool."""
+        replay."""
         from repro.cache.base import CacheGeometry
         from repro.core.baselines import single_appearance_schedule
         from repro.graphs.topologies import pipeline
@@ -511,15 +408,13 @@ class TestCrossBackendAggregation:
             CacheGeometry(size=64, block=8, ways=1),
             CacheGeometry(size=128, block=8, ways=2),
         ]
-        snaps = {}
-        for backend in ("serial", "process"):
-            with obs.capture(enabled=True) as cap:
-                simulate_trace(trace, geoms, policy="lru", backend=backend, workers=2)
-            snaps[backend] = cap.snapshot
-            counters = snaps[backend]["counters"]
-            assert counters[obs_names.REPLAY_GEOMETRIES] == 2
-            assert counters[obs_names.STREAM_CHUNKS] == 2
-        assert _work_counters(snaps["process"]) == _work_counters(snaps["serial"])
+        with obs.capture(enabled=True) as cap:
+            results = simulate_trace(trace, geoms, policy="lru")
+        counters = cap.snapshot["counters"]
+        assert counters[obs_names.REPLAY_GEOMETRIES] == 2
+        assert counters[obs_names.STREAM_CHUNKS] == 2
+        assert counters[obs_names.REPLAY_MISSES] == sum(r.misses for r in results)
+        assert "replay[policy=lru]" in cap.snapshot["spans"]
 
     def test_period_shortcut_counts_each_geometry_once(self):
         """A looped trace answered from its head and tail slices counts the
@@ -548,34 +443,19 @@ class TestCrossBackendAggregation:
         assert snaps["looped"][obs_names.REPLAY_GEOMETRIES] == 1
         assert snaps["flat"][obs_names.REPLAY_GEOMETRIES] == 1
 
-    def test_span_keys_are_backend_comparable(self, workload):
-        """Chunking changes span *counts*, never span *keys*."""
-        _g, _sched, trace = workload
-        _, serial_snap = self._sweep(trace, "serial")
-        _, proc_snap = self._sweep(trace, "process")
-        assert "replay[policy=lru]" in serial_snap["spans"]
-        assert "replay[policy=lru]" in proc_snap["spans"]
-
     def test_results_bit_identical_obs_on_off(self, workload):
         from repro.cache.base import CacheGeometry
         from repro.runtime.compiled import simulate_trace
 
         _g, _sched, trace = workload
         geoms = [CacheGeometry(size=s, block=8) for s in (64, 128, 256, 512)]
-        for backend in ("serial", "process"):
-            plain = simulate_trace(
-                trace, geoms, policy="lru", backend=backend, workers=2
-            )
-            with obs.capture(enabled=True):
-                instrumented = simulate_trace(
-                    trace, geoms, policy="lru", backend=backend, workers=2
-                )
-            assert [r.misses for r in plain] == [
-                r.misses for r in instrumented
-            ]
-            assert [r.phase_misses for r in plain] == [
-                r.phase_misses for r in instrumented
-            ]
+        plain = simulate_trace(trace, geoms, policy="lru")
+        with obs.capture(enabled=True):
+            instrumented = simulate_trace(trace, geoms, policy="lru")
+        assert [r.misses for r in plain] == [r.misses for r in instrumented]
+        assert [r.phase_misses for r in plain] == [
+            r.phase_misses for r in instrumented
+        ]
 
     def test_placement_metrics_recorded(self):
         from repro.cache.base import CacheGeometry

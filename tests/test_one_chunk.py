@@ -74,8 +74,7 @@ def test_one_chunk_folds_no_carry_and_spills_nothing(trace, policy, monkeypatch)
     one = ArrayChunkSource(trace, chunk_words=len(trace))
     assert replay.replay_misses(one, geoms, policy) == [sum(w) for w in want]
     results = simulate_trace(
-        CompiledTrace(label="t", block=B, blocks=trace), geoms, policy=policy,
-        backend="serial",
+        CompiledTrace(label="t", block=B, blocks=trace), geoms, policy=policy
     )
     assert [r.misses for r in results] == [sum(w) for w in want]
 

@@ -1,8 +1,6 @@
 """Tests for the three partition schedulers (Section 3)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.core.dagpart import greedy_topological_partition, interval_dp_partition
@@ -15,14 +13,13 @@ from repro.core.partition_sched import (
 )
 from repro.core.pipeline import optimal_pipeline_partition
 from repro.core.tuning import choose_batch, required_geometry
-from repro.errors import DeadlockError, GraphError, PartitionError, ScheduleError
+from repro.errors import GraphError, PartitionError, ScheduleError
 from repro.graphs.repetition import repetition_vector
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import diamond, pipeline, random_pipeline
 from repro.graphs.apps import filter_bank
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import validate_schedule
-from repro.testing.strategies import rate_matched_pipelines
 
 
 class TestHomogeneousScheduler:
@@ -260,22 +257,3 @@ class TestDelays:
         part = optimal_pipeline_partition(g, 32, c=3.0)
         validate_schedule(g, inhomogeneous_partition_schedule(g, part, geom, n_batches=3))
 
-    @given(
-        data=st.data(),
-        g=rate_matched_pipelines(max_n=8, max_state=30, with_delays=True),
-    )
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_delayed_pipelines_validate_or_deadlock(self, data, g):
-        M = data.draw(st.sampled_from([32, 64]))
-        part = optimal_pipeline_partition(g, M, c=data.draw(st.sampled_from([2.0, 3.0])))
-        geom = CacheGeometry(size=M, block=8)
-        n_batches = data.draw(st.integers(1, 3))
-        schedulers = [inhomogeneous_partition_schedule]
-        if g.is_homogeneous():
-            schedulers.append(homogeneous_partition_schedule)
-        for scheduler in schedulers:
-            try:
-                sched = scheduler(g, part, geom, n_batches=n_batches)
-            except DeadlockError:
-                continue
-            validate_schedule(g, sched)

@@ -548,6 +548,75 @@ class TestMultiTarget:
             optimize_placement(g, sched, strategy="swap")
 
 
+def _regressing_strategy(instance, geometry, policy="direct", targets=None, **_knobs):
+    """A strategy returning the first rotation of the seed order that misses
+    more than the seed at some target."""
+    targets_n = targets or [(geometry, policy, 1.0)]
+    seed = list(instance.objects)
+    seed_per = placement_costs(instance, seed, targets_n)
+    for k in range(1, len(seed)):
+        order = seed[k:] + seed[:k]
+        per = placement_costs(instance, order, targets_n)
+        if any(c > s for c, s in zip(per, seed_per)):
+            return order, {}
+    raise AssertionError("no rotation of the seed order regresses")
+
+
+class TestRejectedSearch:
+    """A searched layout that regresses at any target is discarded for the
+    seed, counted as ``placement.rejected`` and kept on the result."""
+
+    def test_rejection_is_counted_and_named(self, monkeypatch):
+        import repro.mem.placement as pl
+        from repro.obs import names as obs_names
+
+        monkeypatch.setitem(pl._STRATEGIES, "regress", _regressing_strategy)
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        targets = TestMultiTarget()._targets(inst)
+        searched_order, _gaps = _regressing_strategy(inst, None, targets=targets)
+        with obs.capture(enabled=True) as cap:
+            res = optimize_instance(inst, strategy="regress", targets=targets)
+        assert cap.snapshot["counters"][obs_names.PLACEMENT_REJECTED] == 1
+        # the returned layout is the seed's, as before
+        assert res.order == list(inst.objects) and res.gaps == {}
+        assert res.per_target == res.seed_per_target
+        searched = placement_costs(inst, searched_order, targets)
+        assert res.searched_per_target == searched
+        assert res.regressed == [
+            i for i, (c, s) in enumerate(zip(searched, res.seed_per_target)) if c > s
+        ]
+        assert res.regressed
+
+    def test_accepted_search_counts_nothing(self):
+        from repro.obs import names as obs_names
+
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        geom = CacheGeometry(size=16 * B, block=B)
+        with obs.capture(enabled=True) as cap:
+            res = optimize_instance(inst, geom, strategy="swap", budget=60)
+        assert obs_names.PLACEMENT_REJECTED not in cap.snapshot["counters"]
+        assert res.regressed == []
+        assert res.searched_per_target == res.per_target
+
+    def test_cli_names_each_regressed_target(self, monkeypatch, capsys):
+        import repro.mem.placement as pl
+        from repro.cli import main
+
+        monkeypatch.setitem(pl._STRATEGIES, "swap", _regressing_strategy)
+        assert main([
+            "schedule", "fm_radio", "--cache", "256", "--inputs", "64",
+            "--layout", "swap", "--layout-targets", "direct:1,lru:2",
+        ]) == 0
+        (line,) = [
+            ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("rejected")
+        ]
+        assert "the swap layout missed more than the seed at" in line
+        assert "direct:1 " in line or "lru:2 " in line
+
+
 # ----------------------------------------------------------------------
 # A7 acceptance: the workload the experiment ships
 # ----------------------------------------------------------------------
@@ -670,8 +739,6 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         with pytest.raises(LayoutError, match="gap_budget"):
             multiswap_refine(inst, list(inst.objects), geom, gap_budget=-1)
-        with pytest.raises(LayoutError, match="batch"):
-            multiswap_refine(inst, list(inst.objects), geom, batch=0)
         with pytest.raises(LayoutError, match="objective"):
             multiswap_refine(inst, list(inst.objects), geom, objective="max")
         with pytest.raises(LayoutError, match="geometry or targets"):
@@ -782,8 +849,8 @@ class TestFacilityStrategies:
 # ----------------------------------------------------------------------
 class TestEvalAccounting:
     """``RefineStats.evals`` must equal the number of cost-model
-    invocations the search actually made (serial backend: every candidate
-    scored is exactly one ``_delta_misses`` call), so the A12 "equal eval
+    invocations the search actually made (every candidate scored is
+    exactly one ``_delta_misses`` call), so the A12 "equal eval
     budget" comparisons cannot silently miscount."""
 
     def _counting(self, monkeypatch):
@@ -806,7 +873,6 @@ class TestEvalAccounting:
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = swap_refine(
             inst, list(inst.objects), geom, policy="direct", budget=50,
-            backend="serial",
         )
         assert stats.evals == calls["n"]
 
@@ -817,7 +883,6 @@ class TestEvalAccounting:
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = multiswap_refine(
             inst, list(inst.objects), geom, policy="direct", budget=50,
-            backend="serial",
         )
         assert stats.evals == calls["n"]
 
@@ -828,18 +893,7 @@ class TestEvalAccounting:
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = smoothed_search(
             inst, geom, policy="direct", budget=40, restarts=2, noise=0.5,
-            seed=0, backend="serial",
-        )
-        assert stats.evals == calls["n"]
-
-    def test_batched_swap_counts_too(self, monkeypatch):
-        g, sched = small_workload()
-        inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
-        calls = self._counting(monkeypatch)
-        _o, _g, _c, stats = swap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
-            batch=8, backend="serial",
+            seed=0,
         )
         assert stats.evals == calls["n"]
 
@@ -854,7 +908,7 @@ class TestEvalAccounting:
         try:
             optimize_instance(
                 inst, geom, strategy=strategy, policy="direct", budget=budget,
-                restarts=restarts, noise=0.5, backend="serial",
+                restarts=restarts, noise=0.5,
             )
         except LayoutError as exc:
             assert "budget" in str(exc)
@@ -886,7 +940,6 @@ class TestEvalAccounting:
         with obs.capture(enabled=True) as cap:
             _o, _g, _c, stats = smoothed_search(
                 inst, geom, policy="direct", budget=5, restarts=4, noise=0.5,
-                backend="serial",
             )
         # slices of 2 evals: a third restart would overrun the budget of 5
         assert cap.snapshot["counters"][obs_names.PLACEMENT_RESTARTS] == 2

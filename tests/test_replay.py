@@ -24,7 +24,7 @@ from repro.cache.policy import available_policies, get_policy, stepwise_trace_mi
 from repro.core.baselines import interleaved_schedule, single_appearance_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
-from repro.graphs.topologies import pipeline, random_pipeline
+from repro.graphs.topologies import random_pipeline
 from repro.runtime.compiled import compile_trace, measure_compiled, simulate_trace
 from repro.runtime.executor import Executor
 from repro.runtime.replay import (
@@ -270,19 +270,6 @@ class TestReplayProperties:
                 self.trace, [CacheGeometry(size=256, block=B, ways=4)], "direct"
             )
 
-    def test_workers_do_not_change_results(self):
-        from repro.runtime.backend import replay_stats
-        from repro.runtime.streaming import ArrayChunkSource
-
-        geoms = _fa_geometries() + _sa_geometries()
-        source = ArrayChunkSource(self.trace, chunk_words=len(self.trace))
-        for policy in ("lru", "opt"):
-            serial = replay_misses(self.trace, geoms, policy)
-            pooled = replay_stats(
-                source, geoms, policy, workers=2, backend="process"
-            )
-            assert serial == [m for m, _counts in pooled]
-
 
 # ----------------------------------------------------------------------
 # end-to-end: simulate_trace policy dispatch vs the stepwise executor
@@ -332,21 +319,6 @@ class TestSimulateTracePolicies:
         opt = measure_compiled(g, geom, sched, policy="opt")
         lru = measure_compiled(g, geom, sched)
         assert opt.misses <= lru.misses
-
-    def test_sweep_with_workers_matches_serial(self):
-        g = pipeline([24] * 6)
-        sched = interleaved_schedule(g, n_iterations=20)
-        trace = compile_trace(g, sched, B)
-        geoms = [CacheGeometry(size=s, block=B) for s in (32, 64, 128, 256, 512)]
-        for policy in ("lru", "direct", "opt"):
-            serial = [r.misses for r in simulate_trace(trace, geoms, policy=policy)]
-            pooled = [
-                r.misses
-                for r in simulate_trace(
-                    trace, geoms, policy=policy, backend="process", workers=3
-                )
-            ]
-            assert serial == pooled
 
     def test_opt_set_associative_oracle_composition(self):
         # set-assoc OPT == OPT run independently per set subsequence

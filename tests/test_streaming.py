@@ -13,9 +13,7 @@ kernel at every chunking* is pinned per access, not per total.
 
 Also pinned here: segment-granular recompilation after cache corruption
 (one truncated ``.npz`` recompiles alone — intact segments keep their bytes
-and mtimes), the ``swap_refine`` cost trajectory under chunked candidate
-scoring, the process chunk fan-out, and the ``chunk_words=`` threading
-through every front door (``compile_trace`` / ``simulate_trace`` /
+and mtimes), and the ``chunk_words=`` threading through every front door (``compile_trace`` / ``simulate_trace`` /
 ``measure_compiled`` / ``configure``).
 """
 
@@ -28,11 +26,9 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
-from repro.core.baselines import interleaved_schedule, single_appearance_schedule
+from repro.core.baselines import interleaved_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
-from repro.graphs.topologies import pipeline
-from repro.mem.placement import build_instance, placement_cost, swap_refine
 from repro.runtime.backend import configure
 from repro.runtime.compiled import (
     compile_trace,
@@ -451,62 +447,3 @@ class TestFrontDoors:
         with pytest.raises(CacheConfigError, match="sum to"):
             ArrayChunkSource(blocks, sizes=[5, 4])
 
-
-# ----------------------------------------------------------------------
-# process fan-out over chunks
-# ----------------------------------------------------------------------
-class TestProcessChunkFanOut:
-    @pytest.mark.parametrize("policy", ["lru", "direct"])
-    def test_process_backend_equals_serial(self, workload, tmp_path, policy):
-        g, sched, trace = workload
-        cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
-        ct = compile_trace_chunked(g, sched, B, chunk_words=157, cache=cache)
-        geoms = [CacheGeometry(size=8 * B, block=B, ways=1)]
-        if policy == "lru":
-            geoms.append(CacheGeometry(size=16 * B, block=B, ways=2))
-        serial = simulate_trace(ct, geoms, policy=policy)
-        pooled = simulate_trace(ct, geoms, policy=policy, backend="process", workers=2)
-        assert pooled == serial
-        assert serial == simulate_trace(trace, geoms, policy=policy)
-
-
-# ----------------------------------------------------------------------
-# placement scoring: the swap_refine trajectory is chunking-blind
-# ----------------------------------------------------------------------
-class TestChunkedPlacementScoring:
-    def _workload(self):
-        g = pipeline([12, 20, 6, 28, 10])
-        sched = single_appearance_schedule(g, n_iterations=12)
-        return g, sched
-
-    def test_placement_cost_chunked_identical(self):
-        g, sched = self._workload()
-        inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
-        order = list(inst.objects)
-        mono = placement_cost(inst, order, geom, policy="lru")
-        for cw in (1, 17, 10_000):
-            assert placement_cost(
-                inst, order, geom, policy="lru", chunk_words=cw
-            ) == mono
-
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_swap_refine_trajectory_identical_under_chunked_scoring(self, batch):
-        g, sched = self._workload()
-        inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
-        start = list(inst.objects)
-        mono = swap_refine(
-            inst, start, geom, policy="direct", budget=60, batch=batch
-        )
-        chunked = swap_refine(
-            inst, start, geom, policy="direct", budget=60, batch=batch,
-            chunk_words=23,
-        )
-        assert chunked[0] == mono[0] and chunked[1] == mono[1]
-        assert chunked[2] == mono[2]
-        # the RefineStats cost trajectory is byte-identical: same evals,
-        # same rounds, same per-round best costs
-        assert chunked[3].evals == mono[3].evals
-        assert chunked[3].rounds == mono[3].rounds
-        assert chunked[3].trajectory == mono[3].trajectory

@@ -96,7 +96,6 @@ class TestCompatibilityKeywords:
             assert simulate_trace(trace, grid, backend="serial") == simulate_trace(
                 trace, grid
             )
-            assert simulate_trace(trace, [], backend="serial") == []
             start = list(instance.objects)
             assert multiswap_refine(
                 instance, start, geom, budget=12, backend="serial"
@@ -147,3 +146,9 @@ class TestSerialReplayBitIdentity:
         differential_grid(
             replay_kernel(policy), stepwise_oracle(policy), grid, trace.blocks[:1500]
         )
+
+    def test_empty_geometry_list(self, workload):
+        _g, _s, trace = workload
+        for policy, _scheme in _GRID_CASES:
+            assert simulate_trace(trace, [], policy=policy) == []
+            assert simulate_trace(trace, [], policy=policy, backend="serial") == []

@@ -416,6 +416,32 @@ class TestWorkCounters:
         assert counters[obs_names.REPLAY_MISSES] == sum(r.misses for r in results)
         assert "replay[policy=lru]" in cap.snapshot["spans"]
 
+    def test_replay_span_key_ignores_chunking(self, tmp_path):
+        """A chunked trace and its whole compilation replay under the same
+        span key, once per call: chunking changes span counts, not keys."""
+        from repro.cache.base import CacheGeometry
+        from repro.core.baselines import single_appearance_schedule
+        from repro.graphs.topologies import pipeline
+        from repro.runtime.compiled import compile_trace, simulate_trace
+        from repro.runtime.streaming import compile_trace_chunked
+        from repro.runtime.trace_cache import TraceCache
+
+        g = pipeline([12, 20, 6, 28, 10])
+        sched = single_appearance_schedule(g, n_iterations=12)
+        cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
+        chunked = compile_trace_chunked(g, sched, 8, chunk_words=157, cache=cache)
+        assert chunked.n_chunks == 2
+        geoms = [CacheGeometry(size=s, block=8) for s in (64, 128)]
+        answers, spans = {}, {}
+        whole = compile_trace(g, sched, 8)
+        for label, trace in (("whole", whole), ("chunked", chunked)):
+            with obs.capture(enabled=True) as cap:
+                answers[label] = simulate_trace(trace, geoms, policy="lru")
+            spans[label] = cap.snapshot["spans"]
+        assert answers["whole"] == answers["chunked"]
+        for label in ("whole", "chunked"):
+            assert spans[label]["replay[policy=lru]"]["count"] == 1
+
     def test_period_shortcut_counts_each_geometry_once(self):
         """A looped trace answered from its head and tail slices counts the
         geometry once, as its flat expansion does."""

@@ -6,8 +6,13 @@ Measurements, all asserted and all recorded in ``BENCH_trace_engine.json``
 at the repo root (with a rolling ``history`` so
 ``benchmarks/check_bench_trends.py`` can fail on regressions).  Each
 stepwise-vs-replay ratio (sweep, single, direct, opt, set_assoc,
-two_level) takes the best of 3 runs on both sides: the stepwise Python
-loops alone vary about 2x from run to run on a shared host.
+two_level) times 3 runs on both sides, each under a
+:class:`perfbench.clock.Clock`: the stepwise Python loops alone vary about
+2x from run to run on a shared host.  The ratio of the best wall times is
+recorded under the ratio's name and held to its acceptance bound here;
+``<name>_scaled``, the ratio of the median host-scaled times, is what the
+trend gate compares.  Every absolute rate below is likewise recorded raw
+and trend-gated on its host-scaled median (``*_scaled_*`` keys).
 
 * **sweep** (fully-associative LRU): answer N cache sizes for one
   partitioned schedule — the executor pays N full simulations, the engine
@@ -23,10 +28,7 @@ loops alone vary about 2x from run to run on a shared host.
   pass answering every capacity.  Acceptance: >= 5x on the sweep.
 * **set_assoc**: a ways sweep at fixed set count through the stepwise
   set-associative ``LRUCache`` vs the shared set-grouped stack-distance
-  pass.  New capability (no replaced path): sanity-bounded only.  Both
-  sides run under a :class:`perfbench.clock.Clock`; ``set_assoc_scaled``,
-  the ratio of their median host-scaled times, is trend-gated, and the
-  raw wall ratio ``set_assoc`` (best of 3 each) is recorded beside it.
+  pass.  New capability (no replaced path): sanity-bounded only.
 * **two_level**: the stepwise loop the E12 hierarchy row replaced — a
   ``TwoLevelCache`` walked block by block per (L1, L2) pair — vs the
   hierarchical replay (one L1 pass per distinct L1, its miss sub-trace
@@ -51,18 +53,19 @@ loops alone vary about 2x from run to run on a shared host.
   harder absolute claim under ``RLIMIT_AS`` in its own CI job).
 * **looped_compile_accesses_per_s** / **looped_replay_accesses_per_s**:
   absolute throughput on the RSS probe's looped pipeline (~1.5x10^6
-  accesses) — the best of 5 monolithic ``compile_trace`` calls (accesses
-  compiled per second), and ``simulate_trace`` of that trace for the
-  probe's 2-way lru geometry plus one direct geometry (accesses times
-  geometries answered per second).  A replay takes ~1-2 ms, so each of
-  its 10 samples times back-to-back calls for at least ``MIN_SAMPLE_S``
-  (50 ms) and the best per-call time counts: a process's first sample
-  runs ~1.5x slower than the rest.  Neighbours' load on a shared host can
-  slow several samples in a row, so each sample also runs under a
-  :class:`perfbench.clock.Clock`, which probes the host's speed before
-  and after it; ``looped_replay_scaled_accesses_per_s``, from the median
-  host-scaled time, is trend-gated, and the raw rate is recorded beside
-  it.  The compile rate is trend-gated raw, like the speedups.
+  accesses) — monolithic ``compile_trace`` calls (accesses compiled per
+  second), and ``simulate_trace`` of that trace for the probe's 2-way lru
+  geometry plus one direct geometry (accesses times geometries answered
+  per second).  A compile takes ~5 ms and a replay ~1-2 ms, so each of
+  their 10 samples times back-to-back calls for at least
+  ``MIN_SAMPLE_S`` (50 ms) and the best per-call time counts: a
+  process's first sample runs ~1.5x slower than the rest.  Neighbours'
+  load on a shared host can slow several samples in a row, so each
+  sample also runs under a :class:`perfbench.clock.Clock`, which probes
+  the host's speed before and after it;
+  ``looped_compile_scaled_accesses_per_s`` and
+  ``looped_replay_scaled_accesses_per_s``, from the median host-scaled
+  times, are trend-gated, and the raw rates are recorded beside them.
 * **schedule_firings_per_s**: absolute throughput of
   ``pipeline_dynamic_schedule`` on this benchmark's own input (firings
   returned per second), the best of 5 clocked samples of at least
@@ -70,18 +73,18 @@ loops alone vary about 2x from run to run on a shared host.
   median host-scaled time, is trend-gated; the raw rate is recorded
   beside it.
 * **flat_compile_accesses_per_s**: absolute compile throughput on this
-  benchmark's own flat schedule, best of 5 monolithic ``compile_trace``
-  calls (accesses compiled per second).  Trend-gated like the speedups.
+  benchmark's own flat schedule, monolithic ``compile_trace`` calls
+  (accesses compiled per second), 10 clocked samples of at least
+  ``MIN_SAMPLE_S`` each.
 * **measure_accesses_per_s**: absolute single-geometry throughput on the
-  same schedule, best of 5 ``measure_compiled`` calls at the sweep's middle
-  size — the streamed compile and replay the experiment drivers measure
-  with (accesses measured per second).  Trend-gated like the speedups.
+  same schedule, 5 clocked ``measure_compiled`` calls at the sweep's
+  middle size — the streamed compile and replay the experiment drivers
+  measure with (accesses measured per second).
 * **measure_stream_accesses_per_s**: the same on a stream-heavy schedule,
   an interleaved ``pipeline([8, 8, 8, 8])`` whose distinct blocks are
   nearly all external-stream blocks (~6x10^5 accesses, one 32-frame fully
   associative geometry), checked against a monolithic compile and replay.
   It times the recency carry the streamed measure keeps across chunks.
-  Trend-gated like the speedups.
 * **warm_speedup**: the persistent trace cache's saving — one cold
   ``cached_compile_trace`` of this benchmark's own trace into a fresh
   ``TraceCache`` (digest, compile, store) over the best of 3 warm hits
@@ -90,12 +93,11 @@ loops alone vary about 2x from run to run on a shared host.
   by ``check_bench_trends.py``; not trend-gated, because its cold side is
   one compile timed once.
 * **lru_replay_accesses_per_s** / **set_assoc_replay_accesses_per_s**:
-  absolute replay throughput on this benchmark's own trace, best of 5
-  serial ``simulate_trace`` calls (replay only, the trace already
-  compiled) — the fully associative LRU sweep over ``SWEEP_SIZES`` and
-  the ways sweep over ``SET_ASSOC_WAYS``, accesses times geometries
-  answered per second.  The stack-distance pass sets both.  Trend-gated
-  like the speedups.
+  absolute replay throughput on this benchmark's own trace, 5 clocked
+  ``simulate_trace`` calls (replay only, the trace already compiled) —
+  the fully associative LRU sweep over ``SWEEP_SIZES`` and the ways sweep
+  over ``SET_ASSOC_WAYS``, accesses times geometries answered per second.
+  The stack-distance pass sets both.
 
 Every path must agree miss-for-miss with its stepwise oracle at every size
 (the oracle property, re-checked here on the benchmark workload itself).
@@ -280,19 +282,24 @@ def _best_per_call(samples, run, min_sample_s=MIN_SAMPLE_S):
 
 
 def _looped_throughput():
-    """``(compile accesses/s, replay accesses/s, host-scaled replay
-    accesses/s, accesses)`` on the looped workload: best of 5 compiles, and
-    best of 10 replay samples of at least ``MIN_SAMPLE_S`` each; replay
-    counts accesses times geometries."""
+    """``(compile accesses/s, host-scaled compile accesses/s, replay
+    accesses/s, host-scaled replay accesses/s, accesses)`` on the looped
+    workload, from 10 compile and 10 replay samples of at least
+    ``MIN_SAMPLE_S`` each; replay counts accesses times geometries."""
     g, sched, geoms = _looped_workload()
-    t_compile, trace = _best_of(5, lambda: compile_trace(g, sched, B))
+    t_compile, t_compile_scaled, trace = _best_per_call(
+        10, lambda: compile_trace(g, sched, B)
+    )
     t_replay, t_replay_scaled, _ = _best_per_call(10, lambda: (
         simulate_trace(trace, geoms[:1], policy="lru"),
         simulate_trace(trace, geoms[1:], policy="direct"),
     ))
     n = trace.accesses
     answered = n * len(geoms)
-    return n / t_compile, answered / t_replay, answered / t_replay_scaled, n
+    return (
+        n / t_compile, n / t_compile_scaled,
+        answered / t_replay, answered / t_replay_scaled, n,
+    )
 
 
 def _schedule_throughput():
@@ -327,10 +334,14 @@ def _warm_cache_times(g, sched, order, trace):
 
 
 def _lru_replay_throughput(trace, geoms):
-    """Best-of-5 serial lru ``simulate_trace`` of ``geoms`` over a compiled
-    ``trace``: accesses times geometries answered per second."""
-    best, _ = _best_of(5, lambda: simulate_trace(trace, geoms, policy="lru"))
-    return trace.accesses * len(geoms) / best
+    """``(accesses/s, host-scaled accesses/s)`` of 5 clocked lru
+    ``simulate_trace`` calls of ``geoms`` over a compiled ``trace``,
+    counting accesses times geometries."""
+    best, scaled, _ = _clocked_best_of(
+        5, lambda: simulate_trace(trace, geoms, policy="lru")
+    )
+    answered = trace.accesses * len(geoms)
+    return answered / best, answered / scaled
 
 
 def _workload_input(n_outputs=800):
@@ -364,7 +375,7 @@ def test_trace_engine_speedup(show):
     g, sched, order = _workload()
     geoms = [CacheGeometry(size=s, block=B) for s in SWEEP_SIZES]
 
-    t_executor_sweep, ref = _best_of(RATIO_RUNS, lambda: [
+    t_executor_sweep, t_executor_sweep_scaled, ref = _clocked_best_of(RATIO_RUNS, lambda: [
         Executor.measure(g, geom, sched, layout_order=order).misses for geom in geoms
     ])
 
@@ -372,38 +383,45 @@ def test_trace_engine_speedup(show):
         trace = compile_trace(g, sched, B, layout_order=order)
         return trace, [r.misses for r in simulate_trace(trace, geoms)]
 
-    t_compiled_sweep, (trace, fast) = _best_of(RATIO_RUNS, compiled_sweep)
+    t_compiled_sweep, t_compiled_sweep_scaled, (trace, fast) = _clocked_best_of(
+        RATIO_RUNS, compiled_sweep
+    )
     assert fast == ref, "compiled sweep diverged from stepwise executor"
     sweep_speedup = t_executor_sweep / t_compiled_sweep
+    sweep_scaled = t_executor_sweep_scaled / t_compiled_sweep_scaled
 
     one = geoms[len(geoms) // 2]
-    t_executor_one, ref_one = _best_of(
+    t_executor_one, t_executor_one_scaled, ref_one = _clocked_best_of(
         RATIO_RUNS, lambda: Executor.measure(g, one, sched, layout_order=order)
     )
-    t_compiled_one, fast_one = _best_of(
+    t_compiled_one, t_compiled_one_scaled, fast_one = _clocked_best_of(
         RATIO_RUNS, lambda: measure_compiled(g, one, sched, layout_order=order)
     )
     assert fast_one.misses == ref_one.misses
     single_speedup = t_executor_one / t_compiled_one
+    single_scaled = t_executor_one_scaled / t_compiled_one_scaled
 
-    t_flat_compile, _ = _best_of(
-        5, lambda: compile_trace(g, sched, B, layout_order=order)
+    t_flat_compile, t_flat_compile_scaled, _ = _best_per_call(
+        10, lambda: compile_trace(g, sched, B, layout_order=order)
     )
     flat_compile = trace.accesses / t_flat_compile
-    t_measure, _ = _best_of(
+    flat_compile_scaled = trace.accesses / t_flat_compile_scaled
+    t_measure, t_measure_scaled, _ = _clocked_best_of(
         5, lambda: measure_compiled(g, one, sched, layout_order=order)
     )
     measure_rate = trace.accesses / t_measure
+    measure_scaled = trace.accesses / t_measure_scaled
     sg = pipeline([8, 8, 8, 8])
     stream_sched = interleaved_schedule(sg, n_iterations=STREAM_MEASURE_ITERATIONS)
     stream_geom = CacheGeometry(size=32 * B, block=B)
-    t_measure_stream, stream_res = _best_of(
+    t_measure_stream, t_measure_stream_scaled, stream_res = _clocked_best_of(
         5, lambda: measure_compiled(sg, stream_geom, stream_sched)
     )
     assert stream_res == simulate_trace(
         compile_trace(sg, stream_sched, B), [stream_geom]
     )[0], "streamed measure diverged from the monolithic replay"
     measure_stream_rate = stream_res.accesses / t_measure_stream
+    measure_stream_scaled = stream_res.accesses / t_measure_stream_scaled
     t_cold_cache, t_warm_cache = _warm_cache_times(g, sched, order, trace)
     warm_speedup = t_cold_cache / t_warm_cache
 
@@ -413,20 +431,26 @@ def test_trace_engine_speedup(show):
         return [r.misses for r in simulate_trace(trace, geoms, policy=policy)]
 
     # --- direct-mapped: stepwise model loop vs per-frame last-block replay
-    t_dm_step, dm_ref = _best_of(
+    t_dm_step, t_dm_step_scaled, dm_ref = _clocked_best_of(
         RATIO_RUNS, lambda: _model_sweep_misses(blocks_list, DirectMappedCache, geoms)
     )
-    t_dm_replay, dm_fast = _best_of(RATIO_RUNS, lambda: policy_misses(geoms, "direct"))
+    t_dm_replay, t_dm_replay_scaled, dm_fast = _clocked_best_of(
+        RATIO_RUNS, lambda: policy_misses(geoms, "direct")
+    )
     assert dm_fast == dm_ref, "direct-mapped replay diverged from stepwise model"
     dm_speedup = t_dm_step / t_dm_replay
+    dm_scaled = t_dm_step_scaled / t_dm_replay_scaled
 
     # --- OPT: one heap simulation per size vs one priority-stack pass
-    t_opt_step, opt_ref = _best_of(
+    t_opt_step, t_opt_step_scaled, opt_ref = _clocked_best_of(
         RATIO_RUNS, lambda: [simulate_opt(blocks_list, geom).misses for geom in geoms]
     )
-    t_opt_replay, opt_fast = _best_of(RATIO_RUNS, lambda: policy_misses(geoms, "opt"))
+    t_opt_replay, t_opt_replay_scaled, opt_fast = _clocked_best_of(
+        RATIO_RUNS, lambda: policy_misses(geoms, "opt")
+    )
     assert opt_fast == opt_ref, "OPT replay diverged from stepwise simulate_opt"
     opt_speedup = t_opt_step / t_opt_replay
+    opt_scaled = t_opt_step_scaled / t_opt_replay_scaled
 
     # --- set-associative LRU: ways sweep at fixed set count
     sa_geoms = [
@@ -454,14 +478,17 @@ def test_trace_engine_speedup(show):
         for l1 in TWO_LEVEL_L1
         for l2 in TWO_LEVEL_L2
     ]
-    t_tl_step, tl_ref = _best_of(RATIO_RUNS, lambda: _model_sweep_misses(
-        blocks_list, lambda tg: TwoLevelCache(tg.l1, tg.l2), tl_geoms
-    ))
-    t_tl_replay, tl_fast = _best_of(
+    t_tl_step, t_tl_step_scaled, tl_ref = _clocked_best_of(
+        RATIO_RUNS, lambda: _model_sweep_misses(
+            blocks_list, lambda tg: TwoLevelCache(tg.l1, tg.l2), tl_geoms
+        )
+    )
+    t_tl_replay, t_tl_replay_scaled, tl_fast = _clocked_best_of(
         RATIO_RUNS, lambda: policy_misses(tl_geoms, "two_level")
     )
     assert tl_fast == tl_ref, "two-level replay diverged from stepwise TwoLevelCache"
     tl_speedup = t_tl_step / t_tl_replay
+    tl_scaled = t_tl_step_scaled / t_tl_replay_scaled
 
     # --- obs overhead: instrumentation must be ~free.  Enabled-vs-disabled
     # is the stricter proxy for the disabled-cost contract: whatever the
@@ -508,33 +535,43 @@ def test_trace_engine_speedup(show):
     )
     streaming_rss_ratio = rss_chunked_kb / rss_mono_kb
 
-    looped_compile, looped_replay, looped_replay_scaled, looped_accesses = (
-        _looped_throughput()
-    )
+    (looped_compile, looped_compile_scaled, looped_replay, looped_replay_scaled,
+     looped_accesses) = _looped_throughput()
     schedule_rate, schedule_scaled = _schedule_throughput()
-    lru_replay = _lru_replay_throughput(trace, geoms)
-    sa_replay = _lru_replay_throughput(trace, sa_geoms)
+    lru_replay, lru_replay_scaled = _lru_replay_throughput(trace, geoms)
+    sa_replay, sa_replay_scaled = _lru_replay_throughput(trace, sa_geoms)
 
     summary = {
         "ts": round(time.time(), 1),
         "sweep": round(sweep_speedup, 2),
+        "sweep_scaled": round(sweep_scaled, 2),
         "single": round(single_speedup, 2),
+        "single_scaled": round(single_scaled, 2),
         "direct": round(dm_speedup, 2),
+        "direct_scaled": round(dm_scaled, 2),
         "opt": round(opt_speedup, 2),
+        "opt_scaled": round(opt_scaled, 2),
         "set_assoc": round(sa_speedup, 2),
         "set_assoc_scaled": round(sa_scaled, 2),
         "two_level": round(tl_speedup, 2),
+        "two_level_scaled": round(tl_scaled, 2),
         "obs_overhead": round(obs_overhead, 3),
         "streaming_overhead": round(streaming_overhead, 3),
         "streaming_rss_ratio": round(streaming_rss_ratio, 3),
         "looped_compile_accesses_per_s": round(looped_compile),
+        "looped_compile_scaled_accesses_per_s": round(looped_compile_scaled),
         "looped_replay_accesses_per_s": round(looped_replay),
         "looped_replay_scaled_accesses_per_s": round(looped_replay_scaled),
         "flat_compile_accesses_per_s": round(flat_compile),
+        "flat_compile_scaled_accesses_per_s": round(flat_compile_scaled),
         "measure_accesses_per_s": round(measure_rate),
+        "measure_scaled_accesses_per_s": round(measure_scaled),
         "measure_stream_accesses_per_s": round(measure_stream_rate),
+        "measure_stream_scaled_accesses_per_s": round(measure_stream_scaled),
         "lru_replay_accesses_per_s": round(lru_replay),
+        "lru_replay_scaled_accesses_per_s": round(lru_replay_scaled),
         "set_assoc_replay_accesses_per_s": round(sa_replay),
+        "set_assoc_replay_scaled_accesses_per_s": round(sa_replay_scaled),
         "schedule_firings_per_s": round(schedule_rate),
         "schedule_scaled_firings_per_s": round(schedule_scaled),
         "warm_speedup": round(warm_speedup, 2),
@@ -612,24 +649,30 @@ def test_trace_engine_speedup(show):
             "trace_accesses": looped_accesses,
             "geometries": ["lru 16 frames 2-way", "direct 32 frames"],
             "compile_accesses_per_s": round(looped_compile),
+            "compile_scaled_accesses_per_s": round(looped_compile_scaled),
             "replay_accesses_per_s": round(looped_replay),
             "replay_scaled_accesses_per_s": round(looped_replay_scaled),
         },
         "flat": {
             "compile_s": round(t_flat_compile, 4),
             "compile_accesses_per_s": round(flat_compile),
+            "compile_scaled_accesses_per_s": round(flat_compile_scaled),
         },
         "measure": {
             "geometry_size": one.size,
             "measure_s": round(t_measure, 4),
             "measure_accesses_per_s": round(measure_rate),
+            "measure_scaled_accesses_per_s": round(measure_scaled),
             "stream_accesses": stream_res.accesses,
             "stream_measure_s": round(t_measure_stream, 4),
             "stream_accesses_per_s": round(measure_stream_rate),
+            "stream_scaled_accesses_per_s": round(measure_stream_scaled),
         },
         "replay": {
             "lru_accesses_per_s": round(lru_replay),
+            "lru_scaled_accesses_per_s": round(lru_replay_scaled),
             "set_assoc_accesses_per_s": round(sa_replay),
+            "set_assoc_scaled_accesses_per_s": round(sa_replay_scaled),
         },
         "schedule": {
             "scheduler": "pipeline_dynamic_schedule",

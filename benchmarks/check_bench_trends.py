@@ -47,15 +47,16 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 #: metrics tracked per benchmark record (non-metric keys like ``ts`` ignored)
 METRICS_BY_FILE = {
-    # set_assoc, looped replay and the scheduler rate are gated on
-    # host-scaled times (perfbench.clock.Clock); their raw values are
-    # recorded beside them, ungated
+    # every trace-engine ratio and rate is gated on host-scaled times
+    # (perfbench.clock.Clock); the raw values are recorded beside them,
+    # ungated
     "BENCH_trace_engine.json": (
-        "sweep", "single", "direct", "opt", "set_assoc_scaled", "two_level",
-        "looped_compile_accesses_per_s", "looped_replay_scaled_accesses_per_s",
-        "lru_replay_accesses_per_s", "set_assoc_replay_accesses_per_s",
-        "flat_compile_accesses_per_s", "measure_accesses_per_s",
-        "measure_stream_accesses_per_s", "schedule_scaled_firings_per_s",
+        "sweep_scaled", "single_scaled", "direct_scaled", "opt_scaled",
+        "set_assoc_scaled", "two_level_scaled",
+        "looped_compile_scaled_accesses_per_s", "looped_replay_scaled_accesses_per_s",
+        "lru_replay_scaled_accesses_per_s", "set_assoc_replay_scaled_accesses_per_s",
+        "flat_compile_scaled_accesses_per_s", "measure_scaled_accesses_per_s",
+        "measure_stream_scaled_accesses_per_s", "schedule_scaled_firings_per_s",
     ),
     "BENCH_placement.json": (
         "score", "swap_gain", "color_gain", "multi_gain", "facility_gain",

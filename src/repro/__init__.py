@@ -116,7 +116,6 @@ from repro.runtime import (
     CompiledTrace,
     Loop,
     LoopedSchedule,
-    compress_schedule,
     compile_trace,
     ExecutionResult,
     Executor,
@@ -191,7 +190,7 @@ __all__ = [
     # runtime
     "ChannelBuffer", "Schedule", "validate_schedule", "Executor",
     "ExecutionResult", "fireable_modules", "demand_driven_schedule",
-    "Loop", "LoopedSchedule", "compress_schedule",
+    "Loop", "LoopedSchedule",
     "CompiledTrace", "compile_trace", "simulate_trace", "measure_compiled",
     "replay_miss_masks", "replay_misses",
     # core

@@ -59,7 +59,6 @@ def predict_partition_cost(
     geometry: CacheGeometry,
     source_fires: int,
     batch_source_fires: int,
-    count_external: bool = True,
 ) -> PredictedCost:
     """Predict the cost of running a partition schedule.
 
@@ -74,9 +73,9 @@ def predict_partition_cost(
     batch_source_fires:
         Source firings per batch (``T``) — each component's state is loaded
         once per batch.
-    count_external:
-        Include the external stream term (matches the executor's
-        ``count_external`` flag).
+
+    The external stream term is always included, as the executor always
+    charges the streams.
     """
     B = geometry.block
     n_batches = max(1, ceil(source_fires / batch_source_fires))
@@ -93,10 +92,8 @@ def predict_partition_cost(
     # each token written once + read once
     cross = 2.0 * float(cross_tokens_per_fire) * source_fires / B
 
-    stream = 0.0
-    if count_external:
-        sink = partition.graph.sinks()[0]
-        out_per_fire = float(gains.gain(sink))
-        stream = source_fires / B + source_fires * out_per_fire / B
+    sink = partition.graph.sinks()[0]
+    out_per_fire = float(gains.gain(sink))
+    stream = source_fires / B + source_fires * out_per_fire / B
 
     return PredictedCost(state_misses=state, cross_misses=cross, stream_misses=stream)

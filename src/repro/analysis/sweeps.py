@@ -434,7 +434,8 @@ def ablation_a8_inclusion(M: int = 256, B: int = 8) -> List[Dict[str, Any]]:
     associative and direct-mapped), all against the fixed O(M) L2 the E12
     hierarchy row uses, all answered from the *one* compiled partitioned
     trace: each row is an L1 pass plus an L2 pass over its miss sub-trace
-    (:func:`repro.runtime.replay.hierarchy_level_masks`).
+    (:func:`repro.runtime.replay.replay_miss_masks` under ``lru`` or
+    ``direct`` and under ``two_level``).
 
     Columns: ``l1_misses`` (L2 consults), ``mem_misses`` (transfers from
     memory), ``filter_rate`` (fraction of L1 misses that L2 absorbs), and

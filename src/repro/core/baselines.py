@@ -39,10 +39,8 @@ from repro.errors import GraphError, ScheduleError
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.repetition import iteration_tokens, repetition_vector
 from repro.graphs.sdf import StreamGraph
-from repro.obs import core as obs
-from repro.obs import names as obs_names
 from repro.runtime.deadlock import TokenTable, demand_driven_schedule
-from repro.runtime.schedule import Schedule
+from repro.runtime.schedule import Schedule, schedule_span
 
 __all__ = [
     "single_appearance_schedule",
@@ -53,6 +51,7 @@ __all__ = [
 ]
 
 
+@schedule_span("single_appearance")
 def single_appearance_schedule(graph: StreamGraph, n_iterations: int = 1) -> Schedule:
     """Classic single-appearance schedule: topological order, each module
     fired ``r(v)`` times back to back, repeated ``n_iterations`` times.
@@ -74,6 +73,7 @@ def single_appearance_schedule(graph: StreamGraph, n_iterations: int = 1) -> Sch
     return Schedule(one_iter * n_iterations, capacities=caps, label="single-appearance")
 
 
+@schedule_span("interleaved")
 def interleaved_schedule(graph: StreamGraph, n_iterations: int = 1) -> Schedule:
     """Minimal-buffer demand-driven execution: fire the most downstream
     fireable module at every step (so each input is pushed as deep as
@@ -91,6 +91,7 @@ def interleaved_schedule(graph: StreamGraph, n_iterations: int = 1) -> Schedule:
     return Schedule(firings, capacities=caps, label="interleaved")
 
 
+@schedule_span("sermulins_scaled")
 def sermulins_scaled_schedule(
     graph: StreamGraph,
     geometry: CacheGeometry,
@@ -128,6 +129,7 @@ def sermulins_scaled_schedule(
     )
 
 
+@schedule_span("kohli")
 def kohli_greedy_schedule(
     graph: StreamGraph,
     geometry: CacheGeometry,
@@ -169,26 +171,25 @@ def kohli_greedy_schedule(
 
     idx = 0
     stalls = 0
-    with obs.span(obs_names.SCHEDULE, scheduler="kohli"):
-        while sink_fires < target_outputs:
-            runs = 0
-            while runs < max_runs[idx] and can_fire(idx):
-                fire(idx)
-                firings.append(order[idx])
-                runs += 1
-                if idx == sink:
-                    sink_fires += 1
-                    if sink_fires >= target_outputs:
-                        break
-            stalls = stalls + 1 if runs == 0 else 0
-            if stalls > len(order):
-                raise ScheduleError("kohli heuristic made no progress over a full cycle")
-            idx = (idx + 1) % len(order)
-    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
+    while sink_fires < target_outputs:
+        runs = 0
+        while runs < max_runs[idx] and can_fire(idx):
+            fire(idx)
+            firings.append(order[idx])
+            runs += 1
+            if idx == sink:
+                sink_fires += 1
+                if sink_fires >= target_outputs:
+                    break
+        stalls = stalls + 1 if runs == 0 else 0
+        if stalls > len(order):
+            raise ScheduleError("kohli heuristic made no progress over a full cycle")
+        idx = (idx + 1) % len(order)
 
     return Schedule(firings, capacities=caps, label=f"kohli[b={batch_tokens}]")
 
 
+@schedule_span("phased")
 def phased_schedule(graph: StreamGraph, n_iterations: int = 1) -> Schedule:
     """Phased schedule in the style of Karczmarek et al. [13].
 

@@ -31,10 +31,8 @@ from repro.core.partition import Partition
 from repro.errors import DeadlockError, GraphError, ScheduleError
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.sdf import StreamGraph
-from repro.obs import core as obs
-from repro.obs import names as obs_names
 from repro.runtime.deadlock import TokenTable
-from repro.runtime.schedule import Schedule
+from repro.runtime.schedule import Schedule, schedule_span
 
 __all__ = ["dynamic_dag_schedule", "ready_components"]
 
@@ -68,6 +66,7 @@ def ready_components(
     return ready
 
 
+@schedule_span("dynamic_dag")
 def dynamic_dag_schedule(
     graph: StreamGraph,
     partition: Partition,
@@ -126,33 +125,31 @@ def dynamic_dag_schedule(
     last_run: Dict[int, int] = {idx: -1 for idx in comp_order}
     clock = 0
 
-    with obs.span(obs_names.SCHEDULE, scheduler="dynamic_dag"):
-        while sink_fires < target_outputs:
-            ready = [
-                idx
-                for idx in comp_order
-                if all(tokens[s] >= M for s in in_slots[idx])
-                and all(tokens[s] <= room for s, room in out_slots[idx])
-            ]
-            if not ready:
-                raise DeadlockError(
-                    "no schedulable component — partition is not well ordered or "
-                    "buffers are undersized"
-                )
-            if policy == "fifo":
-                chosen = min(ready, key=lambda idx: last_run[idx])
-            else:
-                chosen = ready[0]  # comp_order is topological
-            sweep = sweeps[chosen]
-            for _ in range(M):
-                for i in sweep:
-                    fire(i)
-                firings.extend(comp_topo[chosen])
-            if sink in sweep:
-                sink_fires += M
-            clock += 1
-            last_run[chosen] = clock
-    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
+    while sink_fires < target_outputs:
+        ready = [
+            idx
+            for idx in comp_order
+            if all(tokens[s] >= M for s in in_slots[idx])
+            and all(tokens[s] <= room for s, room in out_slots[idx])
+        ]
+        if not ready:
+            raise DeadlockError(
+                "no schedulable component — partition is not well ordered or "
+                "buffers are undersized"
+            )
+        if policy == "fifo":
+            chosen = min(ready, key=lambda idx: last_run[idx])
+        else:
+            chosen = ready[0]  # comp_order is topological
+        sweep = sweeps[chosen]
+        for _ in range(M):
+            for i in sweep:
+                fire(i)
+            firings.extend(comp_topo[chosen])
+        if sink in sweep:
+            sink_fires += M
+        clock += 1
+        last_run[chosen] = clock
 
     return Schedule(
         firings,

@@ -40,10 +40,8 @@ from repro.errors import DeadlockError, GraphError, PartitionError, ScheduleErro
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.transforms import induced_subgraph
-from repro.obs import core as obs
-from repro.obs import names as obs_names
 from repro.runtime.deadlock import TokenTable, demand_driven_schedule
-from repro.runtime.schedule import Schedule
+from repro.runtime.schedule import Schedule, schedule_span
 
 __all__ = [
     "homogeneous_partition_schedule",
@@ -69,6 +67,7 @@ def component_layout_order(partition: Partition) -> List[str]:
 # ----------------------------------------------------------------------
 # homogeneous graphs
 # ----------------------------------------------------------------------
+@schedule_span("homogeneous")
 def homogeneous_partition_schedule(
     graph: StreamGraph,
     partition: Partition,
@@ -150,6 +149,7 @@ def _component_low_level(
     )
 
 
+@schedule_span("inhomogeneous")
 def inhomogeneous_partition_schedule(
     graph: StreamGraph,
     partition: Partition,
@@ -200,6 +200,7 @@ def inhomogeneous_partition_schedule(
 # ----------------------------------------------------------------------
 # pipelines: the dynamic half-full / half-empty scheduler
 # ----------------------------------------------------------------------
+@schedule_span("pipeline_dynamic")
 def pipeline_dynamic_schedule(
     graph: StreamGraph,
     partition: Partition,
@@ -265,37 +266,35 @@ def pipeline_dynamic_schedule(
     firings: List[str] = []
     sink_fires = 0
 
-    with obs.span(obs_names.SCHEDULE, scheduler="pipeline_dynamic"):
+    while sink_fires < target_outputs:
+        target_seg = len(segments) - 1
+        for i, (s, cap) in enumerate(cross_slots):
+            if tokens[s] * 2 <= cap:
+                target_seg = i
+                break
+        # Fire the segment downstream-first until stuck.  A firing at
+        # position p changes only p's two channels, so of the positions
+        # the scan rejected (p + 1 .. hi) only p + 1 can fire now.
+        lo, hi = bounds[target_seg]
+        start = hi
+        progressed = 0
         while sink_fires < target_outputs:
-            target_seg = len(segments) - 1
-            for i, (s, cap) in enumerate(cross_slots):
-                if tokens[s] * 2 <= cap:
-                    target_seg = i
+            for p in range(start, lo - 1, -1):
+                if can_fire(p):
                     break
-            # Fire the segment downstream-first until stuck.  A firing at
-            # position p changes only p's two channels, so of the positions
-            # the scan rejected (p + 1 .. hi) only p + 1 can fire now.
-            lo, hi = bounds[target_seg]
-            start = hi
-            progressed = 0
-            while sink_fires < target_outputs:
-                for p in range(start, lo - 1, -1):
-                    if can_fire(p):
-                        break
-                else:
-                    break
-                fire(p)
-                firings.append(order[p])
-                progressed += 1
-                if p == sink:
-                    sink_fires += 1
-                start = min(p + 1, hi)
-            if progressed == 0:
-                raise DeadlockError(
-                    f"dynamic pipeline scheduler stuck: segment {target_seg} cannot fire "
-                    f"(cross occupancies={[tokens[s] for s, _cap in cross_slots]})"
-                )
-    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
+            else:
+                break
+            fire(p)
+            firings.append(order[p])
+            progressed += 1
+            if p == sink:
+                sink_fires += 1
+            start = min(p + 1, hi)
+        if progressed == 0:
+            raise DeadlockError(
+                f"dynamic pipeline scheduler stuck: segment {target_seg} cannot fire "
+                f"(cross occupancies={[tokens[s] for s, _cap in cross_slots]})"
+            )
 
     return Schedule(
         firings,

@@ -130,7 +130,6 @@ def multiswap_refine(
     order: Sequence[ObjectKey],
     geometry: Optional[CacheGeometry] = None,
     policy: str = "direct",
-    window: int = 8,
     budget: int = 400,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
     targets: Optional[Sequence[PlacementTarget]] = None,
@@ -166,7 +165,7 @@ def multiswap_refine(
         "multiswap_refine needs a geometry or targets",
     )
     if weights is None:
-        weights = conflict_graph(instance, window=window)
+        weights = conflict_graph(instance)
     hot, hot_ids = _hot_objects(weights, instance.n_objects)
     moves = (
         _swap_moves(instance, weights)
@@ -184,7 +183,6 @@ def smoothed_search(
     instance: PlacementInstance,
     geometry: Optional[CacheGeometry] = None,
     policy: str = "direct",
-    window: int = 8,
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
@@ -219,7 +217,7 @@ def smoothed_search(
         instance, geometry, policy, targets,
         "smoothed_search needs a geometry or targets",
     )
-    base_weights = conflict_graph(instance, window=window)
+    base_weights = conflict_graph(instance)
     pg, pp, _w = _primary_target(targets_n)
     rng = np.random.default_rng(seed)
     per_budget = min(budget, max(2, budget // restarts))
@@ -239,11 +237,9 @@ def smoothed_search(
                 e: w * float(1.0 + noise * (2.0 * rng.random() - 1.0))
                 for e, w in base_weights.items()
             }
-        start = greedy_color_order(
-            instance, pg, policy=pp, window=window, weights=w_r
-        )
+        start = greedy_color_order(instance, pg, policy=pp, weights=w_r)
         order, gaps, cost, stats = multiswap_refine(
-            instance, start, window=window, budget=per_budget, weights=w_r,
+            instance, start, budget=per_budget, weights=w_r,
             targets=targets_n, gap_budget=gap_budget,
         )
         total_evals += stats.evals
@@ -261,7 +257,6 @@ def smoothed_search(
 def _minimax_refine(
     instance: PlacementInstance,
     order: Sequence[ObjectKey],
-    window: int = 8,
     budget: int = 400,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
     targets: Optional[Sequence[PlacementTarget]] = None,
@@ -279,11 +274,11 @@ def _minimax_refine(
         )
     warm = budget // 2
     order, gaps, _cost, _stats = multiswap_refine(
-        instance, order, window=window, budget=warm, weights=weights,
+        instance, order, budget=warm, weights=weights,
         targets=targets, gap_budget=gap_budget,
     )
     return multiswap_refine(
-        instance, order, window=window, budget=budget - warm,
+        instance, order, budget=budget - warm,
         weights=weights, targets=targets, gap_budget=gap_budget,
         gaps=gaps, objective="minimax",
     )
@@ -291,7 +286,7 @@ def _minimax_refine(
 
 def _smoothed_strategy(
     instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
+    policy: str = "direct", budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     restarts: Optional[int] = None,
@@ -302,7 +297,7 @@ def _smoothed_strategy(
     if targets_n is None:
         return list(instance.objects), {}
     order, gaps, _cost, _stats = smoothed_search(
-        instance, window=window, budget=budget, targets=targets_n,
+        instance, budget=budget, targets=targets_n,
         gap_budget=gap_budget,
         restarts=4 if restarts is None else restarts,
         noise=0.25 if noise is None else noise,

@@ -148,7 +148,6 @@ def build_instance(
     block: int,
     capacities: Optional[Dict[int, int]] = None,
     order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
 ) -> PlacementInstance:
     """Compile ``schedule`` once under the seed layout and factor the trace.
 
@@ -162,10 +161,7 @@ def build_instance(
         capacities = getattr(schedule, "capacities", None)
     if order is not None:
         order = list(order)  # consumed twice below: compiler and layout_objects
-    compiler = TraceCompiler(
-        graph, block, capacities=capacities, layout_order=order,
-        count_external=count_external,
-    )
+    compiler = TraceCompiler(graph, block, capacities=capacities, layout_order=order)
     trace = compiler.compile(schedule)
     layout = compiler.layout
     objects = tuple(layout_objects(graph, order=order))
@@ -553,20 +549,21 @@ class CandidateScorer:
 # ----------------------------------------------------------------------
 # temporal-affinity conflict graph
 # ----------------------------------------------------------------------
-def conflict_graph(
-    instance: PlacementInstance, window: int = 8
-) -> Dict[Tuple[int, int], float]:
-    """Edge weights between object ids co-scheduled within ``window`` runs.
+#: runs apart within which two objects conflict (see :func:`conflict_graph`)
+CONFLICT_WINDOW = 8
+
+
+def conflict_graph(instance: PlacementInstance) -> Dict[Tuple[int, int], float]:
+    """Edge weights between object ids co-scheduled within
+    :data:`CONFLICT_WINDOW` runs.
 
     The trace's object sequence is run-length compressed (a firing touches
     each object in one contiguous burst); two distinct objects whose runs
-    fall within ``window`` positions of each other get an edge, weighted
-    ``window - gap + 1`` so immediate neighbours dominate.  Stream arenas
-    are excluded — they are not placeable.  High weight = mapping the pair
-    to the same set is expensive.
+    fall within ``CONFLICT_WINDOW`` positions of each other get an edge,
+    weighted ``CONFLICT_WINDOW - gap + 1`` so immediate neighbours
+    dominate.  Stream arenas are excluded — they are not placeable.  High
+    weight = mapping the pair to the same set is expensive.
     """
-    if window < 1:
-        raise LayoutError(f"conflict window must be >= 1, got {window}")
     n_obj = instance.n_objects
     seq = instance.obj_of_access[instance.obj_of_access < n_obj]
     weights: Dict[Tuple[int, int], float] = {}
@@ -575,7 +572,7 @@ def conflict_graph(
     keep = np.ones(seq.shape[0], dtype=bool)
     keep[1:] = seq[1:] != seq[:-1]
     runs = seq[keep]
-    for gap in range(1, min(window, runs.shape[0] - 1) + 1):
+    for gap in range(1, min(CONFLICT_WINDOW, runs.shape[0] - 1) + 1):
         a, b = runs[gap:], runs[:-gap]
         mask = a != b
         if not mask.any():
@@ -583,7 +580,7 @@ def conflict_graph(
         lo = np.minimum(a[mask], b[mask])
         hi = np.maximum(a[mask], b[mask])
         pair_key, counts = np.unique(lo * n_obj + hi, return_counts=True)
-        w = float(window - gap + 1)
+        w = float(CONFLICT_WINDOW - gap + 1)
         for k, c in zip(pair_key.tolist(), counts.tolist()):
             edge = (k // n_obj, k % n_obj)
             weights[edge] = weights.get(edge, 0.0) + w * c
@@ -611,7 +608,6 @@ def greedy_color_order(
     instance: PlacementInstance,
     geometry: CacheGeometry,
     policy: str = "direct",
-    window: int = 8,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
 ) -> List[ObjectKey]:
     """Greedy set-coloring: grow the placement left to right, appending at
@@ -624,7 +620,7 @@ def greedy_color_order(
     if sets <= 1:
         return list(instance.objects)
     if weights is None:
-        weights = conflict_graph(instance, window=window)
+        weights = conflict_graph(instance)
     n_obj = instance.n_objects
     adj: List[Dict[int, float]] = [{} for _ in range(n_obj)]
     for (a, b), w in weights.items():
@@ -947,7 +943,6 @@ def swap_refine(
     order: Sequence[ObjectKey],
     geometry: Optional[CacheGeometry] = None,
     policy: str = "direct",
-    window: int = 8,
     budget: int = 400,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
     targets: Optional[Sequence[PlacementTarget]] = None,
@@ -982,7 +977,7 @@ def swap_refine(
         "swap_refine needs a geometry or explicit targets",
     )
     if weights is None:
-        weights = conflict_graph(instance, window=window)
+        weights = conflict_graph(instance)
     hot, _hot_ids = _hot_objects(weights, instance.n_objects)
     moves = _swap_moves(instance, weights) + _gap_moves(hot, gap_budget)
     with obs.span(obs_names.PLACEMENT_SEARCH):
@@ -1000,7 +995,7 @@ _STRATEGIES: Dict[str, Callable] = {}
 
 def register_placement(name: str, fn: Callable) -> None:
     """Register a placement strategy: ``fn(instance, geometry, policy=...,
-    window=..., budget=..., targets=..., gap_budget=..., restarts=...,
+    budget=..., targets=..., gap_budget=..., restarts=...,
     noise=..., seed=...) -> (order, gaps)`` (a full object placement plus a
     per-object gap map, possibly empty).  ``restarts``/``noise``/``seed``
     drive the smoothed multi-restart search (:mod:`repro.mem.facility`)
@@ -1025,7 +1020,7 @@ def available_placements() -> Tuple[str, ...]:
 
 
 def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                   policy: str = "direct", window: int = 8, budget: int = 400,
+                   policy: str = "direct", budget: int = 400,
                    targets: Optional[Sequence[PlacementTarget]] = None,
                    gap_budget: int = 0,
                    restarts: Optional[int] = None,
@@ -1036,7 +1031,7 @@ def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
 
 
 def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                    policy: str = "direct", window: int = 8, budget: int = 400,
+                    policy: str = "direct", budget: int = 400,
                     targets: Optional[Sequence[PlacementTarget]] = None,
                     gap_budget: int = 0,
                     restarts: Optional[int] = None,
@@ -1047,7 +1042,7 @@ def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
         geometry, policy, _w = _primary_target(
             normalize_targets(targets, block=instance.block)
         )
-    return greedy_color_order(instance, geometry, policy=policy, window=window), {}
+    return greedy_color_order(instance, geometry, policy=policy), {}
 
 
 def _search_targets(
@@ -1077,7 +1072,7 @@ def _refine_strategy(refine: Callable) -> Callable:
     (called like :func:`swap_refine`)."""
 
     def strategy(instance: PlacementInstance, geometry: Optional[CacheGeometry],
-                 policy: str = "direct", window: int = 8, budget: int = 400,
+                 policy: str = "direct", budget: int = 400,
                  targets: Optional[Sequence[PlacementTarget]] = None,
                  gap_budget: int = 0,
                  restarts: Optional[int] = None,
@@ -1087,13 +1082,11 @@ def _refine_strategy(refine: Callable) -> Callable:
         targets_n = _search_targets(instance, geometry, policy, targets, budget)
         if targets_n is None:
             return list(instance.objects), {}
-        weights = conflict_graph(instance, window=window)
+        weights = conflict_graph(instance)
         pg, pp, _w = _primary_target(targets_n)
-        start = greedy_color_order(
-            instance, pg, policy=pp, window=window, weights=weights
-        )
+        start = greedy_color_order(instance, pg, policy=pp, weights=weights)
         order, gaps, _cost, _stats = refine(
-            instance, start, window=window, budget=budget, weights=weights,
+            instance, start, budget=budget, weights=weights,
             targets=targets_n, gap_budget=gap_budget,
         )
         return order, gaps
@@ -1164,7 +1157,6 @@ def optimize_instance(
     geometry: Optional[CacheGeometry] = None,
     strategy: str = "swap",
     policy: str = "direct",
-    window: int = 8,
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
@@ -1194,7 +1186,7 @@ def optimize_instance(
     seed_per = _target_misses(remap_blocks(instance, seed_order), targets_n)
     seed_cost = sum(w * m for (_, _, w), m in zip(targets_n, seed_per))
     order, gaps = fn(
-        instance, geometry, policy=policy, window=window, budget=budget,
+        instance, geometry, policy=policy, budget=budget,
         targets=targets, gap_budget=gap_budget,
         restarts=restarts, noise=noise, seed=seed,
     )
@@ -1223,7 +1215,6 @@ def optimize_placement(
     policy: str = "direct",
     capacities: Optional[Dict[int, int]] = None,
     order: Optional[Iterable[str]] = None,
-    window: int = 8,
     budget: int = 400,
     targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
@@ -1247,6 +1238,6 @@ def optimize_placement(
     )
     return optimize_instance(
         instance, geometry, strategy=strategy, policy=policy,
-        window=window, budget=budget, targets=targets, gap_budget=gap_budget,
+        budget=budget, targets=targets, gap_budget=gap_budget,
         restarts=restarts, noise=noise, seed=seed,
     )

@@ -32,7 +32,7 @@ from repro.runtime.replay import (
     replay_miss_masks,
     replay_misses,
 )
-from repro.runtime.looped import Loop, LoopedSchedule, compress_schedule
+from repro.runtime.looped import Loop, LoopedSchedule
 from repro.runtime.schedule import Schedule, validate_schedule
 from repro.runtime.executor import (
     ExecutionResult,
@@ -62,7 +62,6 @@ __all__ = [
     "opt_stack_distances",
     "Loop",
     "LoopedSchedule",
-    "compress_schedule",
     "Schedule",
     "validate_schedule",
     "ExecutionResult",

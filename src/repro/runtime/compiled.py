@@ -33,8 +33,8 @@ every cache size in a single Mattson stack-distance pass
   geometry.
 * :func:`measure_compiled` is the drop-in replacement for
   ``Executor.measure`` on any replay-capable policy.  On one ``lru`` or
-  ``direct`` geometry of a flat schedule it replays each compiled chunk as
-  it is yielded, so the trace is never built.
+  ``direct`` geometry of a flat schedule it hands the replay kernel the
+  compiled chunks as they are yielded, so the trace is never built.
 
 Array dtype contract (statically enforced by lint rule R4, see
 ``docs/STATIC_ANALYSIS.md``): block-id arrays are ``int64`` (the replay
@@ -72,7 +72,6 @@ from typing import (
     Sequence,
     Tuple,
     Union,
-    overload,
 )
 
 import numpy as np
@@ -293,7 +292,6 @@ class TraceCompiler:
         block: int,
         capacities: Optional[Dict[int, int]] = None,
         layout_order: Optional[Iterable[str]] = None,
-        count_external: bool = True,
         placement: Optional[Sequence[ObjectKey]] = None,
         gaps: Optional[Dict[ObjectKey, int]] = None,
     ) -> None:
@@ -304,7 +302,6 @@ class TraceCompiler:
             placement=placement, gaps=gaps,
         )
         self.capacities = caps
-        self.count_external = count_external
 
         self._names = [mod.name for mod in graph.modules()]
         self._index = {name: i for i, name in enumerate(self._names)}
@@ -319,7 +316,7 @@ class TraceCompiler:
         }
         # per module: first state block, state blocks, stream words in and
         # out, range slots per firing (the state, two per window, one per
-        # counted stream), the two streams' slots, a bound on its touches
+        # stream), the two streams' slots, a bound on its touches
         mods: List[List[int]] = []
         sources, sinks = set(graph.sources()), set(graph.sinks())
         for name in self._names:
@@ -334,13 +331,12 @@ class TraceCompiler:
             words_in = source_stream_words(graph, name) if name in sources else 0
             words_out = sink_stream_words(graph, name) if name in sinks else 0
             slot_in = 1 + 2 * len(ins + outs)
-            slot_out = slot_in + bool(count_external and words_in)
+            slot_out = slot_in + bool(words_in)
             touches = n_state + sum(
                 rate // block + 4 for rate in
                 [ch.in_rate for ch in ins] + [ch.out_rate for ch in outs]
-            ) + (words_in // block + words_out // block + 4) * count_external
-            mods.append([lo, n_state, words_in, words_out,
-                         slot_out + bool(count_external and words_out),
+            ) + words_in // block + words_out // block + 4
+            mods.append([lo, n_state, words_in, words_out, slot_out + bool(words_out),
                          slot_in, slot_out, touches])
         self._mod = np.array(mods, dtype=np.int64).reshape(-1, 8).T
         self._chan = np.array(list(chan.values()), dtype=np.int64).reshape(-1, 11).T
@@ -471,7 +467,7 @@ class TraceCompiler:
 
         Each (firing, range slot) is one range: the state, each window's
         part up to the region end and its wrapped remainder, and each
-        counted stream.  The k-th pop by ``v`` reads from ring slot
+        external stream.  The k-th pop by ``v`` reads from ring slot
         ``(head + k * in_rate) mod cap``, the k-th push by ``u`` writes at
         ``(head + count + k * out_rate) mod cap``, and the tokens before a
         firing are the entry count plus ``u``'s pushes minus ``v``'s pops
@@ -540,20 +536,19 @@ class TraceCompiler:
                 require_output_space(name, ch.src, ch.dst, int(cap[c]) - tokens, ch.out_rate)
             else:
                 require_input_tokens(name, ch.src, ch.dst, tokens, ch.in_rate)
-        if self.count_external:
-            for side, (words_of, slot, arena) in enumerate((
-                (words_in, slot_in, self._ext_in_base),
-                (words_out, slot_out, self._ext_out_base),
-            )):
-                words = words_of[idx]
-                ends = np.cumsum(words)
-                f = np.flatnonzero(words)
-                word = arena + self._stream[side] + ends[f] - words[f]
-                r = range_at[f] + slot[idx[f]]
-                lo[r] = word // B
-                ln[r] = (word + words[f] - 1) // B - word // B + 1
-                code[r] = _STREAM
-                self._stream[side] += int(ends[-1])
+        for side, (words_of, slot, arena) in enumerate((
+            (words_in, slot_in, self._ext_in_base),
+            (words_out, slot_out, self._ext_out_base),
+        )):
+            words = words_of[idx]
+            ends = np.cumsum(words)
+            f = np.flatnonzero(words)
+            word = arena + self._stream[side] + ends[f] - words[f]
+            r = range_at[f] + slot[idx[f]]
+            lo[r] = word // B
+            ln[r] = (word + words[f] - 1) // B - word // B + 1
+            code[r] = _STREAM
+            self._stream[side] += int(ends[-1])
         self._heads = (self._heads + fires[dst] * in_rate) % cap
         self._tokens = self._tokens + fires[src] * out_rate - fires[dst] * in_rate
 
@@ -582,9 +577,8 @@ class TraceCompiler:
         if np.any(fires[src] * out_rate != pops):
             return 0
         p = math.lcm(*(cap // np.gcd(pops, cap)).tolist())
-        if self.count_external:
-            for words in (self._mod[2] @ fires, self._mod[3] @ fires):
-                p = math.lcm(p, self.block // math.gcd(int(words), self.block))
+        for words in (self._mod[2] @ fires, self._mod[3] @ fires):
+            p = math.lcm(p, self.block // math.gcd(int(words), self.block))
         return p if p <= count // 2 else 0
 
     def _compile_loop(
@@ -671,7 +665,6 @@ def compile_trace_uncached(
     block: int,
     capacities: Optional[Dict[int, int]] = None,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
 ) -> CompiledTrace:
@@ -686,7 +679,6 @@ def compile_trace_uncached(
             block,
             capacities=capacities,
             layout_order=layout_order,
-            count_external=count_external,
             placement=placement,
             gaps=gaps,
         )
@@ -696,46 +688,15 @@ def compile_trace_uncached(
     return trace
 
 
-@overload
-def compile_trace(
-    graph: StreamGraph,
-    schedule: Schedule,
-    block: int,
-    capacities: Optional[Dict[int, int]] = ...,
-    layout_order: Optional[Iterable[str]] = ...,
-    count_external: bool = ...,
-    placement: Optional[Sequence[ObjectKey]] = ...,
-    gaps: Optional[Dict[ObjectKey, int]] = ...,
-    chunk_words: None = ...,
-) -> CompiledTrace: ...
-
-
-@overload
-def compile_trace(
-    graph: StreamGraph,
-    schedule: Schedule,
-    block: int,
-    capacities: Optional[Dict[int, int]] = ...,
-    layout_order: Optional[Iterable[str]] = ...,
-    count_external: bool = ...,
-    placement: Optional[Sequence[ObjectKey]] = ...,
-    gaps: Optional[Dict[ObjectKey, int]] = ...,
-    *,
-    chunk_words: int,
-) -> "ChunkedTrace": ...
-
-
 def compile_trace(
     graph: StreamGraph,
     schedule: Schedule,
     block: int,
     capacities: Optional[Dict[int, int]] = None,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
-    chunk_words: Optional[int] = None,
-) -> Union[CompiledTrace, "ChunkedTrace"]:
+) -> CompiledTrace:
     """One-shot convenience: compile ``schedule`` against a fresh layout.
 
     ``capacities`` defaults to the schedule's own (the ``Executor.measure``
@@ -749,38 +710,16 @@ def compile_trace(
     the compilation is content-addressed through it: a previously compiled
     identical input loads off disk instead of recompiling — bit-identical
     by the digest contract.  With no cache configured (the default), this
-    compiles unconditionally and touches no disk.
-
-    ``chunk_words`` switches to out-of-core streaming compilation: the
-    trace is produced in fixed-size chunks that spill to content-addressed
-    ``.npz`` segments as they are compiled, and the return value is a
-    :class:`~repro.runtime.streaming.ChunkedTrace` whose peak memory is
-    O(``chunk_words``) regardless of schedule length.  It replays through
-    the same :func:`simulate_trace` front door, bit-identically to the
-    monolithic trace.
+    compiles unconditionally and touches no disk.  Out-of-core compilation
+    is :func:`repro.runtime.streaming.compile_trace_chunked`.
     """
-    from repro.runtime.trace_cache import cached_compile_trace, default_cache
+    from repro.runtime.trace_cache import cached_compile_trace
 
-    if chunk_words is not None:
-        from repro.runtime.streaming import compile_trace_chunked
-
-        return compile_trace_chunked(
-            graph, schedule, block, chunk_words, capacities=capacities,
-            layout_order=layout_order, count_external=count_external,
-            placement=placement, gaps=gaps, cache=default_cache(),
-        )
-    if default_cache() is not None:
-        trace, _key, _hit = cached_compile_trace(
-            graph, schedule, block, capacities=capacities,
-            layout_order=layout_order, count_external=count_external,
-            placement=placement, gaps=gaps,
-        )
-        return trace
-    return compile_trace_uncached(
-        graph, schedule, block, capacities=capacities,
-        layout_order=layout_order, count_external=count_external,
+    trace, _key, _hit = cached_compile_trace(
+        graph, schedule, block, capacities=capacities, layout_order=layout_order,
         placement=placement, gaps=gaps,
     )
+    return trace
 
 
 def _result_from_stats(
@@ -934,12 +873,10 @@ def _period_stats(
     if _suffix_reaches_back(head[:start], first, shift, repeats, tail, length):
         return {}
     from repro.runtime.replay import replay_chunks
-    from repro.runtime.streaming import ArrayChunkSource
 
     geoms = [geometries[i] for i in hyper]
     [(_h, head_masks)], [(_t, tail_masks)] = (
-        replay_chunks(ArrayChunkSource(part, chunk_words=part.shape[0]), geoms, policy)
-        for part in (head, tail)
+        replay_chunks([(part, None)], geoms, policy) for part in (head, tail)
     )
     n_codes = len(PHASE_NAMES)
     body = start + length  # where period 2 begins
@@ -1046,7 +983,6 @@ def measure_compiled(
     geometry: CacheGeometry,
     schedule: Schedule,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     policy: str = "lru",
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
@@ -1055,11 +991,10 @@ def measure_compiled(
     """Drop-in for ``Executor.measure``, via compilation: the same result,
     with no stepwise cache simulation.
 
-    An ``lru`` or ``direct`` geometry of a flat schedule streams: each
-    chunk :meth:`TraceCompiler.compile_chunks` yields is replayed as it
-    comes, under the recency carry of the chunks before it
-    (:func:`~repro.runtime.replay.recency_carry`) trimmed to what the
-    geometry can hold (:func:`~repro.runtime.replay.trim_carry`), so the
+    An ``lru`` or ``direct`` geometry of a flat schedule streams: the
+    replay kernel reads the chunks :meth:`TraceCompiler.compile_chunks`
+    yields as they come, under a recency carry trimmed to what the
+    geometry can hold (:func:`~repro.runtime.replay.replay_chunks`), so the
     trace is never built and memory is O(chunk + cache blocks).  Chunks
     hold the configured default chunk size
     (:func:`repro.runtime.backend.configure`) or
@@ -1067,58 +1002,38 @@ def measure_compiled(
     cache (:func:`repro.runtime.trace_cache.configure`) is not consulted:
     no trace is built to keep.
 
-    Every other case compiles the trace (:func:`compile_trace`) and replays
-    it (:func:`simulate_trace`): ``opt`` and ``two_level``, whose state is
-    not a recency carry; a :class:`~repro.runtime.looped.LoopedSchedule`,
-    whose period shortcut reads the compiled trace; and an explicit
-    ``chunk_words``, which compiles out of core into spilled segments
-    (O(``chunk_words``) peak memory).
+    Every other case compiles the trace and replays it
+    (:func:`simulate_trace`): ``opt`` and ``two_level``, whose kernels do
+    not stream; a :class:`~repro.runtime.looped.LoopedSchedule`, whose
+    period shortcut reads the compiled trace (:func:`compile_trace`); and
+    an explicit ``chunk_words``, which compiles out of core into spilled
+    segments (:func:`~repro.runtime.streaming.compile_trace_chunked`,
+    O(``chunk_words``) peak memory).
     """
-    if (
-        policy not in ("lru", "direct")
-        or isinstance(schedule, LoopedSchedule)
-        or chunk_words is not None
-    ):
-        trace = compile_trace(
-            graph, schedule, geometry.block, layout_order=layout_order,
-            count_external=count_external, placement=placement, gaps=gaps,
-            chunk_words=chunk_words,
-        )
+    layout = dict(layout_order=layout_order, placement=placement, gaps=gaps)
+    if chunk_words is not None:
+        from repro.runtime.streaming import compile_trace_chunked
+
+        chunked = compile_trace_chunked(graph, schedule, geometry.block, chunk_words, **layout)
+        return simulate_trace(chunked, [geometry], policy=policy)[0]
+    if policy not in ("lru", "direct") or isinstance(schedule, LoopedSchedule):
+        trace = compile_trace(graph, schedule, geometry.block, **layout)
         return simulate_trace(trace, [geometry], policy=policy)[0]
     from repro.runtime.backend import default_chunk_words
-    from repro.runtime.replay import (
-        chunk_counts, recency_carry, replay_chunks, trim_carry,
-    )
-    from repro.runtime.streaming import ArrayChunkSource
+    from repro.runtime.replay import chunk_counts, replay_chunks
 
     compiler = TraceCompiler(
-        graph, geometry.block, capacities=schedule.capacities,
-        layout_order=layout_order, count_external=count_external,
-        placement=placement, gaps=gaps,
+        graph, geometry.block, capacities=schedule.capacities, **layout
     )
-    carry = np.zeros(0, dtype=np.int64)
-    direct = policy == "direct"
-    # an empty replay rejects a geometry the policy cannot replay before
-    # anything compiles, even when the schedule yields no chunk
-    chunk_counts(replay_chunks(ArrayChunkSource(carry, chunk_words=1), [geometry], policy), 1)
-    misses, chunks = 0, 0
-    counts = np.zeros(len(PHASE_NAMES), dtype=np.int64)
+    words = default_chunk_words() or MEASURE_CHUNK_WORDS
+    chunks = replay_chunks(
+        compiler.compile_chunks(schedule, chunk_words=words), [geometry], policy
+    )
     obs.add(obs_names.REPLAY_GEOMETRIES, 1)
     with obs.span(obs_names.REPLAY, policy=policy):
-        for blocks, phases in compiler.compile_chunks(
-            schedule, chunk_words=default_chunk_words() or MEASURE_CHUNK_WORDS
-        ):
-            source = ArrayChunkSource(blocks, phases, chunk_words=blocks.shape[0])
-            ((m, c),) = chunk_counts(
-                replay_chunks(source, [geometry], policy, carry=carry), 1,
-                n_labels=len(PHASE_NAMES),
-            )
-            misses += m
-            counts += c
-            chunks += 1
-            carry = trim_carry(recency_carry(carry, blocks), geometry, direct)
+        ((misses, counts),) = chunk_counts(chunks, 1, n_labels=len(PHASE_NAMES))
     obs.add(obs_names.COMPILE_CALLS)
     obs.add(obs_names.COMPILE_ACCESSES, compiler.last.accesses)
-    obs.add(obs_names.STREAM_CHUNKS, chunks)
+    obs.add(obs_names.STREAM_CHUNKS, -(-compiler.last.accesses // words))
     obs.add(obs_names.REPLAY_MISSES, misses)
     return _result_from_stats(compiler.last, misses, counts.tolist())

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlockError
 from repro.graphs.sdf import StreamGraph
-from repro.obs import core as obs
-from repro.obs import names as obs_names
+from repro.runtime.schedule import schedule_span
 
 __all__ = ["can_fire", "fireable_modules", "TokenTable", "demand_driven_schedule"]
 
@@ -147,6 +146,7 @@ class TokenTable:
         return {cid: self.tokens[k] for cid, k in self.slot.items()}
 
 
+@schedule_span("demand_driven")
 def demand_driven_schedule(
     graph: StreamGraph,
     target_fires: Dict[str, int],
@@ -195,21 +195,19 @@ def demand_driven_schedule(
     firings: List[str] = []
     total = sum(owed)
     start = 0
-    with obs.span(obs_names.SCHEDULE, scheduler="demand_driven"):
-        while total > 0:
-            for i in range(start, len(candidates)):
-                if owed[i] and can_fire_at(i):
-                    break
-            else:
-                owing = [n for n, c in zip(candidates, owed) if c]
-                occupied = {cid: t for cid, t in table.occupancies().items() if t}
-                raise DeadlockError(
-                    f"no fireable module among {sorted(owing)}; occupancies={occupied}"
-                )
-            fire(i)
-            owed[i] -= 1
-            total -= 1
-            firings.append(candidates[i])
-            start = resume[i]
-    obs.add(obs_names.SCHEDULE_FIRINGS, len(firings))
+    while total > 0:
+        for i in range(start, len(candidates)):
+            if owed[i] and can_fire_at(i):
+                break
+        else:
+            owing = [n for n, c in zip(candidates, owed) if c]
+            occupied = {cid: t for cid, t in table.occupancies().items() if t}
+            raise DeadlockError(
+                f"no fireable module among {sorted(owing)}; occupancies={occupied}"
+            )
+        fire(i)
+        owed[i] -= 1
+        total -= 1
+        firings.append(candidates[i])
+        start = resume[i]
     return firings

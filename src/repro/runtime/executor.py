@@ -198,9 +198,10 @@ class Executor:
     gaps:
         Deliberate block-granular padding per object key (see
         :meth:`repro.mem.layout.MemoryLayout.place_graph`).
-    count_external:
-        Charge source input reads / sink output writes against the cache
-        (default True).
+
+    Source input reads and sink output writes are always charged against
+    the cache: every schedule pays the same external-stream cost per data
+    item, as in the paper's model.
     """
 
     def __init__(
@@ -210,7 +211,6 @@ class Executor:
         capacities: Optional[Dict[int, int]] = None,
         cache: Optional[CacheModel] = None,
         layout_order: Optional[Iterable[str]] = None,
-        count_external: bool = True,
         placement: Optional[Sequence[ObjectKey]] = None,
         gaps: Optional[Dict[ObjectKey, int]] = None,
     ) -> None:
@@ -229,7 +229,6 @@ class Executor:
             if ch.delay:
                 self.buffers[ch.cid].prefill(ch.delay)
 
-        self.count_external = count_external
         sources = graph.sources()
         sinks = graph.sinks()
         self._source_set = set(sources)
@@ -276,16 +275,15 @@ class Executor:
             for start, length in self.buffers[ch.cid].push_ranges(ch.out_rate):
                 cache.access_range(start, length)
 
-        if self.count_external:
-            stats.set_phase("stream")
-            if name in self._source_set:
-                k = self._source_words[name]
-                cache.access_range(self._ext_in_base + self._ext_in_pos, k)
-                self._ext_in_pos += k
-            if name in self._sink_set:
-                k = self._sink_words[name]
-                cache.access_range(self._ext_out_base + self._ext_out_pos, k)
-                self._ext_out_pos += k
+        stats.set_phase("stream")
+        if name in self._source_set:
+            k = self._source_words[name]
+            cache.access_range(self._ext_in_base + self._ext_in_pos, k)
+            self._ext_in_pos += k
+        if name in self._sink_set:
+            k = self._sink_words[name]
+            cache.access_range(self._ext_out_base + self._ext_out_pos, k)
+            self._ext_out_pos += k
         stats.set_phase("")
 
         self._fire_counts[name] = self._fire_counts.get(name, 0) + 1
@@ -331,7 +329,6 @@ class Executor:
         geometry: CacheGeometry,
         schedule: Schedule,
         layout_order: Optional[Iterable[str]] = None,
-        count_external: bool = True,
         cache: Optional[CacheModel] = None,
         placement: Optional[Sequence[ObjectKey]] = None,
         gaps: Optional[Dict[ObjectKey, int]] = None,
@@ -343,7 +340,6 @@ class Executor:
             geometry,
             capacities=schedule.capacities,
             layout_order=layout_order,
-            count_external=count_external,
             cache=cache,
             placement=placement,
             gaps=gaps,

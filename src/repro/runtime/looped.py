@@ -12,11 +12,7 @@ build can run to hundreds of thousands of entries.  This module provides:
 * :class:`LoopedSchedule` — a drop-in companion to
   :class:`~repro.runtime.schedule.Schedule`: same label/capacities, lazy
   iteration (:meth:`firings_iter`) so the executor can run it without
-  materializing, and exact expansion for validation;
-* :func:`compress_schedule` — turn a flat schedule into a loop nest by
-  iterated run-length coding over (module | loop) token streams.  The
-  compressor is greedy (repeated adjacent-pair folding), not optimal CSE,
-  but collapses all schedules this library generates by 100-5000x.
+  materializing, and exact expansion for validation.
 
 The executor accepts either representation (`Executor.run` iterates, it
 never indexes).
@@ -24,13 +20,13 @@ never indexes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import ScheduleError
 from repro.runtime.schedule import Schedule
 
-__all__ = ["Loop", "LoopedSchedule", "compress_schedule"]
+__all__ = ["Loop", "LoopedSchedule"]
 
 Element = Union[str, "Loop"]
 
@@ -71,7 +67,8 @@ class LoopedSchedule:
     """A schedule stored as a loop nest.
 
     Mirrors :class:`Schedule`'s interface where it matters (``label``,
-    ``capacities``, ``__len__``, iteration) and converts both ways.
+    ``capacities``, ``__len__``, iteration) and expands to one
+    (:meth:`to_flat`).
     """
 
     loops: Tuple[Element, ...]
@@ -91,89 +88,5 @@ class LoopedSchedule:
     def to_flat(self) -> Schedule:
         return Schedule(list(self.firings_iter()), capacities=self.capacities, label=self.label)
 
-    @property
-    def n_nodes(self) -> int:
-        """Size of the loop-nest representation (for compression ratios)."""
-
-        def count(e: Element) -> int:
-            if isinstance(e, Loop):
-                return 1 + sum(count(b) for b in e.body)
-            return 1
-
-        return sum(count(e) for e in self.loops)
-
-    def compression_ratio(self) -> float:
-        return len(self) / self.n_nodes if self.n_nodes else 0.0
-
     def render(self) -> str:
         return " ".join(e.render() if isinstance(e, Loop) else e for e in self.loops)
-
-
-def _rle(tokens: List[Element]) -> List[Element]:
-    """Run-length fold identical adjacent elements into loops."""
-    out: List[Element] = []
-    i = 0
-    while i < len(tokens):
-        j = i
-        while j < len(tokens) and tokens[j] == tokens[i]:
-            j += 1
-        run = j - i
-        if run > 1:
-            if isinstance(tokens[i], Loop):
-                inner = tokens[i]
-                out.append(Loop(count=run * inner.count, body=inner.body))
-            else:
-                out.append(Loop(count=run, body=(tokens[i],)))
-        else:
-            out.append(tokens[i])
-        i = j
-    return out
-
-
-def _fold_period(tokens: List[Element], period: int) -> List[Element]:
-    """Fold maximal repetitions of length-``period`` blocks into loops."""
-    out: List[Element] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        block = tuple(tokens[i : i + period])
-        if len(block) < period:
-            out.extend(tokens[i:])
-            break
-        reps = 1
-        while (
-            i + (reps + 1) * period <= n
-            and tuple(tokens[i + reps * period : i + (reps + 1) * period]) == block
-        ):
-            reps += 1
-        if reps > 1:
-            out.append(Loop(count=reps, body=block))
-            i += reps * period
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
-def compress_schedule(schedule: Schedule, max_period: int = 64) -> LoopedSchedule:
-    """Compress a flat schedule into a loop nest.
-
-    Pipeline: run-length fold, then periodic folds for periods 2..max_period
-    (re-running the run-length fold after each, since folding exposes new
-    adjacency), repeated until a fixed point.  Greedy and quadratic-ish in
-    the *compressed* size — fast in practice because each pass shrinks the
-    stream dramatically for machine-generated schedules.
-    """
-    tokens: List[Element] = list(schedule.firings)
-    changed = True
-    while changed:
-        before = len(tokens)
-        tokens = _rle(tokens)
-        for period in range(2, min(max_period, max(2, len(tokens))) + 1):
-            folded = _fold_period(tokens, period)
-            if len(folded) < len(tokens):
-                tokens = _rle(folded)
-        changed = len(tokens) < before
-    return LoopedSchedule(
-        loops=tuple(tokens), capacities=schedule.capacities, label=schedule.label
-    )

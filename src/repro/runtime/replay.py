@@ -35,11 +35,12 @@ simulating block-by-block:
   amortizes over a whole L2 capacity grid.
 
 Every kernel replays a *chunk source* — a trace viewed as an ordered
-sequence of chunks (:mod:`repro.runtime.streaming`) — carrying exactly the
-state the next chunk needs, and yields per-chunk boolean miss masks, so
-phase attribution works identically to the stepwise executor for all
-policies.  An in-memory block array is one chunk with an empty carry (the
-monolithic case): it pays for no carry copy, no carry fold and no spill.
+sequence of chunks (:mod:`repro.runtime.streaming`) — front to back,
+carrying exactly the state the next chunk needs, and yields per-chunk
+boolean miss masks, so phase attribution works identically to the stepwise
+executor for all policies.  A chunk is folded into the carry only once
+another follows it, so an in-memory block array, one chunk, pays for no
+carry copy, no carry fold and no spill.
 
 * **lru / direct** carry one global recency list (:func:`recency_carry`):
   every distinct block seen so far, LRU first.  Running the passes above
@@ -47,8 +48,11 @@ monolithic case): it pays for no carry copy, no carry fold and no spill.
   whole-trace distances exactly — set-local recency is the restriction of
   global recency, distinct-counting cannot double-count a carried block,
   and the last carried block of a frame is that frame's current content.
-  A replay of one organization may keep only what that organization
-  holds (:func:`trim_carry`), so its carry never outgrows the cache.
+  Each fold is trimmed to what the swept organizations can still hit on
+  (:class:`_Carry`), so the carry never outgrows their caches.  These
+  kernels read any iterable of ``(blocks, phases)`` chunks, which lets
+  :func:`~repro.runtime.compiled.measure_compiled` replay chunks as they
+  compile.
 * **opt** walks the chunks backwards once for absolute next-use positions
   (chunks after the first spill theirs to a temporary ``.npy``), then
   resumes the priority stack across chunks.  A block never used again gets
@@ -56,7 +60,7 @@ monolithic case): it pays for no carry copy, no carry fold and no spill.
   every eviction is the whole-trace one.
 * **two_level** carries L1 on the global recency list and each L1 group's
   L2 on the recency list of that group's miss sub-stream (which depends
-  only on L1).
+  only on L1), each trimmed for the organizations of its level.
 
 The stepwise models (:class:`~repro.cache.lru.LRUCache`,
 :class:`~repro.cache.direct.DirectMappedCache`,
@@ -120,9 +124,7 @@ if TYPE_CHECKING:
 __all__ = [
     "per_set_stack_distances",
     "opt_stack_distances",
-    "hierarchy_level_masks",
     "recency_carry",
-    "trim_carry",
     "replay_chunks",
     "chunk_counts",
     "replay_miss_masks",
@@ -134,6 +136,9 @@ __all__ = [
 #: One chunk's replay: its labels (phase codes, or ``None``) and one miss
 #: mask per geometry.
 ChunkMasks = Tuple[Optional[np.ndarray], List[np.ndarray]]
+#: What the lru, direct and two_level kernels replay: ``(blocks, phases)``
+#: chunks in trace order (a chunk source iterates its chunks so).
+Chunks = Iterable[Tuple[np.ndarray, Optional[np.ndarray]]]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -342,101 +347,119 @@ def opt_stack_distances(
 # ----------------------------------------------------------------------
 # carried state
 # ----------------------------------------------------------------------
-def recency_carry(carry: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Fold a chunk into the global recency carry.
+def recency_carry(blocks: np.ndarray) -> np.ndarray:
+    """The recency carry after ``blocks``: their distinct blocks ordered by
+    last access, LRU first, MRU last.
 
-    The carry lists every distinct block seen so far, ordered by last
-    access — LRU first, MRU last.  It is exactly the state the lru/direct
-    passes need: prepend it to the next chunk and the within-chunk stack
-    distances (and per-frame last blocks) come out as if the whole prefix
-    had been replayed.  Folding a chunk is associative with concatenation:
-    ``recency_carry(recency_carry(c, a), b) == recency_carry(c, concat(a,
-    b))`` — the hypothesis property ``tests/test_streaming.py`` pins.
+    It is exactly the state the lru/direct passes need: prepend it to the
+    next chunk and the within-chunk stack distances (and per-frame last
+    blocks) come out as if ``blocks`` had been replayed before it.  A carry
+    is its own recency list, so the carry of a carry and a chunk together
+    folds the chunk in, associatively: ``recency_carry(concat(
+    recency_carry(a), b)) == recency_carry(concat(a, b))`` — the
+    hypothesis property ``tests/test_streaming.py`` pins.
     """
-    carry = np.ascontiguousarray(carry, dtype=np.int64)
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    if blocks.shape[0] == 0:
-        return carry
-    n = int(blocks.shape[0])
     uniq, idx = np.unique(blocks[::-1], return_index=True)
-    last = n - 1 - idx  # position of each distinct block's final access
-    order = np.argsort(last, kind="stable")
-    tail = uniq[order]
-    if carry.shape[0]:
-        carry = carry[~np.isin(carry, uniq)]
-    return np.concatenate([carry, tail])
+    return uniq[np.argsort(-idx)]  # idx counts back from the last access
 
 
-def _organization(
-    geom: CacheGeometry, direct: bool = False
-) -> Tuple[str, int, Optional[int]]:
+#: One LRU organization: ``(kind, classes, bound)`` (see :func:`_organization`).
+_Org = Tuple[str, int, Optional[int]]
+
+
+def _organization(geom: CacheGeometry, direct: bool = False) -> _Org:
     """``(kind, classes, bound)`` of one LRU organization: a direct-mapped
     one (``direct``, or ``ways=1``) scans ``n_blocks`` frames and has no
     bound; every other reads stack distances per set (one set when fully
     associative) at a bound of its ways (its blocks when fully
     associative)."""
+    if direct and geom.ways not in (None, 1):
+        raise CacheConfigError(
+            f"direct-mapped replay needs ways=1 (or an unspecified "
+            f"associativity), got ways={geom.ways}"
+        )
     if direct or geom.ways == 1:
         return "direct", geom.n_blocks, None
     sets = 1 if geom.is_fully_associative else geom.sets
     return "lru", sets, geom.associativity if sets > 1 else geom.n_blocks
 
 
-def trim_carry(
-    carry: np.ndarray, geom: CacheGeometry, direct: bool = False
-) -> np.ndarray:
-    """The part of a recency ``carry`` one organization can still hit on:
-    per set its last ``associativity`` blocks (the last ``n_blocks`` when
-    fully associative), per frame its last block when direct-mapped.
+class _Carry:
+    """The recency carry one stream of chunks keeps for some LRU
+    organizations.
 
-    A dropped block has at least a set's worth of its set's blocks touched
-    after it, so its next access misses with the block carried or not, and
-    it is older than every block kept, so no kept block's distance counts
-    it: the passes read the same misses off ``concat(trimmed, chunk)`` as
-    off ``concat(carry, chunk)``, and a carry trimmed after every fold
-    never outgrows the cache.  Only a replay of that one organization may
-    use it.
+    :meth:`before` puts it in front of each chunk.  The chunk before is
+    folded in only then, once another chunk is known to follow it, so a
+    one-chunk replay folds nothing.  Each fold keeps what some organization
+    can still hit on: per set its last ``associativity`` blocks (its last
+    ``n_blocks`` when fully associative), per frame its last block when
+    direct-mapped.  A block every organization drops has at least a set's
+    worth of its set's blocks touched after it in each, so its next access
+    misses there, carried or not, and it is older than every block of its
+    set that one keeps, so no kept block's distance counts it: every
+    organization reads the same misses off the trimmed carry as off the
+    full one, and the carry never outgrows the caches it serves together.
     """
-    _kind, classes, bound = _organization(geom, direct)
-    keep = 1 if bound is None else bound
-    n = int(carry.shape[0])
-    if n <= keep:
-        return carry
-    if classes == 1:
-        return carry[n - keep:]
-    # rank every entry among its set's entries, counting from the MRU end
-    newest = carry[::-1] % classes
-    order = _stable_group_order(newest, classes)
-    grouped = newest[order]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64) - np.searchsorted(grouped, grouped)
-    return carry[(rank < keep)[::-1]]
+
+    __slots__ = ("keep", "blocks", "_last")
+
+    def __init__(self, organizations: Iterable[_Org]) -> None:
+        #: class count -> newest blocks kept per class
+        self.keep: Dict[int, int] = {}
+        for _kind, classes, bound in organizations:
+            self.keep[classes] = max(self.keep.get(classes, 1), bound or 1)
+        self.blocks = _EMPTY
+        self._last: Optional[np.ndarray] = None
+
+    def before(self, chunk: np.ndarray) -> Tuple[np.ndarray, int]:
+        """``chunk`` with the carry in front, and the carry's length."""
+        if self._last is not None:  # a chunk follows the last one: fold it in
+            self.blocks = self._trimmed(recency_carry(self._last))
+        k = int(self.blocks.shape[0])
+        self._last = np.concatenate([self.blocks, chunk]) if k else chunk
+        return self._last, k
+
+    def _trimmed(self, recent: np.ndarray) -> np.ndarray:
+        n = int(recent.shape[0])
+        if any(n <= keep for keep in self.keep.values()):
+            return recent
+        kept = np.zeros(n, dtype=bool)
+        for classes, keep in self.keep.items():
+            if classes == 1:
+                kept[n - keep:] = True
+                continue
+            # rank every entry among its class's entries from the MRU end
+            newest = recent[::-1] % classes
+            order = _stable_group_order(newest, classes)
+            grouped = newest[order]
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n, dtype=np.int64) - np.searchsorted(grouped, grouped)
+            kept |= (rank < keep)[::-1]
+        return recent[kept]
 
 
 def _level_pass(
-    blocks: np.ndarray,
-    carry: np.ndarray,
-    geom: CacheGeometry,
+    synth: np.ndarray,
+    k: int,
+    org: _Org,
     memo: Dict[Tuple[object, ...], np.ndarray],
-    direct: bool = False,
 ) -> Tuple[np.ndarray, Optional[int]]:
-    """The pass one LRU organization reads a chunk's misses off, under the
-    recency ``carry`` of everything before the chunk, and the bound to read
-    it at (see :func:`_miss_mask`).
+    """The pass one LRU organization reads a chunk's misses off, and the
+    bound to read it at (see :func:`_miss_mask`).
 
-    Direct-mapped organizations (``direct``, or ``ways=1``) take the
-    per-frame scan; every other reads per-set stack distances.  The pass
-    runs over ``concat(carry, blocks)`` — just ``blocks`` when the carry is
-    empty — and keeps the chunk's rows.  ``memo`` holds the passes by
-    organization key, so every geometry sharing a set (or frame) count
-    shares one pass: the amortization unit of every kernel and of both
-    levels of a hierarchy.
+    ``synth`` is the chunk with its ``k``-block carry in front
+    (:meth:`_Carry.before`); the pass keeps the chunk's rows.
+    Direct-mapped organizations take the per-frame scan; every other reads
+    per-set stack distances.  ``memo`` holds the passes by organization
+    key, so every geometry sharing a set (or frame) count shares one pass:
+    the amortization unit of every kernel and of both levels of a
+    hierarchy.
     """
-    kind, classes, bound = _organization(geom, direct)
+    kind, classes, bound = org
     key = (kind, classes)
     found = memo.get(key)
     if found is None:
-        k = int(carry.shape[0])
-        synth = np.concatenate([carry, blocks]) if k else blocks
         scan = _direct_hit_mask if kind == "direct" else per_set_stack_distances
         found = memo[key] = scan(synth, classes)[k:]
     return found, bound
@@ -453,42 +476,31 @@ def _miss_mask(level: Tuple[np.ndarray, Optional[int]]) -> np.ndarray:
 # per-policy chunk kernels
 # ----------------------------------------------------------------------
 def _lru_kernel(
-    source: "ChunkSource",
+    source: Chunks,
     geometries: Sequence[CacheGeometry],
-    carry: Optional[np.ndarray] = None,
     direct: bool = False,
 ) -> Iterator[ChunkMasks]:
     """LRU (and, with ``direct``, direct-mapped) misses chunk by chunk.
 
-    Each chunk reads every geometry off the memoized passes of
-    :func:`_level_pass` under the recency carry of the chunks before it
-    (``carry`` seeds it: the streamed
-    :func:`~repro.runtime.compiled.measure_compiled` passes the carry of the
-    chunks it compiled before).  The carry is folded only
-    while another chunk follows.
+    A geometry the policy cannot replay fails here, before any chunk is
+    read; each chunk then reads every geometry off the memoized passes of
+    :func:`_level_pass` under one carry trimmed for all of them.
     """
-    if direct:
-        for geom in geometries:
-            if geom.ways not in (None, 1):
-                raise CacheConfigError(
-                    f"direct-mapped replay needs ways=1 (or an unspecified "
-                    f"associativity), got ways={geom.ways}"
-                )
-    carry = _EMPTY if carry is None else carry
-    last = source.n_chunks - 1
-    for index in range(source.n_chunks):
-        blocks, phases = source.chunk(index)
+    orgs = [_organization(g, direct) for g in geometries]
+    return _lru_chunks(source, orgs)
+
+
+def _lru_chunks(source: Chunks, orgs: List[_Org]) -> Iterator[ChunkMasks]:
+    carry = _Carry(orgs)
+    for blocks, phases in source:
+        synth, k = carry.before(blocks)
         memo: Dict[Tuple[object, ...], np.ndarray] = {}
-        passes = [_level_pass(blocks, carry, g, memo, direct) for g in geometries]
-        yield phases, [_miss_mask(p) for p in passes]
-        if index < last:
-            carry = recency_carry(carry, blocks)
+        yield phases, [_miss_mask(_level_pass(synth, k, org, memo)) for org in orgs]
 
 
 def _opt_kernel(
     source: "ChunkSource",
     geometries: Sequence[CacheGeometry],
-    carry: None = None,
 ) -> Iterator[ChunkMasks]:
     """OPT misses chunk by chunk: a reverse next-use pass, then a forward
     priority stack carried across chunks.
@@ -500,8 +512,9 @@ def _opt_kernel(
     next uses in memory, so a one-chunk source reads once and opens no
     directory.  The forward pass resumes :func:`_opt_stack_pass` across
     chunks, one carried state per set of each distinct set count, at the
-    max depth any geometry sharing the pass needs.  OPT derives its
-    state from the source alone, so it takes no seed ``carry``.
+    max depth any geometry sharing the pass needs.  The reverse pass needs
+    a chunk source (:class:`~repro.runtime.streaming.ChunkSource`), not
+    just an iterable of chunks.
     """
     depth_for: Dict[int, int] = {}
     reads: List[Tuple[int, int]] = []
@@ -550,36 +563,9 @@ def _opt_kernel(
             yield phases, [_miss_mask(p) for p in passes]
 
 
-def _two_level_group(
-    blocks: np.ndarray,
-    carry: np.ndarray,
-    l1_memo: Dict[Tuple[object, ...], np.ndarray],
-    sub_carries: Dict[CacheGeometry, np.ndarray],
-    fold: bool,
-    l1: CacheGeometry,
-    l2s: List[CacheGeometry],
-) -> List[np.ndarray]:
-    """Memory-miss masks of one L1 group over one chunk; with ``fold``, the
-    chunk's L1 miss sub-trace is folded into the group's L2 carry."""
-    pos = np.flatnonzero(_miss_mask(_level_pass(blocks, carry, l1, l1_memo)))
-    sub = blocks[pos]
-    sub_carry = sub_carries.get(l1, _EMPTY)
-    l2_memo: Dict[Tuple[object, ...], np.ndarray] = {}
-    masks = []
-    for l2 in l2s:
-        full = np.zeros(blocks.shape[0], dtype=bool)
-        # memory miss = L1 miss AND L2 miss
-        full[pos[_miss_mask(_level_pass(sub, sub_carry, l2, l2_memo))]] = True
-        masks.append(full)
-    if fold:
-        sub_carries[l1] = recency_carry(sub_carry, sub)
-    return masks
-
-
 def _two_level_kernel(
-    source: "ChunkSource",
+    source: Chunks,
     geometries: Sequence,
-    carry: None = None,
 ) -> Iterator[ChunkMasks]:
     """Memory-miss masks of two-level hierarchies, one L1 pass per distinct
     L1 and chunk.
@@ -590,35 +576,42 @@ def _two_level_kernel(
     therefore groups sweep points by L1, computes each L1 mask once per
     chunk, replays every L2 organization of the group over the (much
     shorter) sub-trace, and scatters the L2 verdicts back to chunk
-    positions.  L1 carries the trace's recency list and each group's L2 the
-    recency list of its sub-trace, folded only while another chunk follows;
-    the kernel takes no seed ``carry``.
+    positions.  L1 carries the trace's recency list, trimmed for every L1,
+    and each group's L2 the recency list of its sub-trace, trimmed for the
+    group's L2s.  A point that is not a hierarchy fails here, before any
+    chunk is read.
     """
-    groups: Dict[CacheGeometry, List[int]] = {}
+    groups: Dict[CacheGeometry, List[Tuple[int, _Org]]] = {}
     for i, tg in enumerate(geometries):
         if not isinstance(tg, TwoLevelGeometry):
             raise CacheConfigError(
                 f"policy 'two_level' sweeps TwoLevelGeometry points, "
                 f"got {tg!r}"
             )
-        groups.setdefault(tg.l1, []).append(i)
-    sub_carries: Dict[CacheGeometry, np.ndarray] = {}
-    l1_carry = _EMPTY
-    last = source.n_chunks - 1
-    for index in range(source.n_chunks):
-        blocks, phases = source.chunk(index)
+        groups.setdefault(tg.l1, []).append((i, _organization(tg.l2)))
+    levels = [(_organization(l1), l2s) for l1, l2s in groups.items()]
+    return _two_level_chunks(source, levels, len(geometries))
+
+
+def _two_level_chunks(
+    source: Chunks, levels: List[Tuple[_Org, List[Tuple[int, _Org]]]], n: int
+) -> Iterator[ChunkMasks]:
+    l1_carry = _Carry(l1 for l1, _l2s in levels)
+    l2_carries = [_Carry(l2 for _i, l2 in l2s) for _l1, l2s in levels]
+    for blocks, phases in source:
+        synth, k = l1_carry.before(blocks)
         l1_memo: Dict[Tuple[object, ...], np.ndarray] = {}
-        out: List[np.ndarray] = [_EMPTY] * len(geometries)
-        for l1, idxs in groups.items():
-            masks = _two_level_group(
-                blocks, l1_carry, l1_memo, sub_carries, index < last,
-                l1, [geometries[i].l2 for i in idxs],
-            )
-            for i, mask in zip(idxs, masks):
-                out[i] = mask
+        out: List[np.ndarray] = [_EMPTY] * n
+        for (l1, l2s), l2_carry in zip(levels, l2_carries):
+            pos = np.flatnonzero(_miss_mask(_level_pass(synth, k, l1, l1_memo)))
+            sub, sub_k = l2_carry.before(blocks[pos])
+            l2_memo: Dict[Tuple[object, ...], np.ndarray] = {}
+            for i, l2 in l2s:
+                full = np.zeros(blocks.shape[0], dtype=bool)
+                # memory miss = L1 miss AND L2 miss
+                full[pos[_miss_mask(_level_pass(sub, sub_k, l2, l2_memo))]] = True
+                out[i] = full
         yield phases, out
-        if index < last:
-            l1_carry = recency_carry(l1_carry, blocks)
 
 
 _KERNELS: Dict[str, Callable] = {}
@@ -627,14 +620,13 @@ _KERNELS: Dict[str, Callable] = {}
 def register_replay_kernel(policy: str, kernel: Callable) -> None:
     """Register the chunk kernel answering sweeps for ``policy``.
 
-    ``kernel(source, geometries, carry)`` replays a chunk source
-    (:class:`~repro.runtime.streaming.ChunkSource`) with carried state and
-    yields, per chunk, ``(phases, masks)``: the chunk's phase codes (or
-    ``None``) and one boolean miss mask per geometry.  ``carry`` seeds the
-    state before the first chunk (``None``: the trace starts there).  The
-    name must already exist in the stepwise registry
-    (:func:`repro.cache.policy.get_policy`) — a replay without an oracle is
-    untestable by construction.
+    ``kernel(source, geometries)`` replays a chunk source
+    (:class:`~repro.runtime.streaming.ChunkSource`) front to back, carrying
+    its own state across chunks, and yields, per chunk, ``(phases,
+    masks)``: the chunk's phase codes (or ``None``) and one boolean miss
+    mask per geometry.  The name must already exist in the stepwise
+    registry (:func:`repro.cache.policy.get_policy`) — a replay without an
+    oracle is untestable by construction.
     """
     get_policy(policy)
     _KERNELS[policy] = kernel
@@ -654,17 +646,19 @@ register_replay_kernel("two_level", _two_level_kernel)
 # public entry points
 # ----------------------------------------------------------------------
 def replay_chunks(
-    source: "ChunkSource",
+    source: Chunks,
     geometries: Iterable,
     policy: str = "lru",
-    carry: Optional[np.ndarray] = None,
 ) -> Iterator[ChunkMasks]:
     """Per-chunk ``(phases, masks)`` of ``policy``'s kernel over ``source``.
 
     The engine itself, uninstrumented (callers count and time the replay
-    they make of it).  An unknown policy fails here, before any chunk is
-    read.  ``carry`` is a recency carry (:func:`recency_carry`) the lru and
-    direct kernels resume from; opt and two_level take ``None``.
+    they make of it).  ``source`` is a chunk source; the lru, direct and
+    two_level kernels also take any iterable of ``(blocks, phases)``
+    chunks, read once front to back (the streamed
+    :func:`~repro.runtime.compiled.measure_compiled` hands them the chunks
+    as they compile).  An unknown policy, or a geometry the lru, direct or
+    two_level kernel cannot replay, fails here, before any chunk is read.
     """
     get_policy(policy)  # raises CacheConfigError for unknown names
     kernel = _KERNELS.get(policy)
@@ -673,7 +667,7 @@ def replay_chunks(
             f"policy {policy!r} has no vectorized replay kernel; "
             f"available: {sorted(_KERNELS)}"
         )
-    return kernel(source, list(geometries), carry)
+    return kernel(source, list(geometries))
 
 
 def chunk_counts(
@@ -720,22 +714,6 @@ def _joined(chunks: Iterable[ChunkMasks], n_geometries: int) -> List[np.ndarray]
         else np.concatenate([np.zeros(0, dtype=bool), *part])
         for part in parts
     ]
-
-
-def hierarchy_level_masks(
-    blocks: np.ndarray, geometry: TwoLevelGeometry
-) -> tuple:
-    """Per-access ``(l1_miss_mask, memory_miss_mask)`` of one hierarchy.
-
-    The first mask marks L1 misses (= L2 consults), the second the subset
-    that also missed L2 (= memory transfers, what ``policy="two_level"``
-    counts).  Experiment A8 reads the inclusion filter rate straight off
-    these two masks.
-    """
-    arr = np.ascontiguousarray(blocks, dtype=np.int64)
-    l1_mask = _miss_mask(_level_pass(arr, _EMPTY, geometry.l1, {}))
-    (mem_mask,) = _joined(_two_level_kernel(_as_source(arr), [geometry]), 1)
-    return l1_mask, mem_mask
 
 
 def replay_miss_masks(

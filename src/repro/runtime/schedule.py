@@ -14,13 +14,18 @@ scheduler in :mod:`repro.core` and as an oracle in tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, TypeVar
 
 from repro.errors import BufferOverflowError, ScheduleError
 from repro.graphs.sdf import StreamGraph
+from repro.obs import core as obs
+from repro.obs import names as obs_names
 
-__all__ = ["Schedule", "validate_schedule"]
+__all__ = ["Schedule", "validate_schedule", "schedule_span"]
+
+_Producer = TypeVar("_Producer", bound=Callable[..., Sized])
 
 
 @dataclass
@@ -67,6 +72,24 @@ class Schedule:
         top = sorted(counts.items(), key=lambda kv: -kv[1])[:5]
         tops = ", ".join(f"{n}x{c}" for n, c in top)
         return f"Schedule({self.label!r}, firings={len(self.firings)}, top=[{tops}])"
+
+
+def schedule_span(scheduler: str) -> Callable[[_Producer], _Producer]:
+    """Decorate a schedule producer: each call runs under a
+    ``schedule[scheduler=...]`` span and counts the firings it returns (a
+    :class:`Schedule` or a firing list) as ``schedule.firings``."""
+
+    def wrap(produce: _Producer) -> _Producer:
+        @functools.wraps(produce)
+        def traced(*args: object, **kwargs: object) -> Sized:
+            with obs.span(obs_names.SCHEDULE, scheduler=scheduler):
+                schedule = produce(*args, **kwargs)
+            obs.add(obs_names.SCHEDULE_FIRINGS, len(schedule))
+            return schedule
+
+        return traced  # type: ignore[return-value]
+
+    return wrap
 
 
 def validate_schedule(

@@ -22,9 +22,10 @@ disk-bounded without changing a single answer:
 :func:`~repro.runtime.compiled.simulate_trace` replays a :class:`ChunkedTrace`
 (or an in-memory trace at ``chunk_words=``) bit-identically to the one-chunk
 replay — the differential contract ``tests/test_streaming.py`` pins across
-every policy × chunk size.  Carried state is O(distinct
-blocks): the looped schedules this targets reuse a bounded working set, so
-the carry stays small while the trace grows without bound.
+every policy × chunk size.  The lru, direct and two_level carries are
+trimmed to what the swept caches hold, and OPT's is its priority stacks
+(bounded by the largest swept capacity), so carried state stays small
+while the trace grows without bound.
 
 Array dtype contract (statically enforced by lint rule R4, see
 ``docs/STATIC_ANALYSIS.md``): block ids and positions are ``int64``;
@@ -40,6 +41,7 @@ from pathlib import Path
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -76,8 +78,10 @@ __all__ = [
 # ----------------------------------------------------------------------
 class ChunkSource(Protocol):
     """Anything the replay kernels replay: one block trace viewed as an
-    ordered sequence of chunks, randomly addressable by index (the OPT
-    reverse pass walks chunks backwards)."""
+    ordered sequence of chunks, iterated in order and randomly addressable
+    by index (the OPT reverse pass walks chunks backwards)."""
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]: ...
 
     @property
     def accesses(self) -> int: ...
@@ -156,6 +160,9 @@ class ArrayChunkSource:
     def n_chunks(self) -> int:
         return len(self._bounds)
 
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        return map(self.chunk, range(self.n_chunks))
+
     def chunk(self, index: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         lo, hi = self._bounds[index]
         return (
@@ -217,6 +224,9 @@ class ChunkedTrace:
     def __len__(self) -> int:
         return self.accesses
 
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        return map(self.chunk, range(self.n_chunks))
+
     def chunk_bounds(self) -> List[Tuple[int, int]]:
         cw = self.chunk_words
         return [
@@ -269,7 +279,6 @@ def compile_trace_chunked(
     chunk_words: int,
     capacities: Optional[Dict[int, int]] = None,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
     cache: Optional[TraceCache] = None,
@@ -305,13 +314,13 @@ def compile_trace_chunked(
     seg_cache: TraceCache = cache
     trace_key = trace_digest(
         graph, schedule, block, capacities=capacities, layout_order=layout_order,
-        count_external=count_external, placement=placement, gaps=gaps,
+        placement=placement, gaps=gaps,
     )
 
     def spill() -> Tuple[TraceCompiler, List[str], int]:
         compiler = TraceCompiler(
             graph, block, capacities=capacities, layout_order=layout_order,
-            count_external=count_external, placement=placement, gaps=gaps,
+            placement=placement, gaps=gaps,
         )
         keys: List[str] = []
         written = 0

@@ -101,7 +101,6 @@ def trace_digest(
     block: int,
     capacities: Optional[Dict[int, int]] = None,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence["ObjectKey"]] = None,
     gaps: Optional[Dict["ObjectKey", int]] = None,
 ) -> str:
@@ -133,7 +132,9 @@ def trace_digest(
         if capacities is None
         else sorted((int(k), None if v is None else int(v)) for k, v in capacities.items()),
         "layout_order": None if layout_order is None else list(layout_order),
-        "count_external": bool(count_external),
+        # external streams are always charged; the key keeps the field so
+        # entries filed when it was an option still hit
+        "count_external": True,
         "placement": _object_keys(placement),
         "gaps": None
         if gaps is None
@@ -288,6 +289,17 @@ class TraceCache:
     def _entries(self) -> List[Path]:
         return [p for p in self.path.glob("*.npz")]
 
+    def _stats(self) -> Dict[Path, os.stat_result]:
+        """One ``stat`` per entry; an entry that vanished since the listing
+        (another process evicted it) is skipped."""
+        out = {}
+        for p in self._entries():
+            try:
+                out[p] = p.stat()
+            except FileNotFoundError:
+                continue
+        return out
+
     def _discard(self, entry: Path) -> None:
         try:
             entry.unlink()
@@ -392,32 +404,26 @@ class TraceCache:
             self._evict_over_cap(keep=entry)
 
     def _evict_over_cap(self, keep: Optional[Path] = None) -> None:
-        entries = self._entries()
-        sizes = {}
-        for p in entries:
-            try:
-                sizes[p] = p.stat().st_size
-            except OSError:  # pragma: no cover - raced by another process
-                continue
-        total = sum(sizes.values())
+        stats = self._stats()
+        total = sum(st.st_size for st in stats.values())
         if total <= self.max_bytes:
             return
         # least-recently-used first; the entry just written survives so a
         # put can never evict its own payload
-        for p in sorted(sizes, key=lambda p: (p.stat().st_mtime, p.name)):
+        for p in sorted(stats, key=lambda p: (stats[p].st_mtime, p.name)):
             if total <= self.max_bytes:
                 break
-            if keep is not None and p == keep:
+            if p == keep:
                 continue
             self._discard(p)
             self._count(obs_names.CACHE_EVICTIONS)
-            total -= sizes[p]
+            total -= stats[p].st_size
 
     def __len__(self) -> int:
         return len(self._entries())
 
     def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self._entries())
+        return sum(st.st_size for st in self._stats().values())
 
     def clear(self) -> None:
         for p in self._entries():
@@ -439,7 +445,6 @@ def cached_compile_trace(
     block: int,
     capacities: Optional[Dict[int, int]] = None,
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence["ObjectKey"]] = None,
     gaps: Optional[Dict["ObjectKey", int]] = None,
     cache: Optional[TraceCache] = None,
@@ -464,21 +469,19 @@ def cached_compile_trace(
         # nothing to file the trace under
         trace = compile_trace_uncached(
             graph, schedule, block, capacities=capacities,
-            layout_order=layout_order, count_external=count_external,
-            placement=placement, gaps=gaps,
+            layout_order=layout_order, placement=placement, gaps=gaps,
         )
         return trace, "", False
     key = trace_digest(
         graph, schedule, block, capacities=capacities,
-        layout_order=layout_order, count_external=count_external,
-        placement=placement, gaps=gaps,
+        layout_order=layout_order, placement=placement, gaps=gaps,
     )
     cached = cache.get(key)
     if cached is not None:
         return cached, key, True
     trace = compile_trace_uncached(
         graph, schedule, block, capacities=capacities, layout_order=layout_order,
-        count_external=count_external, placement=placement, gaps=gaps,
+        placement=placement, gaps=gaps,
     )
     cache.put(key, trace)
     return trace, key, False

@@ -170,7 +170,6 @@ def assert_trace_equivalent(
     block: int,
     sizes: Iterable[int],
     layout_order: Optional[Iterable[str]] = None,
-    count_external: bool = True,
     placement: Optional[Sequence[ObjectKey]] = None,
     gaps: Optional[Dict[ObjectKey, int]] = None,
 ) -> "CompiledTrace":
@@ -205,7 +204,6 @@ def assert_trace_equivalent(
         schedule,
         block,
         layout_order=layout_order,
-        count_external=count_external,
         placement=placement,
         gaps=gaps,
     )
@@ -218,7 +216,6 @@ def assert_trace_equivalent(
         big,
         schedule,
         layout_order=layout_order,
-        count_external=count_external,
         placement=placement,
         gaps=gaps,
         cache=TracingCache(LRUCache(big), recorder),
@@ -241,7 +238,6 @@ def assert_trace_equivalent(
             geom,
             schedule,
             layout_order=layout_order,
-            count_external=count_external,
             placement=placement,
             gaps=gaps,
         )

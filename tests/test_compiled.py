@@ -48,7 +48,7 @@ from repro.runtime.compiled import (
 )
 from repro.runtime.deadlock import demand_driven_schedule
 from repro.runtime.executor import Executor
-from repro.runtime.looped import Loop, LoopedSchedule, compress_schedule
+from repro.runtime.looped import Loop, LoopedSchedule
 from repro.runtime.schedule import Schedule
 from repro.testing.oracles import assert_trace_equivalent
 from repro.testing.strategies import (
@@ -101,12 +101,6 @@ class TestOracleSuite:
         g = random_pipeline(8, 24, seed=5, rate_choices=[(1, 1), (2, 1), (1, 2), (3, 2)])
         assert_trace_equivalent(
             g, single_appearance_schedule(g, n_iterations=10), B, [32, 96, 256]
-        )
-
-    def test_count_external_disabled(self):
-        g = pipeline([16, 16])
-        assert_trace_equivalent(
-            g, interleaved_schedule(g, n_iterations=20), B, [64], count_external=False
         )
 
     def test_unaligned_block_size(self):
@@ -176,7 +170,10 @@ class TestCompiledTrace:
     def test_looped_schedule_matches_flat(self):
         g = pipeline([16, 8, 8])
         flat = interleaved_schedule(g, n_iterations=30)
-        looped = compress_schedule(flat)
+        looped = LoopedSchedule(
+            (Loop(30, ("m0", "m1", "m2")),), capacities=flat.capacities, label=flat.label
+        )
+        assert list(looped.firings_iter()) == flat.firings
         a = compile_trace(g, flat, B)
         b = compile_trace(g, looped, B)
         assert (a.blocks == b.blocks).all()
@@ -285,11 +282,10 @@ def _graph_schedules(draw):
 def test_pass_matches_the_executor_at_every_chunking(data):
     g, sched = data.draw(_graph_schedules())
     block = data.draw(st.sampled_from([1, 3, 4, 8]))
-    count_external = data.draw(st.booleans())
     placement = gaps = None
     if data.draw(st.booleans()):
         placement, gaps = data.draw(placement_strategy(layout_objects(g), max_gap=2))
-    layout = dict(count_external=count_external, placement=placement, gaps=gaps)
+    layout = dict(placement=placement, gaps=gaps)
     trace = assert_trace_equivalent(g, sched, block, [block, 4 * block, 32 * block], **layout)
     for chunk_words in (1, 37, None):
         compiler = TraceCompiler(g, block, capacities=sched.capacities, **layout)
@@ -382,7 +378,7 @@ def test_streamed_measure_matches_the_executor(data):
         geom = data.draw(geometry_strategy(block=block, max_ways=4, max_sets=8))
     else:
         geom = CacheGeometry(size=data.draw(st.sampled_from([1, 2, 8, 32])) * block, block=block)
-    layout = dict(count_external=data.draw(st.booleans()), placement=None, gaps=None)
+    layout = dict(placement=None, gaps=None)
     if data.draw(st.booleans()):
         layout["placement"], layout["gaps"] = data.draw(
             placement_strategy(layout_objects(g), max_gap=2)
@@ -423,14 +419,14 @@ def test_streamed_measure_of_a_stream_heavy_schedule(policy, geom, chunk_words, 
     sched = interleaved_schedule(g, n_iterations=400)
     assert compile_trace(g, sched, 1).distinct_blocks() > 50 * geom.n_blocks
     kept = []
-    trim = replay.trim_carry
+    before = replay._Carry.before
 
-    def spy(carry, geometry, direct=False):
-        out = trim(carry, geometry, direct)
-        kept.append(out.shape[0])
+    def spy(carry, chunk):
+        out = before(carry, chunk)
+        kept.append(out[1])
         return out
 
-    monkeypatch.setattr(replay, "trim_carry", spy)
+    monkeypatch.setattr(replay._Carry, "before", spy)
     want = Executor.measure(g, geom, sched, cache=get_policy(policy).make_model(geom))
     previous = backend.configure(chunk_words=chunk_words)
     try:

@@ -22,14 +22,18 @@ from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
 from repro.runtime.compiled import compile_trace, measure_compiled, simulate_trace
 from repro.runtime.executor import Executor
-from repro.runtime.replay import (
-    hierarchy_level_masks,
-    replay_miss_masks,
-    replay_misses,
-)
+from repro.runtime.replay import replay_miss_masks, replay_misses
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
 
 B = 8
+
+
+def _level_masks(trace, tg):
+    """Per-access ``(L1 miss, memory miss)`` masks of one hierarchy, read
+    as experiment A8 reads them."""
+    (l1_mask,) = replay_miss_masks(trace, [tg.l1], "lru")
+    (mem_mask,) = replay_miss_masks(trace, [tg], "two_level")
+    return l1_mask, mem_mask
 
 
 def stepwise_mask(trace, geometry):
@@ -128,14 +132,14 @@ class TestTwoLevelProperties:
         arr = np.asarray(trace, dtype=np.int64)
         l1 = CacheGeometry(size=l1_frames * B, block=B)
         inf_l2 = CacheGeometry(size=max(64, len(trace)) * B, block=B)
-        l1_mask, mem_mask = hierarchy_level_masks(arr, TwoLevelGeometry(l1, inf_l2))
+        l1_mask, mem_mask = _level_masks(arr, TwoLevelGeometry(l1, inf_l2))
         (single,) = replay_miss_masks(arr, [l1], "lru")
         assert l1_mask.tolist() == single.tolist()
         assert int(mem_mask.sum()) == len(set(trace))  # compulsory misses only
 
     def test_memory_misses_subset_of_l1_misses(self):
         for tg in _grid():
-            l1_mask, mem_mask = hierarchy_level_masks(self.trace, tg)
+            l1_mask, mem_mask = _level_masks(self.trace, tg)
             assert bool((mem_mask <= l1_mask).all()), tg.describe()
 
     def test_larger_l2_never_hurts_behind_fixed_l1(self):

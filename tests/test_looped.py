@@ -1,8 +1,6 @@
-"""Tests for looped schedules (loop-nest representation + compressor)."""
+"""Tests for looped schedules (the loop-nest representation)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.core.dagpart import interval_dp_partition
@@ -12,10 +10,9 @@ from repro.core.partition_sched import (
 )
 from repro.core.tuning import required_geometry
 from repro.errors import ScheduleError
-from repro.graphs.topologies import diamond, pipeline
+from repro.graphs.topologies import pipeline
 from repro.runtime.executor import Executor
-from repro.runtime.looped import Loop, LoopedSchedule, compress_schedule
-from repro.runtime.schedule import Schedule
+from repro.runtime.looped import Loop, LoopedSchedule
 
 
 class TestLoop:
@@ -41,57 +38,6 @@ class TestLoop:
             Loop(count=1, body=())
 
 
-class TestCompression:
-    def test_pure_run(self):
-        s = Schedule(["a"] * 100)
-        ls = compress_schedule(s)
-        assert ls.n_nodes <= 2
-        assert list(ls.firings_iter()) == s.firings
-
-    def test_periodic_pattern(self):
-        s = Schedule(["a", "b", "c"] * 50)
-        ls = compress_schedule(s)
-        assert ls.n_nodes <= 5
-        assert list(ls.firings_iter()) == s.firings
-
-    def test_mixed_pattern(self):
-        flat = (["a"] * 4 + ["b", "c"] * 3) * 10
-        ls = compress_schedule(Schedule(flat))
-        assert list(ls.firings_iter()) == flat
-        assert ls.compression_ratio() > 5
-
-    def test_incompressible(self):
-        flat = ["a", "b", "a", "c", "b", "a", "c", "c", "b"]
-        ls = compress_schedule(Schedule(flat))
-        assert list(ls.firings_iter()) == flat
-
-    def test_partition_schedule_compresses_massively(self):
-        g = diamond(branch_len=3, ways=2, state=24)
-        geom = CacheGeometry(size=64, block=8)
-        part = interval_dp_partition(g, 64, c=2.0)
-        sched = homogeneous_partition_schedule(g, part, geom, n_batches=4)
-        ls = compress_schedule(sched)
-        assert ls.compression_ratio() > 50
-        assert list(ls.firings_iter()) == sched.firings
-
-    def test_metadata_carried(self):
-        s = Schedule(["a"] * 3, capacities={0: 7}, label="lbl")
-        ls = compress_schedule(s)
-        assert ls.capacities == {0: 7} and ls.label == "lbl"
-        assert ls.to_flat().firings == s.firings
-
-    @given(
-        pattern=st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
-        reps=st.integers(1, 20),
-        noise=st.lists(st.sampled_from("abc"), max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, pattern, reps, noise):
-        flat = noise + pattern * reps + noise
-        ls = compress_schedule(Schedule(flat))
-        assert list(ls.firings_iter()) == flat
-
-
 class TestExecutorRunsLooped:
     def test_same_misses_as_flat(self):
         g = pipeline([24] * 6)
@@ -104,7 +50,11 @@ class TestExecutorRunsLooped:
         flat_res = Executor(
             g, rg, capacities=sched.capacities, layout_order=order
         ).run(sched)
-        ls = compress_schedule(sched)
+        ls = LoopedSchedule(
+            (Loop(3, (Loop(64, ("m0", "m1", "m2", "m3", "m4")), Loop(64, ("m5",)))),),
+            capacities=sched.capacities,
+        )
+        assert list(ls.firings_iter()) == sched.firings
         looped_res = Executor(
             g, rg, capacities=ls.capacities, layout_order=order
         ).run(ls)

@@ -34,13 +34,6 @@ class TestPredictedCost:
         b = predict_partition_cost(part, geom, source_fires=200, batch_source_fires=100)
         assert b.cross_misses == pytest.approx(2 * a.cross_misses)
 
-    def test_stream_disabled(self, homog_pipeline, geom):
-        part = whole_graph_partition(homog_pipeline)
-        pred = predict_partition_cost(
-            part, geom, source_fires=100, batch_source_fires=100, count_external=False
-        )
-        assert pred.stream_misses == 0
-
     def test_summary_totals(self, homog_pipeline, geom):
         part = whole_graph_partition(homog_pipeline)
         pred = predict_partition_cost(part, geom, source_fires=100, batch_source_fires=100)

@@ -342,7 +342,10 @@ def test_fallbacks_agree_with_counters_at_zero(case, chunk_words):
     if policy != "opt":
         assert want == _stepwise(g, flat, geoms, policy)
     with obs.capture(enabled=True) as cap:
-        trace = compile_trace(g, sched, B, chunk_words=chunk_words)
+        trace = (
+            compile_trace(g, sched, B) if chunk_words is None
+            else compile_trace_chunked(g, sched, B, chunk_words)
+        )
         got = _answers(simulate_trace(trace, geoms, policy=policy))
     assert got == want
     repeats, geometries = _counters(cap)
@@ -359,7 +362,7 @@ def test_counters_zero_on_flat_schedules():
     with obs.capture(enabled=True) as cap:
         trace = compile_trace(g, flat, B)
         simulate_trace(trace, [CacheGeometry(size=16 * B, block=B)])
-        chunked = compile_trace(g, flat, B, chunk_words=100)
+        chunked = compile_trace_chunked(g, flat, B, chunk_words=100)
         simulate_trace(chunked, [CacheGeometry(size=16 * B, block=B, ways=1)], policy="direct")
     assert trace.period is None and chunked.period is None
     assert _counters(cap) == (0, 0)

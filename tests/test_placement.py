@@ -292,7 +292,7 @@ class TestConflictGraph:
     def test_adjacent_objects_weigh_most(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
-        cg = conflict_graph(inst, window=4)
+        cg = conflict_graph(inst)
         # a pipeline stage and its input buffer touch back to back every
         # firing; they must out-weigh a pair three stages apart
         i_m1 = inst.index_of(("state", "m1"))
@@ -301,12 +301,6 @@ class TestConflictGraph:
         near = cg[tuple(sorted((i_m1, i_buf0)))]
         far = cg.get(tuple(sorted((i_m1, i_m4))), 0.0)
         assert near > far
-
-    def test_window_must_be_positive(self):
-        g, sched = small_workload()
-        inst = build_instance(g, sched, B)
-        with pytest.raises(LayoutError, match="window"):
-            conflict_graph(inst, window=0)
 
 
 # ----------------------------------------------------------------------

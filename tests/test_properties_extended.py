@@ -1,6 +1,6 @@
 """Extended property-based tests covering the extension modules: dynamic
 dag scheduling, parallel simulation invariants, CSDF expansion, miss-curve
-consistency, and loop-nest compression on generated schedules."""
+consistency."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,7 @@ from repro.errors import PartitionError
 from repro.graphs.csdf import CsdfGraph, expand_csdf
 from repro.graphs.repetition import repetition_vector
 from repro.graphs.validate import validate_graph
-from repro.runtime.looped import compress_schedule
-from repro.runtime.schedule import Schedule, validate_schedule
+from repro.runtime.schedule import validate_schedule
 from repro.testing.strategies import small_dags
 
 
@@ -125,20 +124,3 @@ class TestMissCurveProperties:
             geo = CacheGeometry(size=c * 4, block=4)
             idx = min(c, len(curve) - 1)
             assert curve[idx] >= simulate_opt(trace, geo).misses
-
-
-class TestCompressionProperties:
-    @given(g=small_dags(max_layers=2, max_width=2, max_state=8), batches=st.integers(1, 3))
-    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_partition_schedules_round_trip(self, g, batches):
-        from repro.core.partition_sched import homogeneous_partition_schedule
-
-        geom = CacheGeometry(size=16, block=4)
-        try:
-            part = interval_dp_partition(g, geom.size, c=3.0)
-        except PartitionError:
-            return
-        sched = homogeneous_partition_schedule(g, part, geom, n_batches=batches)
-        ls = compress_schedule(sched)
-        assert list(ls.firings_iter()) == sched.firings
-        assert ls.compression_ratio() >= 1.0

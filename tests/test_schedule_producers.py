@@ -16,6 +16,8 @@ from repro.core.pipeline import optimal_pipeline_partition
 from repro.errors import DeadlockError
 from repro.graphs.sdf import StreamGraph
 from repro.graphs.topologies import pipeline
+from repro.obs import core as obs
+from repro.obs import names as obs_names
 from repro.runtime.schedule import validate_schedule
 from repro.testing.oracles import assert_trace_equivalent
 from repro.testing.producers import SCHEDULE_PRODUCERS
@@ -76,3 +78,27 @@ def test_every_producer_runs_on_a_delayed_unit_rate_pipeline():
     geom = CacheGeometry(size=32, block=B)
     built = _built(g, geom, _partition(g, 32, 2.0), 2)
     assert [name for name, _s in built] == [p.name for p in SCHEDULE_PRODUCERS]
+
+
+#: ``scheduler=`` of each producer whose span is not named after it
+SPAN_OF = {
+    "kohli_greedy": "kohli",
+    "dynamic_dag[fifo]": "dynamic_dag",
+    "dynamic_dag[topo]": "dynamic_dag",
+}
+
+
+def test_every_producer_opens_its_schedule_span():
+    """Each producer runs under its own ``schedule[scheduler=...]`` span and
+    counts what it returns in ``schedule.firings`` (one that calls
+    ``demand_driven`` inside counts those firings too)."""
+    g = pipeline([12, 20, 6, 16])
+    geom = CacheGeometry(size=32, block=B)
+    part = _partition(g, 32, 2.0)
+    for producer in SCHEDULE_PRODUCERS:
+        with obs.capture(enabled=True) as cap:
+            sched = producer.build(g, geom, part, 2)
+        key = f"{obs_names.SCHEDULE}[scheduler={SPAN_OF.get(producer.name, producer.name)}]"
+        snap = cap.snapshot
+        assert snap["spans"][key]["count"] == 1, producer.name
+        assert snap["counters"][obs_names.SCHEDULE_FIRINGS] >= len(sched), producer.name

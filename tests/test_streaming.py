@@ -13,8 +13,9 @@ kernel at every chunking* is pinned per access, not per total.
 
 Also pinned here: segment-granular recompilation after cache corruption
 (one truncated ``.npz`` recompiles alone — intact segments keep their bytes
-and mtimes), and the ``chunk_words=`` threading through every front door (``compile_trace`` / ``simulate_trace`` /
-``measure_compiled`` / ``configure``).
+and mtimes), and the ``chunk_words=`` threading through every front door
+(``compile_trace_chunked`` / ``simulate_trace`` / ``measure_compiled`` /
+``configure``).
 """
 
 from __future__ import annotations
@@ -26,18 +27,19 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
+from repro.cache.policy import stepwise_trace_misses
 from repro.core.baselines import interleaved_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
+from repro.graphs.topologies import pipeline
 from repro.runtime.backend import configure
 from repro.runtime.compiled import (
     compile_trace,
     measure_compiled,
     simulate_trace,
 )
-from repro.runtime.replay import (
-    recency_carry, replay_chunks, replay_miss_masks, replay_misses, trim_carry,
-)
+from repro.runtime import replay
+from repro.runtime.replay import recency_carry, replay_miss_masks, replay_misses
 from repro.runtime.streaming import (
     ArrayChunkSource,
     ChunkedTrace,
@@ -200,12 +202,11 @@ class TestChunkingProperties:
     def test_carry_fold_equals_fresh_pass_over_concatenation(self, prefix, a, b):
         # folding chunk by chunk == one fold over the concatenation: the
         # carry after any partition is the carry of the flat trace
-        empty = np.zeros(0, dtype=np.int64)
-        c0 = recency_carry(empty, np.asarray(prefix, dtype=np.int64))
+        c0 = recency_carry(np.asarray(prefix, dtype=np.int64))
         aa = np.asarray(a, dtype=np.int64)
         bb = np.asarray(b, dtype=np.int64)
-        stepped = recency_carry(recency_carry(c0, aa), bb)
-        flat = recency_carry(c0, np.concatenate([aa, bb]))
+        stepped = recency_carry(np.concatenate([recency_carry(np.concatenate([c0, aa])), bb]))
+        flat = recency_carry(np.concatenate([c0, aa, bb]))
         assert np.array_equal(stepped, flat)
         # and the carry is exactly the distinct blocks in recency order
         whole = np.concatenate([np.asarray(prefix, dtype=np.int64), aa, bb])
@@ -213,7 +214,7 @@ class TestChunkingProperties:
         for i, blk in enumerate(whole.tolist()):
             seen[blk] = i
         expect = [blk for blk, _i in sorted(seen.items(), key=lambda kv: kv[1])]
-        assert recency_carry(empty, whole).tolist() == expect
+        assert recency_carry(whole).tolist() == expect
 
     @given(
         trace=st.lists(st.integers(0, 80), min_size=1, max_size=300),
@@ -224,27 +225,26 @@ class TestChunkingProperties:
         max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_trimmed_carry_replays_like_the_full_carry(self, trace, data, policy):
-        # one geometry resumed from a carry trimmed after every fold reads
-        # the whole trace's masks, and the carry never outgrows the cache
+        # one geometry replayed in chunks under the carry its kernel trims
+        # after every fold reads the whole trace's masks, and the carry
+        # never outgrows the cache
         if policy == "lru":
             geom = data.draw(geometry_strategy(block=B, max_ways=4, max_sets=8))
         else:
             geom = CacheGeometry(size=data.draw(st.sampled_from([1, 2, 4, 8])) * B, block=B)
         whole = np.asarray(trace, dtype=np.int64)
         (want,) = replay_miss_masks(whole, [geom], policy)
-        carry, at, got = np.zeros(0, dtype=np.int64), 0, []
-        for size in data.draw(chunking_strategy(len(trace))):
-            chunk = whole[at:at + size]
-            at += size
-            source = ArrayChunkSource(chunk, chunk_words=size)
-            ((_labels, (mask,)),) = replay_chunks(source, [geom], policy, carry=carry)
-            got.append(mask)
-            carry = trim_carry(recency_carry(carry, chunk), geom, policy == "direct")
-            assert carry.shape[0] <= geom.n_blocks
+        sizes = data.draw(chunking_strategy(len(trace)))
+        carry, at = replay._Carry([replay._organization(geom, policy == "direct")]), 0
+        for size in sizes:
+            _synth, kept = carry.before(whole[at:at + size])
+            assert kept <= geom.n_blocks
             # what is kept is the full carry's order, restricted
-            full = recency_carry(np.zeros(0, dtype=np.int64), whole[:at])
-            assert np.array_equal(carry, full[np.isin(full, carry)])
-        assert np.array_equal(np.concatenate(got), want)
+            full = recency_carry(whole[:at])
+            assert np.array_equal(carry.blocks, full[np.isin(full, carry.blocks)])
+            at += size
+        (got,) = replay_miss_masks(ArrayChunkSource(whole, sizes=sizes), [geom], policy)
+        assert np.array_equal(got, want)
 
     # -- nightly twins: same properties, cranked hard (--runslow) --------
     @pytest.mark.slow
@@ -281,13 +281,67 @@ class TestChunkingProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_carry_fold_associativity_nightly(self, parts):
-        empty = np.zeros(0, dtype=np.int64)
         arrays = [np.asarray(p, dtype=np.int64) for p in parts]
-        stepped = empty
+        stepped = np.zeros(0, dtype=np.int64)
         for arr in arrays:
-            stepped = recency_carry(stepped, arr)
-        flat = recency_carry(empty, np.concatenate(arrays))
+            stepped = recency_carry(np.concatenate([stepped, arr]))
+        flat = recency_carry(np.concatenate(arrays))
         assert np.array_equal(stepped, flat)
+
+
+# ----------------------------------------------------------------------
+# trimmed carries: a sweep's carry stays within the caches it serves
+# ----------------------------------------------------------------------
+def _fa(n):
+    return CacheGeometry(size=n, block=1)
+
+
+def _sa(sets, ways):
+    return CacheGeometry(size=sets * ways, block=1, ways=ways)
+
+
+#: policy -> (sweep, blocks its organizations hold together); a two_level
+#: carry serves one level, so its bound is the larger level's
+STREAM_HEAVY_SWEEPS = {
+    "lru": ([_fa(4), _fa(16), _sa(8, 2), _sa(4, 4)], 4 + 16 + 16 + 16),
+    "direct": ([_sa(4, 1), _sa(16, 1)], 4 + 16),
+    "two_level": (
+        [TwoLevelGeometry(l1, l2) for l1 in (_fa(2), _sa(4, 1))
+         for l2 in (_fa(8), _sa(8, 2))],
+        max(2 + 4, 8 + 16),
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(STREAM_HEAVY_SWEEPS))
+def test_chunked_sweep_carries_no_more_than_its_caches_hold(policy, monkeypatch):
+    """A stream-heavy schedule touches a new block with nearly every
+    source and sink firing, so a carry of every distinct block would grow
+    with the schedule.  Replayed in chunks of 64, every pass sees at most
+    a chunk plus a carry trimmed to what the swept organizations hold
+    together, and the misses are the stepwise engines'."""
+    g = pipeline([1, 1, 1, 1])
+    trace = compile_trace(g, interleaved_schedule(g, n_iterations=400), 1)
+    geoms, held = STREAM_HEAVY_SWEEPS[policy]
+    assert trace.distinct_blocks() > 10 * held
+    seen = []
+
+    def spied(scan):
+        def run(blocks, classes):
+            seen.append(blocks.shape[0])
+            return scan(blocks, classes)
+
+        return run
+
+    for name in ("per_set_stack_distances", "_direct_hit_mask"):
+        monkeypatch.setattr(replay, name, spied(getattr(replay, name)))
+    got = simulate_trace(trace, geoms, policy=policy, chunk_words=64)
+    monkeypatch.undo()
+    blocks = trace.blocks.tolist()
+    assert [r.misses for r in got] == [
+        sum(stepwise_trace_misses(blocks, geom, policy)) for geom in geoms
+    ]
+    assert seen and max(seen) <= 64 + held
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +365,6 @@ class TestChunkedCompilation:
         for i, (lo, hi) in enumerate(ct.chunk_bounds()):
             assert (hi - lo == 97) or i == ct.n_chunks - 1
 
-    def test_compile_trace_front_door_dispatches_on_chunk_words(self, workload):
-        g, sched, mono = workload
-        ct = compile_trace(g, sched, B, chunk_words=128)
-        assert isinstance(ct, ChunkedTrace)
-        blocks = np.concatenate([ct.chunk(i)[0] for i in range(ct.n_chunks)])
-        assert np.array_equal(blocks, mono.blocks)
-
     def test_rerun_rewrites_nothing(self, workload, tmp_path):
         g, sched, _mono = workload
         cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
@@ -336,7 +383,7 @@ class TestChunkedCompilation:
         with pytest.raises(CacheConfigError, match="chunk_words"):
             compile_trace_chunked(g, sched, B, chunk_words=0)
         with pytest.raises(CacheConfigError, match="chunk_words"):
-            compile_trace(g, sched, B, chunk_words=-3)
+            compile_trace_chunked(g, sched, B, chunk_words=-3)
 
     def test_truncated_segment_recompiles_alone(self, workload, tmp_path):
         g, sched, mono = workload

@@ -148,12 +148,6 @@ class TestDigestSensitivity:
             g, sched, B, layout_order=list(reversed(names))
         )
 
-    def test_count_external_changes_the_key(self, workload):
-        g, sched = workload
-        assert trace_digest(g, sched, B, count_external=True) != trace_digest(
-            g, sched, B, count_external=False
-        )
-
     def test_placement_order_and_one_gap_block_change_the_key(self, workload):
         g, sched = workload
         objs = layout_objects(g)
@@ -307,6 +301,44 @@ class TestLRUEviction:
         for key in ("aa" * 32, "bb" * 32, "cc" * 32):
             cache.put(key, _compile(workload))
         assert len(cache) == 3 and cache.counters.evictions == 0
+
+    def test_entry_removed_by_another_process_mid_eviction(
+        self, workload, tmp_path, monkeypatch
+    ):
+        """Another process evicts an entry right after this one stats it
+        (between the listing and the LRU sort): the put still stores its
+        payload and enforces the cap, and the vanished entry counts for
+        nothing in ``total_bytes``."""
+        cache = TraceCache(tmp_path, max_bytes=10**9)
+        a, b, c = "aa" * 32, "bb" * 32, "cc" * 32
+        size = self._put_sized(cache, a, workload, B)
+        self._put_sized(cache, b, workload, 2 * B)
+
+        class Raced(type(tmp_path)):
+            def stat(self, *args, **kwargs):
+                st = super().stat(*args, **kwargs)
+                self.unlink(missing_ok=True)  # the other process's eviction
+                return st
+
+        listing = cache._entries
+        monkeypatch.setattr(
+            cache, "_entries",
+            lambda: [Raced(p) if p.name.startswith("aa") else p for p in listing()],
+        )
+        cache.max_bytes = int(2.2 * size)
+        self._put_sized(cache, c, workload, 4 * B)
+        monkeypatch.setattr(cache, "_entries", listing)
+        assert not cache._entry_path(a).exists()
+        assert cache._entry_path(c).exists()
+        assert cache.total_bytes() <= cache.max_bytes
+
+        def vanished():
+            entries = listing()
+            cache._entry_path(b).unlink()
+            return entries
+
+        monkeypatch.setattr(cache, "_entries", vanished)
+        assert cache.total_bytes() == cache._entry_path(c).stat().st_size
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ repo root (with a rolling ``history`` so ``benchmarks/check_bench_trends.py``
 can fail on regressions):
 
 * **score** — scoring K candidate placements through
-  :func:`repro.mem.placement.placement_cost` (one gather over the trace
+  :func:`repro.mem.placement.placement_costs` (one gather over the trace
   compiled once under the seed layout, then the direct-mapped replay
   kernel) vs compiling a fresh trace per candidate and replaying it.  The
   remap path must agree miss-for-miss and be >= 3x faster — it is the inner
@@ -52,7 +52,7 @@ from repro.mem.placement import (
     conflict_graph,
     greedy_color_order,
     optimize_instance,
-    placement_cost,
+    placement_costs,
     swap_refine,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
@@ -92,10 +92,8 @@ def test_placement_cost_model_speedup(show):
 
     # --- block-remap cost model over the one seed trace
     t0 = time.perf_counter()
-    fast = [
-        placement_cost(instance, order, run_geom, policy="direct")
-        for order in candidates
-    ]
+    direct_target = [(run_geom, "direct", 1.0)]
+    fast = [placement_costs(instance, order, direct_target)[0] for order in candidates]
     t_remap = time.perf_counter() - t0
 
     assert fast == ref, "remap cost model diverged from recompiled traces"
@@ -103,15 +101,18 @@ def test_placement_cost_model_speedup(show):
 
     # --- optimizer gains on the same workload
     t0 = time.perf_counter()
-    swap = optimize_instance(instance, run_geom, strategy="swap", policy="direct", budget=300)
+    swap = optimize_instance(instance, direct_target, strategy="swap", budget=300)
     t_swap = time.perf_counter() - t0
-    color = optimize_instance(instance, run_geom, strategy="color", policy="direct")
-    swap_gain = swap.seed_cost / swap.cost if swap.cost else float("inf")
-    color_gain = color.seed_cost / color.cost if color.cost else float("inf")
+    color = optimize_instance(instance, direct_target, strategy="color")
+    (seed_misses,), (swap_misses,) = swap.seed_per_target, swap.per_target
+    (color_misses,) = color.per_target
+    swap_gain = seed_misses / swap_misses if swap_misses else float("inf")
+    color_gain = seed_misses / color_misses if color_misses else float("inf")
 
     # fully-associative invariance on the optimized layout (oracle property)
-    fa_seed = placement_cost(instance, list(instance.objects), run_geom, policy="lru")
-    fa_swap = placement_cost(instance, swap.order, run_geom, policy="lru")
+    fa_target = [(run_geom, "lru", 1.0)]
+    fa_seed = placement_costs(instance, list(instance.objects), fa_target)
+    fa_swap = placement_costs(instance, swap.order, fa_target)
     assert fa_seed == fa_swap, "placement changed fully-associative misses"
 
     # --- A9 metrics: multi-geometry objective
@@ -123,7 +124,7 @@ def test_placement_cost_model_speedup(show):
     ]
     t0 = time.perf_counter()
     multi = optimize_instance(
-        instance, strategy="swap", targets=targets, budget=300, gap_budget=8
+        instance, targets, strategy="swap", budget=300, gap_budget=8
     )
     t_multi = time.perf_counter() - t0
     # the deployability contract A9 gates on: never worse at ANY target
@@ -145,6 +146,7 @@ def test_placement_cost_model_speedup(show):
         ("fm_radio", fm_partitioned_workload(M=M, B=B, inputs=512)),
     ):
         direct_f = geom_f.with_ways(1)
+        target_f = [(direct_f, "direct", 1.0)]
         inst_f = build_instance(g_f, sched_f, B)
         w_f = conflict_graph(inst_f)
         start_f = greedy_color_order(
@@ -152,15 +154,13 @@ def test_placement_cost_model_speedup(show):
         )
         t0 = time.perf_counter()
         _, _, swap_cost, swap_stats = swap_refine(
-            inst_f, start_f, direct_f, policy="direct",
-            budget=FACILITY_BUDGET, weights=w_f,
+            inst_f, start_f, target_f, budget=FACILITY_BUDGET, weights=w_f,
         )
         _, _, ms_cost, ms_stats = multiswap_refine(
-            inst_f, start_f, direct_f, policy="direct",
-            budget=FACILITY_BUDGET, weights=w_f,
+            inst_f, start_f, target_f, budget=FACILITY_BUDGET, weights=w_f,
         )
         _, _, sm_cost, sm_stats = smoothed_search(
-            inst_f, direct_f, policy="direct", budget=FACILITY_BUDGET,
+            inst_f, target_f, budget=FACILITY_BUDGET,
             restarts=2, noise=0.5, seed=0,
         )
         t_fac = time.perf_counter() - t0
@@ -185,9 +185,7 @@ def test_placement_cost_model_speedup(show):
 
     # --- A12 minimax: worst per-target ratio vs seed on the A9 target set
     t0 = time.perf_counter()
-    mmx = optimize_instance(
-        instance, strategy="minimax", targets=targets, budget=300
-    )
+    mmx = optimize_instance(instance, targets, strategy="minimax", budget=300)
     t_mmx = time.perf_counter() - t0
     minimax_worst = max(
         (m / s if s else (0.0 if m == 0 else float("inf")))
@@ -238,11 +236,11 @@ def test_placement_cost_model_speedup(show):
             "speedup": round(score_speedup, 2),
         },
         "gains": {
-            "seed_direct_misses": swap.seed_cost,
-            "swap_misses": swap.cost,
+            "seed_direct_misses": seed_misses,
+            "swap_misses": swap_misses,
             "swap_gain": round(swap_gain, 2),
             "swap_search_s": round(t_swap, 4),
-            "color_misses": color.cost,
+            "color_misses": color_misses,
             "color_gain": round(color_gain, 2),
         },
         "multi": {
@@ -280,10 +278,10 @@ def test_placement_cost_model_speedup(show):
         [
             {"path": f"score {N_CANDIDATES} candidates", "baseline_s": round(t_recompile, 3),
              "optimized_s": round(t_remap, 3), "ratio": round(score_speedup, 1)},
-            {"path": "swap vs seed (misses)", "baseline_s": swap.seed_cost,
-             "optimized_s": swap.cost, "ratio": round(swap_gain, 1)},
-            {"path": "color vs seed (misses)", "baseline_s": color.seed_cost,
-             "optimized_s": color.cost, "ratio": round(color_gain, 1)},
+            {"path": "swap vs seed (misses)", "baseline_s": seed_misses,
+             "optimized_s": swap_misses, "ratio": round(swap_gain, 1)},
+            {"path": "color vs seed (misses)", "baseline_s": seed_misses,
+             "optimized_s": color_misses, "ratio": round(color_gain, 1)},
             {"path": "multi vs seed (weighted)", "baseline_s": round(multi.seed_cost, 1),
              "optimized_s": round(multi.cost, 1), "ratio": round(multi_gain, 1)},
             *(

@@ -101,14 +101,11 @@ from repro.mem import (
     Region,
     TraceRecorder,
     TracingCache,
-    available_placements,
     build_instance,
     conflict_graph,
     layout_objects,
     optimize_instance,
-    optimize_placement,
-    placement_cost,
-    register_placement,
+    placement_costs,
     remap_trace,
 )
 from repro.runtime import (
@@ -184,9 +181,8 @@ __all__ = [
     # mem
     "MemoryLayout", "Region", "TraceRecorder", "TracingCache",
     "layout_objects", "PlacementInstance", "PlacementResult",
-    "build_instance", "conflict_graph", "placement_cost", "remap_trace",
-    "optimize_instance", "optimize_placement", "register_placement",
-    "available_placements",
+    "build_instance", "conflict_graph", "placement_costs", "remap_trace",
+    "optimize_instance",
     # runtime
     "ChannelBuffer", "Schedule", "validate_schedule", "Executor",
     "ExecutionResult", "fireable_modules", "demand_driven_schedule",

@@ -1,14 +1,15 @@
-"""Experiment drivers E1–E10 and ablations A1–A4.
+"""Experiment drivers E1–E11 and ablations A1–A5.
 
 The paper has no empirical tables or figures (it is a theory paper), so the
-reproduction treats each theorem/corollary as an experiment — see DESIGN.md
-for the index.  Every driver here returns a list of uniform dict rows; the
-`benchmarks/` targets time them and print the rows, and EXPERIMENTS.md
-records representative output with the paper-predicted shape.
+reproduction treats each theorem/corollary as an experiment; each driver's
+section header names the claim it measures.  Every driver here returns a
+list of uniform dict rows: ``python -m repro experiment ID`` prints them as
+a table (:func:`repro.analysis.report.rows_to_table`), and
+``tests/test_experiments.py`` checks each driver's rows for the shape the
+paper predicts.
 
 All drivers are deterministic (fixed seeds) and sized to run in seconds, so
-`pytest benchmarks/ --benchmark-only` stays fast while still exhibiting the
-asymptotic shapes.
+the tier-1 tests run every one while still exhibiting the asymptotic shapes.
 """
 
 from __future__ import annotations

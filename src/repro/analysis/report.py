@@ -1,7 +1,7 @@
 """Plain-text table/series rendering for experiment output.
 
-The benchmarks print the same rows EXPERIMENTS.md records; keeping the
-renderer here (rather than in each bench) guarantees the formats match.
+``python -m repro experiment`` and ``misscurve`` and the examples print
+their rows through :func:`rows_to_table`, so every table has one format.
 """
 
 from __future__ import annotations

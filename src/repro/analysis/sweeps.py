@@ -319,7 +319,7 @@ def ablation_a7_placement(
     frame count up — and every label carries its cache size in words so
     capacity effects are not mistaken for placement effects.
     """
-    from repro.mem.placement import build_instance, optimize_instance, placement_cost
+    from repro.mem.placement import build_instance, optimize_instance, placement_costs
 
     g, sched, _part, run_geom = des_partitioned_workload(M=M, B=B, inputs=inputs)
     # with_ways snaps the frame count up to the nearest valid set indexing,
@@ -332,20 +332,23 @@ def ablation_a7_placement(
     col_4way = f"4way_{four_way.size}w"
 
     instance = build_instance(g, sched, B)
+    others = [(two_way, "lru", 1.0), (four_way, "lru", 1.0), (run_geom, "lru", 1.0)]
 
     rows: List[Dict[str, Any]] = []
     for strategy in ("topo", "color", "swap"):
         res = optimize_instance(
-            instance, run_geom, strategy=strategy, policy="direct", budget=budget
+            instance, [(run_geom, "direct", 1.0)], strategy=strategy, budget=budget
         )
+        (direct,), (seed,) = res.per_target, res.seed_per_target
+        lru_2way, lru_4way, fully_assoc = placement_costs(instance, res.order, others)
         rows.append(
             {
                 "placement": "seed (topo)" if strategy == "topo" else strategy,
-                col_direct: res.cost,
-                col_2way: placement_cost(instance, res.order, two_way, policy="lru"),
-                col_4way: placement_cost(instance, res.order, four_way, policy="lru"),
-                "fully_assoc": placement_cost(instance, res.order, run_geom, policy="lru"),
-                "direct_vs_seed": round(res.cost / res.seed_cost, 3) if res.seed_cost else 1.0,
+                col_direct: direct,
+                col_2way: lru_2way,
+                col_4way: lru_4way,
+                "fully_assoc": fully_assoc,
+                "direct_vs_seed": round(direct / seed, 3) if seed else 1.0,
             }
         )
     return rows
@@ -408,7 +411,7 @@ def ablation_a9_cross_geometry(
     rows: List[Dict[str, Any]] = [row("seed (topo)", seed)]
 
     single = optimize_instance(
-        instance, direct, strategy="swap", policy="direct", budget=budget
+        instance, [(direct, "direct", 1.0)], strategy="swap", budget=budget
     )
     rows.append(
         row("swap@direct",
@@ -417,8 +420,7 @@ def ablation_a9_cross_geometry(
     )
 
     multi = optimize_instance(
-        instance, strategy="swap", targets=targets, budget=budget,
-        gap_budget=gap_budget,
+        instance, targets, strategy="swap", budget=budget, gap_budget=gap_budget,
     )
     rows.append(row("swap@multi", list(multi.per_target), multi.gap_blocks))
     return rows
@@ -548,16 +550,15 @@ def ablation_a12_facility_search(
         weights = conflict_graph(instance)
         start = greedy_color_order(instance, direct, policy="direct",
                                    weights=weights)
+        target = [(direct, "direct", 1.0)]
         _o, _g2, swap_cost, swap_stats = swap_refine(
-            instance, start, direct, policy="direct", budget=budget,
-            weights=weights,
+            instance, start, target, budget=budget, weights=weights,
         )
         _o, _g2, multi_cost, multi_stats = multiswap_refine(
-            instance, start, direct, policy="direct", budget=budget,
-            weights=weights,
+            instance, start, target, budget=budget, weights=weights,
         )
         _o, _g2, smooth_cost, smooth_stats = smoothed_search(
-            instance, direct, policy="direct", budget=budget,
+            instance, target, budget=budget,
             restarts=restarts, noise=noise, seed=seed,
         )
         for label, cost, stats in (
@@ -594,8 +595,7 @@ def ablation_a12_facility_search(
     worsts: Dict[str, float] = {}
     for label, strategy in (("swap@multi", "swap"), ("minimax", "minimax")):
         res = optimize_instance(
-            instance, strategy=strategy, targets=targets,
-            budget=minimax_budget,
+            instance, targets, strategy=strategy, budget=minimax_budget,
         )
         worsts[label] = worst(list(res.per_target))
         rows.append({

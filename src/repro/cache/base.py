@@ -97,6 +97,13 @@ class CacheGeometry:
     def is_fully_associative(self) -> bool:
         return self.ways is None or self.ways == self.n_blocks
 
+    def conflict_classes(self, policy: str) -> int:
+        """Conflict classes ``policy`` splits this cache into, each one
+        replayed apart from the others: its sets, that is one per frame when
+        direct-mapped (``policy="direct"`` or ``ways=1``) and one when fully
+        associative."""
+        return self.n_blocks if policy == "direct" else self.sets
+
     def set_of(self, block: int, sets: Optional[int] = None) -> int:
         """Set index ``block % sets`` a block id maps to.
 

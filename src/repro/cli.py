@@ -287,21 +287,18 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             from repro.runtime.compiled import simulate_trace
 
             instance = build_instance(g, sched, run_geom.block, order=order)
-            targets = None
-            if args.layout_targets:
-                targets = [
-                    (run_geom.with_ways(w), pol, weight)
-                    for pol, w, weight in args.layout_targets
-                ]
+            targets = [
+                (run_geom.with_ways(w), pol, weight)
+                for pol, w, weight in args.layout_targets
+            ] if args.layout_targets else [(run_geom, args.policy, 1.0)]
             pres = optimize_instance(
-                instance, run_geom, strategy=args.layout, policy=args.policy,
-                targets=targets, gap_budget=args.gap_budget,
-                budget=args.layout_budget,
+                instance, targets, strategy=args.layout,
+                gap_budget=args.gap_budget, budget=args.layout_budget,
                 restarts=args.restarts, noise=args.noise, seed=args.seed,
             )
             # targets are named like --layout-targets: POLICY:WAYS
             names = [f"{pol}:{tg.associativity}" for tg, pol, _w in pres.targets]
-            if targets:
+            if args.layout_targets:
                 per = ", ".join(
                     f"{name} ({tg.size}w) {s}->{c}"
                     for name, (tg, _p, _w), s, c in zip(
@@ -317,7 +314,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             else:
                 placement_note = (
                     f"layout    : {args.layout} placement, {args.policy} misses "
-                    f"{pres.seed_cost} -> {pres.cost} "
+                    f"{pres.seed_per_target[0]} -> {pres.per_target[0]} "
                     f"({pres.improvement:.1%} fewer than the seed layout)"
                 )
             if pres.regressed:
@@ -500,7 +497,7 @@ def cmd_obs_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.mem.placement import available_placements
+    from repro.mem.placement import STRATEGIES
 
     p = argparse.ArgumentParser(
         prog="repro",
@@ -539,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--l2-ways", type=int, default=0,
                    help="L2 associativity (0 = fully associative; needs "
                         "--l2-frames)")
-    s.add_argument("--layout", default="topo", choices=available_placements(),
+    s.add_argument("--layout", default="topo", choices=STRATEGIES,
                    help="memory placement: seed topological order, greedy "
                         "set-coloring, swap-refined local search, k-object "
                         "multiswap with per-set capacity constraints, "
@@ -562,18 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cost evaluations the placement local search may "
                         "spend (each one scores a full candidate layout "
                         "through the remap cost model)")
-    s.add_argument("--restarts", type=int, default=None,
+    s.add_argument("--restarts", type=int, default=4,
                    help="restarts of the smoothed placement search "
                         "(--layout smoothed; each gets an equal slice of "
-                        "--layout-budget; default 4)")
-    s.add_argument("--noise", type=float, default=None,
+                        "--layout-budget)")
+    s.add_argument("--noise", type=float, default=0.25,
                    help="relative conflict-weight perturbation per smoothed "
                         "restart (--layout smoothed; 0 disables the "
-                        "perturbation; default 0.25)")
-    s.add_argument("--seed", type=int, default=None,
+                        "perturbation)")
+    s.add_argument("--seed", type=int, default=0,
                    help="RNG seed of the smoothed restart perturbations; "
-                        "the same seed always reproduces the same layout "
-                        "(default 0)")
+                        "the same seed always reproduces the same layout")
     _add_runtime_flags(s)
     s.set_defaults(fn=cmd_schedule)
 

@@ -168,7 +168,8 @@ def inhomogeneous_partition_schedule(
     ``strict_paper_batching`` applies the ``>= M`` batch-traffic condition
     to every channel as the paper literally states; the default applies it
     to cross edges only (sufficient for the cache bound, much smaller
-    buffers — an engineering deviation documented in DESIGN.md).
+    buffers — an engineering deviation from the paper's text;
+    ``tests/test_partition_sched.py`` runs both).
     """
     if n_batches < 1:
         raise ScheduleError(f"n_batches must be >= 1, got {n_batches}")

@@ -7,17 +7,13 @@ from repro.mem.placement import (
     PlacementInstance,
     PlacementResult,
     RefineStats,
-    available_placements,
+    STRATEGIES,
     build_instance,
     conflict_graph,
-    get_placement,
     greedy_color_order,
     normalize_targets,
     optimize_instance,
-    optimize_placement,
-    placement_cost,
     placement_costs,
-    register_placement,
     remap_blocks,
     remap_trace,
     swap_refine,
@@ -34,17 +30,13 @@ __all__ = [
     "PlacementInstance",
     "PlacementResult",
     "RefineStats",
-    "available_placements",
+    "STRATEGIES",
     "build_instance",
     "conflict_graph",
-    "get_placement",
     "greedy_color_order",
     "normalize_targets",
     "optimize_instance",
-    "optimize_placement",
-    "placement_cost",
     "placement_costs",
-    "register_placement",
     "remap_blocks",
     "remap_trace",
     "swap_refine",

@@ -1,4 +1,4 @@
-"""Capacitated facility-location placement strategies.
+"""Capacitated facility-location placement searches.
 
 Assigning hot objects to capacity-limited cache sets *is* hard
 capacitated facility location (each set is a facility with ``ways``
@@ -33,10 +33,9 @@ same exact block-remap cost model (never an estimator) by the same loop,
   the seed layout** (lexicographically tie-broken by the weighted sum),
   which directly attacks A9's near-1x per-target stragglers.
 
-All three are registered placement strategies (``multiswap``,
-``smoothed``, ``minimax``) and flow through
-:func:`repro.mem.placement.optimize_instance`'s
-never-worse-than-seed-at-every-target contract unchanged.
+:func:`repro.mem.placement.optimize_instance` runs all three as the
+``multiswap``, ``smoothed`` and ``minimax`` strategies, under its
+never-worse-than-seed-at-every-target contract.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.base import CacheGeometry
 from repro.errors import LayoutError
 from repro.mem.layout import ObjectKey
 from repro.mem.placement import (
@@ -58,13 +56,10 @@ from repro.mem.placement import (
     _local_search,
     _Move,
     _primary_target,
-    _refine_strategy,
-    _search_targets,
     _swap_moves,
-    _targets_of,
     conflict_graph,
     greedy_color_order,
-    register_placement,
+    normalize_targets,
 )
 from repro.obs import core as obs
 from repro.obs import names as obs_names
@@ -128,11 +123,9 @@ def _facility_moves(
 def multiswap_refine(
     instance: PlacementInstance,
     order: Sequence[ObjectKey],
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
+    targets: Sequence[PlacementTarget],
     budget: int = 400,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
-    targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
     objective: str = "sum",
@@ -160,10 +153,7 @@ def multiswap_refine(
     (:func:`repro.runtime.backend.normalize_backend`).
     """
     normalize_backend(backend)
-    targets_n = _targets_of(
-        instance, geometry, policy, targets,
-        "multiswap_refine needs a geometry or targets",
-    )
+    targets = normalize_targets(targets, block=instance.block)
     if weights is None:
         weights = conflict_graph(instance)
     hot, hot_ids = _hot_objects(weights, instance.n_objects)
@@ -174,17 +164,15 @@ def multiswap_refine(
     )
     with obs.span(obs_names.FACILITY_SEARCH):
         return _local_search(
-            instance, order, targets_n, moves, budget, gap_budget=gap_budget,
+            instance, order, targets, moves, budget, gap_budget=gap_budget,
             gaps=gaps, objective=objective, prune=hot_ids,
         )
 
 
 def smoothed_search(
     instance: PlacementInstance,
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
+    targets: Sequence[PlacementTarget],
     budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     restarts: int = 4,
     noise: float = 0.25,
@@ -213,12 +201,9 @@ def smoothed_search(
         raise LayoutError(f"restarts must be >= 1, got {restarts}")
     if noise < 0:
         raise LayoutError(f"noise must be >= 0, got {noise}")
-    targets_n = _targets_of(
-        instance, geometry, policy, targets,
-        "smoothed_search needs a geometry or targets",
-    )
+    targets = normalize_targets(targets, block=instance.block)
     base_weights = conflict_graph(instance)
-    pg, pp, _w = _primary_target(targets_n)
+    pg, pp, _w = _primary_target(targets)
     rng = np.random.default_rng(seed)
     per_budget = min(budget, max(2, budget // restarts))
     best: Optional[Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]] = None
@@ -239,8 +224,8 @@ def smoothed_search(
             }
         start = greedy_color_order(instance, pg, policy=pp, weights=w_r)
         order, gaps, cost, stats = multiswap_refine(
-            instance, start, budget=per_budget, weights=w_r,
-            targets=targets_n, gap_budget=gap_budget,
+            instance, start, targets, budget=per_budget, weights=w_r,
+            gap_budget=gap_budget,
         )
         total_evals += stats.evals
         ran += 1
@@ -250,62 +235,3 @@ def smoothed_search(
     obs.add(obs_names.PLACEMENT_RESTARTS, ran)
     return best[0], best[1], best[2], replace(best[3], evals=total_evals)
 
-
-# ----------------------------------------------------------------------
-# registered strategies
-# ----------------------------------------------------------------------
-def _minimax_refine(
-    instance: PlacementInstance,
-    order: Sequence[ObjectKey],
-    budget: int = 400,
-    weights: Optional[Dict[Tuple[int, int], float]] = None,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
-    """Two phases: a weighted-sum warmup drives every target down from the
-    start (cheap, broad progress), then the minimax objective spends the
-    rest of the budget on the binding worst-case target — pure minimax
-    from a cold start burns its budget on moves the harsh lexicographic
-    acceptance rejects."""
-    if budget < 3:
-        raise LayoutError(
-            f"minimax needs budget >= 3 (one warmup eval, then the seed and "
-            f"the start under minimax), got {budget}"
-        )
-    warm = budget // 2
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, order, budget=warm, weights=weights,
-        targets=targets, gap_budget=gap_budget,
-    )
-    return multiswap_refine(
-        instance, order, budget=budget - warm,
-        weights=weights, targets=targets, gap_budget=gap_budget,
-        gaps=gaps, objective="minimax",
-    )
-
-
-def _smoothed_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _search_targets(instance, geometry, policy, targets, budget)
-    if targets_n is None:
-        return list(instance.objects), {}
-    order, gaps, _cost, _stats = smoothed_search(
-        instance, budget=budget, targets=targets_n,
-        gap_budget=gap_budget,
-        restarts=4 if restarts is None else restarts,
-        noise=0.25 if noise is None else noise,
-        seed=0 if seed is None else seed,
-    )
-    return order, gaps
-
-
-register_placement("multiswap", _refine_strategy(multiswap_refine))
-register_placement("smoothed", _smoothed_strategy)
-register_placement("minimax", _refine_strategy(_minimax_refine))

@@ -35,41 +35,43 @@ Four ideas make the search cheap and exact:
   short reuse window of the trace are the ones that must not collide in a
   set.  The graph is extracted from the run-length-compressed object
   sequence of the compiled trace; nearer co-occurrences weigh more.
-* **Strategies behind a registry** (the shape is classic: assigning hot
-  objects to capacity-limited sets is capacitated facility location, and
-  FLIP-style swap local search is cheap and effective on sparse conflict
-  graphs): ``"color"`` greedily appends, at each cursor position, the
-  unplaced object whose set span conflicts least with what is already
-  placed (greedy set-coloring of the conflict graph); ``"swap"`` refines
-  that order by pairwise-swap local search — interleaved with *gap moves*
-  (±1 block of padding before an object, bounded by ``gap_budget``) —
-  scored with the *true* remap cost model, visiting heavy conflict pairs
-  first.  ``"topo"`` is the seed
-  topological layout, kept as the baseline.  Every search runs the one
-  loop :func:`_local_search` over a move list; :mod:`repro.mem.facility`
-  widens the list and adds restarts and a minimax objective.
+* **Strategies** (the shape is classic: assigning hot objects to
+  capacity-limited sets is capacitated facility location, and FLIP-style
+  swap local search is cheap and effective on sparse conflict graphs):
+  :func:`optimize_instance` runs one of :data:`STRATEGIES`.  ``"color"``
+  greedily appends, at each cursor position, the unplaced object whose
+  set span conflicts least with what is already placed (greedy
+  set-coloring of the conflict graph); ``"swap"`` refines that order by
+  pairwise-swap local search — interleaved with *gap moves* (±1 block of
+  padding before an object, bounded by ``gap_budget``) — scored with the
+  *true* remap cost model, visiting heavy conflict pairs first.
+  ``"topo"`` is the seed topological layout, kept as the baseline.  Every
+  search runs the one loop :func:`_local_search` over a move list;
+  :mod:`repro.mem.facility` widens the list and adds restarts and a
+  minimax objective.
 
 **Multi-geometry objective.**  A7 showed a layout tuned for the
 direct-mapped index can *regress* at 2-way — unacceptable when one binary
-must deploy across cache organizations.  ``targets=[(geometry, policy,
-weight), ...]`` scores candidates by the weighted miss sum across all
+must deploy across cache organizations.  Every search and cost takes its
+objective as ``targets=[(geometry, policy, weight), ...]`` (one target is
+a list of one) and scores candidates by the weighted miss sum across all
 targets, and :func:`optimize_instance` only accepts a candidate that is
 no worse than the seed **at every individual target** (falling back to
 the seed otherwise), so optimized layouts are deployable: experiment A9
 (:func:`repro.analysis.sweeps.ablation_a9_cross_geometry`) measures the
 cross-geometry behaviour.
 
-:func:`optimize_placement` never returns a placement worse than the seed
+:func:`optimize_instance` never returns a placement worse than the seed
 (at any target), so callers can enable it unconditionally.  Wire-up:
-experiments A7/A9/A12, CLI ``schedule --layout NAME`` (any registered
-strategy) ``[--layout-targets SPEC] [--gap-budget N]``,
+experiments A7/A9/A12, CLI ``schedule --layout NAME`` (any of
+:data:`STRATEGIES`) ``[--layout-targets SPEC] [--gap-budget N]``,
 ``benchmarks/bench_placement.py``, and ``examples/layout_tuning.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,18 +94,14 @@ __all__ = [
     "normalize_targets",
     "remap_blocks",
     "remap_trace",
-    "placement_cost",
     "placement_costs",
     "conflict_graph",
     "greedy_color_order",
     "RefineStats",
     "CandidateScorer",
     "swap_refine",
-    "register_placement",
-    "get_placement",
-    "available_placements",
+    "STRATEGIES",
     "optimize_instance",
-    "optimize_placement",
 ]
 
 #: One optimization target: (geometry, policy name, positive weight).
@@ -309,24 +307,6 @@ def remap_trace(
     return replace(instance.trace, blocks=remap_blocks(instance, order, gaps=gaps))
 
 
-def placement_cost(
-    instance: PlacementInstance,
-    order: Sequence[ObjectKey],
-    geometry: CacheGeometry,
-    policy: str = "direct",
-    gaps: Optional[Dict[ObjectKey, int]] = None,
-) -> int:
-    """Misses of ``policy`` at ``geometry`` under the candidate placement.
-
-    Exact, not an estimate: the remapped trace is bit-identical to what the
-    compiler would produce for this placement (gaps included), and the
-    replay kernels agree miss-for-miss with the stepwise simulators.
-    """
-    return _target_misses(
-        remap_blocks(instance, order, gaps=gaps), [(geometry, policy, 1.0)]
-    )[0]
-
-
 def normalize_targets(
     targets: Sequence[PlacementTarget], block: Optional[int] = None
 ) -> List[PlacementTarget]:
@@ -384,8 +364,13 @@ def placement_costs(
     targets: Sequence[PlacementTarget],
     gaps: Optional[Dict[ObjectKey, int]] = None,
 ) -> List[int]:
-    """Per-target miss counts of the candidate placement (multi-geometry
-    form of :func:`placement_cost`; one remap gather, shared replay passes)."""
+    """Per-target miss counts of the candidate placement, in target order:
+    one remap gather, one replay per policy.
+
+    Exact, not an estimate: the remapped trace is bit-identical to what the
+    compiler would produce for this placement (gaps included), and the
+    replay kernels agree miss-for-miss with the stepwise simulators.
+    """
     return _target_misses(
         remap_blocks(instance, order, gaps=gaps),
         normalize_targets(targets, block=instance.block),
@@ -407,18 +392,9 @@ class ScoreBase:
     touched: Tuple[np.ndarray, np.ndarray]
 
 
-#: policies whose misses are a sum over per-set (per-frame) subsequences
+#: policies whose misses are a sum over per-set (per-frame) subsequences;
+#: ``two_level`` is not one, as its L2 sees an L1 miss stream that crosses sets
 _CLASS_SPLIT_POLICIES = ("lru", "opt", "direct")
-
-
-def _class_spec(geometry: CacheGeometry, policy: str) -> Optional[int]:
-    """Class count a target's misses are a sum over — frames for
-    direct-mapped, sets otherwise, one class when fully associative — or
-    ``None`` when the policy does not split by class (``two_level``: its L2
-    sees an L1 miss stream that crosses sets)."""
-    if policy not in _CLASS_SPLIT_POLICIES:
-        return None
-    return _conflict_sets(geometry, policy)
 
 
 def _class_miss_counts(
@@ -474,7 +450,8 @@ def _delta_misses(
         new_blocks = starts[t_obj[moved]] + t_off[moved]
     groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
     for i, (geom, policy, _w) in enumerate(targets):
-        groups.setdefault((policy, _class_spec(geom, policy)), []).append(i)
+        spec = geom.conflict_classes(policy) if policy in _CLASS_SPLIT_POLICIES else None
+        groups.setdefault((policy, spec), []).append(i)
     counts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(targets)
     for (policy, spec), idxs in groups.items():
         n_classes = 1 if spec is None else spec
@@ -587,18 +564,10 @@ def conflict_graph(instance: PlacementInstance) -> Dict[Tuple[int, int], float]:
     return weights
 
 
-def _conflict_sets(geometry: CacheGeometry, policy: str) -> int:
-    """Number of conflict classes the organization induces: frames for a
-    direct-mapped target, sets otherwise (1 = fully associative = none)."""
-    if policy == "direct" or geometry.ways == 1:
-        return geometry.n_blocks
-    return geometry.sets
-
-
 def _primary_target(targets: Sequence[PlacementTarget]) -> PlacementTarget:
     """The heaviest-weight target — what the constructive heuristics aim at
     (ties break toward the most conflict-prone organization)."""
-    return max(targets, key=lambda t: (t[2], _conflict_sets(t[0], t[1])))
+    return max(targets, key=lambda t: (t[2], t[0].conflict_classes(t[1])))
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +585,7 @@ def greedy_color_order(
     objects (highest total conflict weight) break ties first, so they claim
     clean sets early.
     """
-    sets = _conflict_sets(geometry, policy)
+    sets = geometry.conflict_classes(policy)
     if sets <= 1:
         return list(instance.objects)
     if weights is None:
@@ -684,22 +653,6 @@ class RefineStats:
 #: pos) | ("gap", oid, delta) — object ids, except a relocation's target,
 #: which is a position index
 _Move = Tuple
-
-
-def _targets_of(
-    instance: PlacementInstance,
-    geometry: Optional[CacheGeometry],
-    policy: str,
-    targets: Optional[Sequence[PlacementTarget]],
-    missing: str,
-) -> List[PlacementTarget]:
-    """``targets`` validated, else the one target ``(geometry, policy, 1.0)``;
-    ``missing`` is the error raised when neither is given."""
-    if targets is not None:
-        return normalize_targets(targets, block=instance.block)
-    if geometry is None:
-        raise LayoutError(missing)
-    return [(geometry, policy, 1.0)]
 
 
 def _hot_objects(
@@ -862,7 +815,7 @@ def _local_search(
             f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
         )
     cap_geom, cap_policy, _w = _primary_target(targets)
-    cap_sets = _conflict_sets(cap_geom, cap_policy)
+    cap_sets = cap_geom.conflict_classes(cap_policy)
     cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
     # a primary target with one set has no per-set capacity to exceed
     hot_ids = prune if prune is not None and cap_sets > 1 else ()
@@ -941,21 +894,18 @@ def _local_search(
 def swap_refine(
     instance: PlacementInstance,
     order: Sequence[ObjectKey],
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
+    targets: Sequence[PlacementTarget],
     budget: int = 400,
     weights: Optional[Dict[Tuple[int, int], float]] = None,
-    targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
     """FLIP-style local search over (order, gaps) on the true remap cost.
 
     Starting from ``order`` (and optionally ``gaps``), sweep two move kinds
-    and keep each one that lowers the objective — the actual miss count at
-    ``(geometry, policy)``, or the weighted miss sum over ``targets`` when
-    given (the exact cost model either way, so accepted moves are real
-    improvements, never estimator noise):
+    and keep each one that lowers the weighted miss sum over ``targets``
+    (the exact cost model, so accepted moves are real improvements, never
+    estimator noise):
 
     * **swaps** of two objects' positions, heaviest conflict edge first,
       then every remaining pair;
@@ -972,136 +922,26 @@ def swap_refine(
     their padding in blocks (zero entries omitted), ``stats`` is a
     :class:`RefineStats`.
     """
-    targets_n = _targets_of(
-        instance, geometry, policy, targets,
-        "swap_refine needs a geometry or explicit targets",
-    )
+    targets = normalize_targets(targets, block=instance.block)
     if weights is None:
         weights = conflict_graph(instance)
     hot, _hot_ids = _hot_objects(weights, instance.n_objects)
     moves = _swap_moves(instance, weights) + _gap_moves(hot, gap_budget)
     with obs.span(obs_names.PLACEMENT_SEARCH):
         return _local_search(
-            instance, order, targets_n, moves, budget, gap_budget=gap_budget,
+            instance, order, targets, moves, budget, gap_budget=gap_budget,
             gaps=gaps,
         )
 
 
 # ----------------------------------------------------------------------
-# strategy registry
+# the entry point
 # ----------------------------------------------------------------------
-_STRATEGIES: Dict[str, Callable] = {}
+#: what :func:`optimize_instance` can run: the seed layout, the greedy
+#: coloring, and four searches (the last three in :mod:`repro.mem.facility`)
+STRATEGIES = ("topo", "color", "swap", "multiswap", "smoothed", "minimax")
 
 
-def register_placement(name: str, fn: Callable) -> None:
-    """Register a placement strategy: ``fn(instance, geometry, policy=...,
-    budget=..., targets=..., gap_budget=..., restarts=...,
-    noise=..., seed=...) -> (order, gaps)`` (a full object placement plus a
-    per-object gap map, possibly empty).  ``restarts``/``noise``/``seed``
-    drive the smoothed multi-restart search (:mod:`repro.mem.facility`)
-    and are ``None`` for strategies that ignore them — a given (strategy,
-    knobs) pair must always return the same placement (seeded determinism,
-    pinned in CI)."""
-    _STRATEGIES[name] = fn
-
-
-def get_placement(name: str) -> Callable:
-    try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise LayoutError(
-            f"unknown placement strategy {name!r}; "
-            f"registered: {sorted(_STRATEGIES)}"
-        ) from None
-
-
-def available_placements() -> Tuple[str, ...]:
-    return tuple(sorted(_STRATEGIES))
-
-
-def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                   policy: str = "direct", budget: int = 400,
-                   targets: Optional[Sequence[PlacementTarget]] = None,
-                   gap_budget: int = 0,
-                   restarts: Optional[int] = None,
-                   noise: Optional[float] = None,
-                   seed: Optional[int] = None,
-                   ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    return list(instance.objects), {}
-
-
-def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                    policy: str = "direct", budget: int = 400,
-                    targets: Optional[Sequence[PlacementTarget]] = None,
-                    gap_budget: int = 0,
-                    restarts: Optional[int] = None,
-                    noise: Optional[float] = None,
-                    seed: Optional[int] = None,
-                    ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    if targets:
-        geometry, policy, _w = _primary_target(
-            normalize_targets(targets, block=instance.block)
-        )
-    return greedy_color_order(instance, geometry, policy=policy), {}
-
-
-def _search_targets(
-    instance: PlacementInstance,
-    geometry: Optional[CacheGeometry],
-    policy: str,
-    targets: Optional[Sequence[PlacementTarget]],
-    budget: int,
-) -> Optional[List[PlacementTarget]]:
-    """A search strategy's normalized targets, or ``None`` when every
-    target is fully associative: misses are then provably placement-
-    invariant, so spending the budget on replays could never improve.
-    A budget that could not even score the start is rejected either way."""
-    if budget < 1:
-        raise LayoutError(f"budget must be >= 1, got {budget}")
-    targets_n = _targets_of(
-        instance, geometry, policy, targets,
-        "placement strategy needs a geometry or targets",
-    )
-    if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
-        return None
-    return targets_n
-
-
-def _refine_strategy(refine: Callable) -> Callable:
-    """The strategy that refines the greedy color start with ``refine``
-    (called like :func:`swap_refine`)."""
-
-    def strategy(instance: PlacementInstance, geometry: Optional[CacheGeometry],
-                 policy: str = "direct", budget: int = 400,
-                 targets: Optional[Sequence[PlacementTarget]] = None,
-                 gap_budget: int = 0,
-                 restarts: Optional[int] = None,
-                 noise: Optional[float] = None,
-                 seed: Optional[int] = None,
-                 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-        targets_n = _search_targets(instance, geometry, policy, targets, budget)
-        if targets_n is None:
-            return list(instance.objects), {}
-        weights = conflict_graph(instance)
-        pg, pp, _w = _primary_target(targets_n)
-        start = greedy_color_order(instance, pg, policy=pp, weights=weights)
-        order, gaps, _cost, _stats = refine(
-            instance, start, budget=budget, weights=weights,
-            targets=targets_n, gap_budget=gap_budget,
-        )
-        return order, gaps
-
-    return strategy
-
-
-register_placement("topo", _topo_strategy)
-register_placement("color", _color_strategy)
-register_placement("swap", _refine_strategy(swap_refine))
-
-
-# ----------------------------------------------------------------------
-# top-level entry points
-# ----------------------------------------------------------------------
 @dataclass
 class PlacementResult:
     """An optimized placement and its exact cost accounting.
@@ -1111,12 +951,11 @@ class PlacementResult:
     :meth:`~repro.runtime.executor.Executor.measure`, or
     :meth:`~repro.mem.layout.MemoryLayout.place_graph`.
 
-    ``cost`` / ``seed_cost`` are miss counts for a single-target run, the
-    weighted miss sums for a multi-target one; ``per_target`` /
-    ``seed_per_target`` carry the individual miss counts in target order
-    (the never-worse-at-every-target guarantee is stated on those).
-    ``searched_per_target`` holds the counts of the layout the strategy
-    returned; it differs from ``per_target`` only when that layout
+    ``cost`` / ``seed_cost`` are the weighted miss sums over the targets;
+    ``per_target`` / ``seed_per_target`` carry the individual miss counts
+    in target order (the never-worse-at-every-target guarantee is stated
+    on those).  ``searched_per_target`` holds the counts of the layout the
+    strategy returned; it differs from ``per_target`` only when that layout
     regressed at some target and the seed was kept (:attr:`regressed`).
     """
 
@@ -1154,90 +993,99 @@ class PlacementResult:
 
 def optimize_instance(
     instance: PlacementInstance,
-    geometry: Optional[CacheGeometry] = None,
+    targets: Sequence[PlacementTarget],
     strategy: str = "swap",
-    policy: str = "direct",
     budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
+    restarts: int = 4,
+    noise: float = 0.25,
+    seed: int = 0,
 ) -> PlacementResult:
-    """Run one registered strategy against a prebuilt instance.
+    """Place ``instance`` by one of :data:`STRATEGIES` for the weighted
+    miss sum over ``targets=[(geometry, policy, weight), ...]``.
 
-    Single-target form: ``geometry`` + ``policy``.  Multi-geometry form:
-    ``targets=[(geometry, policy, weight), ...]`` — the objective is the
-    weighted miss sum.  Either way the result is **never worse than the
-    seed at any individual target**: a candidate that regresses anywhere
-    (the A7 cross-geometry failure mode) is discarded for the seed layout.
+    ``topo`` keeps the seed layout and ``color`` colors greedily for the
+    heaviest target (:func:`greedy_color_order`).  The searches start from
+    that coloring: ``swap`` (:func:`swap_refine`), ``multiswap``
+    (:func:`repro.mem.facility.multiswap_refine`), and ``minimax``, which
+    spends half of ``budget`` on a weighted-sum multiswap and the rest on
+    the worst per-target ratio.  ``smoothed``
+    (:func:`repro.mem.facility.smoothed_search`) colors each of its
+    ``restarts`` under ``noise`` drawn from ``seed``.  A search is skipped
+    when every target is fully associative: misses then cannot depend on
+    the layout.
 
-    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart search
-    (:mod:`repro.mem.facility`); strategies that do not restart ignore
-    them.  A rejected search is counted as ``placement.rejected``, and
-    :attr:`PlacementResult.regressed` names the targets it regressed.
+    The result is **never worse than the seed at any individual target**:
+    a layout that regresses anywhere (the A7 cross-geometry failure mode)
+    is discarded for the seed layout, counted as ``placement.rejected``,
+    and :attr:`PlacementResult.regressed` names the targets it regressed.
     """
-    targets_n = _targets_of(
-        instance, geometry, policy, targets,
-        "optimize_instance needs a geometry or targets",
-    )
-    fn = get_placement(strategy)
+    # import cycle: repro.mem.facility imports this module
+    from repro.mem.facility import multiswap_refine, smoothed_search
+
+    if strategy not in STRATEGIES:
+        raise LayoutError(
+            f"unknown placement strategy {strategy!r}; choose from {list(STRATEGIES)}"
+        )
+    targets = normalize_targets(targets, block=instance.block)
     seed_order = list(instance.objects)
-    seed_per = _target_misses(remap_blocks(instance, seed_order), targets_n)
-    seed_cost = sum(w * m for (_, _, w), m in zip(targets_n, seed_per))
-    order, gaps = fn(
-        instance, geometry, policy=policy, budget=budget,
-        targets=targets, gap_budget=gap_budget,
-        restarts=restarts, noise=noise, seed=seed,
-    )
-    searched = _target_misses(remap_blocks(instance, order, gaps=gaps), targets_n)
-    per, cost = searched, sum(w * m for (_, _, w), m in zip(targets_n, searched))
+    seed_per = _target_misses(remap_blocks(instance, seed_order), targets)
+    seed_cost = sum(w * m for (_, _, w), m in zip(targets, seed_per))
+    order: List[ObjectKey] = seed_order
+    gaps: Dict[ObjectKey, int] = {}
+    geometry, policy, _w = _primary_target(targets)
+    if strategy not in ("topo", "color") and budget < 1:
+        raise LayoutError(f"budget must be >= 1, got {budget}")
+    # misses at a fully associative target cannot depend on the layout
+    movable = any(g.conflict_classes(p) > 1 for g, p, _w in targets)
+    if strategy == "color":
+        order = greedy_color_order(instance, geometry, policy=policy)
+    elif strategy == "smoothed" and movable:
+        order, gaps, _c, _s = smoothed_search(
+            instance, targets, budget=budget, gap_budget=gap_budget,
+            restarts=restarts, noise=noise, seed=seed,
+        )
+    elif strategy != "topo" and movable:
+        weights = conflict_graph(instance)
+        start = greedy_color_order(instance, geometry, policy=policy, weights=weights)
+        if strategy == "swap":
+            order, gaps, _c, _s = swap_refine(
+                instance, start, targets, budget=budget, weights=weights,
+                gap_budget=gap_budget,
+            )
+        elif strategy == "multiswap":
+            order, gaps, _c, _s = multiswap_refine(
+                instance, start, targets, budget=budget, weights=weights,
+                gap_budget=gap_budget,
+            )
+        else:
+            # minimax: a weighted-sum warmup drives every target down from
+            # the start, then the minimax objective spends the rest on the
+            # binding worst-case target; from a cold start its lexicographic
+            # acceptance rejects most moves
+            if budget < 3:
+                raise LayoutError(
+                    f"minimax needs budget >= 3 (one warmup eval, then the "
+                    f"seed and the start under minimax), got {budget}"
+                )
+            warm = budget // 2
+            order, gaps, _c, _s = multiswap_refine(
+                instance, start, targets, budget=warm, weights=weights,
+                gap_budget=gap_budget,
+            )
+            order, gaps, _c, _s = multiswap_refine(
+                instance, order, targets, budget=budget - warm, weights=weights,
+                gap_budget=gap_budget, gaps=gaps, objective="minimax",
+            )
+    searched = _target_misses(remap_blocks(instance, order, gaps=gaps), targets)
+    per, cost = searched, sum(w * m for (_, _, w), m in zip(targets, searched))
     if any(c > s for c, s in zip(searched, seed_per)):
         # a layout worse at any one target is discarded for the seed, and
         # counted: PlacementResult.regressed names the targets
         obs.add(obs_names.PLACEMENT_REJECTED)
         order, gaps, cost, per = seed_order, {}, seed_cost, seed_per
-    if targets is None:
-        # single-target runs keep integer miss counts for cost/seed_cost
-        cost, seed_cost = int(per[0]), int(seed_per[0])
     return PlacementResult(
         strategy=strategy, order=order, cost=cost, seed_cost=seed_cost,
-        gaps=dict(gaps), targets=targets_n, per_target=list(per),
+        gaps=dict(gaps), targets=targets, per_target=list(per),
         seed_per_target=list(seed_per), searched_per_target=list(searched),
-    )
-
-
-def optimize_placement(
-    graph: StreamGraph,
-    schedule: "Schedule",
-    geometry: Optional[CacheGeometry] = None,
-    strategy: str = "swap",
-    policy: str = "direct",
-    capacities: Optional[Dict[int, int]] = None,
-    order: Optional[Iterable[str]] = None,
-    budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> PlacementResult:
-    """One-shot convenience: compile the seed trace, search, return the
-    best placement for ``(geometry, policy)`` — or, with ``targets``, the
-    best layout under the multi-geometry weighted objective.
-    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart search
-    (:mod:`repro.mem.facility`)."""
-    if geometry is not None:
-        block = geometry.block
-    elif targets:
-        block = normalize_targets(targets)[0][0].block
-    else:
-        raise LayoutError("optimize_placement needs a geometry or targets")
-    instance = build_instance(
-        graph, schedule, block, capacities=capacities, order=order
-    )
-    return optimize_instance(
-        instance, geometry, strategy=strategy, policy=policy,
-        budget=budget, targets=targets, gap_budget=gap_budget,
-        restarts=restarts, noise=noise, seed=seed,
     )

@@ -769,18 +769,6 @@ def _trace_range(
     return blocks, np.concatenate([p for _b, p in pieces])[window]
 
 
-def _conflict_classes(geom: object, policy: str) -> Optional[int]:
-    """Set count (``lru``) or frame count (``direct``) of a geometry the
-    period shortcut can answer; ``None`` for every other case."""
-    if not isinstance(geom, CacheGeometry):
-        return None
-    if policy == "lru":
-        return 1 if geom.is_fully_associative else geom.sets
-    if policy == "direct" and geom.ways in (None, 1):
-        return geom.n_blocks
-    return None
-
-
 def _suffix_reaches_back(
     prefix: np.ndarray,
     first: np.ndarray,
@@ -843,11 +831,11 @@ def _period_stats(
     period = getattr(trace, "period", None)
     if period is None or policy not in ("lru", "direct"):
         return {}
-    classes: Dict[int, int] = {}
-    for i, geom in enumerate(geometries):
-        c = _conflict_classes(geom, policy)
-        if c is not None:
-            classes[i] = c
+    classes = {
+        i: geom.conflict_classes(policy)
+        for i, geom in enumerate(geometries)
+        if isinstance(geom, CacheGeometry)
+    }
     start, length, repeats = period
     if not classes or repeats < 3:
         return {}

@@ -9,13 +9,14 @@ Section 3 of the paper leans on two facts about rate-matched dags:
    fit, preferring modules *later* in topological order (draining before
    filling keeps occupancies minimal).
 2. Buffer capacities on cross edges must keep *some* component schedulable
-   at all times; :func:`fireable_modules` is the primitive that dynamic
-   schedulers poll.
+   at all times.  :func:`fireable_modules` lists the modules that can fire
+   under a token map; the schedulers do not call it.
 
 :class:`TokenTable` is the token state every scheduler that decides
 firing by firing runs on (this module's and the pipeline schedulers in
 :mod:`repro.core`): built once per call, it resolves each module's
-channels to slots of one flat token list.
+channels to slots of one flat token list, and the schedulers test and
+fire modules on it.
 
 These functions operate on token counts only (no cache); the executor
 applies the resulting firing sequences to the memory simulation.

@@ -379,10 +379,10 @@ def _organization(geom: CacheGeometry, direct: bool = False) -> _Org:
             f"direct-mapped replay needs ways=1 (or an unspecified "
             f"associativity), got ways={geom.ways}"
         )
+    classes = geom.conflict_classes("direct" if direct else "lru")
     if direct or geom.ways == 1:
-        return "direct", geom.n_blocks, None
-    sets = 1 if geom.is_fully_associative else geom.sets
-    return "lru", sets, geom.associativity if sets > 1 else geom.n_blocks
+        return "direct", classes, None
+    return "lru", classes, geom.associativity if classes > 1 else geom.n_blocks
 
 
 class _Carry:
@@ -519,7 +519,7 @@ def _opt_kernel(
     depth_for: Dict[int, int] = {}
     reads: List[Tuple[int, int]] = []
     for geom in geometries:
-        sets = 1 if geom.is_fully_associative else geom.sets
+        sets = geom.conflict_classes("opt")
         cap = geom.n_blocks if sets == 1 else geom.associativity
         depth_for[sets] = max(depth_for.get(sets, 1), cap)
         reads.append((sets, cap))

@@ -8,15 +8,17 @@ which is exactly the lever the partitioned schedulers pull.
 
 :func:`validate_schedule` replays the token counting (no cache involved) and
 reports the first violation: a firing without sufficient input tokens, or a
-push overflowing a bounded buffer.  It is used as a postcondition by every
-scheduler in :mod:`repro.core` and as an oracle in tests.
+push overflowing a bounded buffer.  No scheduler runs it on its own output:
+it is the oracle the tests check every schedule producer against (and
+experiment E6 checks its schedules with).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, TypeVar
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sized, TypeVar
 
 from repro.errors import BufferOverflowError, ScheduleError
 from repro.graphs.sdf import StreamGraph
@@ -26,6 +28,9 @@ from repro.obs import names as obs_names
 __all__ = ["Schedule", "validate_schedule", "schedule_span"]
 
 _Producer = TypeVar("_Producer", bound=Callable[..., Sized])
+
+#: whether a decorated producer is running, so a nested one counts nothing
+_PRODUCING: ContextVar[bool] = ContextVar("schedule_producing", default=False)
 
 
 @dataclass
@@ -76,15 +81,24 @@ class Schedule:
 
 def schedule_span(scheduler: str) -> Callable[[_Producer], _Producer]:
     """Decorate a schedule producer: each call runs under a
-    ``schedule[scheduler=...]`` span and counts the firings it returns (a
-    :class:`Schedule` or a firing list) as ``schedule.firings``."""
+    ``schedule[scheduler=...]`` span, and the outermost one counts the
+    firings it returns (a :class:`Schedule` or a firing list) as
+    ``schedule.firings``.  A producer that builds its firings with another
+    (``interleaved_schedule`` with ``demand_driven_schedule``) nests that
+    one's span in its own, and the firings count once."""
 
     def wrap(produce: _Producer) -> _Producer:
         @functools.wraps(produce)
         def traced(*args: object, **kwargs: object) -> Sized:
-            with obs.span(obs_names.SCHEDULE, scheduler=scheduler):
-                schedule = produce(*args, **kwargs)
-            obs.add(obs_names.SCHEDULE_FIRINGS, len(schedule))
+            outermost = not _PRODUCING.get()
+            token = _PRODUCING.set(True)
+            try:
+                with obs.span(obs_names.SCHEDULE, scheduler=scheduler):
+                    schedule = produce(*args, **kwargs)
+            finally:
+                _PRODUCING.reset(token)
+            if outermost:
+                obs.add(obs_names.SCHEDULE_FIRINGS, len(schedule))
             return schedule
 
         return traced  # type: ignore[return-value]

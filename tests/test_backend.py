@@ -78,7 +78,8 @@ class TestCompatibilityKeywords:
             simulate_trace(trace, [geom], policy="direct", backend="process")
         with pytest.raises(CacheConfigError, match="'process'"):
             multiswap_refine(
-                instance, list(instance.objects), geom, budget=4, backend="process"
+                instance, list(instance.objects), [(geom, "direct", 1.0)], budget=4,
+                backend="process",
             )
         assert default_chunk_words() is None  # nothing was installed
 
@@ -96,10 +97,10 @@ class TestCompatibilityKeywords:
             assert simulate_trace(trace, grid, backend="serial") == simulate_trace(
                 trace, grid
             )
-            start = list(instance.objects)
+            start, target = list(instance.objects), [(geom, "direct", 1.0)]
             assert multiswap_refine(
-                instance, start, geom, budget=12, backend="serial"
-            ) == multiswap_refine(instance, start, geom, budget=12)
+                instance, start, target, budget=12, backend="serial"
+            ) == multiswap_refine(instance, start, target, budget=12)
         finally:
             configure(*prev)
 

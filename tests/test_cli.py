@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
 from repro.errors import CacheConfigError
 from repro.graphs.io import save_graph
 from repro.graphs.topologies import pipeline
+from repro.mem.placement import STRATEGIES
 
 
 class TestCli:
@@ -166,6 +169,45 @@ class TestCliPlacementSurface:
                   "--layout-targets", spec, "--inputs", "64"])
         assert exc.value.code == 2  # argparse usage error, not a traceback
         assert "--layout-targets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", [None, "direct:1,lru:2"])
+    @pytest.mark.parametrize("layout", STRATEGIES)
+    def test_every_layout_runs_end_to_end(self, layout, targets, capsys):
+        """Each strategy reports the direct-mapped misses of the layout it
+        kept, never more than the seed's, and the measured result is that
+        layout's."""
+        argv = ["schedule", "des_rounds", "--ways", "1", "--policy", "direct",
+                "--layout", layout, "--layout-budget", "10", "--inputs", "64"]
+        if targets:
+            argv += ["--layout-targets", targets]
+        if layout == "topo" and targets:
+            with pytest.raises(SystemExit, match="--layout-targets"):
+                main(argv)
+            return
+        assert main(argv) == 0
+        lines = {
+            key.strip(): value
+            for key, value in (ln.split(":", 1) for ln in capsys.readouterr().out.splitlines())
+        }
+        result = int(re.search(r"misses=(\d+)", lines["result"]).group(1))
+        if layout == "topo":
+            assert "layout" not in lines
+            return
+        note = lines["layout"].strip()
+        if targets:
+            assert note.startswith(f"{layout} placement over 2 targets (")
+            counts = re.search(r"direct:1 \(\d+w\) (\d+)->(\d+)", note)
+        else:
+            assert note.startswith(f"{layout} placement, direct misses ")
+            counts = re.search(r"direct misses (\d+) -> (\d+)", note)
+        seed, kept = map(int, counts.groups())
+        assert kept <= seed and result == kept
+
+    def test_unknown_layout_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "des_rounds", "--layout", "anneal", "--inputs", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'anneal'" in capsys.readouterr().err
 
     def test_removed_index_scheme_flag_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -495,7 +495,7 @@ class TestWorkCounters:
         geom = CacheGeometry(size=16 * 8, block=8)
         with obs.capture(enabled=True) as cap:
             _order, _gaps, cost, stats = swap_refine(
-                instance, list(instance.objects), geom, budget=20
+                instance, list(instance.objects), [(geom, "direct", 1.0)], budget=20
             )
         counters = cap.snapshot["counters"]
         assert counters[obs_names.PLACEMENT_EVALS] == stats.evals

@@ -30,15 +30,13 @@ from repro.graphs.topologies import diamond, pipeline
 from repro.mem.facility import multiswap_refine, smoothed_search
 from repro.mem.layout import MemoryLayout, layout_objects
 from repro.mem.placement import (
-    available_placements,
+    STRATEGIES,
+    RefineStats,
     build_instance,
     conflict_graph,
-    get_placement,
     greedy_color_order,
     normalize_targets,
     optimize_instance,
-    optimize_placement,
-    placement_cost,
     placement_costs,
     remap_blocks,
     remap_trace,
@@ -69,6 +67,11 @@ def shuffled(objects, seed):
     order = list(objects)
     rng.shuffle(order)
     return order
+
+
+def misses(inst, order, geom, policy, gaps=None):
+    """Misses of one target under a candidate placement."""
+    return placement_costs(inst, order, [(geom, policy, 1.0)], gaps=gaps)[0]
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +174,7 @@ class TestRemapExactness:
             differential_grid(
                 replay_kernel(policy), stepwise_oracle(policy), grid, blocks
             )
-            cost = placement_cost(inst, order, geom, policy=policy)
+            cost = misses(inst, order, geom, policy)
             fresh = compile_trace(g, sched, B, placement=order)
             ref = sum(map(bool, stepwise_trace_misses(fresh.blocks.tolist(), geom, policy)))
             assert cost == ref
@@ -185,7 +188,7 @@ class TestRemapExactness:
         order = shuffled(inst.objects, 7)
         geom = CacheGeometry(size=16 * B, block=B)
         ref = Executor.measure(g, geom, sched, placement=order, cache=DirectMappedCache(geom))
-        assert placement_cost(inst, order, geom, policy="direct") == ref.misses
+        assert misses(inst, order, geom, "direct") == ref.misses
 
     def test_remap_trace_keeps_attribution(self):
         g, sched = small_workload()
@@ -262,7 +265,7 @@ class TestFullyAssociativeInvariance:
             order = shuffled(inst.objects, seed)
             blocks = remap_blocks(inst, order)
             differential_grid(replay_kernel("lru"), stepwise_oracle("lru"), [geom], blocks)
-            fast = placement_cost(inst, order, geom, policy="lru")
+            fast = misses(inst, order, geom, "lru")
             ref = sum(map(bool, stepwise_trace_misses(blocks.tolist(), geom, "lru")))
             assert fast == ref
             # direct-mapped at that many frames: same story via the direct kernel
@@ -270,7 +273,7 @@ class TestFullyAssociativeInvariance:
             differential_grid(
                 replay_kernel("direct"), stepwise_oracle("direct"), [dgeom], blocks
             )
-            dfast = placement_cost(inst, order, dgeom, policy="direct")
+            dfast = misses(inst, order, dgeom, "direct")
             dref = sum(map(bool, stepwise_trace_misses(blocks.tolist(), dgeom, "direct")))
             assert dfast == dref
 
@@ -304,13 +307,16 @@ class TestConflictGraph:
 
 
 # ----------------------------------------------------------------------
-# strategies and the registry
+# strategies
 # ----------------------------------------------------------------------
 class TestStrategies:
-    def test_registry_contents(self):
-        assert set(available_placements()) >= {"topo", "color", "swap"}
+    def test_strategy_names(self):
+        assert STRATEGIES == ("topo", "color", "swap", "multiswap", "smoothed", "minimax")
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        target = [(CacheGeometry(size=16 * B, block=B), "direct", 1.0)]
         with pytest.raises(LayoutError, match="unknown placement strategy"):
-            get_placement("anneal")
+            optimize_instance(inst, target, strategy="anneal")
 
     def test_color_order_is_a_permutation(self):
         g, sched = small_workload()
@@ -323,19 +329,22 @@ class TestStrategies:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         assert greedy_color_order(inst, geom, policy="lru") == list(inst.objects)
-        # swap must short-circuit too: placement cannot change FA misses,
-        # so the search budget is pure waste there
-        order, gaps = get_placement("swap")(inst, geom, policy="lru")
-        assert order == list(inst.objects) and gaps == {}
+        # every search must short-circuit too: placement cannot change FA
+        # misses, so the search budget is pure waste there
+        for strategy in STRATEGIES:
+            with obs.capture(enabled=True) as cap:
+                res = optimize_instance(inst, [(geom, "lru", 1.0)], strategy=strategy)
+            assert res.order == list(inst.objects) and res.gaps == {}
+            assert "placement.evals" not in cap.snapshot["counters"], strategy
 
     def test_swap_refine_monotone_and_budgeted(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
-        start_cost = placement_cost(inst, start, geom, policy="direct")
+        start_cost = misses(inst, start, geom, "direct")
         order, gaps, cost, stats = swap_refine(
-            inst, start, geom, policy="direct", budget=50
+            inst, start, [(geom, "direct", 1.0)], budget=50
         )
         assert cost <= start_cost
         assert stats.evals <= 50 and int(stats) == stats.evals
@@ -346,7 +355,7 @@ class TestStrategies:
         assert all(a >= b for a, b in zip(stats.trajectory, stats.trajectory[1:]))
         assert stats.rounds == len(stats.trajectory) - 1
         assert gaps == {}  # no gap budget: pure permutation search
-        assert placement_cost(inst, order, geom, policy="direct") == cost
+        assert misses(inst, order, geom, "direct") == cost
 
     def test_swap_refine_gap_budget_respected_and_exact(self):
         g, sched = small_workload()
@@ -354,47 +363,39 @@ class TestStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
         order, gaps, cost, _ = swap_refine(
-            inst, start, geom, policy="direct", budget=200, gap_budget=3
+            inst, start, [(geom, "direct", 1.0)], budget=200, gap_budget=3
         )
         assert sum(gaps.values()) <= 3
         assert all(g > 0 for g in gaps.values())
         # reported cost is the true cost of (order, gaps)
-        assert placement_cost(inst, order, geom, policy="direct", gaps=gaps) == cost
+        assert misses(inst, order, geom, "direct", gaps=gaps) == cost
 
     def test_swap_refine_rejects_bad_budgets(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
+        target = [(CacheGeometry(size=16 * B, block=B), "direct", 1.0)]
         with pytest.raises(LayoutError, match="gap_budget"):
-            swap_refine(inst, list(inst.objects), geom, gap_budget=-1)
+            swap_refine(inst, list(inst.objects), target, gap_budget=-1)
         with pytest.raises(LayoutError, match="over gap_budget"):
             swap_refine(
-                inst, list(inst.objects), geom, gap_budget=1,
+                inst, list(inst.objects), target, gap_budget=1,
                 gaps={inst.objects[0]: 2},
             )
-        with pytest.raises(LayoutError, match="geometry or explicit targets"):
-            swap_refine(inst, list(inst.objects))
 
     def test_optimizer_never_worse_than_seed(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
-        for strategy in available_placements():
+        for strategy in STRATEGIES:
             for policy, geom in (
                 ("direct", CacheGeometry(size=16 * B, block=B)),
                 ("lru", CacheGeometry(size=16 * B, block=B, ways=2)),
             ):
                 res = optimize_instance(
-                    inst, geom, strategy=strategy, policy=policy, budget=60
+                    inst, [(geom, policy, 1.0)], strategy=strategy, budget=60
                 )
                 assert res.cost <= res.seed_cost
-                assert placement_cost(inst, res.order, geom, policy=policy) == res.cost
-
-    def test_one_shot_optimize_placement(self):
-        g, sched = small_workload()
-        geom = CacheGeometry(size=16 * B, block=B)
-        res = optimize_placement(g, sched, geom, strategy="swap", budget=60)
-        assert res.cost <= res.seed_cost
-        assert 0.0 <= res.improvement <= 1.0
+                assert 0.0 <= res.improvement <= 1.0
+                assert misses(inst, res.order, geom, policy) == res.cost
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +465,7 @@ class TestPadding:
             g, geom, sched, placement=order, gaps=gaps,
             cache=DirectMappedCache(geom),
         )
-        assert placement_cost(inst, order, geom, policy="direct", gaps=gaps) == ref.misses
+        assert misses(inst, order, geom, "direct", gaps=gaps) == ref.misses
 
 
 # ----------------------------------------------------------------------
@@ -502,15 +503,15 @@ class TestMultiTarget:
         order = shuffled(inst.objects, 3)
         per = placement_costs(inst, order, targets)
         for (geom, policy, _w), m in zip(targets, per):
-            assert m == placement_cost(inst, order, geom, policy=policy)
+            assert m == misses(inst, order, geom, policy)
 
     def test_optimizer_never_worse_at_every_target(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         targets = self._targets(inst)
-        for strategy in available_placements():
+        for strategy in STRATEGIES:
             res = optimize_instance(
-                inst, strategy=strategy, targets=targets, budget=80, gap_budget=2
+                inst, targets, strategy=strategy, budget=80, gap_budget=2
             )
             assert len(res.per_target) == len(targets)
             for c, s in zip(res.per_target, res.seed_per_target):
@@ -521,39 +522,31 @@ class TestMultiTarget:
                 inst, res.order, targets, gaps=res.gaps
             )
 
-    def test_single_target_form_unchanged(self):
+    def test_one_target_costs_are_its_misses(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
-        res = optimize_instance(inst, geom, strategy="swap", policy="direct", budget=60)
-        assert isinstance(res.cost, int) and isinstance(res.seed_cost, int)
+        res = optimize_instance(inst, [(geom, "direct", 1)], strategy="swap", budget=60)
         assert res.targets == [(geom, "direct", 1.0)]
         assert res.per_target == [res.cost] and res.seed_per_target == [res.seed_cost]
 
-    def test_optimize_placement_multi_entry_point(self):
-        g, sched = small_workload()
-        targets = [
-            (CacheGeometry(size=16 * B, block=B), "direct", 1.0),
-            (CacheGeometry(size=16 * B, block=B, ways=2), "lru", 1.0),
-        ]
-        res = optimize_placement(g, sched, strategy="swap", targets=targets, budget=60)
-        assert all(c <= s for c, s in zip(res.per_target, res.seed_per_target))
-        with pytest.raises(LayoutError, match="geometry or targets"):
-            optimize_placement(g, sched, strategy="swap")
 
-
-def _regressing_strategy(instance, geometry, policy="direct", targets=None, **_knobs):
-    """A strategy returning the first rotation of the seed order that misses
-    more than the seed at some target."""
-    targets_n = targets or [(geometry, policy, 1.0)]
+def _regressing_order(instance, targets):
+    """The first rotation of the seed order that misses more than the seed
+    at some target."""
     seed = list(instance.objects)
-    seed_per = placement_costs(instance, seed, targets_n)
+    seed_per = placement_costs(instance, seed, targets)
     for k in range(1, len(seed)):
         order = seed[k:] + seed[:k]
-        per = placement_costs(instance, order, targets_n)
+        per = placement_costs(instance, order, targets)
         if any(c > s for c, s in zip(per, seed_per)):
-            return order, {}
+            return order
     raise AssertionError("no rotation of the seed order regresses")
+
+
+def _regressing_refine(instance, order, targets, **_knobs):
+    """A stand-in for :func:`swap_refine` that returns a regressing layout."""
+    return _regressing_order(instance, targets), {}, 0.0, RefineStats(0, 0, ())
 
 
 class TestRejectedSearch:
@@ -564,13 +557,13 @@ class TestRejectedSearch:
         import repro.mem.placement as pl
         from repro.obs import names as obs_names
 
-        monkeypatch.setitem(pl._STRATEGIES, "regress", _regressing_strategy)
+        monkeypatch.setattr(pl, "swap_refine", _regressing_refine)
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         targets = TestMultiTarget()._targets(inst)
-        searched_order, _gaps = _regressing_strategy(inst, None, targets=targets)
+        searched_order = _regressing_order(inst, targets)
         with obs.capture(enabled=True) as cap:
-            res = optimize_instance(inst, strategy="regress", targets=targets)
+            res = optimize_instance(inst, targets, strategy="swap")
         assert cap.snapshot["counters"][obs_names.PLACEMENT_REJECTED] == 1
         # the returned layout is the seed's, as before
         assert res.order == list(inst.objects) and res.gaps == {}
@@ -589,7 +582,7 @@ class TestRejectedSearch:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         with obs.capture(enabled=True) as cap:
-            res = optimize_instance(inst, geom, strategy="swap", budget=60)
+            res = optimize_instance(inst, [(geom, "direct", 1.0)], strategy="swap", budget=60)
         assert obs_names.PLACEMENT_REJECTED not in cap.snapshot["counters"]
         assert res.regressed == []
         assert res.searched_per_target == res.per_target
@@ -598,7 +591,7 @@ class TestRejectedSearch:
         import repro.mem.placement as pl
         from repro.cli import main
 
-        monkeypatch.setitem(pl._STRATEGIES, "swap", _regressing_strategy)
+        monkeypatch.setattr(pl, "swap_refine", _regressing_refine)
         assert main([
             "schedule", "fm_radio", "--cache", "256", "--inputs", "64",
             "--layout", "swap", "--layout-targets", "direct:1,lru:2",
@@ -619,18 +612,18 @@ class TestA7Acceptance:
         g, sched, run_geom = des_workload()
         inst = build_instance(g, sched, B)
         seed_order = list(inst.objects)
-        res = optimize_instance(inst, run_geom, strategy="swap", policy="direct", budget=300)
+        res = optimize_instance(inst, [(run_geom, "direct", 1.0)], strategy="swap", budget=300)
         # strict reduction of direct-mapped conflict misses vs the seed layout
         assert res.cost < res.seed_cost
         assert res.cost < 0.5 * res.seed_cost, "A7 workload loses most conflict misses"
         # fully-associative misses are bit-identical across all placements
-        fa_seed = placement_cost(inst, seed_order, run_geom, policy="lru")
+        fa_seed = misses(inst, seed_order, run_geom, "lru")
         for order in (
             res.order,
             greedy_color_order(inst, run_geom, policy="direct"),
             shuffled(inst.objects, 9),
         ):
-            assert placement_cost(inst, order, run_geom, policy="lru") == fa_seed
+            assert misses(inst, order, run_geom, "lru") == fa_seed
 
     def test_a7_driver_rows(self):
         from repro.analysis.sweeps import ablation_a7_placement
@@ -706,23 +699,17 @@ class TestA7Acceptance:
 # A12: facility-location strategies (repro.mem.facility)
 # ----------------------------------------------------------------------
 class TestFacilityStrategies:
-    def test_registry_contains_facility_strategies(self):
-        assert set(available_placements()) >= {"multiswap", "smoothed", "minimax"}
-        # importing the package is enough: repro.mem registers them eagerly
-        for name in ("multiswap", "smoothed", "minimax"):
-            assert callable(get_placement(name))
-
     def test_multiswap_monotone_budgeted_and_permutation(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
-        start_cost = placement_cost(inst, start, geom, policy="direct")
+        start_cost = misses(inst, start, geom, "direct")
         order, gaps, cost, stats = multiswap_refine(
-            inst, start, geom, policy="direct", budget=80
+            inst, start, [(geom, "direct", 1.0)], budget=80
         )
         assert cost <= start_cost
-        assert cost == placement_cost(inst, order, geom, policy="direct", gaps=gaps)
+        assert cost == misses(inst, order, geom, "direct", gaps=gaps)
         assert stats.evals <= 80
         assert sorted(order) == sorted(inst.objects)
         assert all(b <= a for a, b in zip(stats.trajectory, stats.trajectory[1:]))
@@ -730,22 +717,20 @@ class TestFacilityStrategies:
     def test_multiswap_validation(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
+        target = [(CacheGeometry(size=16 * B, block=B), "direct", 1.0)]
         with pytest.raises(LayoutError, match="gap_budget"):
-            multiswap_refine(inst, list(inst.objects), geom, gap_budget=-1)
+            multiswap_refine(inst, list(inst.objects), target, gap_budget=-1)
         with pytest.raises(LayoutError, match="objective"):
-            multiswap_refine(inst, list(inst.objects), geom, objective="max")
-        with pytest.raises(LayoutError, match="geometry or targets"):
-            multiswap_refine(inst, list(inst.objects))
+            multiswap_refine(inst, list(inst.objects), target, objective="max")
 
     def test_smoothed_validation(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
-        geom = CacheGeometry(size=16 * B, block=B)
+        target = [(CacheGeometry(size=16 * B, block=B), "direct", 1.0)]
         with pytest.raises(LayoutError, match="restarts"):
-            smoothed_search(inst, geom, restarts=0)
+            smoothed_search(inst, target, restarts=0)
         with pytest.raises(LayoutError, match="noise"):
-            smoothed_search(inst, geom, noise=-0.1)
+            smoothed_search(inst, target, noise=-0.1)
 
     def test_smoothed_same_seed_is_deterministic(self):
         # the CI determinism pin: identical seed => bit-identical layout
@@ -754,7 +739,7 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         runs = [
             optimize_instance(
-                inst, geom, strategy="smoothed", policy="direct",
+                inst, [(geom, "direct", 1.0)], strategy="smoothed",
                 budget=40, restarts=3, noise=0.5, seed=11,
             )
             for _ in range(2)
@@ -768,12 +753,10 @@ class TestFacilityStrategies:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         _o, _g, cost, stats = smoothed_search(
-            inst, geom, policy="direct", budget=60, restarts=3, noise=0.5, seed=0
+            inst, [(geom, "direct", 1.0)], budget=60, restarts=3, noise=0.5, seed=0
         )
         assert stats.evals <= 60
-        assert cost <= placement_cost(
-            inst, list(inst.objects), geom, policy="direct"
-        )
+        assert cost <= misses(inst, list(inst.objects), geom, "direct")
 
     def test_facility_counters_recorded(self):
         from repro.obs import names as obs_names
@@ -783,7 +766,7 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         with obs.capture(enabled=True) as cap:
             _o, _g, _c, stats = multiswap_refine(
-                inst, list(inst.objects), geom, policy="direct", budget=40
+                inst, list(inst.objects), [(geom, "direct", 1.0)], budget=40
             )
         counters = cap.snapshot["counters"]
         assert counters[obs_names.PLACEMENT_EVALS] == stats.evals
@@ -801,7 +784,7 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         with obs.capture(enabled=True) as cap:
             smoothed_search(
-                inst, geom, policy="direct", budget=30, restarts=2, noise=0.5,
+                inst, [(geom, "direct", 1.0)], budget=30, restarts=2, noise=0.5,
                 seed=0,
             )
         assert cap.snapshot["counters"][obs_names.PLACEMENT_RESTARTS] == 2
@@ -813,9 +796,9 @@ class TestFacilityStrategies:
             (CacheGeometry(size=16 * B, block=B), "direct", 1.0),
             (CacheGeometry(size=16 * B, block=B, ways=2), "lru", 1.0),
         ]
-        for strategy in available_placements():
+        for strategy in STRATEGIES:
             res = optimize_instance(
-                inst, strategy=strategy, targets=targets, budget=30,
+                inst, targets, strategy=strategy, budget=30,
                 gap_budget=2, restarts=2, noise=0.5, seed=3,
             )
             for got, seed_m in zip(res.per_target, res.seed_per_target):
@@ -828,9 +811,7 @@ class TestFacilityStrategies:
             (CacheGeometry(size=16 * B, block=B), "direct", 1.0),
             (CacheGeometry(size=16 * B, block=B, ways=2), "lru", 1.0),
         ]
-        res = optimize_instance(
-            inst, strategy="minimax", targets=targets, budget=40
-        )
+        res = optimize_instance(inst, targets, strategy="minimax", budget=40)
         for got, seed_m in zip(res.per_target, res.seed_per_target):
             assert got <= seed_m
         assert res.per_target == placement_costs(
@@ -866,7 +847,7 @@ class TestEvalAccounting:
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = swap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
+            inst, list(inst.objects), [(geom, "direct", 1.0)], budget=50,
         )
         assert stats.evals == calls["n"]
 
@@ -876,7 +857,7 @@ class TestEvalAccounting:
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = multiswap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
+            inst, list(inst.objects), [(geom, "direct", 1.0)], budget=50,
         )
         assert stats.evals == calls["n"]
 
@@ -886,14 +867,14 @@ class TestEvalAccounting:
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = smoothed_search(
-            inst, geom, policy="direct", budget=40, restarts=2, noise=0.5,
+            inst, [(geom, "direct", 1.0)], budget=40, restarts=2, noise=0.5,
             seed=0,
         )
         assert stats.evals == calls["n"]
 
     @pytest.mark.parametrize("restarts", [1, 4])
     @pytest.mark.parametrize("budget", [1, 2, 3, 5])
-    @pytest.mark.parametrize("strategy", available_placements())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_budget_is_a_hard_cap(self, monkeypatch, strategy, budget, restarts):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
@@ -901,7 +882,7 @@ class TestEvalAccounting:
         calls = self._counting(monkeypatch)
         try:
             optimize_instance(
-                inst, geom, strategy=strategy, policy="direct", budget=budget,
+                inst, [(geom, "direct", 1.0)], strategy=strategy, budget=budget,
                 restarts=restarts, noise=0.5,
             )
         except LayoutError as exc:
@@ -913,16 +894,17 @@ class TestEvalAccounting:
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
+        target = [(geom, "direct", 1.0)]
         for search in (swap_refine, multiswap_refine):
             with pytest.raises(LayoutError, match="budget must be >= 1"):
-                search(inst, list(inst.objects), geom, budget=0)
+                search(inst, list(inst.objects), target, budget=0)
         with pytest.raises(LayoutError, match="budget must be >= 2"):
             multiswap_refine(
-                inst, list(inst.objects), geom, budget=1, objective="minimax"
+                inst, list(inst.objects), target, budget=1, objective="minimax"
             )
         # fully associative: the search is skipped, the request still checked
         with pytest.raises(LayoutError, match="budget must be >= 1"):
-            optimize_instance(inst, geom, strategy="swap", policy="lru", budget=0)
+            optimize_instance(inst, [(geom, "lru", 1.0)], strategy="swap", budget=0)
 
     def test_smoothed_counts_the_restarts_that_ran(self, monkeypatch):
         from repro.obs import names as obs_names
@@ -933,7 +915,7 @@ class TestEvalAccounting:
         calls = self._counting(monkeypatch)
         with obs.capture(enabled=True) as cap:
             _o, _g, _c, stats = smoothed_search(
-                inst, geom, policy="direct", budget=5, restarts=4, noise=0.5,
+                inst, [(geom, "direct", 1.0)], budget=5, restarts=4, noise=0.5,
             )
         # slices of 2 evals: a third restart would overrun the budget of 5
         assert cap.snapshot["counters"][obs_names.PLACEMENT_RESTARTS] == 2

@@ -25,7 +25,7 @@ from repro.cache.base import CacheGeometry
 from repro.core.baselines import single_appearance_schedule
 from repro.graphs.topologies import pipeline
 from repro.mem.placement import (
-    available_placements,
+    STRATEGIES,
     build_instance,
     optimize_instance,
     placement_costs,
@@ -136,12 +136,12 @@ class TestPlacementCandidateProperties:
 class TestMultiTargetProperties:
     @given(
         w1=st.floats(0.1, 10.0), w2=st.floats(0.1, 10.0), w3=st.floats(0.1, 10.0),
-        strategy=st.sampled_from(sorted(available_placements())),
+        strategy=st.sampled_from(sorted(STRATEGIES)),
     )
     @settings(max_examples=10, deadline=None)
     def test_never_worse_than_seed_at_every_target(self, w1, w2, w3, strategy):
-        """Every *registered* strategy — the seed trio and the A12 facility
-        searches alike — honors the never-worse contract at every target."""
+        """Every strategy — the seed trio and the A12 facility searches
+        alike — honors the never-worse contract at every target."""
         inst = _instance()
         targets = [
             (CacheGeometry(size=16 * B, block=B), "direct", w1),
@@ -149,7 +149,7 @@ class TestMultiTargetProperties:
             (CacheGeometry(size=32 * B, block=B, ways=4), "lru", w3),
         ]
         res = optimize_instance(
-            inst, strategy=strategy, targets=targets, budget=40, gap_budget=2,
+            inst, targets, strategy=strategy, budget=40, gap_budget=2,
             restarts=2, noise=0.5, seed=0,
         )
         for c, s in zip(res.per_target, res.seed_per_target):
@@ -161,11 +161,11 @@ class TestMultiTargetProperties:
     @pytest.mark.slow
     @given(
         weights=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
-        strategy=st.sampled_from(sorted(available_placements())),
+        strategy=st.sampled_from(sorted(STRATEGIES)),
     )
     @settings(max_examples=25, deadline=None)
     def test_never_worse_nightly(self, weights, strategy):
-        """Nightly high-examples twin over the full registry at a larger
+        """Nightly high-examples twin over every strategy at a larger
         budget (``HYPOTHESIS_PROFILE=nightly`` raises max_examples)."""
         inst = _instance()
         targets = [
@@ -174,7 +174,7 @@ class TestMultiTargetProperties:
             (CacheGeometry(size=32 * B, block=B, ways=4), "lru", weights[2]),
         ]
         res = optimize_instance(
-            inst, strategy=strategy, targets=targets, budget=120, gap_budget=4,
+            inst, targets, strategy=strategy, budget=120, gap_budget=4,
             restarts=2, noise=0.5, seed=0,
         )
         for c, s in zip(res.per_target, res.seed_per_target):

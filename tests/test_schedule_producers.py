@@ -90,8 +90,8 @@ SPAN_OF = {
 
 def test_every_producer_opens_its_schedule_span():
     """Each producer runs under its own ``schedule[scheduler=...]`` span and
-    counts what it returns in ``schedule.firings`` (one that calls
-    ``demand_driven`` inside counts those firings too)."""
+    counts what it returns in ``schedule.firings`` once (one that calls
+    ``demand_driven`` inside nests its span but not its count)."""
     g = pipeline([12, 20, 6, 16])
     geom = CacheGeometry(size=32, block=B)
     part = _partition(g, 32, 2.0)
@@ -101,4 +101,4 @@ def test_every_producer_opens_its_schedule_span():
         key = f"{obs_names.SCHEDULE}[scheduler={SPAN_OF.get(producer.name, producer.name)}]"
         snap = cap.snapshot
         assert snap["spans"][key]["count"] == 1, producer.name
-        assert snap["counters"][obs_names.SCHEDULE_FIRINGS] >= len(sched), producer.name
+        assert snap["counters"][obs_names.SCHEDULE_FIRINGS] == len(sched), producer.name

@@ -56,15 +56,15 @@ def _buffer(cid):
 def _swap_gap3():
     inst = _instance(12)
     return swap_refine(
-        inst, list(inst.objects), GEOM, policy="direct", budget=200, gap_budget=3
+        inst, list(inst.objects), [(GEOM, "direct", 1.0)], budget=200, gap_budget=3
     )
 
 
 def _swap_gap_accepted():
     inst = _instance(8)
+    target = [(CacheGeometry(size=8 * B, block=B), "direct", 1.0)]
     return swap_refine(
-        inst, _shuffled(inst.objects, 2), CacheGeometry(size=8 * B, block=B),
-        policy="direct", budget=200, gap_budget=2,
+        inst, _shuffled(inst.objects, 2), target, budget=200, gap_budget=2,
     )
 
 

@@ -28,9 +28,9 @@ Compare against the Theorem 3 lower bound::
     lb = pipeline_lower_bound(g, geom.size)
     print(result.misses, ">=", float(lb.misses(result.source_fires, geom)))
 
-Or compile the schedule once and sweep whole geometry families — any
-registered policy, including two-level hierarchies — with the vectorized
-replay::
+Or compile the schedule once and sweep whole geometry families — under
+any of the four ``POLICIES``, two-level hierarchies included — with the
+vectorized replay::
 
     from repro import TwoLevelGeometry, compile_trace, simulate_trace
     trace = compile_trace(g, sched, geom.block)
@@ -85,12 +85,11 @@ from repro.cache import (
     DirectMappedCache,
     LRUCache,
     OPTCache,
+    POLICIES,
     ReplacementPolicy,
     TwoLevelCache,
     TwoLevelGeometry,
-    available_policies,
     get_policy,
-    register_policy,
     simulate_opt,
     simulate_opt_misses,
 )
@@ -177,7 +176,7 @@ __all__ = [
     "CacheGeometry", "CacheStats", "LRUCache", "DirectMappedCache",
     "OPTCache", "simulate_opt", "simulate_opt_misses", "TwoLevelCache",
     "TwoLevelGeometry",
-    "ReplacementPolicy", "register_policy", "get_policy", "available_policies",
+    "POLICIES", "ReplacementPolicy", "get_policy",
     # mem
     "MemoryLayout", "Region", "TraceRecorder", "TracingCache",
     "layout_objects", "PlacementInstance", "PlacementResult",

@@ -127,7 +127,7 @@ def experiment_e12_cache_models(M: int = 256, B: int = 8) -> List[Dict[str, Any]
     columns but does not change the verdict.
 
     Each schedule is compiled once; *every* row — the two-level hierarchy
-    included, since PR 4 registered ``policy="two_level"`` — is answered
+    included (``policy="two_level"``) — is answered
     from the two compiled traces by the vectorized replay (policy dispatch
     in :func:`repro.runtime.compiled.simulate_trace`).  No stepwise
     simulation anywhere in this sweep.

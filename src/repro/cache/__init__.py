@@ -1,4 +1,4 @@
-"""External-memory (I/O model / DAM) cache simulators and the policy registry.
+"""External-memory (I/O model / DAM) cache simulators and the policy table.
 
 The paper analyzes schedules in the two-level I/O model of Aggarwal &
 Vitter: a fast cache of ``M`` words organized in blocks of ``B`` words over
@@ -10,11 +10,11 @@ set-associative and direct-mapped organizations, whose sets are indexed
 by ``block % sets`` in the stepwise oracles here and the vectorized replay
 kernels alike.
 
-Every replacement policy is registered by name in
-:mod:`repro.cache.policy` (``"lru"``, ``"direct"``, ``"opt"``,
-``"two_level"``), which binds the name to its *stepwise* engine; the
-*vectorized* engines answering whole geometry sweeps from one compiled
-trace live in :mod:`repro.runtime.replay` and dispatch by the same names
+The four replacement policies are fixed: :data:`~repro.cache.policy.POLICIES`
+names them (``"lru"``, ``"direct"``, ``"opt"``, ``"two_level"``), and one
+table in :mod:`repro.cache.policy` binds each name to its *stepwise*
+engine; the *vectorized* engines answering whole geometry sweeps from one
+compiled trace live in :mod:`repro.runtime.replay`, one branch per name
 (algorithms and complexity: ``docs/REPLAY.md``).  The stepwise engines here
 are deliberately simple and stay the differential-test oracles for the
 vectorized path:
@@ -36,27 +36,25 @@ vectorized path:
 """
 
 from repro.cache.base import CacheGeometry, CacheModel
-from repro.cache.policy import (
-    ReplacementPolicy,
-    available_policies,
-    get_policy,
-    register_policy,
-    stepwise_trace_misses,
-)
 from repro.cache.stats import CacheStats
 from repro.cache.lru import LRUCache
 from repro.cache.direct import DirectMappedCache
 from repro.cache.opt import OPTCache, next_occurrences, simulate_opt, simulate_opt_misses
 from repro.cache.hierarchy import TwoLevelCache, TwoLevelGeometry
+from repro.cache.policy import (
+    POLICIES,
+    ReplacementPolicy,
+    get_policy,
+    stepwise_trace_misses,
+)
 
 __all__ = [
     "CacheModel",
     "CacheGeometry",
     "CacheStats",
+    "POLICIES",
     "ReplacementPolicy",
-    "available_policies",
     "get_policy",
-    "register_policy",
     "stepwise_trace_misses",
     "LRUCache",
     "DirectMappedCache",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cache.base import CacheGeometry, CacheModel
-from repro.cache.policy import ReplacementPolicy, register_policy
 from repro.errors import CacheConfigError
 
 __all__ = ["DirectMappedCache"]
@@ -55,13 +54,4 @@ class DirectMappedCache(CacheModel):
 
     def resident_blocks(self) -> int:
         return len(self._frames)
-
-
-register_policy(
-    ReplacementPolicy(
-        name="direct",
-        description="direct mapped: frame = block % n_blocks, one block per frame",
-        make_model=DirectMappedCache,
-    )
-)
 

@@ -12,8 +12,8 @@ objects expose their own stats for per-level inspection.
 
 Two engines, one policy name (see ``docs/REPLAY.md``):
 
-* :class:`TwoLevelCache` is the *stepwise* engine, registered in
-  :mod:`repro.cache.policy` under ``policy="two_level"``.  It stays the
+* :class:`TwoLevelCache` is the *stepwise* engine of
+  ``policy="two_level"`` in :mod:`repro.cache.policy`.  It stays the
   differential-test oracle.
 * The *vectorized* engine lives in :mod:`repro.runtime.replay`: an L1 pass
   (stack distances for LRU, a per-frame scan when L1 is direct-mapped)
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from repro.cache.base import CacheGeometry, CacheModel
 from repro.cache.lru import LRUCache
-from repro.cache.policy import ReplacementPolicy, register_policy
 from repro.errors import CacheConfigError
 
 __all__ = ["TwoLevelCache", "TwoLevelGeometry"]
@@ -164,30 +163,3 @@ class TwoLevelCache(CacheModel):
 
     def resident_blocks(self) -> int:
         return self.l2.resident_blocks()
-
-
-def _make_two_level(geometry: object) -> TwoLevelCache:
-    """Stepwise-engine factory for ``policy="two_level"``.
-
-    The registry hands the caller's geometry straight through, so this is
-    where a plain single-level :class:`CacheGeometry` is rejected with a
-    pointer at the right spec type.
-    """
-    if not isinstance(geometry, TwoLevelGeometry):
-        raise CacheConfigError(
-            f"policy 'two_level' needs a TwoLevelGeometry (an (L1, L2) pair "
-            f"of CacheGeometry), got {geometry!r}"
-        )
-    return TwoLevelCache(geometry.l1, geometry.l2)
-
-
-register_policy(
-    ReplacementPolicy(
-        name="two_level",
-        description=(
-            "inclusive two-level LRU hierarchy; misses are L2 misses "
-            "(memory transfers); takes a TwoLevelGeometry per sweep point"
-        ),
-        make_model=_make_two_level,
-    )
-)

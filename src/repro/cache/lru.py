@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.cache.base import CacheGeometry, CacheModel
-from repro.cache.policy import ReplacementPolicy, register_policy
 
 __all__ = ["LRUCache"]
 
@@ -86,15 +85,3 @@ class LRUCache(CacheModel):
 
     def contains_address(self, address: int) -> bool:
         return self.contains_block(self.geometry.block_of(address))
-
-
-register_policy(
-    ReplacementPolicy(
-        name="lru",
-        description=(
-            "least recently used; fully associative unless the geometry "
-            "carries an explicit ways"
-        ),
-        make_model=LRUCache,
-    )
-)

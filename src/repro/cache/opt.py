@@ -12,7 +12,7 @@ trace position, the next position at which the same block is used
 evicting the block whose next use is farthest.  Lazy deletion keeps the heap
 O(log n) per access; stale heap entries are skipped when popped.
 
-This stepwise loop is the *oracle* path (registered as policy ``"opt"`` in
+This stepwise loop is the *oracle* path (policy ``"opt"`` in
 :mod:`repro.cache.policy`); whole geometry sweeps run through the vectorized
 OPT stack-distance replay in :mod:`repro.runtime.replay`, which answers
 every capacity in one pass.  :func:`next_occurrences` is the vectorized
@@ -29,7 +29,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.cache.base import CacheGeometry
-from repro.cache.policy import ReplacementPolicy, register_policy
 from repro.cache.stats import CacheStats
 
 __all__ = ["OPTCache", "simulate_opt", "simulate_opt_misses", "next_occurrences"]
@@ -149,14 +148,3 @@ class OPTCache:
     def run(self, block_trace: Sequence[int]) -> CacheStats:
         self.stats = simulate_opt(block_trace, self.geometry)
         return self.stats
-
-
-register_policy(
-    ReplacementPolicy(
-        name="opt",
-        description="Belady's offline optimal (farthest next use); per set "
-        "under explicit associativity",
-        batch_misses=simulate_opt_misses,
-        offline=True,
-    )
-)

@@ -97,8 +97,9 @@ def _resolve_graph(spec: str) -> StreamGraph:
     )
 
 
-#: Policies a ``--layout-targets`` entry may name (single-level replay).
-_TARGET_POLICIES = ("lru", "direct", "opt")
+#: The single-level policies ``--policy`` and ``--layout-targets`` name;
+#: ``--l2-frames`` selects ``two_level``.
+_POLICIES = ("lru", "direct", "opt")
 
 
 def _parse_layout_targets(spec: str):
@@ -123,10 +124,10 @@ def _parse_layout_targets(spec: str):
             )
         policy, sep, ways_s = body.partition(":")
         policy = policy.strip()
-        if policy not in _TARGET_POLICIES:
+        if policy not in _POLICIES:
             raise argparse.ArgumentTypeError(
                 f"unknown target policy {policy!r} in {chunk!r} "
-                f"(choose from {', '.join(_TARGET_POLICIES)})"
+                f"(choose from {', '.join(_POLICIES)})"
             )
         if not sep:
             raise argparse.ArgumentTypeError(
@@ -524,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--block", type=int, default=8)
     s.add_argument("--c", type=float, default=2.0)
     s.add_argument("--inputs", type=int, default=1024, help="target inputs/outputs")
-    s.add_argument("--policy", default="lru", choices=("lru", "direct", "opt"),
+    s.add_argument("--policy", default="lru", choices=_POLICIES,
                    help="replacement policy replayed over the compiled trace")
     s.add_argument("--ways", type=int, default=0,
                    help="associativity (0 = fully associative; the cache is "

@@ -5,7 +5,7 @@ bit-for-bit: every cache policy has a stepwise oracle, a vectorized replay
 kernel, a differential test, a docs section, and a CLI surface; every
 experiment has a dispatch, a benchmark, and a README row.  Runtime
 differential tests catch *behavioral* drift; this package catches
-*structural* drift — a policy registered without a kernel, an untyped
+*structural* drift — a policy named without a kernel, an untyped
 hot-path array, an experiment nobody can invoke — statically, at review
 time, from the ASTs alone (nothing is imported or executed).
 

@@ -21,7 +21,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro.lint",
-        description="project-specific static analysis: registry/kernel/"
+        description="project-specific static analysis: policy/kernel/"
         "oracle/docs/CLI consistency (rules R1-R4 and R6, see docs/STATIC_ANALYSIS.md)",
     )
     p.add_argument(

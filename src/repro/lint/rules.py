@@ -5,9 +5,9 @@ set-index hashes that no longer exist; its id is not reused).
 ========  =======================  ====================================================
 id        name                     invariant
 ========  =======================  ====================================================
-``R1``    registry-completeness    every registered cache policy has a replay kernel,
-                                   a differential test, a docs/REPLAY.md heading, and
-                                   a CLI surface
+``R1``    policy-completeness      every cache policy of ``POLICIES`` has a replay
+                                   branch, a differential test, a docs/REPLAY.md
+                                   heading, and a CLI surface
 ``R2``    experiment-completeness  every E*/A* experiment driver has a CLI dispatch,
                                    a tier-1 test reference (or documented
                                    exemption), and a README row
@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import Project, Violation, register_rule
 
 __all__ = [
     "BENCH_EXEMPT",
     "DTYPE_CONTRACTS",
-    "registered_policies",
-    "registered_replay_kernels",
+    "table_policies",
+    "replay_branches",
     "experiment_drivers",
     "cli_experiment_ids",
     "obs_registered_names",
@@ -47,7 +47,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # paths the rules are anchored to (repo-relative)
 # ---------------------------------------------------------------------------
-CACHE_GLOB = "src/repro/cache/*.py"
+POLICY_PATH = "src/repro/cache/policy.py"
 REPLAY_PATH = "src/repro/runtime/replay.py"
 COMPILED_PATH = "src/repro/runtime/compiled.py"
 BACKEND_PATH = "src/repro/runtime/backend.py"
@@ -150,14 +150,6 @@ def _str_arg(call: ast.Call, position: int = 0) -> Optional[str]:
     return None
 
 
-def _kw_str(call: ast.Call, name: str) -> Optional[str]:
-    for kw in call.keywords:
-        if kw.arg == name and isinstance(kw.value, ast.Constant) \
-                and isinstance(kw.value.value, str):
-            return kw.value.value
-    return None
-
-
 def _string_constants(tree: ast.AST) -> Set[str]:
     return {
         node.value
@@ -195,34 +187,31 @@ def _read(project: Project, rel: str, rule: str) -> Tuple[Optional[str], List[Vi
 # ---------------------------------------------------------------------------
 # shared extractors (also used by tests and docs snippets)
 # ---------------------------------------------------------------------------
-def registered_policies(project: Project) -> List[Tuple[str, str, int]]:
-    """``(policy, path, line)`` for every ``register_policy(ReplacementPolicy
-    (name=...))`` call under ``src/repro/cache/``."""
-    out: List[Tuple[str, str, int]] = []
-    for rel in project.glob(CACHE_GLOB):
-        try:
-            tree = project.tree(rel)
-        except (FileNotFoundError, SyntaxError):
-            continue  # R1 reports parse problems via its own anchor files
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and _callee_name(node) == "register_policy"):
-                continue
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Call) and _callee_name(inner) == "ReplacementPolicy":
-                    name = _kw_str(inner, "name") or _str_arg(inner)
-                    if name:
-                        out.append((name, rel, node.lineno))
-    return out
+def table_policies(tree: ast.Module) -> Tuple[List[str], int]:
+    """The names of the module-level ``POLICIES = ("...", ...)`` tuple
+    literal in policy.py and its line; ``([], 1)`` when there is none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "POLICIES"
+                and isinstance(node.value, ast.Tuple)):
+            names = [e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            return names, node.lineno
+    return [], 1
 
 
-def registered_replay_kernels(tree: ast.AST) -> Set[str]:
-    """Policy names passed to ``register_replay_kernel(...)`` in replay.py."""
+def replay_branches(tree: ast.AST) -> Set[str]:
+    """The strings ``replay_chunks`` in replay.py compares with: the
+    policy names it has a branch for."""
     return {
-        name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and _callee_name(node) == "register_replay_kernel"
-        and (name := _str_arg(node)) is not None
+        side.value
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "replay_chunks"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators)
+        if isinstance(side, ast.Constant) and isinstance(side.value, str)
     }
 
 
@@ -281,19 +270,27 @@ def _heading_lines(text: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# R1 — registry completeness
+# R1 — policy completeness
 # ---------------------------------------------------------------------------
 @register_rule(
     "R1",
-    "registry-completeness",
-    "every registered cache policy has a replay kernel, a differential "
+    "policy-completeness",
+    "every cache policy of POLICIES has a replay branch, a differential "
     "test, a docs/REPLAY.md heading, and a CLI surface",
 )
-def rule_registry_completeness(project: Project) -> Iterator[Violation]:
-    policies = registered_policies(project)
+def rule_policy_completeness(project: Project) -> Iterator[Violation]:
+    policy_tree, errs = _tree(project, POLICY_PATH, "R1")
+    yield from errs
+    policies, line = table_policies(policy_tree) if policy_tree else ([], 1)
+    if policy_tree is not None and not policies:
+        yield Violation(
+            rule="R1", path=POLICY_PATH, line=1,
+            message=f"{POLICY_PATH} names no policy: expected a module-level "
+            f'POLICIES = ("name", ...) tuple literal',
+        )
     replay_tree, errs = _tree(project, REPLAY_PATH, "R1")
     yield from errs
-    kernels = registered_replay_kernels(replay_tree) if replay_tree else set()
+    branches = replay_branches(replay_tree) if replay_tree else set()
     cli_tree, errs = _tree(project, CLI_PATH, "R1")
     yield from errs
     cli_literals = _string_constants(cli_tree) if cli_tree else set()
@@ -320,16 +317,17 @@ def rule_registry_completeness(project: Project) -> Iterator[Violation]:
                     and (pol := _str_arg(node)) is not None):
                 tested.add(pol)
 
-    for policy, rel, line in policies:
-        if replay_tree is not None and policy not in kernels:
+    for policy in policies:
+        if replay_tree is not None and policy not in branches:
             yield Violation(
-                rule="R1", path=rel, line=line,
-                message=f"policy {policy!r} has no vectorized kernel: add a "
-                f"register_replay_kernel({policy!r}, ...) branch in {REPLAY_PATH}",
+                rule="R1", path=POLICY_PATH, line=line,
+                message=f"policy {policy!r} has no vectorized kernel: add an "
+                f"`if policy == {policy!r}:` branch to replay_chunks in "
+                f"{REPLAY_PATH}",
             )
         if policy not in tested:
             yield Violation(
-                rule="R1", path=rel, line=line,
+                rule="R1", path=POLICY_PATH, line=line,
                 message=f"policy {policy!r} has no differential test: no "
                 f"tests/test_*.py pins replay_kernel({policy!r}) / "
                 f"stepwise_oracle({policy!r}) through "
@@ -337,13 +335,13 @@ def rule_registry_completeness(project: Project) -> Iterator[Violation]:
             )
         if doc_text is not None and not any(policy in h for h in headings):
             yield Violation(
-                rule="R1", path=rel, line=line,
+                rule="R1", path=POLICY_PATH, line=line,
                 message=f"policy {policy!r} has no {REPLAY_DOC} heading "
                 f"documenting its algorithm and oracle contract",
             )
         if cli_tree is not None and policy not in cli_literals:
             yield Violation(
-                rule="R1", path=rel, line=line,
+                rule="R1", path=POLICY_PATH, line=line,
                 message=f"policy {policy!r} is not reachable from the CLI: "
                 f"{CLI_PATH} never names it (add a --policy choice or an "
                 f"option that selects it)",

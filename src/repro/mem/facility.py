@@ -153,7 +153,6 @@ def multiswap_refine(
     (:func:`repro.runtime.backend.normalize_backend`).
     """
     normalize_backend(backend)
-    targets = normalize_targets(targets, block=instance.block)
     if weights is None:
         weights = conflict_graph(instance)
     hot, hot_ids = _hot_objects(weights, instance.n_objects)

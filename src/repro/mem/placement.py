@@ -312,9 +312,10 @@ def normalize_targets(
 ) -> List[PlacementTarget]:
     """Validate a multi-geometry objective spec.
 
-    Each entry is ``(geometry, policy, weight)`` with a positive finite
-    weight; all geometries must share one block size (``block`` when given
-    — the instance's — since one compiled trace scores every target).
+    Each entry is ``(geometry, policy, weight)``: a single-level geometry
+    under ``lru``, ``direct`` or ``opt``, with a positive finite weight;
+    all geometries must share one block size (``block`` when given — the
+    instance's — since one compiled trace scores every target).
     """
     out: List[PlacementTarget] = []
     if not targets:
@@ -328,6 +329,11 @@ def normalize_targets(
             ) from None
         if not isinstance(geometry, CacheGeometry):
             raise LayoutError(f"target geometry must be a CacheGeometry, got {geometry!r}")
+        if policy not in ("lru", "direct", "opt"):
+            raise LayoutError(
+                f"target policy must be lru, direct or opt (single-level "
+                f"replay), got {policy!r}"
+            )
         weight = float(weight)
         if not np.isfinite(weight) or weight <= 0:
             raise LayoutError(f"target weight must be positive and finite, got {weight!r}")
@@ -392,11 +398,6 @@ class ScoreBase:
     touched: Tuple[np.ndarray, np.ndarray]
 
 
-#: policies whose misses are a sum over per-set (per-frame) subsequences;
-#: ``two_level`` is not one, as its L2 sees an L1 miss stream that crosses sets
-_CLASS_SPLIT_POLICIES = ("lru", "opt", "direct")
-
-
 def _class_miss_counts(
     blocks: np.ndarray,
     classes: np.ndarray,
@@ -424,17 +425,15 @@ def _delta_misses(
     ``base`` is ``None``).  Returns the counts and the candidate's own
     :class:`ScoreBase`, ready to score the next candidate against.
 
-    An lru/opt/direct target's misses are a sum over its conflict classes,
-    and each class's count depends only on its own access subsequence up
-    to a renaming of blocks.  Objects never overlap, so an access keeps or
-    changes its block together with every other access to that block: a
-    class no access enters or leaves is only relabeled one-to-one, and its
-    count carries over.  The old and new class of every access whose class
-    changed are dirty; the dirty classes' sub-trace replays once through
-    the ordinary kernels and its misses are counted per class.
-    ``two_level`` targets do not split, so any moved access replays them in
-    full.  The dirty fraction of each target is recorded as the
-    ``placement.dirty_frac`` histogram.
+    A target's misses are a sum over its conflict classes, and each class's
+    count depends only on its own access subsequence up to a renaming of
+    blocks.  Objects never overlap, so an access keeps or changes its block
+    together with every other access to that block: a class no access
+    enters or leaves is only relabeled one-to-one, and its count carries
+    over.  The old and new class of every access whose class changed are
+    dirty; the dirty classes' sub-trace replays once through the ordinary
+    kernels and its misses are counted per class.  The dirty fraction of
+    each target is recorded as the ``placement.dirty_frac`` histogram.
     """
     blocks = starts[obj_of_access] + block_offset
     if base is None:
@@ -448,18 +447,14 @@ def _delta_misses(
         moved = starts[t_obj] != base.starts[t_obj]
         old_blocks = base.starts[t_obj[moved]] + t_off[moved]
         new_blocks = starts[t_obj[moved]] + t_off[moved]
-    groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
+    groups: Dict[Tuple[str, int], List[int]] = {}
     for i, (geom, policy, _w) in enumerate(targets):
-        spec = geom.conflict_classes(policy) if policy in _CLASS_SPLIT_POLICIES else None
-        groups.setdefault((policy, spec), []).append(i)
+        groups.setdefault((policy, geom.conflict_classes(policy)), []).append(i)
     counts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(targets)
-    for (policy, spec), idxs in groups.items():
-        n_classes = 1 if spec is None else spec
+    for (policy, n_classes), idxs in groups.items():
         classes = blocks % n_classes
         if base is None:
             dirty = np.ones(n_classes, dtype=bool)
-        elif spec is None:
-            dirty = np.full(n_classes, new_blocks.shape[0] > 0, dtype=bool)
         else:
             old_cls = old_blocks % n_classes
             new_cls = new_blocks % n_classes
@@ -505,7 +500,7 @@ class CandidateScorer:
         self, instance: PlacementInstance, targets: Sequence[PlacementTarget]
     ) -> None:
         self.instance = instance
-        self.targets = list(targets)
+        self.targets = normalize_targets(targets, block=instance.block)
         #: candidates scored so far
         self.evals = 0
         #: the last candidate scored, which the next one is scored against
@@ -814,13 +809,14 @@ def _local_search(
         raise LayoutError(
             f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
         )
+    scorer = CandidateScorer(instance, targets)
+    targets = scorer.targets
     cap_geom, cap_policy, _w = _primary_target(targets)
     cap_sets = cap_geom.conflict_classes(cap_policy)
     cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
     # a primary target with one set has no per-set capacity to exceed
     hot_ids = prune if prune is not None and cap_sets > 1 else ()
     pruned = 0
-    scorer = CandidateScorer(instance, targets)
     seed_per: List[int] = []
     if objective == "minimax":
         seed_per = scorer.score(
@@ -922,7 +918,6 @@ def swap_refine(
     their padding in blocks (zero entries omitted), ``stats`` is a
     :class:`RefineStats`.
     """
-    targets = normalize_targets(targets, block=instance.block)
     if weights is None:
         weights = conflict_graph(instance)
     hot, _hot_ids = _hot_objects(weights, instance.n_objects)

@@ -19,8 +19,8 @@ every cache size in a single Mattson stack-distance pass
   from per-channel token prefix sums, and a loop's period follows from its
   body's token arithmetic, with no per-firing Python loop.
 * :func:`simulate_trace` answers a whole family of cache geometries from
-  one compiled trace, for any replacement policy registered in
-  :mod:`repro.cache.policy`, by dispatching to the vectorized replay
+  one compiled trace, for each replacement policy of
+  :data:`repro.cache.policy.POLICIES`, by dispatching to the vectorized replay
   kernels of :mod:`repro.runtime.replay`: fully-associative LRU (one
   Mattson stack-distance pass), set-associative LRU (per-set stack
   distances on the set-grouped trace), direct-mapped (per-frame last-block
@@ -44,8 +44,8 @@ this module passes its dtype explicitly so a refactor cannot silently
 change what the kernels replay.
 
 Which path is vectorized, which is reference: the compiled replay above is
-the production path for every geometry sweep — every registered policy has
-a replay kernel; the stepwise engines — the
+the production path for every geometry sweep — every policy has a replay
+kernel; the stepwise engines — the
 :class:`~repro.runtime.executor.Executor` driving a
 :class:`~repro.cache.lru.LRUCache` / :class:`~repro.cache.direct.DirectMappedCache`
 / :class:`~repro.cache.hierarchy.TwoLevelCache`, and the heap-based
@@ -831,11 +831,7 @@ def _period_stats(
     period = getattr(trace, "period", None)
     if period is None or policy not in ("lru", "direct"):
         return {}
-    classes = {
-        i: geom.conflict_classes(policy)
-        for i, geom in enumerate(geometries)
-        if isinstance(geom, CacheGeometry)
-    }
+    classes = {i: geom.conflict_classes(policy) for i, geom in enumerate(geometries)}
     start, length, repeats = period
     if not classes or repeats < 3:
         return {}
@@ -904,7 +900,7 @@ def simulate_trace(
 ) -> List[ExecutionResult]:
     """Miss counts of ``policy`` at every geometry from one compiled trace.
 
-    Replays the trace through the chunk kernel registered for ``policy``
+    Replays the trace through ``policy``'s chunk kernel
     (:mod:`repro.runtime.replay`): ``"lru"`` (fully associative via one
     Mattson stack-distance pass, or set-associative per ``geometry.ways``),
     ``"direct"`` (per-frame last-block scan), ``"opt"`` (Belady via a
@@ -941,9 +937,11 @@ def simulate_trace(
     from repro.runtime.streaming import ArrayChunkSource, ChunkedTrace
 
     normalize_backend(backend)
-    get_policy(policy)  # unknown names fail even when nothing is replayed
+    # unknown names and wrong point types fail even when nothing is replayed
+    check = get_policy(policy).check
     geometries = list(geometries)
     for geom in geometries:
+        check(geom)
         if geom.block != trace.block:
             raise CacheConfigError(
                 f"geometry block {geom.block} does not match trace block "

@@ -3,8 +3,9 @@ replacement models, one engine.
 
 :mod:`repro.runtime.compiled` lowers a schedule to its cache-size-independent
 block trace; this module answers *whole geometry sweeps* over that trace for
-each registered replacement policy (:mod:`repro.cache.policy`) without ever
-simulating block-by-block:
+each of the four replacement policies of
+:data:`repro.cache.policy.POLICIES`, one branch of :func:`replay_chunks`
+per name, without ever simulating block-by-block:
 
 * **Fully-associative LRU** — the classic Mattson pass: one vectorized
   stack-distance computation (:func:`repro.analysis.misscurve.stack_distances_array`)
@@ -92,12 +93,11 @@ the oracle contract.
 from __future__ import annotations
 
 import contextlib
-import functools
 import tempfile
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -129,8 +129,6 @@ __all__ = [
     "chunk_counts",
     "replay_miss_masks",
     "replay_misses",
-    "register_replay_kernel",
-    "available_replay_policies",
 ]
 
 #: One chunk's replay: its labels (phase codes, or ``None``) and one miss
@@ -565,7 +563,7 @@ def _opt_kernel(
 
 def _two_level_kernel(
     source: Chunks,
-    geometries: Sequence,
+    geometries: Sequence[TwoLevelGeometry],
 ) -> Iterator[ChunkMasks]:
     """Memory-miss masks of two-level hierarchies, one L1 pass per distinct
     L1 and chunk.
@@ -578,16 +576,10 @@ def _two_level_kernel(
     shorter) sub-trace, and scatters the L2 verdicts back to chunk
     positions.  L1 carries the trace's recency list, trimmed for every L1,
     and each group's L2 the recency list of its sub-trace, trimmed for the
-    group's L2s.  A point that is not a hierarchy fails here, before any
-    chunk is read.
+    group's L2s.
     """
     groups: Dict[CacheGeometry, List[Tuple[int, _Org]]] = {}
     for i, tg in enumerate(geometries):
-        if not isinstance(tg, TwoLevelGeometry):
-            raise CacheConfigError(
-                f"policy 'two_level' sweeps TwoLevelGeometry points, "
-                f"got {tg!r}"
-            )
         groups.setdefault(tg.l1, []).append((i, _organization(tg.l2)))
     levels = [(_organization(l1), l2s) for l1, l2s in groups.items()]
     return _two_level_chunks(source, levels, len(geometries))
@@ -614,60 +606,41 @@ def _two_level_chunks(
         yield phases, out
 
 
-_KERNELS: Dict[str, Callable] = {}
-
-
-def register_replay_kernel(policy: str, kernel: Callable) -> None:
-    """Register the chunk kernel answering sweeps for ``policy``.
-
-    ``kernel(source, geometries)`` replays a chunk source
-    (:class:`~repro.runtime.streaming.ChunkSource`) front to back, carrying
-    its own state across chunks, and yields, per chunk, ``(phases,
-    masks)``: the chunk's phase codes (or ``None``) and one boolean miss
-    mask per geometry.  The name must already exist in the stepwise
-    registry (:func:`repro.cache.policy.get_policy`) — a replay without an
-    oracle is untestable by construction.
-    """
-    get_policy(policy)
-    _KERNELS[policy] = kernel
-
-
-def available_replay_policies() -> tuple:
-    return tuple(sorted(_KERNELS))
-
-
-register_replay_kernel("lru", _lru_kernel)
-register_replay_kernel("direct", functools.partial(_lru_kernel, direct=True))
-register_replay_kernel("opt", _opt_kernel)
-register_replay_kernel("two_level", _two_level_kernel)
-
-
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
 def replay_chunks(
     source: Chunks,
-    geometries: Iterable,
+    geometries: Iterable[object],
     policy: str = "lru",
 ) -> Iterator[ChunkMasks]:
     """Per-chunk ``(phases, masks)`` of ``policy``'s kernel over ``source``.
 
     The engine itself, uninstrumented (callers count and time the replay
-    they make of it).  ``source`` is a chunk source; the lru, direct and
-    two_level kernels also take any iterable of ``(blocks, phases)``
-    chunks, read once front to back (the streamed
-    :func:`~repro.runtime.compiled.measure_compiled` hands them the chunks
-    as they compile).  An unknown policy, or a geometry the lru, direct or
-    two_level kernel cannot replay, fails here, before any chunk is read.
+    they make of it).  Each kernel replays ``source`` front to back,
+    carrying its own state across chunks, and yields per chunk its phase
+    codes (or ``None``) and one boolean miss mask per geometry.
+    ``source`` is a chunk source; the lru, direct and two_level kernels
+    also take any iterable of ``(blocks, phases)`` chunks, read once front
+    to back (the streamed :func:`~repro.runtime.compiled.measure_compiled`
+    hands them the chunks as they compile).  A policy outside
+    :data:`~repro.cache.policy.POLICIES`, a sweep point of the wrong type,
+    or a geometry the lru, direct or two_level kernel cannot replay fails
+    here, before any chunk is read.
     """
-    get_policy(policy)  # raises CacheConfigError for unknown names
-    kernel = _KERNELS.get(policy)
-    if kernel is None:
-        raise CacheConfigError(
-            f"policy {policy!r} has no vectorized replay kernel; "
-            f"available: {sorted(_KERNELS)}"
-        )
-    return kernel(source, list(geometries))
+    check = get_policy(policy).check
+    geoms: List[Any] = list(geometries)
+    for geom in geoms:
+        check(geom)
+    if policy == "lru":
+        return _lru_kernel(source, geoms)
+    if policy == "direct":
+        return _lru_kernel(source, geoms, direct=True)
+    if policy == "opt":
+        return _opt_kernel(source, geoms)  # type: ignore[arg-type]
+    if policy == "two_level":
+        return _two_level_kernel(source, geoms)
+    raise AssertionError(f"policy {policy!r} has no replay branch")
 
 
 def chunk_counts(

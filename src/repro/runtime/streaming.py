@@ -14,10 +14,11 @@ disk-bounded without changing a single answer:
   :class:`~repro.runtime.trace_cache.TraceCache`
   (:func:`~repro.runtime.trace_cache.segment_digest` keys) and returning a
   :class:`ChunkedTrace` — a disk-backed chunk source whose peak memory is
-  O(``chunk_words``), not O(trace length).  A corrupted or deleted segment
-  recompiles *alone*: the recompile pass re-runs the chunk generator but
-  only writes segments whose files are absent, so intact segments keep
-  their bytes and mtimes.
+  O(``chunk_words``), not O(trace length).  A corrupted, deleted or
+  evicted segment recompiles *alone*: the recompile pass re-runs the chunk
+  generator but only writes segments whose files are absent, so intact
+  segments keep their bytes and mtimes, and the chunk asked for comes
+  straight from the generator, whatever the cache kept.
 
 :func:`~repro.runtime.compiled.simulate_trace` replays a :class:`ChunkedTrace`
 (or an in-memory trace at ``chunk_words=``) bit-identically to the one-chunk
@@ -39,6 +40,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -184,7 +186,8 @@ class ChunkedTrace:
     through the backing :class:`~repro.runtime.trace_cache.TraceCache`; a
     missing or corrupt segment (the cache's ``get`` discards and counts it)
     triggers a *segment-granular* recompile — the chunk generator re-runs
-    but writes only absent segments, leaving intact ones untouched on disk.
+    but writes only absent segments, leaving intact ones untouched on disk —
+    and returns the chunk as the generator yields it.
     """
 
     def __init__(
@@ -241,19 +244,20 @@ class ChunkedTrace:
 
     def chunk(self, index: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         seg = self.cache.get(self.segment_keys[index])
-        if seg is None:
-            # missing or corrupt (get() already discarded and counted it):
-            # recompile at segment granularity — only absent segments are
-            # rewritten, intact ones keep their bytes and mtimes
-            written = self._recompile()
-            obs.add(obs_names.STREAM_RECOMPILED, max(1, written))
-            seg = self.cache.get(self.segment_keys[index])
-            if seg is None:
-                raise CacheConfigError(
-                    f"segment {index} of trace {self.label!r} could not be "
-                    f"recompiled into {str(self.cache.path)!r}"
-                )
-        return seg.blocks, seg.phases
+        if seg is not None:
+            return seg.blocks, seg.phases
+        # missing, corrupt or evicted (get() already discarded and counted
+        # it): recompile at segment granularity — only absent segments are
+        # rewritten, intact ones keep their bytes and mtimes — and take the
+        # chunk from the compile, since writing the others may evict it again
+        written, found = self._recompile(index)
+        obs.add(obs_names.STREAM_RECOMPILED, max(1, written))
+        if found is None:
+            raise CacheConfigError(
+                f"segment {index} of trace {self.label!r} could not be "
+                f"recompiled into {str(self.cache.path)!r}"
+            )
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -262,11 +266,12 @@ class ChunkedTrace:
         )
 
 
-class Recompiler(Protocol):
-    """Re-runs a chunked compilation, writing only absent segments; returns
-    the number of segments written."""
-
-    def __call__(self) -> int: ...
+#: One chunk's ``(blocks, phases)`` arrays.
+Chunk = Tuple[np.ndarray, Optional[np.ndarray]]
+#: Re-runs a chunked compilation, writing only absent segments; returns the
+#: number of segments written and chunk ``index`` as compiled (``None`` if
+#: the compile yields no such chunk).
+Recompiler = Callable[[int], Tuple[int, Optional[Chunk]]]
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +298,10 @@ def compile_trace_chunked(
     still executes — it is the only source of chunk boundaries and
     metadata — but no bytes are rewritten).  ``cache=None`` uses the
     configured default cache, else a trace-owned temporary directory with
-    an effectively unbounded cap (eviction could otherwise drop a live
-    segment mid-replay; a caller-supplied cache keeps its own cap, and an
-    evicted segment simply recompiles on next access).
+    an effectively unbounded cap.  A configured or caller-supplied cache
+    keeps its own cap: a segment it evicts is recompiled when next read,
+    and the read returns the chunk as the compile yields it, so a cap
+    below the trace's segments costs recompiles, never an answer.
     """
     if chunk_words < 1:
         raise CacheConfigError(f"chunk_words must be >= 1, got {chunk_words}")
@@ -317,16 +323,19 @@ def compile_trace_chunked(
         placement=placement, gaps=gaps,
     )
 
-    def spill() -> Tuple[TraceCompiler, List[str], int]:
+    def spill(want: int = -1) -> Tuple[TraceCompiler, List[str], int, Optional[Chunk]]:
         compiler = TraceCompiler(
             graph, block, capacities=capacities, layout_order=layout_order,
             placement=placement, gaps=gaps,
         )
         keys: List[str] = []
         written = 0
+        found: Optional[Chunk] = None
         for index, (blocks, phases) in enumerate(
             compiler.compile_chunks(schedule, chunk_words=chunk_words)
         ):
+            if index == want:
+                found = blocks, phases
             key = segment_digest(trace_key, index, chunk_words)
             keys.append(key)
             if not seg_cache.has(key):
@@ -341,18 +350,17 @@ def compile_trace_chunked(
                     obs_names.STREAM_SPILLED_BYTES,
                     int(blocks.nbytes) + int(phases.nbytes),
                 )
-        return compiler, keys, written
+        return compiler, keys, written, found
 
     with obs.span(obs_names.STREAM_COMPILE):
-        compiler, keys, _written = spill()
+        compiler, keys, _written, _found = spill()
     obs.add(obs_names.STREAM_CHUNKS, len(keys))
     obs.add(obs_names.COMPILE_CALLS)
     meta = compiler.last
     obs.add(obs_names.COMPILE_ACCESSES, meta.accesses)
 
-    def recompile() -> int:
-        _compiler, _keys, written = spill()
-        return written
+    def recompile(index: int) -> Tuple[int, Optional[Chunk]]:
+        return spill(index)[2:]
 
     return ChunkedTrace(
         label=meta.label,

@@ -12,9 +12,9 @@ point, and on the first divergence raises an ``AssertionError`` that
 pinpoints the access — position, block id, both verdicts, and the recent
 window of the trace — instead of a bare ``assert list == list``.
 
-:func:`replay_kernel` and :func:`stepwise_oracle` adapt the two registries
-(:mod:`repro.runtime.replay` / :mod:`repro.cache.policy`) to the harness
-signature, so a policy's whole differential suite is one line::
+:func:`replay_kernel` and :func:`stepwise_oracle` adapt the two engines of
+a policy name (:mod:`repro.runtime.replay` / :mod:`repro.cache.policy`) to
+the harness signature, so a policy's whole differential suite is one line::
 
     differential_grid(replay_kernel("lru"), stepwise_oracle("lru"),
                       geometries, trace)

@@ -7,7 +7,7 @@
   ``workers=None``) and change nothing; any other value, ``"process"``
   included, raises :class:`~repro.errors.CacheConfigError`.
 * **Bit-identity** — the replay kernels agree with the stepwise engines
-  per access for *every registered policy*, via
+  per access for *every policy*, via
   :func:`~repro.testing.harness.differential_grid` on the compiled
   workload trace.
 """

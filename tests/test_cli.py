@@ -4,11 +4,24 @@ import re
 
 import pytest
 
+from repro.cache.policy import POLICIES
 from repro.cli import main
 from repro.errors import CacheConfigError
 from repro.graphs.io import save_graph
 from repro.graphs.topologies import pipeline
 from repro.mem.placement import STRATEGIES
+
+
+#: ``(policy, flags, misses)`` of ``schedule fm_radio --cache 256 --inputs
+#: 256`` under each organization
+SCHEDULE_MISSES = [
+    ("lru", ["--ways", "0"], 1334),
+    ("lru", ["--ways", "1"], 12875),
+    ("direct", ["--ways", "1"], 12875),
+    ("opt", ["--ways", "0"], 1223),
+    ("opt", ["--ways", "1"], 12875),
+    ("two_level", ["--l2-frames", "128"], 1327),
+]
 
 
 class TestCli:
@@ -53,6 +66,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "policy=two_level" in out
         assert "L2        : 1024 words (128 frames)" in out
+
+    @pytest.mark.parametrize("policy, flags, misses", SCHEDULE_MISSES)
+    def test_schedule_every_policy_in_memory_and_chunked(
+        self, capsys, policy, flags, misses
+    ):
+        """Each policy answers the same misses in memory and compiled out of
+        core, and the ones these organizations have always given."""
+        assert {case[0] for case in SCHEDULE_MISSES} == set(POLICIES)
+        argv = ["schedule", "fm_radio", "--cache", "256", "--inputs", "256", *flags]
+        if policy != "two_level":
+            argv += ["--policy", policy]
+        results = []
+        for extra in ([], ["--chunk-words", "512"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            assert f"policy={policy}" in out
+            results.append([ln for ln in out.splitlines() if ln.startswith("result")])
+        assert results[0] == results[1]
+        assert f": misses={misses} " in results[0][0]
 
     def test_schedule_chunk_words_compiles_out_of_core(self, tmp_path, capsys):
         import json

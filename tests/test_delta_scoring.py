@@ -9,12 +9,14 @@ tests hold it to the full replay:
   unequal-span swaps, rotations, relocations, ±1 gap moves — from random
   placements and checks every step's per-target counts against the full
   replay that :func:`repro.mem.placement.placement_costs` runs, across
-  lru (fully and set associative), direct, opt and two_level targets
-  (with a ``slow`` nightly twin);
+  lru (fully and set associative), direct and opt targets (with a
+  ``slow`` nightly twin);
 * every search strategy returns the same layout and the same
   :class:`~repro.mem.placement.RefineStats` as under a full-replay
   reference scorer defined here;
-* each delta-scored candidate records its dirty-class fraction per target.
+* each delta-scored candidate records its dirty-class fraction per target;
+* a target the scorer cannot split into conflict classes is rejected by
+  name.
 """
 
 import random
@@ -29,6 +31,7 @@ import repro.mem.placement as placement_mod
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
 from repro.core.baselines import single_appearance_schedule
+from repro.errors import LayoutError
 from repro.graphs.topologies import pipeline
 from repro.mem.facility import multiswap_refine, smoothed_search
 from repro.mem.placement import (
@@ -38,7 +41,6 @@ from repro.mem.placement import (
     build_instance,
     optimize_instance,
     placement_costs,
-    remap_blocks,
     swap_refine,
 )
 from repro.obs import core as obs
@@ -61,15 +63,11 @@ def _instance():
 
 
 def _full_replay(instance, ids, gap_vec, targets) -> List[int]:
-    """The reference: a full replay of the candidate's remapped trace —
-    ``placement_costs`` itself wherever it accepts the targets (it checks
-    for plain cache geometries, so two-level targets replay through the
-    same ``_target_misses`` it wraps)."""
+    """The reference: a full replay of the candidate's remapped trace by
+    ``placement_costs``."""
     order = [instance.objects[oid] for oid in ids]
     gaps = {instance.objects[o]: int(g) for o, g in enumerate(gap_vec) if g}
-    if all(policy != "two_level" for _g, policy, _w in targets):
-        return placement_costs(instance, order, targets, gaps=gaps)
-    return _target_misses(remap_blocks(instance, order, gaps=gaps), targets)
+    return placement_costs(instance, order, targets, gaps=gaps)
 
 
 # ----------------------------------------------------------------------
@@ -77,18 +75,14 @@ def _full_replay(instance, ids, gap_vec, targets) -> List[int]:
 # ----------------------------------------------------------------------
 @st.composite
 def _targets(draw: st.DrawFn) -> list:
-    """One to three (geometry, policy, weight) targets over every policy."""
+    """One to three (geometry, policy, weight) targets over every
+    single-level policy."""
     out = []
     for _ in range(draw(st.integers(1, 3))):
-        policy = draw(st.sampled_from(["lru", "direct", "opt", "two_level"]))
+        policy = draw(st.sampled_from(["lru", "direct", "opt"]))
         if policy == "direct":
             frames = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
             geom = CacheGeometry(size=frames * B, block=B, ways=1)
-        elif policy == "two_level":
-            a = draw(geometry_strategy(block=B, max_sets=16))
-            b = draw(geometry_strategy(block=B, max_sets=16))
-            l1, l2 = (a, b) if a.size <= b.size else (b, a)
-            geom = TwoLevelGeometry(l1, l2)
         else:
             geom = draw(geometry_strategy(block=B, max_sets=16))
         out.append((geom, policy, 1.0))
@@ -185,6 +179,17 @@ class TestDeltaEqualsFullReplay:
         ]
         assert calls["n"] == 1
         assert rest == [first] * 2
+
+    def test_two_level_target_is_rejected_by_name(self):
+        """A hierarchy's L2 sees an L1 miss stream that crosses sets, so its
+        misses do not split by conflict class: the scorer names what it
+        takes instead of failing on a missing attribute."""
+        instance = _instance()
+        level = CacheGeometry(size=4 * B, block=B)
+        with pytest.raises(LayoutError, match="must be a CacheGeometry"):
+            CandidateScorer(instance, [(TwoLevelGeometry(level, level), "two_level", 1.0)])
+        with pytest.raises(LayoutError, match="lru, direct or opt"):
+            CandidateScorer(instance, [(level, "two_level", 1.0)])
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelCache, TwoLevelGeometry
-from repro.cache.policy import available_policies, stepwise_trace_misses
+from repro.cache.policy import stepwise_trace_misses
 from repro.core.baselines import single_appearance_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
@@ -64,12 +64,6 @@ def _grid():
 
 
 class TestTwoLevelGeometry:
-    def test_registered_everywhere(self):
-        from repro.runtime.replay import available_replay_policies
-
-        assert "two_level" in available_policies()
-        assert "two_level" in available_replay_policies()
-
     def test_block_property_and_describe(self):
         tg = TwoLevelGeometry(CacheGeometry(64, 8), CacheGeometry(256, 8, ways=4))
         assert tg.block == 8

@@ -42,19 +42,21 @@ class TestLiveTree:
 
 
 # ---------------------------------------------------------------------------
-# R1 — registry completeness
+# R1 — policy completeness
 # ---------------------------------------------------------------------------
-_R1_REGISTRATION = (
-    'register_policy(ReplacementPolicy(name="zap", description="d"))\n'
-)
+#: the policy table, its POLICIES tuple on line 3
+_R1_TABLE = '"""The policies."""\n\nPOLICIES = ("zap",)\n'
+_R1_POLICY = "src/repro/cache/policy.py"
 
 
 class TestR1RegistryCompleteness:
     def _files(self, **overrides):
         files = {
-            "src/repro/cache/zap.py": _R1_REGISTRATION,
+            _R1_POLICY: _R1_TABLE,
             "src/repro/runtime/replay.py": (
-                'register_replay_kernel("zap", _zap_kernel)\n'
+                "def replay_chunks(source, geometries, policy):\n"
+                '    if policy == "zap":\n'
+                "        return _zap_kernel(source, geometries)\n"
             ),
             "src/repro/cli.py": 'POLICY_CHOICES = ("zap",)\n',
             "docs/REPLAY.md": "# replay\n### `zap` — the zap policy\n",
@@ -73,17 +75,23 @@ class TestR1RegistryCompleteness:
         assert _violations(self._files(), ["R1"]) == []
 
     def test_missing_kernel_reported_with_file_line(self):
-        files = self._files(**{"src/repro/runtime/replay.py": ""})
+        # a comparison outside replay_chunks is not its branch
+        files = self._files(**{"src/repro/runtime/replay.py": (
+            "def replay_chunks(source, geometries, policy):\n"
+            "    return None\n"
+            'ZAP = "x" == "zap"\n'
+        )})
         (v,) = _violations(files, ["R1"])
         assert v.rule == "R1"
-        assert v.path == "src/repro/cache/zap.py" and v.line == 1
-        assert "register_replay_kernel" in v.message and "'zap'" in v.message
-        assert str(v).startswith("src/repro/cache/zap.py:1: R1:")
+        assert v.path == _R1_POLICY and v.line == 3
+        assert "replay_chunks" in v.message and "'zap'" in v.message
+        assert str(v).startswith(f"{_R1_POLICY}:3: R1:")
 
     def test_missing_differential_test_reported(self):
         files = self._files(**{"tests/test_zap.py": "import os\n"})
         (v,) = _violations(files, ["R1"])
         assert "differential test" in v.message
+        assert (v.path, v.line) == (_R1_POLICY, 3)
 
     def test_test_without_differential_grid_does_not_count(self):
         # naming the policy in a test that never uses the harness is not a pin
@@ -97,29 +105,37 @@ class TestR1RegistryCompleteness:
         files = self._files(**{"docs/REPLAY.md": "# replay\nzap in prose only\n"})
         (v,) = _violations(files, ["R1"])
         assert "docs/REPLAY.md heading" in v.message
+        assert (v.path, v.line) == (_R1_POLICY, 3)
 
     def test_missing_cli_surface_reported(self):
         files = self._files(**{"src/repro/cli.py": "pass\n"})
         (v,) = _violations(files, ["R1"])
         assert "CLI" in v.message
+        assert (v.path, v.line) == (_R1_POLICY, 3)
 
     def test_missing_required_file_is_itself_a_violation(self):
-        files = self._files()
-        del files["docs/REPLAY.md"]
-        msgs = _messages(files, ["R1"])
-        assert any("docs/REPLAY.md is missing" in m for m in msgs)
+        for missing in ("docs/REPLAY.md", "src/repro/runtime/replay.py", _R1_POLICY):
+            files = self._files()
+            del files[missing]
+            msgs = _messages(files, ["R1"])
+            assert any(f"{missing} is missing" in m for m in msgs), missing
+
+    def test_table_without_policies_tuple_is_reported(self):
+        files = self._files(**{_R1_POLICY: 'POLICIES = ["zap"]\n'})
+        (v,) = _violations(files, ["R1"])
+        assert v.path == _R1_POLICY and "POLICIES" in v.message
 
     def test_incomplete_policy_counts_every_gap(self):
         files = {
-            "src/repro/cache/zap.py": _R1_REGISTRATION,
+            _R1_POLICY: _R1_TABLE,
             "src/repro/runtime/replay.py": "",
             "src/repro/cli.py": "",
             "docs/REPLAY.md": "# replay\n",
             "README.md": "",
         }
         vs = _violations(files, ["R1"])
-        assert len(vs) == 4  # kernel, test, docs heading, CLI
-        assert all(v.path == "src/repro/cache/zap.py" for v in vs)
+        assert len(vs) == 4  # replay branch, test, docs heading, CLI
+        assert all((v.path, v.line) == (_R1_POLICY, 3) for v in vs)
 
 
 # ---------------------------------------------------------------------------

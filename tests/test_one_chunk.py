@@ -14,6 +14,7 @@ import pytest
 
 import repro.runtime.replay as replay
 from repro.cache.base import CacheGeometry
+from repro.cache.policy import POLICIES
 from repro.cache.hierarchy import TwoLevelGeometry
 from repro.runtime.compiled import CompiledTrace, simulate_trace
 from repro.runtime.streaming import ArrayChunkSource
@@ -58,8 +59,8 @@ def trace():
     return (rng.zipf(1.3, size=500) % 40).astype(np.int64)
 
 
-def test_every_registered_policy_is_covered():
-    assert sorted(GRIDS) == sorted(replay.available_replay_policies())
+def test_every_policy_is_covered():
+    assert sorted(GRIDS) == sorted(POLICIES)
 
 
 @pytest.mark.parametrize("policy", sorted(GRIDS))

@@ -1,7 +1,7 @@
 """Differential property tests for the policy-aware replay subsystem.
 
 The vectorized kernels in :mod:`repro.runtime.replay` must agree *per
-access* with the stepwise engines the policy registry binds
+access* with the stepwise engines the policy table binds
 (:class:`~repro.cache.lru.LRUCache`,
 :class:`~repro.cache.direct.DirectMappedCache`,
 :func:`~repro.cache.opt.simulate_opt`) — on random traces, random
@@ -20,7 +20,7 @@ from repro.cache.base import CacheGeometry
 from repro.cache.direct import DirectMappedCache
 from repro.cache.lru import LRUCache
 from repro.cache.opt import simulate_opt, simulate_opt_misses
-from repro.cache.policy import available_policies, get_policy, stepwise_trace_misses
+from repro.cache.policy import POLICIES, get_policy, stepwise_trace_misses
 from repro.core.baselines import interleaved_schedule, single_appearance_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
@@ -162,7 +162,7 @@ class TestReplayDifferential:
         rng = np.random.default_rng(7)
         trace = (rng.zipf(1.4, size=12_000) % 160).astype(np.int64)
         geoms = _fa_geometries() + _sa_geometries()
-        for policy in available_policies():
+        for policy in POLICIES:
             if policy == "direct":
                 swept = [g for g in geoms if g.ways in (None, 1)]
             elif policy == "two_level":

@@ -2,8 +2,8 @@
 (:mod:`repro.runtime.streaming`).
 
 The contract is *bit-identity*: chunked compilation + carried replay must
-answer exactly what the monolithic engine answers, for every registered
-policy and **any** chunk partition — including
+answer exactly what the monolithic engine answers, for every policy and
+**any** chunk partition — including
 ``chunk_words=1`` (maximal carry traffic), ``chunk_words=len(trace)`` (one
 chunk, the degenerate monolithic case), and prime sizes that straddle every
 frame/loop boundary.  The differential grids run through the shared harness
@@ -13,7 +13,8 @@ kernel at every chunking* is pinned per access, not per total.
 
 Also pinned here: segment-granular recompilation after cache corruption
 (one truncated ``.npz`` recompiles alone — intact segments keep their bytes
-and mtimes), and the ``chunk_words=`` threading through every front door
+and mtimes) or eviction (a cache capped below a trace's segments still
+replays it), and the ``chunk_words=`` threading through every front door
 (``compile_trace_chunked`` / ``simulate_trace`` / ``measure_compiled`` /
 ``configure``).
 """
@@ -27,11 +28,13 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CacheGeometry
 from repro.cache.hierarchy import TwoLevelGeometry
-from repro.cache.policy import stepwise_trace_misses
+from repro.cache.policy import POLICIES, stepwise_trace_misses
 from repro.core.baselines import interleaved_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
 from repro.graphs.topologies import pipeline
+from repro.obs import core as obs
+from repro.obs import names as obs_names
 from repro.runtime.backend import configure
 from repro.runtime.compiled import (
     compile_trace,
@@ -347,6 +350,20 @@ def test_chunked_sweep_carries_no_more_than_its_caches_hold(policy, monkeypatch)
 # ----------------------------------------------------------------------
 # chunked compilation: segments, equivalence, corruption recovery
 # ----------------------------------------------------------------------
+#: one sweep per policy for the capped-cache replay
+CAPPED_SWEEPS = {
+    "lru": [CacheGeometry(size=16 * B, block=B, ways=2), CacheGeometry(size=32 * B, block=B)],
+    "direct": [CacheGeometry(size=16 * B, block=B, ways=1)],
+    "opt": [CacheGeometry(size=16 * B, block=B, ways=2), CacheGeometry(size=8 * B, block=B)],
+    "two_level": [
+        TwoLevelGeometry(
+            CacheGeometry(size=4 * B, block=B),
+            CacheGeometry(size=16 * B, block=B, ways=2),
+        )
+    ],
+}
+
+
 class TestChunkedCompilation:
     def test_chunks_concatenate_to_the_monolithic_trace(self, workload, tmp_path):
         g, sched, mono = workload
@@ -419,14 +436,38 @@ class TestChunkedCompilation:
         cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
         ct = compile_trace_chunked(g, sched, B, chunk_words=150, cache=cache)
 
-        def no_recompile() -> int:
+        def no_recompile(index: int):
             ct.segment_path(0).unlink(missing_ok=True)
-            return 0
+            return 0, None
 
         ct._recompile = no_recompile
         ct.segment_path(0).unlink()
         with pytest.raises(CacheConfigError, match="segment 0"):
             ct.chunk(0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cache_capped_below_its_segments_still_replays(
+        self, workload, tmp_path, policy
+    ):
+        """A cache capped below a trace's segments evicts some while the
+        others are written, and a recompile that rewrites the absent ones
+        evicts again; each read still gets its chunk, straight from the
+        recompile, and the replay answers what the in-memory trace does."""
+        g, sched, mono = workload
+        full = compile_trace_chunked(
+            g, sched, B, chunk_words=150,
+            cache=TraceCache(tmp_path / "full", max_bytes=1 << 30),
+        )
+        size = sum(full.segment_path(i).stat().st_size for i in range(full.n_chunks))
+        geoms = CAPPED_SWEEPS[policy]
+        want = simulate_trace(mono, geoms, policy=policy)
+        for frac in (0.9, 0.5, 0.2):
+            cache = TraceCache(tmp_path / f"cap{frac}", max_bytes=int(frac * size))
+            ct = compile_trace_chunked(g, sched, B, chunk_words=150, cache=cache)
+            with obs.capture(enabled=True) as cap:
+                got = simulate_trace(ct, geoms, policy=policy)
+            assert got == want, frac
+            assert cap.snapshot["counters"][obs_names.STREAM_RECOMPILED] > 0
 
 
 # ----------------------------------------------------------------------
